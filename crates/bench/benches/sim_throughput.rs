@@ -25,8 +25,9 @@ struct Case {
     env: EnvironmentKind,
     events: usize,
     /// Fault-plan preset installed on both engines (`None` = clean
-    /// run). A present injector collapses every quiescent span, so this
-    /// exercises the batched busy-tick kernel end to end.
+    /// run). A present injector cuts quiescent spans at every tick its
+    /// next power draw could fire, so this exercises the adversary's
+    /// quiet horizon end to end.
     fault: Option<&'static str>,
 }
 
@@ -108,10 +109,10 @@ fn main() {
             fault: None,
         },
         // Alternating 2 s storms / ~10 s lulls under the `smoke` fault
-        // preset: the adversary keeps every tick busy, so the engine
-        // alternates between bulk spans and full busy-tick blocks —
-        // the mixed regime the kernel's prologue/tail boundary
-        // exercises hardest.
+        // preset: storms keep the scheduler busy, lulls open spans the
+        // armed adversary cuts short wherever its next power draw could
+        // fire — busy blocks, bulk spans and candidate reference ticks
+        // interleave densely.
         Case {
             env: EnvironmentKind::Burst,
             events: 120,

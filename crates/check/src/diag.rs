@@ -408,10 +408,12 @@ impl Code {
                 "The fast-forward engine skips quiescent ticks between events; a capture \
                  boundary on (almost) every tick collapses that horizon. Collapsed runs \
                  no longer degenerate to scalar per-tick stepping: repeating busy \
-                 regimes (an installed fault injector, the scheduler running every tick \
-                 while inputs queue) execute through the batched busy-tick kernel, which \
-                 hoists per-tick invariants into 64-tick block prologues with \
-                 byte-identical observables. Batching does NOT apply to one-off \
+                 regimes (the scheduler running every tick while inputs queue, runs of \
+                 ticks where an installed fault injector could fire) execute through the \
+                 batched busy-tick kernel, which hoists per-tick invariants into 64-tick \
+                 block prologues with byte-identical observables. An installed injector \
+                 does not collapse the horizon by itself: the engine skips the ticks its \
+                 quiet horizon proves fault-free. Batching does NOT apply to one-off \
                  boundary ticks (captures, telemetry samples, countdown expiries) — \
                  those still run single reference ticks — so a short capture period \
                  still costs real speed; it just no longer costs an order of magnitude."

@@ -12,12 +12,15 @@
 
 use crate::inject::{AdversarialInjector, FaultStats};
 use crate::invariants::{check_all, DiffInputs, Violation};
-use crate::oracle::{oracle_environment, oracle_tweaks, run_one, RunOutcome};
+use crate::oracle::{
+    finish, oracle_environment, oracle_tweaks, recording_simulation, run_one_profiled, RunOutcome,
+};
 use crate::plan::FaultPlan;
-use qz_app::{apollo4, build_simulation, DeviceProfile, SimTweaks};
+use qz_app::{apollo4, DeviceProfile, SimTweaks};
 use qz_baselines::BaselineKind;
 use qz_fleet::Executor;
-use qz_obs::{Event, RecordingObserver};
+use qz_obs::Event;
+use qz_prof::{HorizonStats, PhaseProfiler};
 use qz_sim::SimState;
 use qz_traces::{EnvironmentKind, SensingEnvironment};
 use qz_types::{SimDuration, SimTime, SplitMix64};
@@ -440,6 +443,25 @@ pub(crate) fn injection_time(cfg: &CampaignConfig) -> SimTime {
     SimTime::from_millis(cfg.injection_at.as_millis())
 }
 
+/// Wall-clock and horizon accounting for a whole campaign family: the
+/// phase profilers and horizon-cause stats of the fault-free
+/// reference, the always-on oracle and every faulted run, merged.
+#[derive(Debug, Default)]
+pub struct CampaignProfile {
+    /// Merged phase profiler.
+    pub profiler: PhaseProfiler,
+    /// Merged deterministic horizon-cause accounting.
+    pub horizon: HorizonStats,
+}
+
+impl CampaignProfile {
+    /// Folds another run's accounting into this one.
+    fn merge(&mut self, other: &CampaignProfile) {
+        self.profiler.merge(&other.profiler);
+        self.horizon.merge(&other.horizon);
+    }
+}
+
 /// Runs the fault-free reference and captures a snapshot at the
 /// injection gate on the way (the shared prefix every faulted fork
 /// resumes from).
@@ -448,23 +470,15 @@ fn run_clean_with_snapshot(
     env: &SensingEnvironment,
     tweaks: &SimTweaks,
     at: SimTime,
-) -> (RunOutcome, SimState) {
-    let mut sim = build_simulation(cfg.system, &cfg.profile, env, tweaks);
-    sim.set_observer(Box::new(RecordingObserver::new()));
+    profiling: bool,
+) -> (RunOutcome, SimState, Option<CampaignProfile>) {
+    let mut sim = recording_simulation(cfg.system, &cfg.profile, env, tweaks, profiling);
     sim.step_until(at);
     let snap = sim
         .save_state()
         .expect("a fault-free run has no injector and always snapshots");
-    while sim.step() {}
-    let mut observer = sim.take_observer();
-    let events = qz_obs::take_recorded(observer.as_mut()).unwrap_or_default();
-    (
-        RunOutcome {
-            metrics: sim.metrics().clone(),
-            events,
-        },
-        snap,
-    )
+    let (clean, _, accounting) = finish(&mut sim);
+    (clean, snap, accounting)
 }
 
 /// Runs one faulted campaign from tick zero (the injector gated until
@@ -475,16 +489,25 @@ pub(crate) fn run_faulted_replay(
     tweaks: &SimTweaks,
     fault_seed: u64,
     at: SimTime,
-) -> (RunOutcome, FaultStats) {
+    profiling: bool,
+) -> (RunOutcome, FaultStats, Option<CampaignProfile>) {
     let injector = AdversarialInjector::activating_at(cfg.plan.clone(), fault_seed, at);
-    let (outcome, stats) = run_one(cfg.system, &cfg.profile, env, tweaks, Some(injector));
-    (outcome, stats.expect("injector was installed"))
+    let (outcome, stats, accounting) = run_one_profiled(
+        cfg.system,
+        &cfg.profile,
+        env,
+        tweaks,
+        Some(injector),
+        profiling,
+    );
+    (outcome, stats.expect("injector was installed"), accounting)
 }
 
 /// Runs one faulted campaign by forking the shared prefix snapshot:
 /// restore, arm the injector, simulate only the suffix. The recorded
 /// events are spliced after the clean run's prefix so the outcome is
 /// byte-identical to [`run_faulted_replay`].
+#[allow(clippy::too_many_arguments)] // the replay inputs plus the prefix
 fn run_faulted_fork(
     cfg: &CampaignConfig,
     env: &SensingEnvironment,
@@ -493,36 +516,26 @@ fn run_faulted_fork(
     prefix: &[Event],
     fault_seed: u64,
     at: SimTime,
-) -> (RunOutcome, FaultStats) {
-    let mut sim = build_simulation(cfg.system, &cfg.profile, env, tweaks);
+    profiling: bool,
+) -> (RunOutcome, FaultStats, Option<CampaignProfile>) {
+    let mut sim = recording_simulation(cfg.system, &cfg.profile, env, tweaks, profiling);
     sim.restore_state(snap)
         .expect("the prefix snapshot restores into its own configuration");
-    sim.set_observer(Box::new(RecordingObserver::new()));
     sim.set_fault_injector(Box::new(AdversarialInjector::activating_at(
         cfg.plan.clone(),
         fault_seed,
         at,
     )));
-    while sim.step() {}
-    let stats = sim
-        .take_fault_injector()
-        .and_then(|mut f| {
-            f.as_any_mut().and_then(|any| {
-                any.downcast_ref::<AdversarialInjector>()
-                    .map(|a| a.stats().clone())
-            })
-        })
-        .expect("injector was installed");
-    let mut observer = sim.take_observer();
-    let suffix = qz_obs::take_recorded(observer.as_mut()).unwrap_or_default();
+    let (suffix, stats, accounting) = finish(&mut sim);
     let mut events = prefix.to_vec();
-    events.extend(suffix);
+    events.extend(suffix.events);
     (
         RunOutcome {
-            metrics: sim.metrics().clone(),
+            metrics: suffix.metrics,
             events,
         },
-        stats,
+        stats.expect("injector was installed"),
+        accounting,
     )
 }
 
@@ -560,6 +573,40 @@ pub fn run_campaigns_with(
     exec: Executor,
     mode: CampaignMode,
 ) -> Result<FaultReport, FaultError> {
+    run_family(cfg, exec, mode, false).map(|(report, _)| report)
+}
+
+/// [`run_campaigns`] with the phase profiler armed on every simulation
+/// — the fault-free reference, the always-on oracle and every faulted
+/// fork — returning their merged accounting alongside the report. The
+/// report is byte-identical to the unprofiled run: profiling reads
+/// wall-clock time only.
+///
+/// # Errors
+///
+/// As for [`run_campaigns`].
+///
+/// # Panics
+///
+/// As for [`run_campaigns`].
+pub fn run_campaigns_profiled(
+    cfg: &CampaignConfig,
+    exec: Executor,
+) -> Result<(FaultReport, CampaignProfile), FaultError> {
+    run_family(cfg, exec, CampaignMode::Snapshot, true).map(|(report, profile)| {
+        (
+            report,
+            profile.expect("profiled run always yields a profile"),
+        )
+    })
+}
+
+fn run_family(
+    cfg: &CampaignConfig,
+    exec: Executor,
+    mode: CampaignMode,
+    profiling: bool,
+) -> Result<(FaultReport, Option<CampaignProfile>), FaultError> {
     if cfg.campaigns == 0 {
         return Err(FaultError::BadConfig(
             "fault needs at least one campaign".into(),
@@ -583,14 +630,16 @@ pub fn run_campaigns_with(
     // The two references are shared by every campaign: one fault-free
     // run, one always-on oracle over the same event trace. In snapshot
     // mode the fault-free run doubles as the prefix-snapshot source.
-    let (clean, snap) = match mode {
+    let (clean, snap, clean_accounting) = match mode {
         CampaignMode::Replay => {
-            let (clean, _) = run_one(cfg.system, &cfg.profile, &env, &tweaks, None);
-            (clean, None)
+            let (clean, _, accounting) =
+                run_one_profiled(cfg.system, &cfg.profile, &env, &tweaks, None, profiling);
+            (clean, None, accounting)
         }
         CampaignMode::Snapshot => {
-            let (clean, snap) = run_clean_with_snapshot(cfg, &env, &tweaks, at);
-            (clean, Some(snap))
+            let (clean, snap, accounting) =
+                run_clean_with_snapshot(cfg, &env, &tweaks, at, profiling);
+            (clean, Some(snap), accounting)
         }
     };
     // Events the forks never see: everything from ticks before the
@@ -606,49 +655,66 @@ pub fn run_campaigns_with(
         Vec::new()
     };
     let oracle_env = oracle_environment(&env);
-    let (oracle, _) = run_one(
+    let (oracle, _, oracle_accounting) = run_one_profiled(
         cfg.system,
         &cfg.profile,
         &oracle_env,
         &oracle_tweaks(&tweaks),
         None,
+        profiling,
     );
 
     let jit = matches!(
         cfg.tweaks.checkpoint_policy,
         qz_sim::CheckpointPolicy::JustInTime
     );
-    let rows: Vec<CampaignRow> = exec.map((0..cfg.campaigns).collect(), |_, c| {
-        let fault_seed = cfg.fault_seed(c);
-        let (faulted, stats) = match &snap {
-            None => run_faulted_replay(cfg, &env, &tweaks, fault_seed, at),
-            Some(s) => run_faulted_fork(cfg, &env, &tweaks, s, &prefix, fault_seed, at),
-        };
-        let violations = check_all(&DiffInputs {
-            faulted: &faulted,
-            clean: &clean,
-            oracle: &oracle,
-            stats: &stats,
-            jit,
-            system: cfg.system,
+    let judged: Vec<(CampaignRow, Option<CampaignProfile>)> =
+        exec.map((0..cfg.campaigns).collect(), |_, c| {
+            let fault_seed = cfg.fault_seed(c);
+            let (faulted, stats, accounting) = match &snap {
+                None => run_faulted_replay(cfg, &env, &tweaks, fault_seed, at, profiling),
+                Some(s) => {
+                    run_faulted_fork(cfg, &env, &tweaks, s, &prefix, fault_seed, at, profiling)
+                }
+            };
+            let violations = check_all(&DiffInputs {
+                faulted: &faulted,
+                clean: &clean,
+                oracle: &oracle,
+                stats: &stats,
+                jit,
+                system: cfg.system,
+            });
+            let m = &faulted.metrics;
+            let row = CampaignRow {
+                campaign: cfg.start + c,
+                fault_seed,
+                faults: m.faults_total(),
+                faults_power: m.faults_power,
+                faults_checkpoint: m.faults_checkpoint,
+                min_stored_j: if stats.min_stored_j.is_finite() {
+                    stats.min_stored_j
+                } else {
+                    0.0
+                },
+                violations,
+            };
+            (row, accounting)
         });
-        let m = &faulted.metrics;
-        CampaignRow {
-            campaign: cfg.start + c,
-            fault_seed,
-            faults: m.faults_total(),
-            faults_power: m.faults_power,
-            faults_checkpoint: m.faults_checkpoint,
-            min_stored_j: if stats.min_stored_j.is_finite() {
-                stats.min_stored_j
-            } else {
-                0.0
-            },
-            violations,
-        }
-    });
 
-    Ok(FaultReport {
+    let (rows, fork_accounting): (Vec<CampaignRow>, Vec<Option<CampaignProfile>>) =
+        judged.into_iter().unzip();
+    let profile = profiling.then(|| {
+        let mut total = CampaignProfile::default();
+        let runs = [clean_accounting, oracle_accounting]
+            .into_iter()
+            .chain(fork_accounting);
+        for accounting in runs.flatten() {
+            total.merge(&accounting);
+        }
+        total
+    });
+    let report = FaultReport {
         system: cfg.system.label(),
         repro: ReproTokens {
             system: cli_system_token(cfg.system),
@@ -662,7 +728,8 @@ pub fn run_campaigns_with(
         clean_frames: clean.metrics.frames_total,
         oracle_frames: oracle.metrics.frames_total,
         rows,
-    })
+    };
+    Ok((report, profile))
 }
 
 #[cfg(test)]
@@ -791,7 +858,7 @@ mod tests {
         let mut tweaks = cfg.tweaks.clone();
         tweaks.seed = cfg.sim_seed();
         let at = injection_time(&cfg);
-        let (clean, snap) = run_clean_with_snapshot(&cfg, &env, &tweaks, at);
+        let (clean, snap, _) = run_clean_with_snapshot(&cfg, &env, &tweaks, at, false);
         let prefix: Vec<Event> = clean
             .events
             .iter()
@@ -801,11 +868,49 @@ mod tests {
         assert!(!prefix.is_empty(), "15 s of prefix produces events");
         for c in 0..cfg.campaigns {
             let seed = cfg.fault_seed(c);
-            let (replayed, rs) = run_faulted_replay(&cfg, &env, &tweaks, seed, at);
-            let (forked, fs) = run_faulted_fork(&cfg, &env, &tweaks, &snap, &prefix, seed, at);
+            let (replayed, rs, _) = run_faulted_replay(&cfg, &env, &tweaks, seed, at, false);
+            let (forked, fs, _) =
+                run_faulted_fork(&cfg, &env, &tweaks, &snap, &prefix, seed, at, false);
             assert_eq!(replayed, forked, "campaign {c}: fork must be bit-exact");
             assert_eq!(rs, fs, "campaign {c}: injector stats must match");
         }
+    }
+
+    #[test]
+    fn profiled_campaigns_report_identically_and_account_every_run() {
+        let cfg = CampaignConfig {
+            injection_at: SimDuration::from_secs(15),
+            ..small()
+        };
+        let plain = run_campaigns(&cfg, Executor::new(2)).expect("plain run");
+        let (profiled, profile) =
+            run_campaigns_profiled(&cfg, Executor::new(2)).expect("profiled run");
+        assert_eq!(plain.to_json(), profiled.to_json());
+        // The merged horizon covers the clean and oracle runs whole and
+        // every fork from the gate on.
+        let clean_ms = {
+            let env = SensingEnvironment::generate(cfg.env, cfg.events, cfg.env_seed());
+            let mut tweaks = cfg.tweaks.clone();
+            tweaks.seed = cfg.sim_seed();
+            run_clean_with_snapshot(&cfg, &env, &tweaks, injection_time(&cfg), false)
+                .0
+                .metrics
+                .sim_time
+                .as_millis()
+        };
+        let h = &profile.horizon;
+        assert!(h.total_ref_ticks() + h.total_skipped_ticks() >= clean_ms);
+        assert!(
+            h.cause(qz_prof::HorizonCause::FaultCollapse).ref_ticks > 0,
+            "{}",
+            h.render_ranking()
+        );
+        assert!(profile.profiler.is_enabled());
+        let spans = profile
+            .profiler
+            .stat(qz_prof::Phase::SpanAdvance)
+            .expect("enabled profiler");
+        assert!(spans.count > 0);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! hide.
 
 use crate::plan::FaultPlan;
-use qz_sim::{FaultContext, FaultInjector, InjectorState};
+use core::ops::Range;
+use qz_sim::{task_progress, FaultContext, FaultInjector, FaultPhase, InjectorState, QuietSpan};
 use qz_types::{SimDuration, SimTime, SplitMix64, Watts};
 
 /// Stream indices for the per-class generators.
@@ -50,6 +51,9 @@ impl Default for FaultStats {
 /// Number of words in the serialized [`InjectorState`]: six stream
 /// states plus the four [`FaultStats`] counters.
 const STATE_WORDS: usize = 10;
+
+/// Task progress that counts as mid-task: the vulnerable window.
+const MID_TASK: Range<f64> = 0.2..0.8;
 
 /// A seeded, plan-driven fault injector.
 #[derive(Debug)]
@@ -110,10 +114,65 @@ impl AdversarialInjector {
     fn vulnerable(ctx: &FaultContext) -> bool {
         let mid_task = matches!(
             ctx.phase,
-            qz_sim::FaultPhase::Task { progress, .. } if (0.2..0.8).contains(&progress)
+            FaultPhase::Task { progress, .. } if MID_TASK.contains(&progress)
         );
         mid_task || ctx.transmitting || ctx.just_checkpointed
     }
+
+    /// The smallest power-stream draw that fires under *no* phase
+    /// alignment: the larger of the boosted and unboosted thresholds
+    /// [`FaultInjector::force_power_failure`] can compare against. A
+    /// draw at or above it fires under neither.
+    fn fire_threshold(&self) -> f64 {
+        let p = self.plan.power_failure_per_tick;
+        (p * self.plan.phase_boost)
+            .clamp(0.0, 1.0)
+            .max(p.clamp(0.0, 1.0))
+    }
+
+    /// How many ticks of a quiet span sat in a vulnerable window — what
+    /// per-tick [`FaultInjector::on_tick`] calls would have counted.
+    fn vulnerable_ticks_in(span: &QuietSpan) -> u64 {
+        if span.ticks == 0 {
+            return 0;
+        }
+        let first = u64::from(Self::vulnerable(&span.first));
+        // Only the first tick can be just after a checkpoint; the phase
+        // and the radio stay put (see `QuietSpan`).
+        let later = FaultContext {
+            just_checkpointed: false,
+            ..span.first
+        };
+        let rest = span.ticks - 1;
+        let rest_vulnerable = match (later.phase, span.countdown) {
+            (FaultPhase::Task { .. }, Some((remaining, full))) if !later.transmitting => {
+                // Tick i (1 ≤ i ≤ rest) runs with i fewer milliseconds
+                // remaining, so progress never decreases with i and the
+                // mid-task ticks form one run between the ticks that
+                // first reach the window's two edges.
+                let progress =
+                    |i| task_progress(remaining.saturating_sub(SimDuration::from_millis(i)), full);
+                let reached = |edge| first_true(1, rest + 1, |i| progress(i) >= edge);
+                reached(MID_TASK.end).saturating_sub(reached(MID_TASK.start))
+            }
+            _ => u64::from(Self::vulnerable(&later)) * rest,
+        };
+        first + rest_vulnerable
+    }
+}
+
+/// The first `i` in `lo..hi` where the monotone predicate `reached`
+/// holds (`hi` if none does), by binary search.
+fn first_true(mut lo: u64, mut hi: u64, reached: impl Fn(u64) -> bool) -> u64 {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if reached(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 impl FaultInjector for AdversarialInjector {
@@ -144,6 +203,37 @@ impl FaultInjector for AdversarialInjector {
             1.0
         };
         self.power.chance(self.plan.power_failure_per_tick * boost)
+    }
+
+    /// Gated: the distance to the gate (no hook acts before it).
+    /// Armed: the number of upcoming power-stream draws that fire under
+    /// no phase alignment — ticks with the device off draw nothing.
+    fn quiet_ticks(&self, now: SimTime, on: bool, limit: u64) -> u64 {
+        if self.gated(now) {
+            return limit.min(self.active_from.since(now).as_millis());
+        }
+        if !on {
+            return limit;
+        }
+        self.power.run_at_least(self.fire_threshold(), limit)
+    }
+
+    fn skip(&mut self, span: &QuietSpan) {
+        // A quiet horizon ends at the gate, so a span starting gated
+        // lies wholly before it.
+        if self.gated(span.first.now) {
+            return;
+        }
+        self.power.advance(span.on_ticks);
+        self.stats.ticks += span.ticks;
+        let stored = span.min_stored.value();
+        if stored < self.stats.min_stored_j {
+            self.stats.min_stored_j = stored;
+        }
+        // Post-step energy is clamped at zero, so a span never holds a
+        // negative-energy tick.
+        debug_assert!(stored >= -1e-9 || stored.is_nan());
+        self.stats.vulnerable_ticks += Self::vulnerable_ticks_in(span);
     }
 
     fn corrupt_checkpoint(&mut self, ctx: &FaultContext) -> bool {
@@ -238,7 +328,7 @@ impl FaultInjector for AdversarialInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qz_sim::FaultPhase;
+    use proptest::prelude::*;
     use qz_types::Joules;
 
     fn ctx(phase: FaultPhase, transmitting: bool, just_checkpointed: bool) -> FaultContext {
@@ -435,5 +525,128 @@ mod tests {
         c.stored = Joules(-0.01);
         inj.on_tick(&c);
         assert_eq!(inj.stats().negative_energy_ticks, 1);
+    }
+
+    /// A plan with random power-failure odds and boost (every other
+    /// class off — they never fall inside a quiet horizon).
+    fn power_plan(p: f64, boost: f64) -> FaultPlan {
+        FaultPlan {
+            power_failure_per_tick: p,
+            phase_boost: boost,
+            ..FaultPlan::none()
+        }
+    }
+
+    #[test]
+    fn quiet_horizon_stops_at_the_gate_and_spans_off_ticks() {
+        let at = SimTime::from_secs(2);
+        let inj = AdversarialInjector::activating_at(FaultPlan::heavy(), 4, at);
+        assert_eq!(inj.quiet_ticks(SimTime::ZERO, true, u64::MAX), 2_000);
+        assert_eq!(inj.quiet_ticks(SimTime::from_millis(1_999), true, 50), 1);
+        assert_eq!(inj.quiet_ticks(SimTime::ZERO, false, 7), 7);
+        // Armed and off: no draws, so nothing can fire.
+        assert_eq!(inj.quiet_ticks(at, false, 123_456), 123_456);
+        // A plan that never fires promises any horizon without scanning.
+        let none = AdversarialInjector::new(FaultPlan::none(), 4);
+        assert_eq!(none.quiet_ticks(SimTime::ZERO, true, u64::MAX), u64::MAX);
+        // A certain failure leaves nothing quiet while on.
+        let sure = AdversarialInjector::new(power_plan(1.0, 1.0), 4);
+        assert_eq!(sure.quiet_ticks(SimTime::ZERO, true, 10), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Stepping the ticks of a returned quiet horizon one at a time
+        /// fires nothing, and `skip` over the same span leaves the
+        /// injector's snapshot words exactly as the per-tick
+        /// `on_tick` + `force_power_failure` calls do.
+        #[test]
+        fn quiet_horizon_is_sound_and_skip_matches_per_tick(
+            p in 0.0f64..0.02,
+            boost in 0.0f64..60.0,
+            seed in any::<u64>(),
+            warmup in 0u64..300,
+            gate_ms in 0u64..1_000,
+            start_ms in 0u64..1_500,
+            on in any::<bool>(),
+            phase_pick in 0u8..4,
+            transmit_task in any::<bool>(),
+            just_checkpointed in any::<bool>(),
+            remaining_ms in 2u64..4_000,
+            extra_ms in 0u64..4_000,
+            limit in 1u64..3_000,
+            e0 in 0.0f64..0.05,
+            slope in -2e-5f64..2e-5,
+        ) {
+            let plan = power_plan(p, boost);
+            let gate = SimTime::from_millis(gate_ms);
+            let mut stepped = AdversarialInjector::activating_at(plan.clone(), seed, gate);
+            // Move the power stream to an arbitrary position.
+            let mut armed = ctx(FaultPhase::Idle, false, false);
+            armed.now = SimTime::from_secs(3_600);
+            for _ in 0..warmup {
+                let _ = stepped.force_power_failure(&armed);
+            }
+            let mut skipped = AdversarialInjector::activating_at(plan, 0, gate);
+            skipped.restore_state(&stepped.save_state().unwrap()).unwrap();
+
+            let remaining = SimDuration::from_millis(remaining_ms);
+            let full = SimDuration::from_millis(remaining_ms + extra_ms);
+            let (phase, transmitting, job) = match (on, phase_pick) {
+                (false, _) => (FaultPhase::Off, false, true),
+                (true, 0) => (FaultPhase::Idle, false, false),
+                (true, 1) => (FaultPhase::Overhead, false, true),
+                (true, 2) => (FaultPhase::TxWait, true, true),
+                (true, _) => (
+                    FaultPhase::Task { index: 0, progress: task_progress(remaining, full) },
+                    transmit_task,
+                    true,
+                ),
+            };
+            // As in the engine: a powered job's countdown ends a span.
+            let limit = if on && job { limit.min(remaining_ms - 1) } else { limit };
+            let now = SimTime::from_millis(start_ms);
+            let quiet = stepped.quiet_ticks(now, on, limit);
+            prop_assert!(quiet <= limit);
+
+            let stored = |i: u64| Joules((e0 + slope * (i + 1) as f64).max(0.0));
+            let tick_ctx = |i: u64| FaultContext {
+                now: now + SimDuration::from_millis(i),
+                phase: match phase {
+                    FaultPhase::Task { index, .. } => FaultPhase::Task {
+                        index,
+                        progress: task_progress(
+                            remaining.saturating_sub(SimDuration::from_millis(i)),
+                            full,
+                        ),
+                    },
+                    other => other,
+                },
+                stored: stored(i),
+                transmitting,
+                just_checkpointed: just_checkpointed && i == 0,
+                ..ctx(FaultPhase::Idle, false, false)
+            };
+            let mut min_stored = Joules(f64::INFINITY);
+            for i in 0..quiet {
+                let c = tick_ctx(i);
+                stepped.on_tick(&c);
+                if on {
+                    prop_assert!(!stepped.force_power_failure(&c), "tick {} of {} fired", i, quiet);
+                }
+                if c.stored < min_stored {
+                    min_stored = c.stored;
+                }
+            }
+            skipped.skip(&QuietSpan {
+                first: tick_ctx(0),
+                ticks: quiet,
+                on_ticks: if on { quiet } else { 0 },
+                min_stored,
+                countdown: job.then_some((remaining, full)),
+            });
+            prop_assert_eq!(skipped.save_state(), stepped.save_state());
+        }
     }
 }

@@ -75,7 +75,8 @@ pub mod postmortem;
 pub use bisect::{bisect_campaign, BisectConfig, BisectReport};
 pub use campaign::{
     cli_device_token, cli_env_token, cli_system_token, preflight, repro_line_for, run_campaigns,
-    run_campaigns_with, CampaignConfig, CampaignMode, CampaignRow, FaultError, FaultReport,
+    run_campaigns_profiled, run_campaigns_with, CampaignConfig, CampaignMode, CampaignProfile,
+    CampaignRow, FaultError, FaultReport,
 };
 pub use inject::{AdversarialInjector, FaultStats};
 pub use invariants::{check_all, DiffInputs, Violation};

@@ -11,11 +11,12 @@
 //!   every capture boundary. Its counters are the ceiling any
 //!   intermittently-powered run must stay under.
 
+use crate::campaign::CampaignProfile;
 use crate::inject::{AdversarialInjector, FaultStats};
 use qz_app::{build_simulation, DeviceProfile, SimTweaks};
 use qz_baselines::BaselineKind;
 use qz_obs::{Event, RecordingObserver};
-use qz_sim::Metrics;
+use qz_sim::{Metrics, Simulation};
 use qz_traces::{SensingEnvironment, SolarTrace};
 use qz_types::Farads;
 
@@ -59,11 +60,50 @@ pub fn run_one(
     tweaks: &SimTweaks,
     injector: Option<AdversarialInjector>,
 ) -> (RunOutcome, Option<FaultStats>) {
-    let mut sim = build_simulation(kind, profile, env, tweaks);
-    sim.set_observer(Box::new(RecordingObserver::new()));
+    let (outcome, stats, _) = run_one_profiled(kind, profile, env, tweaks, injector, false);
+    (outcome, stats)
+}
+
+/// [`run_one`] with the simulation's phase profiler armed when
+/// `profiling` is set, returning its engine accounting too.
+pub(crate) fn run_one_profiled(
+    kind: BaselineKind,
+    profile: &DeviceProfile,
+    env: &SensingEnvironment,
+    tweaks: &SimTweaks,
+    injector: Option<AdversarialInjector>,
+    profiling: bool,
+) -> (RunOutcome, Option<FaultStats>, Option<CampaignProfile>) {
+    let mut sim = recording_simulation(kind, profile, env, tweaks, profiling);
     if let Some(inj) = injector {
         sim.set_fault_injector(Box::new(inj));
     }
+    finish(&mut sim)
+}
+
+/// A simulation with the event recorder installed and, when
+/// `profiling` is set, the phase profiler armed.
+pub(crate) fn recording_simulation<'a>(
+    kind: BaselineKind,
+    profile: &DeviceProfile,
+    env: &'a SensingEnvironment,
+    tweaks: &SimTweaks,
+    profiling: bool,
+) -> Simulation<'a> {
+    let mut sim = build_simulation(kind, profile, env, tweaks);
+    if profiling {
+        sim.enable_profiling();
+    }
+    sim.set_observer(Box::new(RecordingObserver::new()));
+    sim
+}
+
+/// Runs `sim` to completion and collects its outcome, the adversarial
+/// injector's statistics (when one is installed) and, when its
+/// profiler is armed, its engine accounting.
+pub(crate) fn finish(
+    sim: &mut Simulation<'_>,
+) -> (RunOutcome, Option<FaultStats>, Option<CampaignProfile>) {
     while sim.step() {}
     let stats = sim.take_fault_injector().and_then(|mut f| {
         f.as_any_mut().and_then(|any| {
@@ -73,12 +113,17 @@ pub fn run_one(
     });
     let mut observer = sim.take_observer();
     let events = qz_obs::take_recorded(observer.as_mut()).unwrap_or_default();
+    let accounting = sim.profiler().is_enabled().then(|| CampaignProfile {
+        profiler: sim.take_profiler(),
+        horizon: sim.horizon_stats().clone(),
+    });
     (
         RunOutcome {
             metrics: sim.metrics().clone(),
             events,
         },
         stats,
+        accounting,
     )
 }
 

@@ -37,7 +37,7 @@ pub const LOG2_BUCKETS: usize = 64;
 /// Allocation-free after construction and cheap to record into
 /// (`ilog2` + increment), which is what an embedded port needs. Bucket
 /// `i` covers `[2^i, 2^(i+1))`, with 0 landing in bucket 0.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Log2Histogram {
     buckets: [u64; LOG2_BUCKETS],
     count: u64,

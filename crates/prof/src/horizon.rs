@@ -15,12 +15,16 @@
 use qz_obs::Log2Histogram;
 
 /// The bound that decided a horizon planning call. Mirrors the
-/// min-reduction in `Simulation::quiescent_span`; the first three are
-/// collapse causes (they force span 0 outright).
+/// min-reduction in `Simulation::quiescent_span`; `BusyScheduler`
+/// forces span 0 outright, the others cut a span short (or to zero
+/// when they fall due on the current tick).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HorizonCause {
-    /// A fault injector is installed: every tick is a potential
-    /// trigger, the horizon collapses to per-tick stepping.
+    /// An installed fault injector's quiet horizon ran out: a fault
+    /// could land on the next tick (a *candidate* — an armed
+    /// adversary's next power-stream draw falls below its largest
+    /// boosted threshold, or the injector promises no quiet ticks at
+    /// all), so that tick runs the reference path.
     FaultCollapse,
     /// Powered-on and idle with queued inputs: the scheduler (and its
     /// estimator/controller updates) runs every tick.
@@ -81,8 +85,9 @@ impl HorizonCause {
     pub fn hint(self) -> Option<&'static str> {
         match self {
             HorizonCause::FaultCollapse => Some(
-                "an installed fault injector consults the adversary every tick by design; the \
-                 batched busy-tick kernel hoists everything else per block",
+                "ticks where an installed fault injector's next draw could fire run the \
+                 reference path so the real phase boost decides; denser fault plans (or an \
+                 injector without a quiet horizon) mean more of them",
             ),
             HorizonCause::BusyScheduler => Some(
                 "scheduler runs every tick while inputs queue; the batched busy-tick kernel \
@@ -114,7 +119,7 @@ impl HorizonCause {
 }
 
 /// Per-cause tallies.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CauseStat {
     /// Bulk spans this bound terminated.
     pub spans: u64,
@@ -127,7 +132,7 @@ pub struct CauseStat {
 }
 
 /// Deterministic horizon accounting for one fast-forward run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HorizonStats {
     cells: [CauseStat; HorizonCause::COUNT],
     /// Batched busy-tick blocks committed (runs of reference-semantics

@@ -4,7 +4,9 @@
 
 use crate::buffer::{BufferEntry, InputBuffer, InputBufferState};
 use crate::config::{EngineKind, SimConfig};
-use crate::fault::{FaultContext, FaultInjector, FaultPhase, InjectorState};
+use crate::fault::{
+    task_progress, FaultContext, FaultInjector, FaultPhase, InjectorState, QuietSpan,
+};
 use crate::intermittent::{CheckpointPolicy, ProgressKeeper, ProgressKeeperState};
 use crate::metrics::Metrics;
 use crate::pipeline::{PipelineError, PipelineSpec, Route, TaskBehavior};
@@ -18,7 +20,7 @@ use qz_energy::{PowerSystem, PowerSystemState, StopCondition};
 use qz_obs::{EventKind, Observer};
 use qz_prof::{HorizonCause, HorizonStats, Phase, PhaseProfiler};
 use qz_traces::SensingEnvironment;
-use qz_types::{Seconds, SimDuration, SimTime, SplitMix64, Watts};
+use qz_types::{Joules, Seconds, SimDuration, SimTime, SplitMix64, Watts};
 
 /// Errors from assembling a [`Simulation`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,7 +89,7 @@ struct ActiveJob {
 }
 
 /// Block size of the batched busy-tick kernel: runs of busy ticks in
-/// repeating regimes (installed fault injector, scheduler-every-tick
+/// repeating regimes (fault-candidate ticks, scheduler-every-tick
 /// crowds) execute in fixed blocks of up to this many ticks with the
 /// per-tick invariants hoisted into a per-block prologue. Observables
 /// stay byte-identical to the reference loop; see
@@ -347,10 +349,11 @@ impl<'a> Simulation<'a> {
         self.uplink.as_ref()
     }
 
-    /// Installs a seeded fault injector. From now on every tick
-    /// consults the adversary for forced power failures, checkpoint
-    /// corruption, ADC misreads, clock jitter, input bursts, and uplink
-    /// jams (see [`crate::fault`]).
+    /// Installs a seeded fault injector. From now on the adversary is
+    /// consulted for forced power failures, checkpoint corruption, ADC
+    /// misreads, clock jitter, input bursts, and uplink jams — on every
+    /// tick, or in bulk across the quiet horizons it promises (see
+    /// [`crate::fault`]).
     pub fn set_fault_injector(&mut self, injector: Box<dyn FaultInjector>) {
         self.fault = Some(injector);
     }
@@ -377,13 +380,10 @@ impl<'a> Simulation<'a> {
                     let task = self.runtime.spec().job(j.job).tasks[index];
                     transmitting =
                         matches!(self.pipeline.behavior(task), TaskBehavior::Transmit(_));
-                    let full = j.full_latency.as_millis();
-                    let progress = if full == 0 {
-                        0.0
-                    } else {
-                        1.0 - j.remaining.as_millis() as f64 / full as f64
-                    };
-                    FaultPhase::Task { index, progress }
+                    FaultPhase::Task {
+                        index,
+                        progress: task_progress(j.remaining, j.full_latency),
+                    }
                 }
             },
         };
@@ -810,9 +810,9 @@ impl<'a> Simulation<'a> {
 
     /// How many ticks from `now` are provably *quiescent*: no capture
     /// boundary, telemetry sample, snapshot, scheduler invocation, job
-    /// countdown expiry, due periodic checkpoint, fault hook, or
-    /// termination check can fire inside the span — only energy flow and
-    /// time accounting happen. Such ticks can be advanced in bulk by
+    /// countdown expiry, due periodic checkpoint, fault, or termination
+    /// check can fire inside the span — only energy flow and time
+    /// accounting happen. Such ticks can be advanced in bulk by
     /// [`Simulation::advance_span`] with byte-identical observables.
     /// Returns 0 when the current tick must run the reference path.
     ///
@@ -821,13 +821,6 @@ impl<'a> Simulation<'a> {
     /// horizon accounting behind `qz profile`'s "why is this run slow"
     /// ranking.
     fn quiescent_span(&self) -> (u64, HorizonCause) {
-        // An installed adversary draws from its fault streams every
-        // tick, so every tick is a potential fault trigger: the horizon
-        // collapses and the reference loop runs (see qz-check QZ070 for
-        // the analogous config-induced collapses).
-        if self.fault.is_some() {
-            return (0, HorizonCause::FaultCollapse);
-        }
         let on = self.state == DeviceState::On;
         // A powered-on idle device with queued inputs invokes the
         // scheduler — and its estimator/controller updates — every tick.
@@ -911,15 +904,30 @@ impl<'a> Simulation<'a> {
                 }
             }
         }
-        (next_event.saturating_sub(t), cause)
+        let span = next_event.saturating_sub(t);
+        // An installed adversary bounds the span last, by its quiet
+        // horizon: the ticks on which its per-tick hooks provably fire
+        // nothing. A tick where a fault could land — a candidate —
+        // runs the reference path (see qz-check QZ070 for the analogous
+        // config-induced collapses).
+        if span > 0 {
+            if let Some(f) = &self.fault {
+                let quiet = f.quiet_ticks(self.now, on, span);
+                if quiet < span {
+                    return (quiet, HorizonCause::FaultCollapse);
+                }
+            }
+        }
+        (span, cause)
     }
 
     /// Advances `span` provably-quiescent ticks in bulk. Energy flows
     /// through [`PowerSystem::advance`] one constant-irradiance segment
     /// at a time (bit-identical arithmetic to per-tick stepping), while
     /// time accounting, buffer-occupancy integration, the job countdown,
-    /// and the periodic-checkpoint clock advance arithmetically. A
-    /// capacitor threshold crossing inside the span runs the very same
+    /// and the periodic-checkpoint clock advance arithmetically. An
+    /// installed fault injector receives the span as one [`QuietSpan`].
+    /// A capacitor threshold crossing inside the span runs the very same
     /// transition the reference loop would, on the same tick.
     fn advance_span(&mut self, span: u64) -> bool {
         let occupancy = self.buffer.occupancy() as u64;
@@ -932,12 +940,24 @@ impl<'a> Simulation<'a> {
         } else {
             (self.cfg.device.off_leakage, StopCondition::CanTurnOn)
         };
+        // What the adversary's per-tick hooks would have observed. Its
+        // `stored` (and the floor) fill in segment by segment below.
+        let mut quiet = self.fault.as_ref().map(|_| QuietSpan {
+            first: self.fault_context(self.now),
+            ticks: 0,
+            on_ticks: 0,
+            min_stored: Joules(f64::INFINITY),
+            countdown: self.job.as_ref().map(|j| (j.remaining, j.full_latency)),
+        });
         let mut left = span;
-        let mut crossed = false;
-        while left > 0 && !crossed {
+        let mut crossing = None;
+        while left > 0 && crossing.is_none() {
             let t = self.now;
             let (irr, segment) = self.env.solar().constant_until(t);
             let ticks = left.min(segment.max(1));
+            let first_stored = quiet
+                .is_some()
+                .then(|| self.power.peek_step(irr, load, SimDuration::TICK));
             let out = self.power.advance_profiled(
                 irr,
                 load,
@@ -948,6 +968,24 @@ impl<'a> Simulation<'a> {
                 &mut self.metrics.energy_wasted,
                 &mut self.prof,
             );
+            if let (Some(q), Some(first_stored)) = (quiet.as_mut(), first_stored) {
+                if q.ticks == 0 {
+                    q.first.stored = first_stored;
+                }
+                // Constant irradiance and load make the per-tick energy
+                // map monotone, so the segment's floor is its first or
+                // its last post-step value (folded in tick order, as the
+                // per-tick hooks would).
+                for stored in [first_stored, self.power.capacitor().energy()] {
+                    if stored < q.min_stored {
+                        q.min_stored = stored;
+                    }
+                }
+                q.ticks += out.ticks;
+                if on {
+                    q.on_ticks += out.ticks;
+                }
+            }
             if on {
                 self.metrics.time_on += SimDuration::TICK * out.ticks;
             } else {
@@ -971,37 +1009,44 @@ impl<'a> Simulation<'a> {
                 }
             }
             if out.crossed {
-                let t_cross = t + SimDuration::TICK * (out.ticks - 1);
-                // Events emitted by the transition must carry the
-                // crossing tick's timestamp, and `on_power_failure`
-                // reads `self.now` for `off_since`.
-                self.now = t_cross;
-                self.runtime.set_time_ms(t_cross.as_millis());
-                if on {
-                    if self.power.capacitor().energy() <= self.cfg.device.checkpoint_reserve() {
-                        self.on_power_failure();
-                    }
-                    // Otherwise the tick merely browned out above the
-                    // reserve: the reference loop neither fails nor
-                    // progresses it, so there is nothing more to do.
-                } else {
-                    self.power.draw(self.cfg.device.restore_energy);
-                    self.metrics.restores += 1;
-                    self.state = DeviceState::On;
-                    if self.runtime.observing() {
-                        let off_ms = self
-                            .off_since
-                            .take()
-                            .map_or(0, |off| t_cross.since(off).as_millis());
-                        self.runtime.emit_event(EventKind::Restore { off_ms });
-                    }
-                    self.off_since = None;
-                    self.maybe_corrupt_checkpoint(t_cross);
-                }
-                crossed = true;
+                crossing = Some(t + SimDuration::TICK * (out.ticks - 1));
             }
             self.now = t + SimDuration::TICK * out.ticks;
             left -= out.ticks;
+        }
+        // The hooks of every span tick, the crossing tick's included,
+        // run before that tick's transition in the reference loop.
+        if let (Some(f), Some(q)) = (self.fault.as_mut(), quiet) {
+            f.skip(&q);
+        }
+        if let Some(t_cross) = crossing {
+            // Events emitted by the transition must carry the crossing
+            // tick's timestamp, and `on_power_failure` reads `self.now`
+            // for `off_since`.
+            self.now = t_cross;
+            self.runtime.set_time_ms(t_cross.as_millis());
+            if on {
+                if self.power.capacitor().energy() <= self.cfg.device.checkpoint_reserve() {
+                    self.on_power_failure();
+                }
+                // Otherwise the tick merely browned out above the
+                // reserve: the reference loop neither fails nor
+                // progresses it, so there is nothing more to do.
+            } else {
+                self.power.draw(self.cfg.device.restore_energy);
+                self.metrics.restores += 1;
+                self.state = DeviceState::On;
+                if self.runtime.observing() {
+                    let off_ms = self
+                        .off_since
+                        .take()
+                        .map_or(0, |off| t_cross.since(off).as_millis());
+                    self.runtime.emit_event(EventKind::Restore { off_ms });
+                }
+                self.off_since = None;
+                self.maybe_corrupt_checkpoint(t_cross);
+            }
+            self.now = t_cross.tick();
         }
         // Quiescent ticks cannot terminate the run by construction, but
         // a crossing can cut the span short right at a boundary — run
@@ -1191,10 +1236,10 @@ impl<'a> Simulation<'a> {
     }
 
     /// Dispatches a run of busy (non-quiescent) ticks: repeating busy
-    /// regimes — an installed fault injector, the scheduler-every-tick
-    /// crowd — enter the batched [`Simulation::busy_block`] kernel;
-    /// one-off boundary events (capture, telemetry, countdown expiry)
-    /// run a single reference tick, the busy *tail*. Both paths execute
+    /// regimes — fault-candidate ticks, the scheduler-every-tick crowd —
+    /// enter the batched [`Simulation::busy_block`] kernel; one-off
+    /// boundary events (capture, telemetry, countdown expiry) run a
+    /// single reference tick, the busy *tail*. Both paths execute
     /// reference-loop semantics tick for tick; only the dispatch cost
     /// and the profiler attribution differ.
     fn busy_ticks(&mut self, cause: HorizonCause, limit_ticks: u64) -> bool {
@@ -1205,9 +1250,9 @@ impl<'a> Simulation<'a> {
         if blockable && limit_ticks > 1 {
             let t0 = self.prof.begin();
             let (ticks, alive) = if self.fault.is_some() {
-                self.busy_block::<true>(limit_ticks)
+                self.busy_block::<true>(cause, limit_ticks)
             } else {
-                self.busy_block::<false>(limit_ticks)
+                self.busy_block::<false>(cause, limit_ticks)
             };
             self.prof.end(Phase::BusyBlock, t0);
             self.horizon_stats.record_busy_block(cause, ticks);
@@ -1235,11 +1280,15 @@ impl<'a> Simulation<'a> {
     /// observables are byte-identical by construction.
     ///
     /// Degradation to reference is exact: any in-block event that ends
-    /// the repeating busy regime (the scheduler starts a job, the
-    /// device powers down, the buffer drains) commits the tick that
-    /// caused it and returns to the horizon planner, which re-plans
-    /// from that tick.
-    fn busy_block<const FAULT: bool>(&mut self, limit_ticks: u64) -> (u64, bool) {
+    /// the repeating busy regime named by `cause` (the scheduler starts
+    /// a job, the device powers down, the buffer drains; the adversary
+    /// promises the next tick quiet) commits the tick that caused it and
+    /// returns to the horizon planner, which re-plans from that tick.
+    fn busy_block<const FAULT: bool>(
+        &mut self,
+        cause: HorizonCause,
+        limit_ticks: u64,
+    ) -> (u64, bool) {
         let t0 = self.now;
         let start_ms = t0.as_millis();
         // --- Prologue: hoist per-tick due-ness into a block end. ---
@@ -1306,11 +1355,22 @@ impl<'a> Simulation<'a> {
             if self.now.as_millis() >= end_ms {
                 break;
             }
-            let busy_scheduler =
-                self.state == DeviceState::On && self.job.is_none() && !self.buffer.is_idle();
-            if !FAULT && !busy_scheduler {
-                // The scheduler-every-tick regime ended (a job started,
-                // the device powered down, or the buffer drained):
+            let on = self.state == DeviceState::On;
+            let regime_holds = match cause {
+                HorizonCause::BusyScheduler => on && self.job.is_none() && !self.buffer.is_idle(),
+                // Still a fault candidate: the adversary cannot promise
+                // the next tick quiet.
+                _ => {
+                    FAULT
+                        && self
+                            .fault
+                            .as_ref()
+                            .is_some_and(|f| f.quiet_ticks(self.now, on, 1) == 0)
+                }
+            };
+            if !regime_holds {
+                // The regime ended (a job started, the device powered
+                // down, the buffer drained; the next tick is quiet):
                 // commit the prefix and re-plan from this tick.
                 break;
             }
@@ -2394,11 +2454,42 @@ mod tests {
         assert!(live.restore_state(&snap).unwrap_err().contains("uplink"));
     }
 
+    /// An injector on every trait default: no snapshots, no quiet
+    /// horizon.
+    #[derive(Debug)]
+    struct Blind;
+    impl FaultInjector for Blind {}
+
+    #[test]
+    fn injector_without_a_quiet_horizon_keeps_the_per_tick_path() {
+        let env = SensingEnvironment::generate(EnvironmentKind::Crowded, 8, 3);
+        let mut fast = sim_with_engine(&env, EngineKind::FastForward);
+        let mut tick = sim_with_engine(&env, EngineKind::Tick);
+        fast.set_fault_injector(Box::new(Blind));
+        tick.set_fault_injector(Box::new(Blind));
+        while fast.step() {}
+        while tick.step() {}
+        assert_eq!(fast.metrics(), tick.metrics());
+        let h = fast.horizon_stats();
+        assert_eq!(
+            h.total_skipped_ticks(),
+            0,
+            "every tick must reach the injector"
+        );
+        assert_eq!(h.total_ref_ticks(), fast.metrics().sim_time.as_millis());
+        assert!(
+            h.cause(HorizonCause::FaultCollapse).ref_ticks > h.total_ref_ticks() / 2,
+            "{}",
+            h.render_ranking()
+        );
+        assert!(
+            h.median_block_occupancy() > 1,
+            "candidate ticks still batch"
+        );
+    }
+
     #[test]
     fn save_fails_under_a_snapshot_blind_injector() {
-        #[derive(Debug)]
-        struct Blind;
-        impl FaultInjector for Blind {}
         let env = SensingEnvironment::generate(EnvironmentKind::LessCrowded, 5, 8);
         let mut s = sim(&env, 0.05);
         s.set_fault_injector(Box::new(Blind));

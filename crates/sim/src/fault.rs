@@ -10,6 +10,13 @@
 //! branch structure and draws no extra randomness, so fault-free runs
 //! are bit-identical to builds that never heard of this module.
 //!
+//! An injector may also promise a *quiet horizon*
+//! ([`FaultInjector::quiet_ticks`]): upcoming ticks on which its
+//! per-tick hooks provably fire nothing. The fast-forward engine then
+//! advances those ticks in bulk and hands the injector one
+//! [`QuietSpan`] summary ([`FaultInjector::skip`]) instead of a call
+//! per tick — with state afterwards identical to per-tick stepping.
+//!
 //! Concrete adversaries live in the `qz-fault` crate; this module only
 //! defines the trait and the per-tick context the engine exposes, so
 //! `qz-sim` stays dependency-free.
@@ -71,6 +78,49 @@ pub struct FaultContext {
     pub just_checkpointed: bool,
 }
 
+/// Fraction of a task's latency already executed, from its remaining
+/// and full countdowns — the `progress` of [`FaultPhase::Task`]. A
+/// zero-length task reports 0.
+pub fn task_progress(remaining: SimDuration, full: SimDuration) -> f64 {
+    let full = full.as_millis();
+    if full == 0 {
+        0.0
+    } else {
+        1.0 - remaining.as_millis() as f64 / full as f64
+    }
+}
+
+/// A run of consecutive ticks the fast-forward engine advanced in bulk
+/// inside a horizon [`FaultInjector::quiet_ticks`] promised, summarized
+/// for [`FaultInjector::skip`] with everything the per-tick hooks would
+/// have observed.
+///
+/// Within a span nothing but energy flow and time accounting happens:
+/// the device stays on (or off) at every tick's hook, the job keeps its
+/// phase, and the job countdown drops one millisecond per powered-on
+/// tick. A checkpoint completes inside a tick, so `just_checkpointed`
+/// can hold on the first tick only. A tick's hooks see the stored
+/// energy *after* that tick's energy step (the step clamps it at zero,
+/// so it is never negative).
+#[derive(Debug, Clone, Copy)]
+pub struct QuietSpan {
+    /// The context the hooks would see on the span's first tick,
+    /// `stored` included.
+    pub first: FaultContext,
+    /// Ticks in the span.
+    pub ticks: u64,
+    /// Ticks with the device on — each of them would have consulted
+    /// [`FaultInjector::force_power_failure`] once.
+    pub on_ticks: u64,
+    /// The exact minimum of the stored energy the hooks would have seen
+    /// across the span.
+    pub min_stored: Joules,
+    /// The active job's `(remaining, full latency)` countdown at the
+    /// first tick; `None` without a job. [`task_progress`] of the
+    /// countdown gives each tick's task progress.
+    pub countdown: Option<(SimDuration, SimDuration)>,
+}
+
 /// A seeded adversary the engine consults while stepping.
 ///
 /// Every method has a no-op default so implementations opt into only
@@ -78,8 +128,11 @@ pub struct FaultContext {
 /// given their seed: the engine calls hooks in a fixed order at fixed
 /// points, so a faulted run is exactly reproducible.
 pub trait FaultInjector: core::fmt::Debug + Send {
-    /// Called once per tick before any fault decision, with the current
-    /// context. Use it to track state (e.g. minimum observed energy).
+    /// Called for every tick before any fault decision, with the
+    /// current context — one call per tick, except for ticks the engine
+    /// skipped inside a quiet horizon, which reach the injector through
+    /// [`FaultInjector::skip`] instead. Use it to track state (e.g.
+    /// minimum observed energy).
     fn on_tick(&mut self, _ctx: &FaultContext) {}
 
     /// Force an immediate power failure this tick (only consulted while
@@ -88,6 +141,33 @@ pub trait FaultInjector: core::fmt::Debug + Send {
     fn force_power_failure(&mut self, _ctx: &FaultContext) -> bool {
         false
     }
+
+    /// How many upcoming ticks, starting at `now`, provably fire
+    /// nothing through [`FaultInjector::on_tick`] or
+    /// [`FaultInjector::force_power_failure`] for a device that stays
+    /// `on` (or off) throughout, scanning no further than `limit`.
+    /// Read-only: the answer must not depend on, or change, anything a
+    /// later [`FaultInjector::skip`] would not reproduce.
+    ///
+    /// The other hooks never fall inside such a horizon — ADC misreads
+    /// happen on scheduler ticks, clock jitter and jams when a task
+    /// starts, bursts on capture ticks and checkpoint corruption right
+    /// after a restore, all of which end a fast-forward span — so only
+    /// the per-tick pair needs this promise.
+    ///
+    /// The default, 0, keeps the engine consulting the injector on
+    /// every tick.
+    fn quiet_ticks(&self, _now: SimTime, _on: bool, _limit: u64) -> u64 {
+        0
+    }
+
+    /// Applies a span of ticks the engine advanced in bulk within a
+    /// horizon [`FaultInjector::quiet_ticks`] returned: the injector's
+    /// state afterwards must equal what per-tick
+    /// [`FaultInjector::on_tick`] and (while on)
+    /// [`FaultInjector::force_power_failure`] calls would have left.
+    /// Never called under the default `quiet_ticks`.
+    fn skip(&mut self, _span: &QuietSpan) {}
 
     /// Corrupt the restored checkpoint right after a power-on (only
     /// consulted when a mid-task job was carried across the outage).
@@ -178,6 +258,7 @@ mod tests {
         };
         f.on_tick(&ctx);
         assert!(!f.force_power_failure(&ctx));
+        assert_eq!(f.quiet_ticks(ctx.now, true, 100), 0);
         assert!(!f.corrupt_checkpoint(&ctx));
         assert!(f.adc_misread(ctx.now, Watts(0.01)).is_none());
         assert!(f.clock_jitter(ctx.now).is_none());

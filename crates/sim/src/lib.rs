@@ -49,7 +49,7 @@ pub use buffer::{BufferEntry, InputBuffer, InputBufferState};
 pub use builder::{SimApp, SimAppBuilder};
 pub use config::{DeviceConfig, EngineKind, PowerConfig, SimConfig};
 pub use engine::{ActiveJobState, SimError, SimState, Simulation};
-pub use fault::{FaultContext, FaultInjector, FaultPhase, InjectorState};
+pub use fault::{task_progress, FaultContext, FaultInjector, FaultPhase, InjectorState, QuietSpan};
 pub use intermittent::{CheckpointPolicy, ProgressKeeper, ProgressKeeperState};
 pub use metrics::Metrics;
 pub use pipeline::{ClassRates, PipelineSpec, ReportQuality, Route, TaskBehavior};

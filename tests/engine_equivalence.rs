@@ -11,8 +11,10 @@
 //!   structurally and as serialized JSONL bytes,
 //! - periodic telemetry, compared as rendered CSV bytes,
 //! - fault-injector statistics when an adversarial injector is
-//!   installed (the engine must fall back to per-tick stepping so the
-//!   injector sees every tick).
+//!   installed (the engine skips only ticks the injector's quiet
+//!   horizon proves fault-free and hands them over in bulk, so the
+//!   injector must end up in the same state as one that saw every
+//!   tick).
 //!
 //! Cases are generated from a fixed [`SplitMix64`] stream so the suite
 //! is deterministic: environment kind, event count, trace seed,
@@ -25,10 +27,10 @@ use qz_app::{
     apollo4, build_simulation, msp430fr5994, simulate_with_telemetry, DeviceProfile, SimTweaks,
 };
 use qz_baselines::BaselineKind;
-use qz_fault::{run_one, AdversarialInjector, FaultPlan};
+use qz_fault::{run_one, AdversarialInjector, FaultPlan, FaultStats};
 use qz_obs::RecordingObserver;
-use qz_sim::EngineKind;
-use qz_traces::{EnvironmentKind, SensingEnvironment};
+use qz_sim::{CheckpointPolicy, EngineKind, FaultContext, FaultInjector, FaultPhase, SimState};
+use qz_traces::{EnvironmentKind, SensingEnvironment, SolarTrace};
 use qz_types::{SimDuration, SimTime, SplitMix64};
 
 const CASES: u64 = 120;
@@ -111,8 +113,8 @@ fn draw_case(rng: &mut SplitMix64, index: u64) -> Case {
     };
 
     // Every fifth case runs under an adversarial fault injector; the
-    // engine must detect it and degrade to per-tick stepping without
-    // changing a single byte of the report.
+    // engine must honour its quiet horizon and step its candidate ticks
+    // without changing a single byte of the report.
     let fault = index.is_multiple_of(5).then(|| {
         let plan = match rng.next_below(4) {
             0 => FaultPlan::none(),
@@ -386,5 +388,233 @@ fn telemetry_csv_bytes_match_across_engines() {
             "telemetry CSV bytes diverge: {} (interval {interval:?})",
             case.describe()
         );
+    }
+}
+
+/// An armed injector that can never fire must leave the fast-forward
+/// engine's horizon accounting exactly as it is without an injector:
+/// every span, busy block and tail the same. In particular a
+/// scheduler-every-tick block ends when that regime ends, armed
+/// adversary or not.
+#[test]
+fn armed_none_plan_matches_the_uninjected_horizon_exactly() {
+    let mut rng = SplitMix64::new(SUITE_SEED ^ 0x0E0E);
+    let mut busy_blocks = 0;
+    for index in 0..12u64 {
+        let case = draw_case(&mut rng, index);
+        let tweaks = case.tweaks_for(EngineKind::FastForward);
+        let mut clean = build_simulation(case.kind, &case.profile, &case.env, &tweaks);
+        let mut armed = build_simulation(case.kind, &case.profile, &case.env, &tweaks);
+        armed.set_fault_injector(Box::new(AdversarialInjector::new(FaultPlan::none(), index)));
+        while clean.step() {}
+        while armed.step() {}
+        assert_eq!(clean.metrics(), armed.metrics(), "{}", case.describe());
+        busy_blocks += clean.horizon_stats().busy_blocks();
+        assert_eq!(
+            clean.horizon_stats(),
+            armed.horizon_stats(),
+            "{}:\nclean {}\narmed {}",
+            case.describe(),
+            clean.horizon_stats().render_ranking(),
+            armed.horizon_stats().render_ranking()
+        );
+    }
+    assert!(busy_blocks > 0, "the cases must exercise the busy kernel");
+}
+
+/// What the fault hooks saw on one tick of a scouting run.
+#[derive(Debug, Clone, Copy)]
+struct Seen {
+    off: bool,
+    mid_task: bool,
+    just_checkpointed: bool,
+}
+
+/// A never-firing injector that records every tick's context. It keeps
+/// the trait's per-tick default, so it sees every tick.
+#[derive(Debug, Default)]
+struct Scout {
+    seen: Vec<Seen>,
+}
+
+impl FaultInjector for Scout {
+    fn on_tick(&mut self, ctx: &FaultContext) {
+        self.seen.push(Seen {
+            off: matches!(ctx.phase, FaultPhase::Off),
+            mid_task: matches!(
+                ctx.phase,
+                FaultPhase::Task { progress, .. } if (0.25..0.75).contains(&progress)
+            ),
+            just_checkpointed: ctx.just_checkpointed,
+        });
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn core::any::Any> {
+        Some(self)
+    }
+}
+
+/// The middle tick of the first run of at least `min_len` consecutive
+/// ticks satisfying `pick` that starts at or after tick `from`.
+fn middle_of_run(seen: &[Seen], from: usize, min_len: usize, pick: impl Fn(&Seen) -> bool) -> u64 {
+    let mut start = None;
+    for (t, s) in seen.iter().enumerate().skip(from) {
+        match (pick(s), start) {
+            (true, None) => start = Some(t),
+            (false, Some(s0)) if t - s0 >= min_len => return ((s0 + t) / 2) as u64,
+            (false, Some(_)) => start = None,
+            _ => {}
+        }
+    }
+    panic!("no run of {min_len} matching ticks after tick {from}");
+}
+
+/// One engine's run of a gated adversary: metrics, serialized events,
+/// snapshots (injector words included) at a few barriers shortly after
+/// the gate and at the end, and the injector's stats.
+fn gated_run(
+    case: &Case,
+    engine: EngineKind,
+    plan: &FaultPlan,
+    seed: u64,
+    gate: SimTime,
+) -> (qz_sim::Metrics, Vec<u8>, Vec<SimState>, FaultStats) {
+    let mut sim = build_simulation(
+        case.kind,
+        &case.profile,
+        &case.env,
+        &case.tweaks_for(engine),
+    );
+    sim.set_observer(Box::new(RecordingObserver::new()));
+    sim.set_fault_injector(Box::new(AdversarialInjector::activating_at(
+        plan.clone(),
+        seed,
+        gate,
+    )));
+    // The first spans after the gate set the injector's running
+    // statistics from scratch; later ones rarely move them.
+    let mut states = Vec::new();
+    for after_ms in [1, 64, 1_000, 5_000] {
+        sim.step_until(gate + SimDuration::from_millis(after_ms));
+        states.push(sim.save_state().expect("adversarial injector snapshots"));
+    }
+    while sim.step() {}
+    states.push(sim.save_state().expect("adversarial injector snapshots"));
+    let stats = sim
+        .take_fault_injector()
+        .and_then(|mut f| {
+            f.as_any_mut().and_then(|any| {
+                any.downcast_ref::<AdversarialInjector>()
+                    .map(|a| a.stats().clone())
+            })
+        })
+        .expect("adversarial injector installed");
+    let mut observer = sim.take_observer();
+    let events = qz_obs::take_recorded(observer.as_mut()).expect("recording sink");
+    (sim.metrics().clone(), jsonl_bytes(&events), states, stats)
+}
+
+/// Fault torture: the adversary's gate lands on the instants where a
+/// quiet horizon is hardest to get right — inside an off recharge
+/// span, inside a task's vulnerable window, on a checkpoint tick and
+/// the tick after it, and at 0/±1 ticks from a capture boundary —
+/// under every fault preset. Metrics, event bytes, injector stats and
+/// snapshots shortly after the gate and at the end (the ten injector
+/// words included, compared as `qz-snap/v1` bytes) must match the tick
+/// engine exactly.
+#[test]
+fn gated_adversary_torture_is_byte_identical() {
+    let mut rng = SplitMix64::new(SUITE_SEED ^ 0x6A7E);
+    // Two scenes: a dim one where the device browns out and takes JIT
+    // checkpoints, and a lit one with periodic mid-task checkpoints.
+    let mut dim = draw_case(&mut rng, 0);
+    dim.kind = BaselineKind::Quetzal;
+    (dim.profile, dim.profile_label) = (apollo4(), "apollo4");
+    dim.env = SensingEnvironment::generate(EnvironmentKind::Crowded, 3, 0xD1);
+    dim.env = SensingEnvironment::with_parts(
+        dim.env.kind(),
+        dim.env.events().clone(),
+        SolarTrace::constant(0.02),
+    );
+    dim.tweaks.capture_period = SimDuration::from_millis(1000);
+    let mut periodic = draw_case(&mut rng, 1);
+    periodic.kind = BaselineKind::Quetzal;
+    periodic.env = SensingEnvironment::generate(EnvironmentKind::Crowded, 3, 0xC4);
+    periodic.tweaks.capture_period = SimDuration::from_millis(1000);
+    periodic.tweaks.checkpoint_policy = CheckpointPolicy::Periodic {
+        interval: SimDuration::from_millis(150),
+    };
+
+    for case in [&dim, &periodic] {
+        // Scout the clean run tick by tick for the gate instants.
+        let mut scout = build_simulation(
+            case.kind,
+            &case.profile,
+            &case.env,
+            &case.tweaks_for(EngineKind::Tick),
+        );
+        scout.set_fault_injector(Box::new(Scout::default()));
+        while scout.step() {}
+        let seen = scout
+            .take_fault_injector()
+            .and_then(|mut f| {
+                f.as_any_mut().and_then(|any| {
+                    any.downcast_mut::<Scout>()
+                        .map(|s| std::mem::take(&mut s.seen))
+                })
+            })
+            .expect("scout installed");
+        let from = seen.len() / 4;
+        let period = case.tweaks.capture_period.as_millis();
+        let boundary = (from as u64).next_multiple_of(period);
+        // A checkpoint lands on the tick before the one that reports it
+        // as just taken.
+        let checkpoint = seen
+            .iter()
+            .skip(from)
+            .position(|s| s.just_checkpointed)
+            .map(|i| (from + i - 1) as u64)
+            .expect("the scene checkpoints");
+        let gates = [
+            ("off", middle_of_run(&seen, from, 40, |s| s.off)),
+            ("mid-task", middle_of_run(&seen, from, 40, |s| s.mid_task)),
+            ("checkpoint", checkpoint),
+            ("after-checkpoint", checkpoint + 1),
+            ("capture-1", boundary - 1),
+            ("capture", boundary),
+            ("capture+1", boundary + 1),
+        ];
+
+        for plan in [
+            FaultPlan::smoke(),
+            FaultPlan::standard(),
+            FaultPlan::heavy(),
+        ] {
+            for &(label, gate_ms) in &gates {
+                let gate = SimTime::from_millis(gate_ms);
+                let seed = rng.next_u64();
+                let describe = format!(
+                    "{} [gate {label} at {gate_ms} ms, plan {}]",
+                    case.describe(),
+                    plan.label
+                );
+                let (tm, te, ts, tf) = gated_run(case, EngineKind::Tick, &plan, seed, gate);
+                let (fm, fe, fs, ff) = gated_run(case, EngineKind::FastForward, &plan, seed, gate);
+                assert_eq!(tm, fm, "metrics diverge: {describe}");
+                assert!(tm.faults_total() > 0, "the adversary must act: {describe}");
+                assert_eq!(te, fe, "event bytes diverge: {describe}");
+                assert_eq!(tf, ff, "fault stats diverge: {describe}");
+                for (at, (ts, fs)) in ts.iter().zip(&fs).enumerate() {
+                    let words = ts.injector.as_ref().map(|i| i.words.len());
+                    assert_eq!(words, Some(10), "injector layout: {describe}");
+                    assert_eq!(ts, fs, "state {at} diverges: {describe}");
+                    assert_eq!(
+                        qz_snap::to_json(ts),
+                        qz_snap::to_json(fs),
+                        "snapshot {at} bytes diverge: {describe}"
+                    );
+                }
+            }
+        }
     }
 }
