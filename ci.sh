@@ -16,11 +16,19 @@ cargo clippy --workspace --all-targets -- -D warnings \
 echo "== cargo test =="
 cargo test -q
 
+echo "== cargo test: release-checked (optimized + overflow checks) =="
+# The energy kernel strides over f64 bit patterns with integer
+# arithmetic, which release builds wrap silently: run its crate, the
+# simulator and the engine-equivalence suite optimized with overflow
+# checks on as well.
+cargo test -q --profile release-checked -p qz-energy -p qz-sim
+cargo test -q --profile release-checked -p qz-bench --test engine_equivalence
+
 echo "== test-count guard =="
 # The suite must never silently shrink (a deleted [[test]] stanza or a
 # dropped module compiles fine and loses coverage without failing CI).
 # Raise the floor when tests are added; never lower it casually.
-test_floor=922
+test_floor=929
 test_count=$(cargo test -q --workspace -- --list 2>/dev/null | grep -c ': test$')
 echo "   ${test_count} tests (floor ${test_floor})"
 if [ "${test_count}" -lt "${test_floor}" ]; then
@@ -107,19 +115,22 @@ echo "== throughput benches + qz bench --check baseline gate =="
 # (both engines, metrics asserted identical before any speedup is
 # reported), then `qz bench --check` compares the newest record of
 # every trajectory against results/BENCH_baseline.json and exits
-# nonzero on regression. Floors (Quiet >= 3x, Crowded >= 3x, Burst >=
-# 3.9x, fleet >= 1x) sit well under quiet-machine numbers to absorb
-# shared-runner noise: with the batched busy-tick kernel the bench box
-# records Crowded around 7-10x and Quiet around 19-20x. Burst runs
-# 2 s storms / 10 s lulls under the `smoke` fault preset; the
-# fast-forward engine skips the ticks the armed adversary's quiet
-# horizon proves fault-free and steps only its candidate ticks, so
-# Burst records around 7-8x (floor: half the median). The
-# fault_campaigns bench gates snapshot-mode campaigns at >= 2x over
-# replay-from-zero (reports asserted byte-identical first). The
-# fleet_throughput bench additionally gates the event-horizon scheduler
-# at >= 5x over the epoch-barrier reference on a 10k-device fleet with
-# 50 ms back-pressure epochs (FleetEH10000), and records an
+# nonzero on regression. Floors sit at about half the bench box's
+# medians to absorb shared-runner noise: with the binade-stride energy
+# kernel the bench box records Quiet around 58-82x (floor 35x) and
+# Crowded around 14-21x (floor 8.5x). Burst runs 2 s storms / 10 s
+# lulls under the `smoke` fault preset; the fast-forward engine skips
+# the ticks the armed adversary's quiet horizon proves fault-free and
+# steps only its candidate ticks, so Burst records around 13-17x
+# (floor 8x). The fault_campaigns bench gates snapshot-mode campaigns at >= 2x
+# over replay-from-zero (reports asserted byte-identical first). Now
+# that the clean prefix which replay mode re-runs is nearly free, it
+# records about 1.3-2.0x on the bench box (median ~1.85x), so this
+# gate fails on most runs there until ROADMAP's snapshot-vs-replay
+# item is settled. The fleet_throughput bench gates the event-horizon
+# scheduler at >= 20x over the epoch-barrier reference on a 10k-device
+# fleet with 50 ms back-pressure epochs (FleetEH10000, around 34-65x),
+# Fleet8x20 at >= 1.2x (around 2.1-4.4x), and records an
 # event-horizon-only 100k-device scale probe.
 cargo bench -q -p qz-bench --bench sim_throughput
 cargo bench -q -p qz-bench --bench fleet_throughput

@@ -212,10 +212,11 @@ impl Supercap {
     }
 
     /// Overwrites the stored energy directly. Crate-internal escape
-    /// hatch for [`crate::PowerSystem`]'s sprint loop, which mirrors
-    /// the charge/discharge arithmetic on hoisted `f64` locals and
-    /// writes the result back; all invariants (`0 ≤ energy ≤ capacity`
-    /// up to per-op rounding) are the caller's responsibility.
+    /// hatch for [`crate::PowerSystem::advance`]'s energy kernel, which
+    /// mirrors the charge/discharge arithmetic on raw `f64`s and writes
+    /// the result back, and for snapshot restores; all invariants
+    /// (`0 ≤ energy ≤ capacity` up to per-op rounding) are the caller's
+    /// responsibility.
     #[inline]
     pub(crate) fn set_energy_raw(&mut self, energy: Joules) {
         self.energy = energy;

@@ -155,14 +155,13 @@ impl PowerSystem {
     /// `stop` first holds. Per-tick harvested/wasted energy accumulates
     /// into the caller's ledgers in step order.
     ///
-    /// The stored energy and all lifetime totals are **bit-identical**
-    /// to a caller looping [`PowerSystem::step`] by hand: a *sprint*
-    /// prefix — whose length is proven crossing-free by conservative
-    /// rate bounds ([`PowerSystem::ticks_until_crossing`] gives the
-    /// closed-form estimate those bounds derive from) — replicates
-    /// `step`'s arithmetic operation-for-operation with the per-tick
-    /// constants hoisted, and the vigilant tail runs `step` itself with
-    /// per-tick stop checks.
+    /// The stored energy, all lifetime totals and both ledgers are
+    /// **bit-identical** to a caller looping [`PowerSystem::step`] by
+    /// hand, at a cost of O(binades crossed) instead of O(ticks): runs
+    /// of ticks on which the energy bits stay put, or move by a constant
+    /// number of ulps inside one binade, are jumped whole, and every
+    /// ledger sums its constant increment with [`repeat_add`]. DESIGN.md
+    /// ("Closed-form energy integration") gives the exactness argument.
     #[allow(clippy::too_many_arguments)] // mirrors step() plus the span ledgers
     pub fn advance(
         &mut self,
@@ -186,10 +185,12 @@ impl PowerSystem {
         )
     }
 
-    /// [`PowerSystem::advance`] with phase-profiler spans around the
-    /// sprint, the fixed-point replay, and the vigilant tail. Profiling
-    /// reads wall-clock time only; the energy trajectory and every
-    /// returned value are bit-identical to the unprofiled call.
+    /// [`PowerSystem::advance`] with phase-profiler spans: `Sprint`
+    /// around the whole call and, nested inside it, `Replay` around a
+    /// fixed-point jump (which ends the call, so it happens at most
+    /// once). Profiling reads wall-clock time only; the energy
+    /// trajectory and every returned value are bit-identical to the
+    /// unprofiled call.
     #[allow(clippy::too_many_arguments)] // mirrors advance() plus the profiler
     pub fn advance_profiled(
         &mut self,
@@ -226,389 +227,71 @@ impl PowerSystem {
         wasted_acc: &mut Joules,
         mut prof: Option<&mut PhaseProfiler>,
     ) -> BulkOutcome {
-        // Iterate the sprint: each pass re-derives a crossing-free prefix
-        // from the *current* stored energy, so the conservative haircut
-        // and margin cost only ~margin ticks of vigilant tail per
-        // crossing instead of a haircut-sized fraction of the whole span.
-        let mut ticks = 0;
         let t0 = prof.as_ref().and_then(|p| p.begin());
-        let mut sprinted = false;
-        while ticks < max_ticks {
-            let sprint = self
-                .sprint_bound(irradiance, load, dt, stop)
-                .min(max_ticks - ticks);
-            if sprint == 0 {
-                break;
-            }
-            sprinted = true;
-            self.sprint(
-                irradiance,
-                load,
-                dt,
-                sprint,
-                harvested_acc,
-                wasted_acc,
-                prof.as_deref_mut(),
-            );
-            ticks += sprint;
-        }
-        if sprinted {
-            if let Some(p) = prof.as_deref_mut() {
-                p.end(Phase::Sprint, t0);
-            }
-        }
-        let t_tail = if ticks < max_ticks {
-            prof.as_ref().and_then(|p| p.begin())
-        } else {
-            None
+        let k = Kernel::new(self, irradiance, load, dt, stop);
+        let mut l = Ledgers {
+            energy: self.capacitor.energy().value(),
+            sums: [
+                self.total_harvested,
+                self.total_wasted,
+                self.total_supplied,
+                *harvested_acc,
+                *wasted_acc,
+            ]
+            .map(Joules::value),
+            run: [0.0; 3],
+            run_ticks: 0,
         };
-        let mut crossed = false;
-        if ticks < max_ticks {
-            let (tail, hit) = self.vigilant_tail(
-                irradiance,
-                load,
-                dt,
-                max_ticks - ticks,
-                stop,
-                harvested_acc,
-                wasted_acc,
-            );
-            ticks += tail;
-            crossed = hit;
-        }
-        if let Some(p) = prof {
-            p.end(Phase::VigilantTail, t_tail);
-        }
-        BulkOutcome { ticks, crossed }
-    }
-
-    /// The vigilant tail of [`PowerSystem::advance`]: per-tick stepping
-    /// with the stop condition checked after every committed tick.
-    /// Replicates [`PowerSystem::step`]'s arithmetic
-    /// operation-for-operation on hoisted locals — including every
-    /// clamp, the brownout comparison, and `can_turn_on`'s
-    /// voltage-domain square root — so the trajectory is bit-identical
-    /// to calling `step` in a loop while costing a handful of flops per
-    /// tick instead of re-deriving the harvester output and capacity.
-    #[allow(clippy::too_many_arguments)] // mirrors advance_inner()
-    fn vigilant_tail(
-        &mut self,
-        irradiance: f64,
-        load: Watts,
-        dt: SimDuration,
-        max_ticks: u64,
-        stop: StopCondition,
-        harvested_acc: &mut Joules,
-        wasted_acc: &mut Joules,
-    ) -> (u64, bool) {
-        let secs = dt.as_seconds();
-        let offered = (self.harvester.output(irradiance) * secs).value();
-        let leak = (self.capacitor.config().leakage * secs).value();
-        let demand = (load * secs).value();
-        let capacity = self.capacitor.capacity().value();
-        // can_turn_on()'s comparison, with its constant operands hoisted:
-        // `sqrt(v_off² + 2·E/C) ≥ v_on − 1 nV`.
-        let v_off = self.capacitor.config().v_off.value();
-        let v_off_sq = v_off * v_off;
-        let c = self.capacitor.config().capacitance.value();
-        let v_on_slack = (self.capacitor.config().v_on - qz_types::Volts(1e-9)).value();
-        let mut energy = self.capacitor.energy().value();
-        let mut total_h = self.total_harvested.value();
-        let mut total_w = self.total_wasted.value();
-        let mut total_s = self.total_supplied.value();
-        let mut acc_h = harvested_acc.value();
-        let mut acc_w = wasted_acc.value();
         let mut ticks = 0;
         let mut crossed = false;
+        // The tick from the current energy, when a probe computed it.
+        let mut next = None;
         while ticks < max_ticks {
-            // charge(offered)
-            let headroom = (capacity - energy).max(0.0);
-            let harvested = offered.min(headroom);
-            energy += harvested;
-            let wasted = offered - harvested;
-            // self-discharge
-            if leak > 0.0 {
-                let leaked = leak.min(energy);
-                energy -= leaked;
-                if energy < 0.0 {
-                    energy = 0.0;
-                }
-            }
-            // discharge(demand)
-            let supplied = demand.min(energy);
-            energy -= supplied;
-            if energy < 0.0 {
-                energy = 0.0;
-            }
-            total_h += harvested;
-            total_w += wasted;
-            total_s += supplied;
-            acc_h += harvested;
-            acc_w += wasted;
-            ticks += 1;
-            crossed = match stop {
-                StopCondition::None => false,
-                StopCondition::Depleted(reserve) => {
-                    energy <= reserve.value() || supplied + 1e-18 < demand
-                }
-                StopCondition::CanTurnOn => (v_off_sq + 2.0 * energy / c).sqrt() >= v_on_slack,
-            };
-            if crossed {
+            let left = max_ticks - ticks;
+            // The next tick: committed at least, with its stop check.
+            let p1 = next.take().unwrap_or_else(|| k.tick(l.energy));
+            if k.stops(&p1) {
+                l.commit(&p1, 1, p1.energy);
+                ticks += 1;
+                crossed = true;
                 break;
             }
-        }
-        self.capacitor.set_energy_raw(Joules(energy));
-        self.total_harvested = Joules(total_h);
-        self.total_wasted = Joules(total_w);
-        self.total_supplied = Joules(total_s);
-        *harvested_acc = Joules(acc_h);
-        *wasted_acc = Joules(acc_w);
-        (ticks, crossed)
-    }
-
-    /// Runs `n` consecutive [`PowerSystem::step`]-equivalent ticks with
-    /// every per-tick constant hoisted out of the loop, on raw `f64`
-    /// locals. The arithmetic replicates `step` operation-for-operation
-    /// (`charge`'s `min`/`max` clamps, the leak draw, `discharge`'s
-    /// floor at zero, the three lifetime-total additions), so the final
-    /// state is bit-identical to stepping — pinned by the
-    /// `advance_is_bit_identical_to_stepping` proptest. This loop is
-    /// where the fast-forward engine's throughput comes from: the full
-    /// `step` path re-derives the harvester output, offered energy, and
-    /// capacity every tick, which dominates a quiescent tick's cost.
-    ///
-    /// Callers must only request ticks proven not to need a stop check
-    /// (see [`PowerSystem::advance`]'s sprint bound): the loop commits
-    /// all `n` ticks unconditionally.
-    #[allow(clippy::too_many_arguments)] // mirrors advance_inner()
-    fn sprint(
-        &mut self,
-        irradiance: f64,
-        load: Watts,
-        dt: SimDuration,
-        n: u64,
-        harvested_acc: &mut Joules,
-        wasted_acc: &mut Joules,
-        mut prof: Option<&mut PhaseProfiler>,
-    ) {
-        if n == 0 {
-            return;
-        }
-        let secs = dt.as_seconds();
-        let offered = (self.harvester.output(irradiance) * secs).value();
-        let leak = (self.capacitor.config().leakage * secs).value();
-        let demand = (load * secs).value();
-        let capacity = self.capacitor.capacity().value();
-        let mut energy = self.capacitor.energy().value();
-        let mut total_h = self.total_harvested.value();
-        let mut total_w = self.total_wasted.value();
-        let mut total_s = self.total_supplied.value();
-        let mut acc_h = harvested_acc.value();
-        let mut acc_w = wasted_acc.value();
-        // `energy` is finite and non-negative, so a NaN bit pattern can
-        // never collide with a real start-of-tick value.
-        let mut prev_start = u64::MAX;
-        let (mut last_h, mut last_w, mut last_s) = (0.0f64, 0.0, 0.0);
-        let mut i = 0;
-        while i < n {
-            // Clamp-free block: while the capacitor provably neither
-            // fills nor empties, every tick reduces to
-            // `harvested == offered`, `wasted == +0.0`,
-            // `supplied == demand` with the exact bits the clamped path
-            // would produce, so the min/max clamps and the `+= 0.0`
-            // wasted additions can be elided wholesale. The first tick
-            // of every sprint stays on the scalar path (`i >= 1`) so the
-            // period-1 fixed-point detector keeps its chance to arm.
-            if i >= 1 {
-                let block = clamp_free_ticks(energy, offered, leak, demand, capacity).min(n - i);
-                if block >= CLAMP_FREE_MIN {
-                    // `x + 0.0 == x` bitwise for every x except -0.0;
-                    // normalize the wasted accumulators once so skipping
-                    // their per-tick `+= +0.0` is exact.
-                    if total_w.to_bits() == NEG_ZERO_BITS {
-                        total_w += 0.0;
-                    }
-                    if acc_w.to_bits() == NEG_ZERO_BITS {
-                        acc_w += 0.0;
-                    }
-                    if leak > 0.0 {
-                        for _ in 0..block {
-                            energy += offered;
-                            energy -= leak;
-                            energy -= demand;
-                            total_h += offered;
-                            total_s += demand;
-                            acc_h += offered;
-                        }
-                    } else {
-                        for _ in 0..block {
-                            energy += offered;
-                            energy -= demand;
-                            total_h += offered;
-                            total_s += demand;
-                            acc_h += offered;
-                        }
-                    }
-                    i += block;
-                    // The fixed-point detector must re-arm from scratch:
-                    // `last_*` no longer describe the previous tick.
-                    prev_start = u64::MAX;
+            if p1.energy.to_bits() == l.energy.to_bits() {
+                // Fixed point: every remaining tick starts from these
+                // bits, so each repeats `p1` verbatim.
+                let t_replay = prof.as_ref().and_then(|p| p.begin());
+                l.commit(&p1, left, p1.energy);
+                ticks = max_ticks;
+                if let Some(p) = prof.as_deref_mut() {
+                    p.end(Phase::Replay, t_replay);
+                }
+                break;
+            }
+            if left > 1 {
+                let p2 = k.tick(p1.energy);
+                if let Some((n, end)) = k.stride(l.energy, &p1, &p2, left) {
+                    l.commit(&p1, n, end);
+                    ticks += n;
                     continue;
                 }
+                next = Some(p2);
             }
-            // Period-1 fixed-point detection: when a tick starts from
-            // the exact energy bits the previous tick started from, the
-            // whole tick repeats verbatim (every per-tick quantity is a
-            // pure function of the start energy and the hoisted
-            // constants). The capacitor pinned full under sun and
-            // pinned empty in the dark both reach this cycle within two
-            // ticks; replaying the constant increments drops the serial
-            // energy dependency chain from the loop.
-            let start = energy.to_bits();
-            if start == prev_start {
-                let t0 = prof.as_ref().and_then(|p| p.begin());
-                for _ in i..n {
-                    total_h += last_h;
-                    total_w += last_w;
-                    total_s += last_s;
-                    acc_h += last_h;
-                    acc_w += last_w;
-                }
-                if let Some(p) = prof.as_deref_mut() {
-                    p.end(Phase::Replay, t0);
-                }
-                break;
-            }
-            prev_start = start;
-            // charge(offered)
-            let headroom = (capacity - energy).max(0.0);
-            let harvested = offered.min(headroom);
-            energy += harvested;
-            let wasted = offered - harvested;
-            // self-discharge
-            if leak > 0.0 {
-                let leaked = leak.min(energy);
-                energy -= leaked;
-                if energy < 0.0 {
-                    energy = 0.0;
-                }
-            }
-            // discharge(demand)
-            let supplied = demand.min(energy);
-            energy -= supplied;
-            if energy < 0.0 {
-                energy = 0.0;
-            }
-            total_h += harvested;
-            total_w += wasted;
-            total_s += supplied;
-            acc_h += harvested;
-            acc_w += wasted;
-            (last_h, last_w, last_s) = (harvested, wasted, supplied);
-            i += 1;
+            l.commit(&p1, 1, p1.energy);
+            ticks += 1;
         }
-        self.capacitor.set_energy_raw(Joules(energy));
-        self.total_harvested = Joules(total_h);
-        self.total_wasted = Joules(total_w);
-        self.total_supplied = Joules(total_s);
-        *harvested_acc = Joules(acc_h);
-        *wasted_acc = Joules(acc_w);
-    }
-
-    /// Closed-form estimate of how many `dt` ticks of constant
-    /// `irradiance` and `load` pass before stored energy crosses
-    /// `threshold`, in the clamp-free linear regime (capacitor neither
-    /// fills nor empties along the way). Returns `None` when the net
-    /// flow points away from the threshold, `Some(0)` when already at or
-    /// past it.
-    ///
-    /// This is a *predictor* for horizon planning; bulk integration that
-    /// must stay bit-identical to per-tick stepping goes through
-    /// [`PowerSystem::advance`].
-    pub fn ticks_until_crossing(
-        &self,
-        irradiance: f64,
-        load: Watts,
-        dt: SimDuration,
-        threshold: Joules,
-    ) -> Option<u64> {
-        let secs = dt.as_seconds().value();
-        let delta = (self.harvester.output(irradiance).value()
-            - self.capacitor.config().leakage.value()
-            - load.value())
-            * secs;
-        let gap = threshold.value() - self.capacitor.energy().value();
-        let ticks = if gap > 0.0 {
-            if delta <= 0.0 {
-                return None;
-            }
-            (gap / delta).ceil()
-        } else if gap < 0.0 {
-            if delta >= 0.0 {
-                return None;
-            }
-            (gap / delta).ceil()
-        } else {
-            return Some(0);
-        };
-        // The ratio of two same-signed finite values is non-negative.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        Some(ticks.min(9.0e18) as u64)
-    }
-
-    /// Ticks guaranteed *not* to satisfy `stop`, from conservative
-    /// per-tick rate bounds: energy can fall at most `load + leakage`
-    /// per second and rise at most as fast as the harvest offer. A
-    /// multiplicative haircut plus a fixed margin absorb f64 rounding
-    /// drift over long sprints, so [`PowerSystem::advance`] can skip the
-    /// per-tick stop checks for this prefix.
-    fn sprint_bound(
-        &self,
-        irradiance: f64,
-        load: Watts,
-        dt: SimDuration,
-        stop: StopCondition,
-    ) -> u64 {
-        const HAIRCUT: f64 = 1.0 - 1e-6;
-        const MARGIN: u64 = 64;
-        let energy = self.capacitor.energy().value();
-        let secs = dt.as_seconds().value();
-        let bound = match stop {
-            StopCondition::None => return u64::MAX,
-            StopCondition::Depleted(reserve) => {
-                let max_dec = (load.value() + self.capacitor.config().leakage.value()) * secs;
-                if energy <= reserve.value() {
-                    return 0;
-                }
-                if max_dec <= 0.0 {
-                    // Energy is non-decreasing and demand is zero: the
-                    // reserve is never reached and no brownout can fire.
-                    return u64::MAX;
-                }
-                (energy - reserve.value()) / max_dec * HAIRCUT
-            }
-            StopCondition::CanTurnOn => {
-                let e_on = self.capacitor.turn_on_energy().value() * HAIRCUT;
-                if energy >= e_on {
-                    return 0;
-                }
-                let max_inc = self.harvester.output(irradiance).value() * secs;
-                if max_inc <= 0.0 {
-                    // Nothing charges the capacitor: the threshold is
-                    // never reached.
-                    return u64::MAX;
-                }
-                (e_on - energy) / max_inc
-            }
-        };
-        if !bound.is_finite() || bound <= 0.0 {
-            return 0;
+        l.flush();
+        self.capacitor.set_energy_raw(Joules(l.energy));
+        [
+            self.total_harvested,
+            self.total_wasted,
+            self.total_supplied,
+            *harvested_acc,
+            *wasted_acc,
+        ] = l.sums.map(Joules);
+        if let Some(p) = prof {
+            p.end(Phase::Sprint, t0);
         }
-        // Bounded above before the cast; the dividend/divisor signs make
-        // the ratio non-negative.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let ticks = bound.min(9.0e18) as u64;
-        ticks.saturating_sub(MARGIN)
+        BulkOutcome { ticks, crossed }
     }
 
     /// Draws a one-shot energy amount from storage (e.g. a checkpoint or
@@ -687,49 +370,336 @@ fn tick_flow(
     (harvested, supplied)
 }
 
-/// Minimum clamp-free run worth entering the block fast path for; below
-/// this the scalar loop's fixed-point detector is the better bet.
-const CLAMP_FREE_MIN: u64 = 16;
+/// Mask of an `f64`'s 52 mantissa bits. Above them sit the sign and the
+/// exponent, which together name the value's binade: the doubles that
+/// share one exponent and so one ulp spacing, in bit-pattern order.
+const MANTISSA: u64 = (1 << 52) - 1;
 
-/// Bit pattern of `-0.0`, for the wasted-accumulator normalization in
-/// the clamp-free block.
-const NEG_ZERO_BITS: u64 = 0x8000_0000_0000_0000;
+/// The binade (sign and exponent bits) of `x`.
+#[inline]
+fn binade(x: f64) -> u64 {
+    x.to_bits() >> 52
+}
 
-/// Conservative count of upcoming ticks during which the capacitor
-/// provably neither fills (`charge` would clamp) nor runs low enough
-/// for the leak/load draws to clamp, starting from `energy` stored
-/// joules under constant per-tick `offered`/`leak`/`demand` joules.
-///
-/// Uses the same worst-case rate reasoning as `sprint_bound`: energy
-/// rises at most `offered` and falls at most `leak + demand` per tick,
-/// and a multiplicative haircut plus a fixed margin absorb f64 rounding
-/// drift. Within the returned prefix every tick satisfies
-/// `offered < headroom` and `leak + demand < energy-after-charge`, so
-/// `harvested == offered`, `wasted == +0.0`, and `supplied == demand`
-/// bit-exactly.
-fn clamp_free_ticks(energy: f64, offered: f64, leak: f64, demand: f64, capacity: f64) -> u64 {
-    const HAIRCUT: f64 = 1.0 - 1e-6;
-    const MARGIN: u64 = 8;
-    let dec = leak + demand;
-    let up = if offered <= 0.0 {
-        f64::INFINITY
-    } else {
-        (capacity * HAIRCUT - energy) / offered
-    };
-    let down = if dec <= 0.0 {
-        f64::INFINITY
-    } else {
-        (energy * HAIRCUT - dec) / dec
-    };
-    let bound = up.min(down);
-    // NaN-safe: a NaN bound (0/0 corner) must also yield an empty sprint.
-    if bound.is_nan() || bound <= 0.0 {
-        return 0;
+/// A move of `ulps` bit patterns, up or down, inside one binade.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Stride {
+    up: bool,
+    ulps: u64,
+}
+
+impl Stride {
+    /// The move from `a` to `b` (zero `ulps` when their bits are equal).
+    #[inline]
+    fn between(a: f64, b: f64) -> Stride {
+        let (a, b) = (a.to_bits(), b.to_bits());
+        Stride {
+            up: b > a,
+            ulps: a.abs_diff(b),
+        }
     }
-    // Bounded above before the cast; both ratios are non-negative here.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let ticks = bound.min(9.0e18) as u64;
-    ticks.saturating_sub(MARGIN)
+
+    /// How many of the next `n ≥ 1` steps from `x` stay inside `x`'s
+    /// binade, when step `j` starts at `x + j·stride` and touches values
+    /// up to `reach` bit patterns (at least one stride) past its start.
+    /// `ulps` must be nonzero.
+    #[inline]
+    fn fit(self, x: f64, n: u64, reach: u64) -> u64 {
+        let b = x.to_bits();
+        let room = if self.up {
+            (b | MANTISSA) - b
+        } else {
+            b - (b & !MANTISSA)
+        };
+        let Some(room) = room.checked_sub(reach) else {
+            return 0;
+        };
+        match (n - 1).checked_mul(self.ulps) {
+            Some(span) if span <= room => n,
+            _ => room / self.ulps + 1,
+        }
+    }
+
+    /// How far past its start, in this stride's direction, `tick`
+    /// reaches: the farthest of its intermediates and its end.
+    #[inline]
+    fn reach(self, tick: &Tick) -> u64 {
+        let start = tick.start.to_bits();
+        [tick.charged, tick.drained, tick.energy]
+            .map(|x| {
+                let x = x.to_bits();
+                if self.up {
+                    x.saturating_sub(start)
+                } else {
+                    start.saturating_sub(x)
+                }
+            })
+            .into_iter()
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// `x` moved by `j` strides, which must keep it inside its binade.
+    #[inline]
+    fn nth(self, x: f64, j: u64) -> f64 {
+        let b = x.to_bits();
+        f64::from_bits(if self.up {
+            b + j * self.ulps
+        } else {
+            b - j * self.ulps
+        })
+    }
+}
+
+/// `x` after `n` additions of `c`, each rounded to nearest-even: the
+/// result of `for _ in 0..n { x += c }` bit for bit, in O(binades
+/// crossed) instead of O(n).
+///
+/// Inside one binade every double is an integer multiple of the same
+/// ulp, so `x + c` lands a fixed number of ulps from `x` unless `c/ulp`
+/// ends in exactly ½; on such a tie the sum rounds to an even mantissa,
+/// after which the parity, and so the step, repeats. Two equal
+/// consecutive steps inside a binade therefore fix the step until the
+/// binade ends, and the whole run there is one multiply. An addition
+/// that leaves `x` unchanged repeats forever.
+fn repeat_add(mut x: f64, c: f64, mut n: u64) -> f64 {
+    let mut last = None;
+    while n > 0 {
+        let next = x + c;
+        n -= 1;
+        if n == 0 || next.to_bits() == x.to_bits() {
+            return next;
+        }
+        let step = Stride::between(x, next);
+        let inside = binade(next) == binade(x);
+        let settled = inside && last == Some(step);
+        last = inside.then_some(step);
+        x = next;
+        if settled {
+            let j = step.fit(x, n, step.ulps);
+            x = step.nth(x, j);
+            n -= j;
+            last = None;
+        }
+    }
+    x
+}
+
+/// The per-call constants of [`PowerSystem::advance`]: one tick of
+/// [`PowerSystem::step`]'s storage arithmetic on raw `f64`s, and the
+/// stop predicate.
+struct Kernel {
+    offered: f64,
+    leak: f64,
+    demand: f64,
+    capacity: f64,
+    stop: StopCondition,
+    // can_turn_on()'s comparison, with its constant operands hoisted:
+    // `sqrt(v_off² + 2·E/C) ≥ v_on − 1 nV`.
+    v_off_sq: f64,
+    capacitance: f64,
+    v_on_slack: f64,
+}
+
+/// One tick's outcome, with the intermediate roundings the stride
+/// certificate inspects.
+#[derive(Debug, Clone, Copy)]
+struct Tick {
+    start: f64,
+    /// Energy after the charge.
+    charged: f64,
+    /// Energy after the leak draw.
+    drained: f64,
+    /// Energy after the load draw: the tick's end state.
+    energy: f64,
+    harvested: f64,
+    wasted: f64,
+    leaked: f64,
+    supplied: f64,
+}
+
+impl Tick {
+    /// The tick's flows, bitwise. Two ticks with equal flows add the
+    /// same three constants to their start energy.
+    #[inline]
+    fn flows(&self) -> [u64; 4] {
+        [self.harvested, self.wasted, self.leaked, self.supplied].map(f64::to_bits)
+    }
+
+    /// Whether the start, both intermediates and the end all lie in
+    /// binade `b`.
+    #[inline]
+    fn within(&self, b: u64) -> bool {
+        [self.start, self.charged, self.drained, self.energy]
+            .into_iter()
+            .all(|x| binade(x) == b)
+    }
+}
+
+impl Kernel {
+    fn new(
+        sys: &PowerSystem,
+        irradiance: f64,
+        load: Watts,
+        dt: SimDuration,
+        stop: StopCondition,
+    ) -> Kernel {
+        let secs = dt.as_seconds();
+        let cfg = sys.capacitor.config();
+        let v_off = cfg.v_off.value();
+        Kernel {
+            offered: (sys.harvester.output(irradiance) * secs).value(),
+            leak: (cfg.leakage * secs).value(),
+            demand: (load * secs).value(),
+            capacity: sys.capacitor.capacity().value(),
+            stop,
+            v_off_sq: v_off * v_off,
+            capacitance: cfg.capacitance.value(),
+            v_on_slack: (cfg.v_on - qz_types::Volts(1e-9)).value(),
+        }
+    }
+
+    /// One tick from `energy`: [`PowerSystem::step`]'s charge →
+    /// self-discharge → discharge sequence operation for operation,
+    /// every clamp included.
+    #[inline]
+    fn tick(&self, energy: f64) -> Tick {
+        let start = energy;
+        let harvested = self.offered.min((self.capacity - energy).max(0.0));
+        let mut energy = energy + harvested;
+        let charged = energy;
+        let mut leaked = 0.0;
+        if self.leak > 0.0 {
+            leaked = self.leak.min(energy);
+            energy -= leaked;
+            if energy < 0.0 {
+                energy = 0.0;
+            }
+        }
+        let drained = energy;
+        let supplied = self.demand.min(energy);
+        energy -= supplied;
+        if energy < 0.0 {
+            energy = 0.0;
+        }
+        Tick {
+            start,
+            charged,
+            drained,
+            energy,
+            harvested,
+            wasted: self.offered - harvested,
+            leaked,
+            supplied,
+        }
+    }
+
+    /// Whether `stop` holds after `tick`, as the reference loop checks
+    /// it (`energy() <= reserve || brownout`, or `can_turn_on()`).
+    #[inline]
+    fn stops(&self, tick: &Tick) -> bool {
+        match self.stop {
+            StopCondition::None => false,
+            StopCondition::Depleted(reserve) => {
+                tick.energy <= reserve.value() || tick.supplied + 1e-18 < self.demand
+            }
+            StopCondition::CanTurnOn => {
+                (self.v_off_sq + 2.0 * tick.energy / self.capacitance).sqrt() >= self.v_on_slack
+            }
+        }
+    }
+
+    /// Given the next two ticks `p1`, `p2` from `energy`, the longest
+    /// jump of at most `left` ticks they certify, as `(ticks, end
+    /// energy)`; `None` when they certify no more than `p1` itself.
+    ///
+    /// The probes qualify when both stay inside one binade, carry equal
+    /// flows and move the energy by the same stride: then every later
+    /// tick in that binade with those flows is the same three rounded
+    /// additions and moves by that stride too. The jump runs to the
+    /// binade's end, and its last tick alone is checked (in the binade,
+    /// same flows, landing on the predicted bits, stop predicate false).
+    /// The flows, the intermediates and the stop predicate are all
+    /// monotone in the start energy along a constant segment, so a
+    /// passing last tick vouches for every tick before it; a failing
+    /// one is bisected.
+    fn stride(&self, energy: f64, p1: &Tick, p2: &Tick, left: u64) -> Option<(u64, f64)> {
+        let b = binade(energy);
+        let flows = p1.flows();
+        if p2.flows() != flows || !p1.within(b) || !p2.within(b) {
+            return None;
+        }
+        let step = Stride::between(energy, p1.energy);
+        if Stride::between(p1.energy, p2.energy) != step {
+            return None;
+        }
+        // `p1` was stop-checked by the caller; `p1` and `p2` inside the
+        // binade make the first fit at least 1.
+        let holds = |j: u64| {
+            j == 1 || {
+                let last = self.tick(step.nth(energy, j - 1));
+                last.energy.to_bits() == step.nth(energy, j).to_bits()
+                    && last.flows() == flows
+                    && last.within(b)
+                    && !self.stops(&last)
+            }
+        };
+        // Each tick's reach depends only on its start's parity, which
+        // along the stride takes at most the two values of p1 and p2.
+        let mut n = step.fit(energy, left, step.reach(p1).max(step.reach(p2)));
+        if !holds(n) {
+            let mut fails = n;
+            n = 1;
+            while fails - n > 1 {
+                let mid = n + (fails - n) / 2;
+                if holds(mid) {
+                    n = mid;
+                } else {
+                    fails = mid;
+                }
+            }
+        }
+        // A single tick is no jump: the caller commits `p1` and reuses
+        // `p2` as the next tick.
+        (n > 1).then(|| (n, step.nth(energy, n)))
+    }
+}
+
+/// [`PowerSystem::advance`]'s working copy of the stored energy and the
+/// five energy ledgers. Consecutive commits with equal flows pool into
+/// one run, so each ledger adds a run's identical increments with a
+/// single [`repeat_add`] however many jumps the run took.
+struct Ledgers {
+    energy: f64,
+    /// Lifetime harvested, wasted and supplied, then the caller's
+    /// harvested and wasted span ledgers.
+    sums: [f64; 5],
+    /// The pending run's per-tick harvested, wasted and supplied energy.
+    run: [f64; 3],
+    run_ticks: u64,
+}
+
+impl Ledgers {
+    /// Commits `n` ticks with `tick`'s flows that end at `energy`.
+    #[inline]
+    fn commit(&mut self, tick: &Tick, n: u64, energy: f64) {
+        self.energy = energy;
+        let flows = [tick.harvested, tick.wasted, tick.supplied];
+        if flows.map(f64::to_bits) != self.run.map(f64::to_bits) {
+            self.flush();
+            self.run = flows;
+        }
+        self.run_ticks += n;
+    }
+
+    /// Adds the pending run into the ledgers.
+    fn flush(&mut self) {
+        let [h, w, s] = self.run;
+        for (sum, c) in self.sums.iter_mut().zip([h, w, s, h, w]) {
+            *sum = repeat_add(*sum, c, self.run_ticks);
+        }
+        self.run_ticks = 0;
+    }
 }
 
 /// Mutable state of a [`PowerSystem`], as captured by
@@ -991,38 +961,10 @@ mod tests {
     }
 
     #[test]
-    fn closed_form_crossing_brackets_the_observed_tick() {
-        // Discharge toward the reserve in the clamp-free regime.
-        let mut s = sys();
-        let reserve = Joules(0.625e-3);
-        let predicted = s
-            .ticks_until_crossing(0.0, Watts(0.010), SimDuration::TICK, reserve)
-            .expect("net discharge must cross the reserve");
-        let (mut h, mut w) = (Joules::ZERO, Joules::ZERO);
-        let out = s.advance(
-            0.0,
-            Watts(0.010),
-            SimDuration::TICK,
-            predicted + 10,
-            StopCondition::Depleted(reserve),
-            &mut h,
-            &mut w,
-        );
-        assert!(out.crossed);
-        assert!(
-            out.ticks.abs_diff(predicted) <= 2,
-            "predicted {predicted}, observed {out:?}"
-        );
-        // Net flow away from the threshold has no crossing.
-        assert!(sys()
-            .ticks_until_crossing(1.0, Watts::ZERO, SimDuration::TICK, reserve)
-            .is_none());
-    }
-
-    #[test]
     fn turn_on_energy_bound_is_safe_for_sprinting() {
-        // The sprint bound assumes: while stored energy sits below
-        // turn_on_energy() (minus the haircut), can_turn_on is false.
+        // Closed-form turn-on estimates (qz-absint's envelope) assume:
+        // while stored energy sits below turn_on_energy() (minus a
+        // small haircut), can_turn_on is false.
         let mut s = sys_starting_empty();
         let e_on = s.capacitor().turn_on_energy().value() * (1.0 - 1e-6);
         let mut crossed = false;
@@ -1141,6 +1083,287 @@ mod tests {
         assert_eq!(fw.value().to_bits(), sw.value().to_bits());
         assert_eq!(fh.value().to_bits(), sh.value().to_bits());
         assert_bit_identical(&fast, &slow);
+    }
+
+    /// The reference for [`repeat_add`]: `n` rounded additions.
+    fn naive_add(mut x: f64, c: f64, n: u64) -> f64 {
+        for _ in 0..n {
+            x += c;
+        }
+        x
+    }
+
+    fn assert_repeat_add(x: f64, c: f64, n: u64) {
+        assert_eq!(
+            repeat_add(x, c, n).to_bits(),
+            naive_add(x, c, n).to_bits(),
+            "repeat_add({x:e}, {c:e}, {n})"
+        );
+    }
+
+    #[test]
+    fn repeat_add_handles_signed_zeros_and_absorption() {
+        for x in [0.0, -0.0] {
+            for c in [0.0, -0.0, 1e-300, 5e-324, 0.25] {
+                for n in [0, 1, 2, 3, 1000] {
+                    assert_repeat_add(x, c, n);
+                }
+            }
+        }
+        // Exactly half an ulp: an odd mantissa rounds up once to even,
+        // then every later add is absorbed.
+        let ulp = 2f64.powi(-52);
+        let odd = f64::from_bits(1.0f64.to_bits() + 1);
+        assert_repeat_add(odd, ulp / 2.0, 5);
+        assert_repeat_add(1.0, ulp / 2.0, 5);
+        assert_repeat_add(1.0, ulp / 4.0, 1000);
+        assert_eq!(
+            repeat_add(1.0, ulp / 4.0, u64::MAX).to_bits(),
+            1.0f64.to_bits()
+        );
+    }
+
+    #[test]
+    fn repeat_add_crosses_binades_and_the_subnormal_floor() {
+        // Subnormal start, climbing through the subnormal range and the
+        // first normal binades.
+        assert_repeat_add(0.0, 3.0 * f64::from_bits(1), 200_000);
+        assert_repeat_add(f64::from_bits(7), f64::MIN_POSITIVE / 3.0, 100_000);
+        // Descending through zero into negatives.
+        assert_repeat_add(1.0, -1e-3, 3_000);
+        // Several binades of a ledger-like run.
+        assert_repeat_add(0.5, 4.8e-5, 300_000);
+    }
+
+    /// A capacitor whose harvest offer and leak are `offered` and
+    /// `leak` quanta of `2^-57` J per tick at `dt = 1 s`, with stored
+    /// energy set to `start`. In the `[2^-4, 2^-3)` binade (ulp `2^-56`)
+    /// an odd number of quanta is a round-to-even tie.
+    fn dyadic_sys(offered: u64, leak: u64, start: f64) -> PowerSystem {
+        let quantum = 2f64.powi(-57);
+        #[allow(clippy::cast_precision_loss)] // the multipliers stay far below 2^53
+        let (offered, leak) = (offered as f64 * quantum, leak as f64 * quantum);
+        let cfg = SupercapConfig {
+            leakage: Watts(leak),
+            ..SupercapConfig::default()
+        };
+        let mut s = PowerSystem::new(
+            Supercap::new(cfg).unwrap(),
+            Harvester::new(1, Watts(offered), 1.0).unwrap(),
+        );
+        s.restore_state(&PowerSystemState {
+            stored: Joules(start),
+            total_harvested: Joules(0.0),
+            total_wasted: Joules(0.0),
+            total_supplied: Joules(0.0),
+        });
+        s
+    }
+
+    #[test]
+    fn fixed_point_that_stops_is_committed_not_jumped() {
+        // The first tick lands exactly on empty while serving its full
+        // demand; every later tick then sits at zero and browns out.
+        // With a reserve below zero only the brownout ends the span: it
+        // must stop on the second tick, not jump the fixed point.
+        // Offer 3 quanta, demand 8, start with the missing 5.
+        let quantum = 2f64.powi(-57);
+        let load = Watts(8.0 * quantum);
+        let stop = StopCondition::Depleted(Joules(-1.0));
+        let out = advance_vs_stepping(
+            &dyadic_sys(3, 0, 5.0 * quantum),
+            1.0,
+            load,
+            SimDuration::from_secs(1),
+            1_000,
+            stop,
+            Joules::ZERO,
+        )
+        .unwrap();
+        assert_eq!(
+            out,
+            BulkOutcome {
+                ticks: 2,
+                crossed: true
+            }
+        );
+    }
+
+    /// Stored energy and lifetime totals, bitwise.
+    fn state_bits(s: &PowerSystem) -> [u64; 4] {
+        let st = s.save_state();
+        [
+            st.stored,
+            st.total_harvested,
+            st.total_wasted,
+            st.total_supplied,
+        ]
+        .map(|j| j.value().to_bits())
+    }
+
+    /// Runs `advance` and [`manual_advance`] on two copies of `sys`,
+    /// both span ledgers starting at `acc`, and checks that outcome,
+    /// ledgers, stored energy and lifetime totals agree bit for bit.
+    #[allow(clippy::too_many_arguments)] // mirrors advance()'s signature
+    fn advance_vs_stepping(
+        sys: &PowerSystem,
+        irr: f64,
+        load: Watts,
+        dt: SimDuration,
+        max_ticks: u64,
+        stop: StopCondition,
+        acc: Joules,
+    ) -> Result<BulkOutcome, TestCaseError> {
+        let (mut fast, mut slow) = (sys.clone(), sys.clone());
+        let (mut fh, mut fw, mut sh, mut sw) = (acc, acc, acc, acc);
+        let out = fast.advance(irr, load, dt, max_ticks, stop, &mut fh, &mut fw);
+        let reference = manual_advance(&mut slow, irr, load, dt, max_ticks, stop, &mut sh, &mut sw);
+        prop_assert_eq!(out, reference);
+        prop_assert_eq!(
+            [fh, fw].map(|j| j.value().to_bits()),
+            [sh, sw].map(|j| j.value().to_bits())
+        );
+        prop_assert_eq!(state_bits(&fast), state_bits(&slow));
+        Ok(out)
+    }
+
+    proptest! {
+        #[test]
+        fn repeat_add_matches_the_naive_loop(
+            exp in -40i32..8,
+            mantissa in 0u64..(1 << 52),
+            c in 1e-9f64..1e-2,
+            negative_c in any::<bool>(),
+            n in 0u64..120_000,
+        ) {
+            let x = f64::from_bits(1.0f64.to_bits() | mantissa) * 2f64.powi(exp);
+            let c = if negative_c { -c } else { c };
+            prop_assert_eq!(repeat_add(x, c, n).to_bits(), naive_add(x, c, n).to_bits());
+        }
+
+        #[test]
+        fn repeat_add_matches_on_tie_increments(
+            exp in -60i32..4,
+            mantissa in 0u64..(1 << 52),
+            k in 0u64..1_000,
+            n in 0u64..50_000,
+        ) {
+            // c = (k + ½)·ulp(x): every in-binade add is a tie.
+            let x = f64::from_bits(1.0f64.to_bits() | mantissa) * 2f64.powi(exp);
+            let ulp = 2f64.powi(exp - 52);
+            #[allow(clippy::cast_precision_loss)]
+            let c = (k as f64 + 0.5) * ulp;
+            prop_assert_eq!(repeat_add(x, c, n).to_bits(), naive_add(x, c, n).to_bits());
+        }
+
+        #[test]
+        fn repeat_add_matches_from_zero_and_subnormal_starts(
+            start in 0u64..(1 << 53),
+            c_bits in 1u64..(1 << 54),
+            negative_zero in any::<bool>(),
+            n in 0u64..100_000,
+        ) {
+            // Starts and increments around the subnormal/normal border.
+            let x = if start == 0 && negative_zero { -0.0 } else { f64::from_bits(start) };
+            let c = f64::from_bits(c_bits);
+            prop_assert_eq!(repeat_add(x, c, n).to_bits(), naive_add(x, c, n).to_bits());
+        }
+
+        /// `advance` against `step` over the whole configuration space:
+        /// leaky capacitors, start energy anywhere in the window, prior
+        /// lifetime totals and ledgers (including `-0.0`), long spans,
+        /// every stop condition, and the dark / idle corners.
+        #[test]
+        fn advance_matches_stepping_everywhere(
+            leak_uw in 0.0f64..40.0,
+            leaky in any::<bool>(),
+            start_frac in 0.0f64..=1.0,
+            irr in 0.0f64..1.0,
+            load_mw in 0.0f64..40.0,
+            corner in 0u8..6,
+            max_ticks in 1u64..300_000,
+            which in 0u8..3,
+            reserve_frac in 0.0f64..0.2,
+            ledger in 0u8..3,
+            prior in 0.0f64..50.0,
+        ) {
+            let cfg = SupercapConfig {
+                leakage: Watts(if leaky { leak_uw * 1e-6 } else { 0.0 }),
+                ..SupercapConfig::default()
+            };
+            let capacity = Supercap::new(cfg).unwrap().capacity();
+            let stop = match which {
+                0 => StopCondition::None,
+                1 => StopCondition::Depleted(capacity * reserve_frac),
+                _ => StopCondition::CanTurnOn,
+            };
+            // Corners 0-2 are the general case; 3 is dark, 4 idle, 5 both.
+            let irr = if corner == 3 || corner == 5 { 0.0 } else { irr };
+            let load = Watts(if corner >= 4 { 0.0 } else { load_mw * 1e-3 });
+            let start = PowerSystemState {
+                stored: capacity * start_frac,
+                total_harvested: Joules(prior),
+                total_wasted: Joules(prior * 0.25),
+                total_supplied: Joules(prior * 0.75),
+            };
+            let mut sys = PowerSystem::new(
+                Supercap::new(cfg).unwrap(),
+                Harvester::new(6, Watts(0.010), 0.80).unwrap(),
+            );
+            sys.restore_state(&start);
+            let acc = match ledger {
+                0 => Joules(0.0),
+                1 => Joules(-0.0),
+                _ => Joules(prior * 1e-3),
+            };
+            advance_vs_stepping(&sys, irr, load, SimDuration::TICK, max_ticks, stop, acc)?;
+        }
+
+        /// Flows in multiples of half an ulp make the energy ticks
+        /// round-to-even ties: a tick's step then depends on its start
+        /// mantissa's parity until one in-binade tick settles it. Starts
+        /// just outside the binade make the reference tick cross into
+        /// it with an unsettled parity, so the first probe's step can
+        /// differ from the second's, which only a two-probe stride
+        /// sees. Large offers also carry the energy across binades.
+        #[test]
+        fn advance_matches_stepping_on_tie_rounding(
+            offered in 1u64..128,
+            big in any::<bool>(),
+            leak in 0u64..16,
+            demand in 0u64..128,
+            start_at in 0u8..3,
+            mantissa in 0u64..(1 << 52),
+            offset in 1u64..256,
+            max_ticks in 1u64..100_000,
+            which in 0u8..3,
+        ) {
+            let offered = if big { (offered << 32) | 1 } else { offered };
+            #[allow(clippy::cast_precision_loss)] // small multipliers
+            let start = match start_at {
+                // Inside [2^-4, 2^-3), whose ulp is 2^-56.
+                0 => f64::from_bits(0.0625f64.to_bits() | mantissa),
+                // Just below it, and just above it.
+                1 => 0.0625 - offset as f64 * 2f64.powi(-57),
+                _ => 0.125 + offset as f64 * 2f64.powi(-55),
+            };
+            #[allow(clippy::cast_precision_loss)]
+            let load = Watts(demand as f64 * 2f64.powi(-57));
+            let stop = match which {
+                0 => StopCondition::None,
+                1 => StopCondition::Depleted(Joules(0.0625)),
+                _ => StopCondition::Depleted(Joules(0.1)),
+            };
+            advance_vs_stepping(
+                &dyadic_sys(offered, leak, start),
+                1.0,
+                load,
+                SimDuration::from_secs(1),
+                max_ticks,
+                stop,
+                Joules::ZERO,
+            )?;
+        }
     }
 
     proptest! {

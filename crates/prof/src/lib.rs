@@ -8,12 +8,13 @@
 //! `profiler_invisibility` differential suite):
 //!
 //! - [`PhaseProfiler`] — scoped wall-clock timing over the engine hot
-//!   paths (reference tick, bulk-span advance, sprint, fixed-point
-//!   replay, vigilant tail, obs emission, uplink resolution, fleet
-//!   epoch barrier and reduction), aggregated per phase into counts,
-//!   total/self nanoseconds, and log2 latency histograms. Disabled by
-//!   default; the disabled path is a single `Option` test, mirroring
-//!   `qz-obs`'s cached-`enabled` observer discipline.
+//!   paths (reference tick, bulk-span advance, the energy kernel
+//!   (`sprint`) and its fixed-point jumps (`replay`), obs emission,
+//!   uplink resolution, fleet epoch barrier and reduction), aggregated
+//!   per phase into counts, total/self nanoseconds, and log2 latency
+//!   histograms. Disabled by default; the disabled path is a single
+//!   `Option` test, mirroring `qz-obs`'s cached-`enabled` observer
+//!   discipline.
 //! - [`ProfileReport`] — the rendered result: text table, JSON, and a
 //!   collapsed-stack file standard flamegraph tooling consumes.
 //! - [`HorizonStats`] — *deterministic* counters (simulated-time land,

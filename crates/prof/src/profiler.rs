@@ -21,14 +21,16 @@ pub enum Phase {
     RefTick,
     /// One bulk quiescent-span advance (`Simulation::advance_span`).
     SpanAdvance,
-    /// The crossing-free sprint prefix inside `PowerSystem::advance`
-    /// (hoisted-constant arithmetic, no stop checks).
+    /// One whole `PowerSystem::advance` call: the binade-stride energy
+    /// kernel integrating one constant-irradiance segment.
     Sprint,
-    /// The period-1 fixed-point replay inside the sprint (the constant
-    /// increments replayed once the energy bits repeat).
+    /// A fixed-point jump inside the kernel: the energy bits repeat, so
+    /// every remaining tick's constant flows are summed in closed form.
+    /// At most one per `Sprint`, which it nests inside.
     Replay,
-    /// The vigilant tail of `PowerSystem::advance`: full `step` calls
-    /// with per-tick stop checks near a predicted crossing.
+    /// No longer recorded: the stride kernel has no per-tick tail. The
+    /// variant and its `vigilant_tail` label stay so readers that look
+    /// the phase up by name still resolve it (to an empty phase).
     VigilantTail,
     /// Telemetry/snapshot sample construction and observer emission
     /// inside the reference tick.
@@ -111,11 +113,11 @@ impl Phase {
 
     /// The enclosing phase, used to compute self-time and to build
     /// collapsed-stack paths. `Replay` nests inside `Sprint`, which
-    /// (with the vigilant tail) nests inside `SpanAdvance`; emission
-    /// and uplink resolution nest inside the reference tick.
+    /// nests inside `SpanAdvance`; emission and uplink resolution nest
+    /// inside the reference tick. The retired `VigilantTail` is a root.
     pub fn parent(self) -> Option<Phase> {
         match self {
-            Phase::Sprint | Phase::VigilantTail => Some(Phase::SpanAdvance),
+            Phase::Sprint => Some(Phase::SpanAdvance),
             Phase::Replay => Some(Phase::Sprint),
             Phase::ObsEmit | Phase::UplinkSense => Some(Phase::RefTick),
             _ => None,

@@ -175,7 +175,8 @@ mod tests {
     fn folded_stacks_follow_the_parent_chain() {
         let folded = sample().render_folded();
         assert!(folded.contains("qz;span_advance;sprint;replay 1000\n"));
-        // span_advance's self excludes sprint + vigilant_tail children.
+        // span_advance's self excludes its sprint child (the whole
+        // energy kernel call).
         assert!(folded.contains("qz;span_advance 4000\n"));
         assert!(folded.contains("qz;ref_tick 2500000\n"));
     }
