@@ -6,8 +6,9 @@
 //!    (the original `Fleet8x20` case).
 //! 2. Epoch-barrier coordinator versus the event-horizon scheduler at
 //!    N ∈ {64, 10⁴} (`FleetEH64`, `FleetEH10000` — the latter carries
-//!    the ≥5x baseline gate), plus an event-horizon-only scale probe at
-//!    N = 10⁵ (`FleetEH100000`). A 10⁶-device smoke runs only when
+//!    a speedup floor in `results/BENCH_baseline.json`), plus an
+//!    event-horizon-only scale probe at N = 10⁵ (`FleetEH100000`, gated
+//!    on a `devices_per_sec` floor). A 10⁶-device smoke runs only when
 //!    `QZ_BENCH_HUGE=1` is set — it needs ~16 GiB and several minutes.
 //!
 //! Like `sim_throughput`, the criterion shim has no measurement API so

@@ -23,10 +23,11 @@
 //! - [`scheduler`] — who steps which device when: the lockstep
 //!   [`FleetSchedulerKind::EpochBarrier`] reference and the
 //!   priority-queue [`FleetSchedulerKind::EventHorizon`] coordinator
-//!   ([`EventHorizonScheduler`]: struct-of-arrays hot state, lazy
-//!   wake loads), plus the deterministic device → gateway [`ShardMap`].
+//!   ([`EventHorizonScheduler`]: per-device due epochs, lazy wake
+//!   loads), plus the deterministic device → gateway [`ShardMap`].
 //! - [`run`] — the coordinator ([`run_fleet`]): parallel epoch
-//!   stepping, serial barrier reduction, one-epoch-delayed
+//!   stepping (under the event horizon, of the due devices only,
+//!   borrowed in place), serial barrier reduction, one-epoch-delayed
 //!   back-pressure.
 //! - [`report`] — [`FleetReport`]: per-device rows, channel stats,
 //!   cross-fleet percentiles; JSON/CSV/text renderers with no

@@ -302,11 +302,13 @@ fn run_epoch_barrier(
 /// next-due epochs. Only due devices wake each processed epoch; parked
 /// devices replay the skipped wall-clock exactly at their next wake
 /// (catch-up `step_until`), and sparse per-shard reductions feed the
-/// same one-epoch-delayed back-pressure. Per-epoch cost is O(active).
-fn run_event_horizon<'a>(
+/// same one-epoch-delayed back-pressure. Per-epoch cost is O(active):
+/// every device stays where it lives in `runs`, and a wake borrows only
+/// the due ones.
+fn run_event_horizon(
     cfg: &FleetConfig,
     exec: &Executor,
-    runs: &mut Vec<DeviceRun<'a>>,
+    runs: &mut [DeviceRun<'_>],
     shards: &ShardMap,
     gateways: &mut [GatewayChannel],
     coord: &mut PhaseProfiler,
@@ -315,30 +317,9 @@ fn run_event_horizon<'a>(
     let mut sched =
         EventHorizonScheduler::new(cfg.devices, cfg.gateways, epoch_ms, cfg.epoch_slots());
 
-    // Devices move between these slots and the wake batch; every slot
-    // is occupied again by the time the queue drains.
-    let mut slots: Vec<Option<DeviceRun<'a>>> = runs.drain(..).map(Some).collect();
-
-    // Seed the queue. A device with no future sense never couples to
-    // the fleet: run it to completion right here (its tx log stays
-    // empty, so it owes the channel nothing) and retire it.
-    for (d, slot) in slots.iter_mut().enumerate() {
-        let run = slot.as_mut().expect("freshly filled slot");
-        match run.sim.next_uplink_due() {
-            Some(due) => {
-                sched.park(
-                    d,
-                    due.as_millis(),
-                    run.sim.stored_energy().value(),
-                    run.sim.occupancy(),
-                );
-            }
-            None => {
-                while run.sim.step() {}
-                debug_assert!(run.sim.drain_tx_log().is_empty(), "sense-free device sent");
-                sched.retire(d, run.sim.stored_energy().value(), run.sim.occupancy());
-            }
-        }
+    // Seed the queue.
+    for (d, run) in runs.iter_mut().enumerate() {
+        park_or_retire(&mut sched, d, run);
     }
 
     loop {
@@ -351,22 +332,19 @@ fn run_event_horizon<'a>(
 
         // Lazy loads must be read before this epoch's reduction
         // overwrites the shard bookkeeping.
-        let mut woken: Vec<(usize, Option<f64>, DeviceRun<'a>)> = batch
+        let wake_loads: Vec<Option<f64>> = batch
             .iter()
-            .map(|&d| {
-                let load = sched.wake_load(epoch, d, shards.shard_of(d));
-                let run = slots[d].take().expect("queued device has a simulation");
-                (d, load, run)
-            })
+            .map(|&d| sched.wake_load(epoch, d, shards.shard_of(d)))
             .collect();
+        let mut woken = borrow_ascending(runs, &batch);
 
         let t_wake = coord.begin();
-        exec.for_each_mut(&mut woken, |_, (_, load, run)| {
+        exec.for_each_mut(&mut woken, |i, run| {
             // Catch-up: replay the parked span exactly. The park
             // invariant guarantees no carrier sense happens in it, so
             // the stale busy probability is never read.
             run.sim.step_until(epoch_start);
-            if let Some(p) = *load {
+            if let Some(p) = wake_loads[i] {
                 run.sim.set_uplink_busy_probability(p);
             }
             run.sim.step_until(epoch_end);
@@ -383,53 +361,79 @@ fn run_event_horizon<'a>(
         touched.sort_unstable();
         touched.dedup();
         for shard in touched {
-            let member_idx: Vec<usize> = (0..woken.len())
-                .filter(|&i| shards.shard_of(woken[i].0) == shard)
+            let member_idx: Vec<usize> = (0..batch.len())
+                .filter(|&i| shards.shard_of(batch[i]) == shard)
                 .collect();
             let logs: Vec<Vec<TxRecord>> = member_idx
                 .iter()
-                .map(|&i| core::mem::take(&mut woken[i].2.epoch_log))
+                .map(|&i| core::mem::take(&mut woken[i].epoch_log))
                 .collect();
             let total_airtime: u64 = logs.iter().flatten().map(|rec| rec.slots).sum();
             let loads = gateways[shard].reduce_epoch_at(epoch, &logs);
             sched.note_shard_reduced(shard, epoch, total_airtime);
             for (&i, load) in member_idx.iter().zip(loads) {
-                let (d, _, run) = &mut woken[i];
-                run.sim.set_uplink_busy_probability(load);
-                sched.mark_loaded(*d, epoch);
+                woken[i].sim.set_uplink_busy_probability(load);
+                sched.mark_loaded(batch[i], epoch);
             }
         }
         coord.end(Phase::FleetShardReduce, t_reduce);
 
-        // Repark at the fresh bound, or retire. A device whose bound
-        // vanished finishes its remaining (sense-free) lifetime in one
-        // uninterrupted run — no more barriers for it, ever.
-        for (d, _, mut run) in woken {
-            match run.sim.next_uplink_due() {
-                Some(due) => {
-                    let next = sched.park(
-                        d,
-                        due.as_millis(),
-                        run.sim.stored_energy().value(),
-                        run.sim.occupancy(),
-                    );
-                    debug_assert!(next > epoch, "due bound must make progress");
-                }
-                None => {
-                    while run.sim.step() {}
-                    debug_assert!(run.sim.drain_tx_log().is_empty(), "sense-free device sent");
-                    sched.retire(d, run.sim.stored_energy().value(), run.sim.occupancy());
-                }
-            }
-            slots[d] = Some(run);
+        // Repark at the fresh bound, or retire.
+        for (&d, run) in batch.iter().zip(woken) {
+            let next = park_or_retire(&mut sched, d, run);
+            debug_assert!(
+                next.is_none_or(|e| e > epoch),
+                "due bound must make progress"
+            );
         }
     }
+}
 
-    runs.extend(
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every device returns to its slot")),
-    );
+/// Parks device `d` at its fresh carrier-sense bound and returns the
+/// due epoch. A device whose bound vanished never couples to the fleet
+/// again: it finishes its remaining (sense-free) lifetime right here in
+/// one uninterrupted run — its tx log stays empty, so it owes the
+/// channel nothing — and retires.
+fn park_or_retire(
+    sched: &mut EventHorizonScheduler,
+    d: usize,
+    run: &mut DeviceRun<'_>,
+) -> Option<u64> {
+    match run.sim.next_uplink_due() {
+        Some(due) => Some(sched.park(d, due.as_millis())),
+        None => {
+            while run.sim.step() {}
+            debug_assert!(run.sim.drain_tx_log().is_empty(), "sense-free device sent");
+            sched.retire(d);
+            None
+        }
+    }
+}
+
+/// Disjoint mutable borrows of `items[i]` for every `i` in `indices`,
+/// in order, in O(`indices.len()`): each index splits one element off
+/// the front of the slice not yet handed out.
+///
+/// # Panics
+///
+/// Panics if `indices` is not strictly ascending or an index is out of
+/// bounds.
+fn borrow_ascending<'s, T>(items: &'s mut [T], indices: &[usize]) -> Vec<&'s mut T> {
+    let mut out = Vec::with_capacity(indices.len());
+    let mut rest = items;
+    // `items` index of `rest[0]`.
+    let mut base = 0;
+    for &i in indices {
+        assert!(i >= base, "indices must be strictly ascending");
+        let (item, tail) = core::mem::take(&mut rest)
+            .get_mut(i - base..)
+            .and_then(<[T]>::split_first_mut)
+            .expect("index in bounds");
+        out.push(item);
+        rest = tail;
+        base = i + 1;
+    }
+    out
 }
 
 #[cfg(test)]
@@ -507,6 +511,44 @@ mod tests {
         )
         .expect("sharded horizon runs");
         assert_eq!(report.to_json(), eh.to_json());
+    }
+
+    #[test]
+    fn borrow_ascending_hands_out_exactly_the_indexed_elements() {
+        let mut xs: Vec<u32> = (0..6).collect();
+        assert!(borrow_ascending(&mut xs, &[]).is_empty());
+        for indices in [&[3][..], &[0, 5], &[0, 1, 2, 3, 4, 5], &[1, 2, 4]] {
+            let mut ys = xs.clone();
+            let borrowed = borrow_ascending(&mut ys, indices);
+            let seen: Vec<u32> = borrowed.iter().map(|x| **x).collect();
+            let expected: Vec<u32> = indices.iter().map(|&i| xs[i]).collect();
+            assert_eq!(seen, expected, "{indices:?}");
+            for x in borrowed {
+                *x += 100;
+            }
+            for (i, y) in ys.iter().enumerate() {
+                let bumped = if indices.contains(&i) { 100 } else { 0 };
+                assert_eq!(*y, xs[i] + bumped, "{indices:?} at {i}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn borrow_ascending_rejects_a_repeated_index() {
+        borrow_ascending(&mut [0u8; 4], &[1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn borrow_ascending_rejects_a_decreasing_index() {
+        borrow_ascending(&mut [0u8; 4], &[2, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "in bounds")]
+    fn borrow_ascending_rejects_an_out_of_bounds_index() {
+        borrow_ascending(&mut [0u8; 4], &[1, 4]);
     }
 
     #[test]

@@ -138,19 +138,13 @@ impl ShardMap {
     }
 }
 
-/// Struct-of-arrays hot state the coordinator touches every processed
-/// epoch, kept flat and contiguous so a million-device fleet scans
-/// cache lines instead of chasing `Simulation` boxes. The cold per
-/// -device state stays inside each `Simulation`.
+/// The per-device scheduling scalar the coordinator keeps outside the
+/// simulations, in one flat array indexed by device.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetHotState {
     /// Next due epoch per device ([`RETIRED`](FleetHotState::RETIRED)
     /// once a device can never sense again).
     pub next_due: Vec<u64>,
-    /// Stored energy (joules) at the device's last park.
-    pub energy: Vec<f64>,
-    /// Input-buffer occupancy at the device's last park.
-    pub occupancy: Vec<usize>,
 }
 
 impl FleetHotState {
@@ -161,8 +155,6 @@ impl FleetHotState {
     fn new(devices: usize) -> FleetHotState {
         FleetHotState {
             next_due: vec![FleetHotState::RETIRED; devices],
-            energy: vec![0.0; devices],
-            occupancy: vec![0; devices],
         }
     }
 }
@@ -174,7 +166,7 @@ impl FleetHotState {
 pub struct EventHorizonSchedulerState {
     /// Queue contents as sorted `(epoch, device)` pairs.
     pub queue: Vec<(u64, usize)>,
-    /// Hot-state arrays.
+    /// Per-device next-due epochs.
     pub hot: FleetHotState,
     /// Per-device epoch whose reduction last set `p_busy`.
     pub last_loaded: Vec<Option<u64>>,
@@ -215,23 +207,19 @@ impl EventHorizonScheduler {
     }
 
     /// Parks `device` until the epoch containing `due_ms` (a
-    /// [`next_uplink_due`](qz_sim::Simulation::next_uplink_due) bound),
-    /// recording its hot state. Returns the due epoch.
-    pub fn park(&mut self, device: usize, due_ms: u64, energy: f64, occupancy: usize) -> u64 {
+    /// [`next_uplink_due`](qz_sim::Simulation::next_uplink_due) bound).
+    /// Returns the due epoch.
+    pub fn park(&mut self, device: usize, due_ms: u64) -> u64 {
         let epoch = due_ms / self.epoch_ms;
         self.hot.next_due[device] = epoch;
-        self.hot.energy[device] = energy;
-        self.hot.occupancy[device] = occupancy;
         self.heap.push(Reverse((epoch, device)));
         epoch
     }
 
     /// Removes `device` from coordination permanently (done, or
-    /// provably never senses again), recording its final hot state.
-    pub fn retire(&mut self, device: usize, energy: f64, occupancy: usize) {
+    /// provably never senses again).
+    pub fn retire(&mut self, device: usize) {
         self.hot.next_due[device] = FleetHotState::RETIRED;
-        self.hot.energy[device] = energy;
-        self.hot.occupancy[device] = occupancy;
     }
 
     /// Pops the earliest due epoch and **all** devices due in it, in
@@ -293,7 +281,7 @@ impl EventHorizonScheduler {
         self.heap.len()
     }
 
-    /// The hot-state arrays (diagnostics and tests).
+    /// The per-device next-due epochs (diagnostics and tests).
     pub fn hot(&self) -> &FleetHotState {
         &self.hot
     }
@@ -391,23 +379,21 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::float_cmp)] // hot-state energy is copied, not computed
     fn pop_batch_is_exactly_the_due_set_in_device_order() {
         let mut s = EventHorizonScheduler::new(6, 2, 1000, 100);
         // Park at mixed epochs; device 4 retires and must never pop.
-        s.park(3, 2500, 0.1, 0); // epoch 2
-        s.park(0, 500, 0.2, 1); // epoch 0
-        s.park(5, 2000, 0.3, 2); // epoch 2
-        s.park(1, 0, 0.4, 0); // epoch 0
-        s.park(2, 7999, 0.5, 0); // epoch 7
-        s.retire(4, 0.6, 0);
+        s.park(3, 2500); // epoch 2
+        s.park(0, 500); // epoch 0
+        s.park(5, 2000); // epoch 2
+        s.park(1, 0); // epoch 0
+        s.park(2, 7999); // epoch 7
+        s.retire(4);
         assert_eq!(s.queued(), 5);
         assert_eq!(s.pop_batch(), Some((0, vec![0, 1])));
         assert_eq!(s.pop_batch(), Some((2, vec![3, 5])));
         assert_eq!(s.pop_batch(), Some((7, vec![2])));
         assert_eq!(s.pop_batch(), None, "retired devices never surface");
         assert_eq!(s.hot().next_due[4], FleetHotState::RETIRED);
-        assert_eq!(s.hot().energy[4], 0.6);
     }
 
     #[test]
@@ -433,10 +419,10 @@ mod tests {
     #[test]
     fn save_restore_round_trips_the_coordinator() {
         let mut s = EventHorizonScheduler::new(4, 2, 1000, 100);
-        s.park(0, 1500, 1.0, 2);
-        s.park(1, 500, 2.0, 0);
-        s.park(2, 9000, 3.0, 1);
-        s.retire(3, 4.0, 0);
+        s.park(0, 1500);
+        s.park(1, 500);
+        s.park(2, 9000);
+        s.retire(3);
         s.note_shard_reduced(1, 3, 12);
         s.mark_loaded(2, 3);
         let state = s.save_state();
@@ -478,10 +464,10 @@ mod tests {
         // fleet-wide timeline: batches surface strictly by epoch no
         // matter which gateway their members belong to.
         let mut s = EventHorizonScheduler::new(4, 4, 1000, 100);
-        s.park(0, 9_000, 0.0, 0);
-        s.park(1, 1_000, 0.0, 0);
-        s.park(2, 5_000, 0.0, 0);
-        s.park(3, 1_500, 0.0, 0);
+        s.park(0, 9_000);
+        s.park(1, 1_000);
+        s.park(2, 5_000);
+        s.park(3, 1_500);
         assert_eq!(s.pop_batch(), Some((1, vec![1, 3])));
         assert_eq!(s.pop_batch(), Some((5, vec![2])));
         assert_eq!(s.pop_batch(), Some((9, vec![0])));
@@ -494,13 +480,13 @@ mod tests {
         // tick; the device must keep surfacing for as long as it keeps
         // reparking, and stop once retired.
         let mut s = EventHorizonScheduler::new(1, 1, 1000, 100);
-        s.park(0, 500, 0.0, 0);
+        s.park(0, 500);
         assert_eq!(s.pop_batch(), Some((0, vec![0])));
         assert_eq!(s.queued(), 0);
-        s.park(0, 3_200, 0.0, 0);
+        s.park(0, 3_200);
         assert_eq!(s.queued(), 1);
         assert_eq!(s.pop_batch(), Some((3, vec![0])));
-        s.retire(0, 0.0, 0);
+        s.retire(0);
         assert_eq!(s.pop_batch(), None);
         assert_eq!(s.hot().next_due[0], FleetHotState::RETIRED);
     }
@@ -508,10 +494,10 @@ mod tests {
     #[test]
     fn park_maps_due_ticks_onto_epochs() {
         let mut s = EventHorizonScheduler::new(2, 1, 1000, 100);
-        assert_eq!(s.park(0, 0, 0.0, 0), 0);
-        assert_eq!(s.park(1, 999, 0.0, 0), 0);
+        assert_eq!(s.park(0, 0), 0);
+        assert_eq!(s.park(1, 999), 0);
         let mut s2 = EventHorizonScheduler::new(2, 1, 1000, 100);
-        assert_eq!(s2.park(0, 1000, 0.0, 0), 1);
-        assert_eq!(s2.park(1, 123_456, 0.0, 0), 123);
+        assert_eq!(s2.park(0, 1000), 1);
+        assert_eq!(s2.park(1, 123_456), 123);
     }
 }

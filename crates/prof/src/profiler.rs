@@ -45,7 +45,12 @@ pub enum Phase {
     /// Popping the due batch off the event-horizon priority queue.
     FleetQueuePop,
     /// The parallel catch-up-and-step region over the woken devices in
-    /// one event-horizon epoch.
+    /// one event-horizon epoch, timed by the coordinator's wall clock
+    /// around it. The woken devices' engine phases run inside that
+    /// region but are merged separately, from the devices' own
+    /// profilers, and nest under no fleet phase. So its self time is
+    /// the region's wall time, overlapping those engine phases, and is
+    /// not a layer of its own.
     FleetWake,
     /// The serial per-shard slot-overlay reduction after an
     /// event-horizon wake.

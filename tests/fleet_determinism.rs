@@ -14,10 +14,10 @@
 //!    configurations.
 
 use proptest::prelude::*;
-use qz_app::{apollo4, simulate, SimTweaks};
+use qz_app::{apollo4, build_simulation, simulate, SimTweaks};
 use qz_baselines::BaselineKind;
 use qz_fleet::{run_fleet, Executor, FleetConfig, FleetSchedulerKind};
-use qz_sim::UplinkConfig;
+use qz_sim::{UplinkConfig, UplinkPort};
 use qz_traces::{EnvironmentKind, SensingEnvironment};
 
 #[test]
@@ -176,6 +176,66 @@ fn cross_scheduler_identity_holds_with_fine_epochs_and_slow_capture() {
     };
     cfg.tweaks.capture_period = qz_types::SimDuration::from_secs(30);
     assert_schedulers_agree(&cfg, 2);
+}
+
+/// Where each device of `cfg` enters the event-horizon queue: its
+/// first due epoch, or `None` when it has no carrier sense ahead and
+/// retires at seeding. Builds the devices exactly as `run_fleet` does.
+fn seeding_epochs(cfg: &FleetConfig) -> Vec<Option<u64>> {
+    (0..cfg.devices)
+        .map(|device| {
+            let d = device as u64;
+            let env =
+                SensingEnvironment::generate(cfg.env_for(device), cfg.events, cfg.env_seed(d));
+            let tweaks = SimTweaks {
+                seed: cfg.sim_seed(d),
+                ..cfg.tweaks.clone()
+            };
+            let mut sim = build_simulation(cfg.system, &cfg.profile, &env, &tweaks);
+            sim.set_uplink(UplinkPort::new(cfg.uplink.clone(), cfg.uplink_seed(d)));
+            sim.next_uplink_due()
+                .map(|due| due.as_millis() / cfg.epoch.as_millis())
+        })
+        .collect()
+}
+
+/// A fleet past the 64-device cases, shaped so that a single wake
+/// borrows most of it at once: two-minute epochs put most devices'
+/// first carrier sense in epoch 0 (the run spans ~10 epochs), while a
+/// capture period longer than some devices' events leaves those with no
+/// sense at all, so they retire while the queue is seeded. The
+/// schedulers must still agree byte for byte, on one worker thread and
+/// on three.
+#[test]
+fn cross_scheduler_identity_holds_when_one_epoch_wakes_most_of_a_large_fleet() {
+    let mut cfg = FleetConfig {
+        devices: 240,
+        events: 2,
+        gateways: 4,
+        epoch: qz_types::SimDuration::from_secs(120),
+        ..FleetConfig::default()
+    };
+    cfg.tweaks.capture_period = qz_types::SimDuration::from_secs(30);
+
+    let seeded = seeding_epochs(&cfg);
+    let retired = seeded.iter().filter(|e| e.is_none()).count();
+    let mut first_epochs: Vec<u64> = seeded.iter().flatten().copied().collect();
+    first_epochs.sort_unstable();
+    let largest = first_epochs
+        .chunk_by(|a, b| a == b)
+        .map(<[u64]>::len)
+        .max()
+        .unwrap_or(0);
+    assert!(retired > 0, "no device retires at seeding");
+    assert!(
+        largest * 2 > cfg.devices,
+        "largest first wake holds {largest} of {} devices",
+        cfg.devices
+    );
+
+    for threads in [1, 3] {
+        assert_schedulers_agree(&cfg, threads);
+    }
 }
 
 fn any_env_kind() -> impl Strategy<Value = EnvironmentKind> {

@@ -41,7 +41,7 @@ proptest! {
         let mut s = EventHorizonScheduler::new(n, 1, 1000, 100);
         let mut parked_epoch = vec![0u64; n];
         for (d, &due) in dues.iter().enumerate() {
-            parked_epoch[d] = s.park(d, due, 0.0, 0);
+            parked_epoch[d] = s.park(d, due);
         }
         let mut seen = vec![false; n];
         let mut last_epoch = None;
@@ -135,9 +135,9 @@ proptest! {
         let mut s = EventHorizonScheduler::new(n, 2, 1000, 100);
         for (d, &due) in dues.iter().enumerate() {
             if d % 5 == 4 {
-                s.retire(d, 0.0, 0);
+                s.retire(d);
             } else {
-                s.park(d, due, 0.0, 0);
+                s.park(d, due);
             }
         }
         for _ in 0..pops_before {
@@ -145,7 +145,7 @@ proptest! {
                 s.note_shard_reduced(0, epoch, airtime);
                 for d in batch {
                     s.mark_loaded(d, epoch);
-                    s.park(d, (epoch + 1) * 1000 + 1, 0.0, 0);
+                    s.park(d, (epoch + 1) * 1000 + 1);
                 }
             }
         }
