@@ -42,9 +42,9 @@ pub struct SimTweaks {
     /// Override the supercapacitor capacitance (storage-sizing sweeps
     /// and infeasibility demos; `None` keeps the Table 1 default).
     pub supercap_capacitance: Option<Farads>,
-    /// Stepping engine. Defaults to the `QZ_ENGINE` environment variable
-    /// when set (`tick` or `fast`), else fast-forward; both engines
-    /// produce byte-identical results.
+    /// Stepping engine (fast-forward by default; the tick engine is the
+    /// reference oracle tests and benches select). Both engines produce
+    /// byte-identical results.
     pub engine: qz_sim::EngineKind,
     /// Telemetry-recorder sample period the run will install, if any —
     /// declared here so `qz-check`'s QZ071 horizon lint can see it
@@ -72,7 +72,7 @@ impl Default for SimTweaks {
             checkpoint_policy: qz_sim::CheckpointPolicy::JustInTime,
             power_ewma_alpha: None,
             supercap_capacitance: None,
-            engine: qz_sim::EngineKind::from_env().unwrap_or_default(),
+            engine: qz_sim::EngineKind::default(),
             telemetry_period: None,
             snapshot_period: None,
         }

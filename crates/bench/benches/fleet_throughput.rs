@@ -26,13 +26,15 @@ const SEED: u64 = 0x000F_1EE7_2026;
 const DEVICES: usize = 8;
 const EVENTS: usize = 20;
 
-/// Best-of-`REPS` wall-clock for one engine; returns the report JSON so
-/// the caller can assert both engines agree.
+/// Best-of-`REPS` wall-clock for one engine under the epoch-barrier
+/// scheduler (the Fleet8x20 case measures engines, not schedulers);
+/// returns the report JSON so the caller can assert both engines agree.
 fn time_engine(engine: EngineKind) -> (f64, String) {
     let mut cfg = FleetConfig {
         devices: DEVICES,
         events: EVENTS,
         fleet_seed: SEED,
+        scheduler: FleetSchedulerKind::EpochBarrier,
         ..FleetConfig::default()
     };
     cfg.tweaks.engine = engine;

@@ -111,7 +111,7 @@ fn main() {
         // Alternating 2 s storms / ~10 s lulls under the `smoke` fault
         // preset: storms keep the scheduler busy, lulls open spans the
         // armed adversary cuts short wherever its next power draw could
-        // fire — busy blocks, bulk spans and candidate reference ticks
+        // fire — busy ticks, bulk spans and candidate reference ticks
         // interleave densely.
         Case {
             env: EnvironmentKind::Burst,

@@ -70,10 +70,9 @@ fn horizon(input: &CheckInput<'_>, report: &mut Report) {
             Span::field("device.capture_period"),
             format!(
                 "capture period of {period} tick(s) puts a capture boundary on (almost) every \
-                 tick; the fast-forward engine's event horizon collapses and the run falls \
-                 back to the batched busy-tick kernel — still reference semantics, but \
-                 amortized dispatch instead of bulk-advanced spans, so expect crowded-regime \
-                 speed rather than quiet-regime speed",
+                 tick; the fast-forward engine's event horizon collapses and every tick \
+                 runs the reference tick body instead of a bulk-advanced span, so expect \
+                 tick-engine speed rather than quiet-regime speed",
             ),
         );
     }

@@ -406,17 +406,12 @@ impl Code {
             }
             Code::QZ070 => {
                 "The fast-forward engine skips quiescent ticks between events; a capture \
-                 boundary on (almost) every tick collapses that horizon. Collapsed runs \
-                 no longer degenerate to scalar per-tick stepping: repeating busy \
-                 regimes (the scheduler running every tick while inputs queue, runs of \
-                 ticks where an installed fault injector could fire) execute through the \
-                 batched busy-tick kernel, which hoists per-tick invariants into 64-tick \
-                 block prologues with byte-identical observables. An installed injector \
-                 does not collapse the horizon by itself: the engine skips the ticks its \
-                 quiet horizon proves fault-free. Batching does NOT apply to one-off \
-                 boundary ticks (captures, telemetry samples, countdown expiries) — \
-                 those still run single reference ticks — so a short capture period \
-                 still costs real speed; it just no longer costs an order of magnitude."
+                 boundary on (almost) every tick collapses that horizon, and every \
+                 collapsed tick runs the reference tick body — the per-tick speed of the \
+                 tick engine. An installed fault injector does not collapse the horizon \
+                 by itself: the engine skips the ticks its quiet horizon proves \
+                 fault-free. A short capture period therefore costs real speed: the run \
+                 steps tick by tick for as long as the period stays that short."
             }
             Code::QZ071 => {
                 "Telemetry or snapshot periods near one tick put an observation boundary \
@@ -521,8 +516,8 @@ impl Code {
                  (just-in-time or shorter periodic checkpoints)."
             }
             Code::QZ070 => {
-                "Lengthen capture_period, or accept batched busy-tick speed (crowded-\
-                 regime throughput, not quiet-regime bulk skipping)."
+                "Lengthen capture_period, or accept per-tick reference speed (no \
+                 quiet-regime bulk skipping)."
             }
             Code::QZ071 => "Lengthen the telemetry/snapshot period, or drop the instrumentation.",
             Code::QZ073 => {

@@ -59,9 +59,6 @@ pub struct ProfileArgs {
     pub events: usize,
     /// Environment/simulation seed.
     pub seed: u64,
-    /// Simulation engine override (`None` keeps the `QZ_ENGINE` /
-    /// fast-forward default).
-    pub engine: Option<qz_sim::EngineKind>,
     /// Profile report JSON output path (`-` for stdout).
     pub json: Option<String>,
     /// Collapsed-stack flamegraph output path.
@@ -78,7 +75,6 @@ impl Default for ProfileArgs {
             env: EnvironmentKind::Crowded,
             events: 200,
             seed: 20_250_330,
-            engine: None,
             json: None,
             flame: None,
             flight: None,
@@ -121,8 +117,6 @@ pub struct BranchArgs {
     pub events: usize,
     /// Environment/simulation seed.
     pub seed: u64,
-    /// Simulation engine override.
-    pub engine: Option<qz_sim::EngineKind>,
     /// Fork instant, seconds of simulated time.
     pub at: u64,
     /// Fork with the PID error-mitigation loop disabled.
@@ -143,7 +137,6 @@ impl Default for BranchArgs {
             env: EnvironmentKind::Crowded,
             events: 40,
             seed: 20_250_330,
-            engine: None,
             at: 60,
             fork_no_pid: false,
             fork_no_sticky: false,
@@ -172,8 +165,6 @@ pub struct BisectArgs {
     pub seed: u64,
     /// Gate every fault class until this many seconds in.
     pub inject_at: u64,
-    /// Simulation engine override.
-    pub engine: Option<qz_sim::EngineKind>,
     /// Coarse-pass snapshot stride, seconds.
     pub stride: u64,
     /// Snapshot ring capacity per twin.
@@ -191,7 +182,6 @@ impl Default for BisectArgs {
             start: 0,
             seed: 0xFA017,
             inject_at: 0,
-            engine: None,
             stride: 10,
             ring: 64,
         }
@@ -222,9 +212,6 @@ pub struct FaultArgs {
     pub threads: Option<usize>,
     /// JSON report output path (`-` for stdout).
     pub json: Option<String>,
-    /// Simulation engine override (`None` keeps the `QZ_ENGINE` /
-    /// fast-forward default).
-    pub engine: Option<qz_sim::EngineKind>,
     /// Directory for `qz-flight/v1` postmortem dumps of violated
     /// campaigns (one JSON file per violation).
     pub postmortem: Option<String>,
@@ -251,7 +238,6 @@ impl Default for FaultArgs {
             seed: 0xFA017,
             threads: None,
             json: None,
-            engine: None,
             postmortem: None,
             inject_at: 0,
             snapshot_ring: None,
@@ -288,12 +274,6 @@ pub struct FleetArgs {
     pub csv: Option<String>,
     /// Also print the qz-obs metrics registry.
     pub metrics: bool,
-    /// Simulation engine override (`None` keeps the `QZ_ENGINE` /
-    /// fast-forward default).
-    pub engine: Option<qz_sim::EngineKind>,
-    /// Fleet scheduler override (`None` keeps the `QZ_FLEET_SCHEDULER`
-    /// / epoch-barrier default).
-    pub scheduler: Option<qz_fleet::FleetSchedulerKind>,
     /// Gateways the fleet is sharded across.
     pub gateways: usize,
     /// Per-device capture period override, seconds.
@@ -315,8 +295,6 @@ impl Default for FleetArgs {
             json: None,
             csv: None,
             metrics: false,
-            engine: None,
-            scheduler: None,
             gateways: 1,
             capture_period: None,
         }
@@ -395,8 +373,6 @@ pub struct VerifyArgs {
     /// Exit nonzero on UNKNOWN verdicts as well as refutations (CI
     /// mode: every property must be PROVEN).
     pub deny_unproven: bool,
-    /// Simulation engine override for the directed concrete searches.
-    pub engine: Option<qz_sim::EngineKind>,
 }
 
 impl Default for VerifyArgs {
@@ -410,7 +386,6 @@ impl Default for VerifyArgs {
             segment: 60,
             json: false,
             deny_unproven: false,
-            engine: None,
         }
     }
 }
@@ -490,9 +465,6 @@ pub struct RunArgs {
     pub limit: usize,
     /// Include periodic state snapshots in the timeline (`Trace` only).
     pub snapshots: bool,
-    /// Simulation engine override (`None` keeps the `QZ_ENGINE` /
-    /// fast-forward default).
-    pub engine: Option<qz_sim::EngineKind>,
     /// Which solar realization to run: the seeded trace itself, or an
     /// envelope corner (`qz verify` counterexample repro lines use
     /// `--solar floor`).
@@ -521,7 +493,6 @@ impl Default for RunArgs {
             csv: None,
             limit: 200,
             snapshots: false,
-            engine: None,
             solar: qz_absint::SolarMode::Trace,
             solar_seg: 60,
             snapshot_ring: None,
@@ -593,12 +564,6 @@ pub fn parse_env(name: &str) -> Result<EnvironmentKind, ParseError> {
              quiet, burst)"
         ))),
     }
-}
-
-/// Parses a `--engine` value (`fast-forward` or `tick`).
-pub fn parse_engine(name: &str) -> Result<qz_sim::EngineKind, ParseError> {
-    qz_sim::EngineKind::parse(name)
-        .ok_or_else(|| err(format!("unknown engine `{name}` (try fast-forward, tick)")))
 }
 
 /// Parses the full argument vector (without the program name).
@@ -673,7 +638,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     .map_err(|_| err("`--limit` must be a non-negative integer"))?;
             }
             "--snapshots" => run.snapshots = true,
-            "--engine" => run.engine = Some(parse_engine(&take_value(&mut i, flag)?)?),
             "--solar" => {
                 let v = take_value(&mut i, flag)?.to_ascii_lowercase();
                 run.solar = qz_absint::SolarMode::parse(&v).ok_or_else(|| {
@@ -854,7 +818,6 @@ fn parse_verify(args: &[String]) -> Result<VerifyArgs, ParseError> {
             }
             "--json" => verify.json = true,
             "--deny-unproven" => verify.deny_unproven = true,
-            "--engine" => verify.engine = Some(parse_engine(&take_value(&mut i, flag)?)?),
             other => return Err(err(format!("unknown flag `{other}` for `qz verify`"))),
         }
         i += 1;
@@ -965,14 +928,6 @@ fn parse_fleet(args: &[String]) -> Result<FleetArgs, ParseError> {
             "--json" => fleet.json = Some(take_value(&mut i, flag)?),
             "--csv" => fleet.csv = Some(take_value(&mut i, flag)?),
             "--metrics" => fleet.metrics = true,
-            "--engine" => fleet.engine = Some(parse_engine(&take_value(&mut i, flag)?)?),
-            "--scheduler" => {
-                let s = take_value(&mut i, flag)?;
-                fleet.scheduler =
-                    Some(qz_fleet::FleetSchedulerKind::parse(&s).ok_or_else(|| {
-                        err("`--scheduler` must be `epoch-barrier` or `event-horizon`")
-                    })?);
-            }
             "--gateways" => {
                 fleet.gateways = take_value(&mut i, flag)?
                     .parse()
@@ -1063,7 +1018,6 @@ fn parse_fault(args: &[String]) -> Result<FaultArgs, ParseError> {
                 );
             }
             "--json" => fault.json = Some(take_value(&mut i, flag)?),
-            "--engine" => fault.engine = Some(parse_engine(&take_value(&mut i, flag)?)?),
             "--postmortem" => fault.postmortem = Some(take_value(&mut i, flag)?),
             "--inject-at" => {
                 fault.inject_at = take_value(&mut i, flag)?
@@ -1126,7 +1080,6 @@ fn parse_branch(args: &[String]) -> Result<BranchArgs, ParseError> {
                 }
             }
             "--seed" => branch.seed = parse_seed(&take_value(&mut i, flag)?)?,
-            "--engine" => branch.engine = Some(parse_engine(&take_value(&mut i, flag)?)?),
             "--at" => {
                 branch.at = take_value(&mut i, flag)?
                     .parse()
@@ -1203,7 +1156,6 @@ fn parse_bisect(args: &[String]) -> Result<BisectArgs, ParseError> {
                     .parse()
                     .map_err(|_| err("`--inject-at` must be a number of seconds"))?;
             }
-            "--engine" => bisect.engine = Some(parse_engine(&take_value(&mut i, flag)?)?),
             "--stride" => {
                 bisect.stride = take_value(&mut i, flag)?
                     .parse()
@@ -1258,7 +1210,6 @@ fn parse_profile(args: &[String]) -> Result<ProfileArgs, ParseError> {
                 }
             }
             "--seed" => prof.seed = parse_seed(&take_value(&mut i, flag)?)?,
-            "--engine" => prof.engine = Some(parse_engine(&take_value(&mut i, flag)?)?),
             "--json" => prof.json = Some(take_value(&mut i, flag)?),
             "--flame" => prof.flame = Some(take_value(&mut i, flag)?),
             "--flight" => prof.flight = Some(take_value(&mut i, flag)?),
@@ -1299,15 +1250,13 @@ qz — Quetzal experiment runner
 USAGE:
   qz run            [--system QZ] [--env crowded] [--events 200] [--seed N|0xN]
                     [--device apollo4|msp430] [--telemetry out.csv] [--plot]
-                    [--engine fast-forward|tick]
                     [--solar trace|floor|ceil] [--solar-seg 60]
                     [--snapshot-ring 64] [--snapshot-stride 10]
   qz compare        [--env crowded] [--events 200] [--seed N] [--device …]
-                    [--engine fast-forward|tick]
   qz export-traces  [--env crowded] [--events 200] [--seed N] [--out-dir DIR]
   qz trace          [--system QZ] [--env crowded] [--events 200] [--seed N]
                     [--device …] [--jsonl out.jsonl] [--csv out.csv]
-                    [--limit 200] [--snapshots] [--engine fast-forward|tick]
+                    [--limit 200] [--snapshots]
   qz check          [--system QZ] [--device apollo4|msp430|all] [--json]
                     [--deny-warnings] [--allow QZ011]…
                     [--cap-mf 33] [--checkpoint jit|task-boundary|periodic:SECS]
@@ -1316,32 +1265,29 @@ USAGE:
                     [--explain QZ010]
   qz verify         [--system QZ] [--device apollo4|msp430|all] [--env crowded]
                     [--events 40] [--seed N|0xN] [--segment 60] [--json]
-                    [--deny-unproven] [--engine fast-forward|tick]
+                    [--deny-unproven]
   qz lint-src       [--root .] [--allow-file lint-allow.txt] [--json]
   qz fleet          [--devices 16] [--events 40] [--seed N] [--system QZ]
                     [--device apollo4|msp430] [--envs more,crowded,less]
                     [--threads N] [--duty-cycle 0.1] [--slot-ms 50]
                     [--json out.json|-] [--csv out.csv|-] [--metrics]
-                    [--engine fast-forward|tick]
-                    [--scheduler epoch-barrier|event-horizon]
                     [--gateways 1] [--capture-period 1]
   qz fault          [--preset none|smoke|standard|heavy] [--system QZ]
                     [--device apollo4|msp430] [--env crowded] [--events 12]
                     [--campaigns 8] [--seed N|0xN] [--start 0] [--inject-at 0]
-                    [--threads N] [--json out.json|-]
-                    [--engine fast-forward|tick] [--postmortem DIR]
+                    [--threads N] [--json out.json|-] [--postmortem DIR]
                     [--snapshot-ring 64] [--snapshot-stride 10]
   qz branch         [--system QZ] [--device apollo4|msp430] [--env crowded]
-                    [--events 40] [--seed N|0xN] [--engine fast-forward|tick]
-                    [--at 60] [--fork-no-pid] [--fork-no-sticky]
+                    [--events 40] [--seed N|0xN] [--at 60]
+                    [--fork-no-pid] [--fork-no-sticky]
                     [--fork-checkpoint jit|task-boundary|periodic:SECS]
                     [--fork-capture-period SECS]
   qz bisect         [--preset standard|heavy] [--system QZ]
                     [--device apollo4|msp430] [--env crowded] [--events 12]
                     [--seed N|0xN] [--start 0] [--inject-at 0]
-                    [--engine fast-forward|tick] [--stride 10] [--ring 64]
+                    [--stride 10] [--ring 64]
   qz profile        [--system QZ] [--env crowded] [--events 200] [--seed N|0xN]
-                    [--device apollo4|msp430] [--engine fast-forward|tick]
+                    [--device apollo4|msp430]
                     [--json out.json|-] [--flame out.folded]
                     [--flight dump.json]
   qz bench          [--check] [--results-dir results] [--baseline FILE]
@@ -1349,9 +1295,10 @@ USAGE:
 
 SYSTEMS:       QZ, QZ-HW, NA, AD, CN, TH25, TH50, TH75, PZO, FCFS, LCFS, AvgSe2e
 ENVIRONMENTS:  more-crowded, crowded, less-crowded, short, quiet
-ENGINES:       fast-forward (default; skips quiescent ticks in bulk, reports
-               byte-identical to tick), tick (the reference per-tick loop).
-               QZ_ENGINE=tick|fast-forward sets the default; --engine wins.
+
+Every subcommand runs the fast-forward engine: it skips quiescent ticks in
+bulk, and its reports are byte-identical to the per-tick reference loop
+(an oracle that only the test suites and benches select).
 
 `qz check` statically analyzes the spec + device profile + configs a run
 would use (energy feasibility, Little's-Law arrival pressure, degradation
@@ -1381,13 +1328,13 @@ under the path).
 
 `qz fleet` simulates N independently-seeded devices sharing duty-cycled
 uplink channels, in parallel (--threads 0 = all cores; QZ_THREADS also
-works). Reports are byte-identical at any thread count, and across both
-schedulers: the lockstep epoch-barrier reference and the event-horizon
-priority queue that wakes only due devices (--scheduler, or the
-QZ_FLEET_SCHEDULER env var). --gateways shards devices across multiple
-channels deterministically. The preflight feasibility check
-(QZ050-QZ052, QZ080-QZ081) rejects configs whose offered airtime
-saturates a channel and warns on host-memory overshoot.
+works). Reports are byte-identical at any thread count. The event-horizon
+scheduler wakes only due devices; its reports are byte-identical to the
+lockstep epoch-barrier reference the test suites check it against.
+--gateways shards devices across multiple channels deterministically.
+The preflight feasibility check (QZ050-QZ052, QZ080-QZ081) rejects
+configs whose offered airtime saturates a channel and warns on
+host-memory overshoot.
 
 `qz fault` runs seeded fault-injection campaigns (adversarial power
 failures, checkpoint corruption, ADC misreads, clock jitter, input
@@ -1596,7 +1543,7 @@ mod tests {
         assert_eq!(v.system, None, "no --system sweeps every preset");
         let Command::Verify(v) = parse(&argv(
             "verify --system QZ --device msp430 --env quiet --events 12 --seed 0xBEEF \
-             --segment 30 --json --deny-unproven --engine tick",
+             --segment 30 --json --deny-unproven",
         ))
         .unwrap() else {
             panic!()
@@ -1608,7 +1555,6 @@ mod tests {
         assert_eq!(v.seed, 0xBEEF);
         assert_eq!(v.segment, 30);
         assert!(v.json && v.deny_unproven);
-        assert_eq!(v.engine, Some(qz_sim::EngineKind::Tick));
     }
 
     #[test]
@@ -1706,31 +1652,16 @@ mod tests {
     }
 
     #[test]
-    fn fleet_parses_scheduler_gateways_and_capture_period() {
-        let Command::Fleet(f) = parse(&argv(
-            "fleet --scheduler event-horizon --gateways 64 --capture-period 30",
-        ))
-        .unwrap() else {
+    fn fleet_parses_gateways_and_capture_period() {
+        let Command::Fleet(f) = parse(&argv("fleet --gateways 64 --capture-period 30")).unwrap()
+        else {
             panic!()
         };
-        assert_eq!(
-            f.scheduler,
-            Some(qz_fleet::FleetSchedulerKind::EventHorizon)
-        );
         assert_eq!(f.gateways, 64);
         assert_eq!(f.capture_period, Some(30.0));
-        // Short spellings work; defaults leave everything unset.
-        let Command::Fleet(f) = parse(&argv("fleet --scheduler eb")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(
-            f.scheduler,
-            Some(qz_fleet::FleetSchedulerKind::EpochBarrier)
-        );
         let Command::Fleet(f) = parse(&argv("fleet")).unwrap() else {
             panic!()
         };
-        assert_eq!(f.scheduler, None);
         assert_eq!(f.gateways, 1);
         assert_eq!(f.capture_period, None);
     }
@@ -1750,7 +1681,6 @@ mod tests {
         assert!(parse(&argv("fleet --duty-cycle -1")).is_err());
         assert!(parse(&argv("fleet --slot-ms 0")).is_err());
         assert!(parse(&argv("fleet --plot")).is_err(), "run-only flag");
-        assert!(parse(&argv("fleet --scheduler round-robin")).is_err());
         assert!(parse(&argv("fleet --gateways 0")).is_err());
         assert!(parse(&argv("fleet --capture-period 0")).is_err());
     }
@@ -1864,7 +1794,7 @@ mod tests {
         assert!(!b.fork_no_pid);
         let Command::Branch(b) = parse(&argv(
             "branch --system QZ --device msp430 --env quiet --events 20 --seed 0xBEEF \
-             --engine tick --at 90 --fork-no-pid --fork-no-sticky \
+             --at 90 --fork-no-pid --fork-no-sticky \
              --fork-checkpoint task-boundary --fork-capture-period 2",
         ))
         .unwrap() else {
@@ -1874,7 +1804,6 @@ mod tests {
         assert_eq!(b.env, EnvironmentKind::Quiet);
         assert_eq!(b.events, 20);
         assert_eq!(b.seed, 0xBEEF);
-        assert_eq!(b.engine, Some(qz_sim::EngineKind::Tick));
         assert_eq!(b.at, 90);
         assert!(b.fork_no_pid && b.fork_no_sticky);
         assert_eq!(
@@ -1902,7 +1831,7 @@ mod tests {
         assert_eq!(b.ring, 64);
         let Command::Bisect(b) = parse(&argv(
             "bisect --preset heavy --system QZ --device apollo4 --env crowded \
-             --events 4 --seed 0xFA017 --start 3 --inject-at 15 --engine tick \
+             --events 4 --seed 0xFA017 --start 3 --inject-at 15 \
              --stride 5 --ring 16",
         ))
         .unwrap() else {
@@ -1912,7 +1841,6 @@ mod tests {
         assert_eq!(b.events, 4);
         assert_eq!(b.start, 3);
         assert_eq!(b.inject_at, 15);
-        assert_eq!(b.engine, Some(qz_sim::EngineKind::Tick));
         assert_eq!(b.stride, 5);
         assert_eq!(b.ring, 16);
     }
@@ -1933,7 +1861,7 @@ mod tests {
         assert_eq!(p, ProfileArgs::default());
         let Command::Profile(p) = parse(&argv(
             "profile --system CN --device msp430 --env quiet --events 50 --seed 0xBEEF \
-             --engine tick --json - --flame out.folded --flight dump.json",
+             --json - --flame out.folded --flight dump.json",
         ))
         .unwrap() else {
             panic!()
@@ -1943,7 +1871,6 @@ mod tests {
         assert_eq!(p.env, EnvironmentKind::Quiet);
         assert_eq!(p.events, 50);
         assert_eq!(p.seed, 0xBEEF);
-        assert_eq!(p.engine, Some(qz_sim::EngineKind::Tick));
         assert_eq!(p.json.as_deref(), Some("-"));
         assert_eq!(p.flame.as_deref(), Some("out.folded"));
         assert_eq!(p.flight.as_deref(), Some("dump.json"));
@@ -1976,27 +1903,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_flag_parses_everywhere() {
-        let Command::Run(r) = parse(&argv("run --engine tick")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(r.engine, Some(qz_sim::EngineKind::Tick));
-        let Command::Run(r) = parse(&argv("run")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(r.engine, None, "no flag leaves the default untouched");
-        let Command::Fleet(f) = parse(&argv("fleet --engine ff")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(f.engine, Some(qz_sim::EngineKind::FastForward));
-        let Command::Fault(f) = parse(&argv("fault --engine reference")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(f.engine, Some(qz_sim::EngineKind::Tick));
-        assert!(parse(&argv("run --engine warp")).is_err());
-    }
-
-    #[test]
     fn quiet_environment_parses() {
         assert_eq!(parse_env("quiet").unwrap(), EnvironmentKind::Quiet);
     }
@@ -2022,9 +1928,9 @@ mod tests {
     #[test]
     fn help_documents_the_fleet_scheduler_surface() {
         // The discoverability contract: every fleet scheduling knob the
-        // parser accepts is advertised, including the env override.
-        assert!(HELP.contains("--scheduler epoch-barrier|event-horizon"));
-        assert!(HELP.contains("--gateways"));
-        assert!(HELP.contains("QZ_FLEET_SCHEDULER"));
+        // parser accepts is advertised, and the help names the one
+        // production scheduler.
+        assert!(HELP.contains("[--gateways 1] [--capture-period 1]"));
+        assert!(HELP.contains("The event-horizon\nscheduler wakes only due devices"));
     }
 }

@@ -94,14 +94,10 @@ fn solar_corner(env: SensingEnvironment, mode: SolarMode, segment_secs: u64) -> 
 }
 
 fn tweaks_for(args: &RunArgs) -> SimTweaks {
-    let mut tweaks = SimTweaks {
+    SimTweaks {
         seed: args.seed,
         ..SimTweaks::default()
-    };
-    if let Some(engine) = args.engine {
-        tweaks.engine = engine;
     }
-    tweaks
 }
 
 fn print_metrics(label: &str, m: &Metrics) {
@@ -289,13 +285,10 @@ fn verify(args: &VerifyArgs) -> ExitCode {
         "msp430" => vec![msp430fr5994()],
         _ => vec![apollo4(), msp430fr5994()],
     };
-    let mut tweaks = SimTweaks {
+    let tweaks = SimTweaks {
         seed: args.seed,
         ..SimTweaks::default()
     };
-    if let Some(engine) = args.engine {
-        tweaks.engine = engine;
-    }
     let base_env = SensingEnvironment::generate(args.env, args.events, args.seed);
     let envelope = HarvestEnvelope::from_trace(base_env.solar(), args.segment);
 
@@ -511,13 +504,7 @@ fn fault(args: &FaultArgs) -> ExitCode {
         seed: args.seed,
         plan,
         injection_at: SimDuration::from_secs(args.inject_at),
-        tweaks: {
-            let mut tweaks = SimTweaks::default();
-            if let Some(engine) = args.engine {
-                tweaks.engine = engine;
-            }
-            tweaks
-        },
+        tweaks: SimTweaks::default(),
     };
     if args.snapshot_ring.is_some() || args.snapshot_stride.is_some() {
         let ring = args.snapshot_ring.unwrap_or(64);
@@ -617,13 +604,10 @@ fn branch(args: &BranchArgs) -> Result<(), Box<dyn std::error::Error>> {
         apollo4()
     };
     let env = SensingEnvironment::generate(args.env, args.events, args.seed);
-    let mut base = SimTweaks {
+    let base = SimTweaks {
         seed: args.seed,
         ..SimTweaks::default()
     };
-    if let Some(engine) = args.engine {
-        base.engine = engine;
-    }
     let mut fork = base.clone();
     if args.fork_no_pid {
         fork.pid_enabled = false;
@@ -689,13 +673,7 @@ fn bisect(args: &BisectArgs) -> ExitCode {
         seed: args.seed,
         plan,
         injection_at: SimDuration::from_secs(args.inject_at),
-        tweaks: {
-            let mut tweaks = SimTweaks::default();
-            if let Some(engine) = args.engine {
-                tweaks.engine = engine;
-            }
-            tweaks
-        },
+        tweaks: SimTweaks::default(),
     };
     let preflight = qz_fault::preflight(&cfg);
     if preflight.has_errors() {
@@ -737,13 +715,10 @@ fn profile(args: &ProfileArgs) -> Result<(), Box<dyn std::error::Error>> {
         apollo4()
     };
     let env = SensingEnvironment::generate(args.env, args.events, args.seed);
-    let mut tweaks = SimTweaks {
+    let tweaks = SimTweaks {
         seed: args.seed,
         ..SimTweaks::default()
     };
-    if let Some(engine) = args.engine {
-        tweaks.engine = engine;
-    }
     let repro = format!(
         "qz profile --system {} --device {} --env {} --events {} --seed {:#x}",
         qz_fault::cli_system_token(args.system),
@@ -926,18 +901,10 @@ fn fleet(args: &FleetArgs) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(ms) = args.slot_ms {
         cfg.uplink.slot = SimDuration::from_millis(ms);
     }
-    if let Some(engine) = args.engine {
-        cfg.tweaks.engine = engine;
-    }
     if let Some(period) = args.capture_period {
         cfg.tweaks.capture_period = SimDuration::from_seconds_ceil(qz_types::Seconds(period));
     }
     cfg.gateways = args.gateways;
-    // Flag beats env var beats the epoch-barrier default.
-    cfg.scheduler = args
-        .scheduler
-        .or_else(qz_fleet::FleetSchedulerKind::from_env)
-        .unwrap_or_default();
     let exec = match args.threads {
         Some(n) => qz_fleet::Executor::new(if n == 0 {
             qz_fleet::Executor::available()

@@ -289,7 +289,30 @@ fn foreign_flags_are_rejected_per_subcommand() {
         &["run", "--preset", "smoke"],
         &["run", "--threads", "2"],
     ];
-    for args in matrix {
+    // The reference-oracle switches are gone from every subcommand: the
+    // CLI always runs the fast-forward engine and, for fleets, the
+    // event-horizon scheduler.
+    let subcommands = [
+        "run",
+        "compare",
+        "export-traces",
+        "trace",
+        "check",
+        "verify",
+        "lint-src",
+        "fleet",
+        "fault",
+        "branch",
+        "bisect",
+        "profile",
+        "bench",
+    ];
+    let mut retired: Vec<[&str; 3]> = Vec::new();
+    for sub in subcommands {
+        retired.push([sub, "--engine", "tick"]);
+        retired.push([sub, "--scheduler", "event-horizon"]);
+    }
+    for args in matrix.iter().copied().chain(retired.iter().map(|a| &a[..])) {
         let out = qz(args);
         assert!(
             !out.status.success(),

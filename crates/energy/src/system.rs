@@ -101,25 +101,8 @@ impl PowerSystem {
     /// device that can run directly off harvest when input power exceeds
     /// load power (zero net discharge).
     pub fn step(&mut self, irradiance: f64, load: Watts, dt: SimDuration) -> StepOutcome {
-        let input_power = self.harvester.output(irradiance);
-        self.step_prepared(input_power, load, dt)
-    }
-
-    /// [`PowerSystem::step`] with the harvester conversion already done:
-    /// `input_power` must be `self.harvester().output(irradiance)` for
-    /// the tick's irradiance. Callers that know the irradiance is
-    /// constant across a run of ticks (the batched busy-tick kernel)
-    /// hoist the conversion once per block; the downstream arithmetic is
-    /// the same ops on the same bits, so outcomes are identical to
-    /// calling `step` per tick.
-    #[inline]
-    pub fn step_prepared(
-        &mut self,
-        input_power: Watts,
-        load: Watts,
-        dt: SimDuration,
-    ) -> StepOutcome {
         debug_assert!(load.value() >= 0.0, "load must be non-negative");
+        let input_power = self.harvester.output(irradiance);
         let offered = input_power * dt.as_seconds();
         let demand = load * dt.as_seconds();
         let (harvested, supplied) = tick_flow(&mut self.capacitor, offered, demand, dt);

@@ -36,8 +36,9 @@ pub struct FleetConfig {
     /// Per-device simulator knobs (the per-device seed field is
     /// overwritten by the derived stream).
     pub tweaks: SimTweaks,
-    /// Which coordinator drives the run (both produce byte-identical
-    /// reports; see [`crate::scheduler`]).
+    /// Which coordinator drives the run: event horizon by default,
+    /// epoch barrier as the reference oracle (both produce
+    /// byte-identical reports; see [`crate::scheduler`]).
     pub scheduler: FleetSchedulerKind,
     /// Number of gateways. Devices hash onto gateways deterministically
     /// ([`ShardMap`]); each gateway runs its own mean-field channel
@@ -48,7 +49,7 @@ pub struct FleetConfig {
 impl Default for FleetConfig {
     /// 16 Quetzal devices on Apollo 4 hardware, 40 events each, the
     /// Apollo environment mix, LoRa-flavoured channel defaults, 1 s
-    /// epochs.
+    /// epochs, the event-horizon scheduler.
     fn default() -> FleetConfig {
         FleetConfig {
             devices: 16,
@@ -160,6 +161,15 @@ mod tests {
     fn default_config_passes_fleet_check() {
         let report = qz_check::check_fleet(&FleetConfig::default().check_input());
         assert!(!report.has_errors(), "{}", report.render_text());
+    }
+
+    #[test]
+    fn default_config_runs_the_event_horizon_scheduler() {
+        assert_eq!(
+            FleetConfig::default().scheduler,
+            FleetSchedulerKind::EventHorizon,
+            "epoch barrier is an opt-in reference oracle"
+        );
     }
 
     #[test]

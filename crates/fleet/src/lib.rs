@@ -20,11 +20,13 @@
 //! - [`channel`] — the gateway-side slot-ordered reduction
 //!   ([`GatewayChannel`]) charging clean/collision/idle slots and
 //!   computing next-epoch per-device busy probabilities.
-//! - [`scheduler`] — who steps which device when: the lockstep
-//!   [`FleetSchedulerKind::EpochBarrier`] reference and the
-//!   priority-queue [`FleetSchedulerKind::EventHorizon`] coordinator
+//! - [`scheduler`] — who steps which device when: the priority-queue
+//!   [`FleetSchedulerKind::EventHorizon`] coordinator
 //!   ([`EventHorizonScheduler`]: per-device due epochs, lazy wake
-//!   loads), plus the deterministic device → gateway [`ShardMap`].
+//!   loads; the default), the lockstep
+//!   [`FleetSchedulerKind::EpochBarrier`] reference that tests and
+//!   benches check it against, and the deterministic device → gateway
+//!   [`ShardMap`].
 //! - [`run`] — the coordinator ([`run_fleet`]): parallel epoch
 //!   stepping (under the event horizon, of the due devices only,
 //!   borrowed in place), serial barrier reduction, one-epoch-delayed

@@ -476,7 +476,11 @@ mod tests {
 
     #[test]
     fn event_horizon_matches_epoch_barrier_byte_for_byte() {
-        let eb = run_fleet(&small(), Executor::new(2)).expect("barrier runs");
+        let barrier = FleetConfig {
+            scheduler: FleetSchedulerKind::EpochBarrier,
+            ..small()
+        };
+        let eb = run_fleet(&barrier, Executor::new(2)).expect("barrier runs");
         let cfg = FleetConfig {
             scheduler: FleetSchedulerKind::EventHorizon,
             ..small()
@@ -492,6 +496,7 @@ mod tests {
             devices: 8,
             events: 6,
             gateways: 3,
+            scheduler: FleetSchedulerKind::EpochBarrier,
             ..FleetConfig::default()
         };
         let report = run_fleet(&cfg, Executor::new(2)).expect("sharded fleet runs");

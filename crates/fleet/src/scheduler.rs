@@ -2,11 +2,12 @@
 //!
 //! Two interchangeable coordinators drive a fleet run:
 //!
-//! - **Epoch barrier** (the reference): every device steps to every
-//!   epoch boundary, every epoch. Per-epoch cost is O(N) regardless of
-//!   how many devices have anything to do — fine at 64 devices, a wall
-//!   at 10⁵.
-//! - **Event horizon**: a global priority queue of per-device next-due
+//! - **Epoch barrier** (the reference oracle, selected only by tests
+//!   and benches): every device steps to every epoch boundary, every
+//!   epoch. Per-epoch cost is O(N) regardless of how many devices have
+//!   anything to do — fine at 64 devices, a wall at 10⁵.
+//! - **Event horizon** (the default, and the only scheduler `qz fleet`
+//!   runs): a global priority queue of per-device next-due
 //!   epochs (from [`Simulation::next_uplink_due`], the conservative
 //!   bound on the next carrier sense). Only due devices wake each
 //!   processed epoch; everyone else stays parked and replays the
@@ -32,42 +33,20 @@ use std::collections::BinaryHeap;
 
 use qz_types::SplitMix64;
 
-/// Which coordinator drives the fleet run.
+/// Which coordinator drives the fleet run. Event horizon is the
+/// production scheduler; epoch barrier is the reference oracle that
+/// tests and benches select.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FleetSchedulerKind {
     /// Lockstep epochs: every device steps every epoch (the reference).
-    #[default]
     EpochBarrier,
     /// Priority-queue of next-due ticks: only due devices wake.
+    #[default]
     EventHorizon,
 }
 
 impl FleetSchedulerKind {
-    /// Parses a CLI/env spelling (`epoch-barrier`/`barrier`/`eb`,
-    /// `event-horizon`/`horizon`/`eh`).
-    pub fn parse(text: &str) -> Option<FleetSchedulerKind> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "epoch-barrier" | "epochbarrier" | "barrier" | "eb" => {
-                Some(FleetSchedulerKind::EpochBarrier)
-            }
-            "event-horizon" | "eventhorizon" | "horizon" | "eh" => {
-                Some(FleetSchedulerKind::EventHorizon)
-            }
-            _ => None,
-        }
-    }
-
-    /// Reads `QZ_FLEET_SCHEDULER`; `None` when unset or unparsable.
-    pub fn from_env() -> Option<FleetSchedulerKind> {
-        std::env::var("QZ_FLEET_SCHEDULER")
-            .ok()
-            .as_deref()
-            .and_then(FleetSchedulerKind::parse)
-    }
-
-    /// Canonical spelling (round-trips through [`parse`]).
-    ///
-    /// [`parse`]: FleetSchedulerKind::parse
+    /// Canonical spelling for reports.
     pub fn label(self) -> &'static str {
         match self {
             FleetSchedulerKind::EpochBarrier => "epoch-barrier",
@@ -329,32 +308,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_parses_all_spellings_and_round_trips() {
-        for (text, kind) in [
-            ("epoch-barrier", FleetSchedulerKind::EpochBarrier),
-            ("barrier", FleetSchedulerKind::EpochBarrier),
-            ("eb", FleetSchedulerKind::EpochBarrier),
-            ("event-horizon", FleetSchedulerKind::EventHorizon),
-            ("horizon", FleetSchedulerKind::EventHorizon),
-            ("EH", FleetSchedulerKind::EventHorizon),
-        ] {
-            assert_eq!(FleetSchedulerKind::parse(text), Some(kind));
-        }
-        assert_eq!(FleetSchedulerKind::parse("round-robin"), None);
-        for kind in [
-            FleetSchedulerKind::EpochBarrier,
-            FleetSchedulerKind::EventHorizon,
-        ] {
-            assert_eq!(FleetSchedulerKind::parse(kind.label()), Some(kind));
-        }
-        assert_eq!(
-            FleetSchedulerKind::default(),
-            FleetSchedulerKind::EpochBarrier,
-            "the reference stays the default"
-        );
-    }
-
-    #[test]
     fn shard_map_is_deterministic_in_range_and_covering() {
         let a = ShardMap::new(0xF1EE7, 512, 8);
         let b = ShardMap::new(0xF1EE7, 512, 8);
@@ -440,22 +393,6 @@ mod tests {
         }
         assert_eq!(r.wake_load(4, 0, 1), s.wake_load(4, 0, 1));
         assert_eq!(r.wake_load(4, 2, 1), s.wake_load(4, 2, 1));
-    }
-
-    #[test]
-    fn from_env_reads_the_scheduler_override() {
-        // No other test touches this variable, so the process-global
-        // mutation cannot race.
-        std::env::remove_var("QZ_FLEET_SCHEDULER");
-        assert_eq!(FleetSchedulerKind::from_env(), None);
-        std::env::set_var("QZ_FLEET_SCHEDULER", "event-horizon");
-        assert_eq!(
-            FleetSchedulerKind::from_env(),
-            Some(FleetSchedulerKind::EventHorizon)
-        );
-        std::env::set_var("QZ_FLEET_SCHEDULER", "not-a-scheduler");
-        assert_eq!(FleetSchedulerKind::from_env(), None, "garbage is ignored");
-        std::env::remove_var("QZ_FLEET_SCHEDULER");
     }
 
     #[test]

@@ -12,9 +12,8 @@ use std::io::{self, Write};
 use crate::event::{Event, EventKind};
 
 /// Number of event lines the emission arena accumulates before the
-/// formatted bytes flush to the writer in one `write_all`. Matches the
-/// engine's busy-block granularity; the bytes on the wire are exactly
-/// the per-event bytes, just batched.
+/// formatted bytes flush to the writer in one `write_all`; the bytes on
+/// the wire are exactly the per-event bytes, just batched.
 const EMIT_BLOCK_EVENTS: usize = 64;
 
 fn json_f64(v: f64) -> String {

@@ -90,8 +90,9 @@ impl HorizonCause {
                  injector without a quiet horizon) mean more of them",
             ),
             HorizonCause::BusyScheduler => Some(
-                "scheduler runs every tick while inputs queue; the batched busy-tick kernel \
-                 amortizes per-tick dispatch here (see the busy-kernel line below)",
+                "a powered-on idle device with queued inputs runs the scheduler on the \
+                 reference path; the pick usually starts a job at once, so these ticks track \
+                 jobs started and grow with scene density",
             ),
             HorizonCause::CaptureBoundary => {
                 Some("tiny capture periods collapse the horizon — see qz-check QZ070")
@@ -135,15 +136,8 @@ pub struct CauseStat {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HorizonStats {
     cells: [CauseStat; HorizonCause::COUNT],
-    /// Batched busy-tick blocks committed (runs of reference-semantics
-    /// ticks executed under per-block hoisted invariants).
-    busy_blocks: u64,
-    /// Reference ticks executed inside those blocks.
-    busy_block_ticks: u64,
-    /// Distribution of per-block occupancy (committed ticks per block).
-    block_hist: Log2Histogram,
-    /// Busy reference ticks that could not extend into a block (a
-    /// one-off boundary event: capture, telemetry, countdown expiry).
+    /// Busy reference ticks: fast-forward ticks whose horizon collapsed
+    /// to zero, each run through the reference tick body.
     busy_tail_ticks: u64,
 }
 
@@ -163,48 +157,36 @@ impl HorizonStats {
                 ref_ticks: 0,
                 span_hist: Log2Histogram::new(),
             }),
-            busy_blocks: 0,
-            busy_block_ticks: 0,
-            block_hist: Log2Histogram::new(),
             busy_tail_ticks: 0,
         }
     }
 
-    /// Records one batched busy-tick block of `ticks` reference-
-    /// semantics ticks attributed to `cause` (they still count as
-    /// forced reference ticks in the cause ranking — the block only
-    /// changes how cheaply they executed, not why they were forced).
-    pub fn record_busy_block(&mut self, cause: HorizonCause, ticks: u64) {
-        self.cells[cause.index()].ref_ticks += ticks;
-        self.busy_blocks += 1;
-        self.busy_block_ticks += ticks;
-        self.block_hist.record(ticks);
-    }
-
-    /// Records one busy reference tick that ran outside any block.
+    /// Records one busy reference tick forced by `cause`.
     pub fn record_busy_tail(&mut self, cause: HorizonCause) {
         self.cells[cause.index()].ref_ticks += 1;
         self.busy_tail_ticks += 1;
     }
 
-    /// Batched busy-tick blocks committed so far.
+    /// Always 0: the batched busy-tick kernel is retired and every busy
+    /// tick counts in [`HorizonStats::busy_tail_ticks`]. Kept so
+    /// existing readers of the block counters keep compiling.
     pub fn busy_blocks(&self) -> u64 {
-        self.busy_blocks
+        0
     }
 
-    /// Reference ticks executed inside busy blocks.
+    /// Always 0; see [`HorizonStats::busy_blocks`].
     pub fn busy_block_ticks(&self) -> u64 {
-        self.busy_block_ticks
+        0
     }
 
-    /// Busy reference ticks that ran outside any block.
+    /// Always 0; see [`HorizonStats::busy_blocks`].
+    pub fn median_block_occupancy(&self) -> u64 {
+        0
+    }
+
+    /// Busy reference ticks run by the fast-forward engine.
     pub fn busy_tail_ticks(&self) -> u64 {
         self.busy_tail_ticks
-    }
-
-    /// Median committed ticks per busy block (log2-bucket upper bound).
-    pub fn median_block_occupancy(&self) -> u64 {
-        self.block_hist.quantile(0.5)
     }
 
     /// Records one bulk-advanced span of `ticks` ended by `cause`.
@@ -248,9 +230,6 @@ impl HorizonStats {
             m.ref_ticks += t.ref_ticks;
             m.span_hist.merge(&t.span_hist);
         }
-        self.busy_blocks += other.busy_blocks;
-        self.busy_block_ticks += other.busy_block_ticks;
-        self.block_hist.merge(&other.block_hist);
         self.busy_tail_ticks += other.busy_tail_ticks;
     }
 
@@ -313,14 +292,10 @@ impl HorizonStats {
             total_ref,
             self.total_skipped_ticks(),
         ));
-        if self.busy_blocks > 0 || self.busy_tail_ticks > 0 {
+        if self.busy_tail_ticks > 0 {
             out.push_str(&format!(
-                "busy kernel: {} tick(s) in {} busy_block(s) (median occupancy {}), \
-                 {} busy_tail tick(s)\n",
-                self.busy_block_ticks,
-                self.busy_blocks,
-                self.median_block_occupancy(),
-                self.busy_tail_ticks,
+                "busy kernel: {} busy tick(s)\n",
+                self.busy_tail_ticks
             ));
         }
         for hint in hints {
@@ -354,13 +329,9 @@ impl HorizonStats {
         }
         out.push_str(&format!(
             "],\"total_ref_ticks\":{},\"total_skipped_ticks\":{},\
-             \"busy_blocks\":{},\"busy_block_ticks\":{},\"median_block_occupancy\":{},\
              \"busy_tail_ticks\":{}}}",
             self.total_ref_ticks(),
             self.total_skipped_ticks(),
-            self.busy_blocks,
-            self.busy_block_ticks,
-            self.median_block_occupancy(),
             self.busy_tail_ticks,
         ));
         out
@@ -385,7 +356,10 @@ mod tests {
         let busy = text.find("busy-scheduler").unwrap();
         let capture = text.find("capture-boundary").unwrap();
         assert!(busy < capture, "{text}");
-        assert!(text.contains("hint: scheduler runs every tick"), "{text}");
+        assert!(
+            text.contains("hint: a powered-on idle device with queued inputs"),
+            "{text}"
+        );
         assert_eq!(h.total_ref_ticks(), 105);
         assert_eq!(h.total_skipped_ticks(), 999);
     }
@@ -425,26 +399,30 @@ mod tests {
     #[test]
     fn busy_kernel_line_reports_blocks_and_tail() {
         let mut h = HorizonStats::new();
-        h.record_busy_block(HorizonCause::BusyScheduler, 64);
-        h.record_busy_block(HorizonCause::BusyScheduler, 64);
+        h.record_busy_tail(HorizonCause::BusyScheduler);
+        h.record_busy_tail(HorizonCause::BusyScheduler);
         h.record_busy_tail(HorizonCause::CaptureBoundary);
-        assert_eq!(h.total_ref_ticks(), 129);
-        assert_eq!(h.busy_blocks(), 2);
-        assert_eq!(h.busy_block_ticks(), 128);
-        assert_eq!(h.busy_tail_ticks(), 1);
-        let text = h.render_ranking();
-        assert!(
-            text.contains("busy kernel: 128 tick(s) in 2 busy_block(s)"),
-            "{text}"
+        assert_eq!(h.total_ref_ticks(), 3);
+        assert_eq!(h.cause(HorizonCause::BusyScheduler).ref_ticks, 2);
+        assert_eq!(h.busy_tail_ticks(), 3);
+        assert_eq!(
+            (
+                h.busy_blocks(),
+                h.busy_block_ticks(),
+                h.median_block_occupancy()
+            ),
+            (0, 0, 0),
+            "the retired block counters read zero"
         );
+        let text = h.render_ranking();
+        assert!(text.contains("busy kernel: 3 busy tick(s)\n"), "{text}");
         let json = h.to_json();
-        assert!(json.contains("\"busy_blocks\":2"), "{json}");
-        assert!(json.contains("\"busy_tail_ticks\":1"), "{json}");
+        assert!(json.contains("\"busy_tail_ticks\":3"), "{json}");
+        assert!(!json.contains("busy_block"), "{json}");
         let mut other = HorizonStats::new();
-        other.record_busy_block(HorizonCause::FaultCollapse, 10);
+        other.record_busy_tail(HorizonCause::FaultCollapse);
         other.merge(&h);
-        assert_eq!(other.busy_blocks(), 3);
-        assert_eq!(other.busy_block_ticks(), 138);
+        assert_eq!(other.busy_tail_ticks(), 4);
     }
 
     #[test]

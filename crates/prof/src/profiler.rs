@@ -60,13 +60,16 @@ pub enum Phase {
     /// Restoring a simulation from a snapshot
     /// (`Simulation::restore_state`).
     SnapRestore,
-    /// One batched busy-tick block (`Simulation::busy_block`): a run of
-    /// reference-semantics ticks executed with per-block hoisted
-    /// invariants (solar segment, emission due-ness, prepared power
-    /// step).
+    /// No longer recorded: the batched busy-tick kernel is retired and
+    /// every busy tick is a `BusyTail`. The variant and its
+    /// `busy_block` label stay so readers that look the phase up by
+    /// name still resolve it (to an empty phase).
     BusyBlock,
-    /// A single busy reference tick that could not extend into a block
-    /// (a boundary event: capture, telemetry, countdown expiry).
+    /// One busy reference tick under the fast-forward engine: the
+    /// horizon planner found no quiescent span (a busy scheduler, a
+    /// fault candidate, or a boundary event such as a capture,
+    /// telemetry sample or countdown expiry), so the tick ran the
+    /// reference tick body.
     BusyTail,
 }
 

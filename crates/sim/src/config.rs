@@ -130,7 +130,9 @@ impl PowerConfig {
 ///
 /// Both engines produce byte-identical metrics, telemetry, and observer
 /// event streams for the same configuration and seed; fast-forward only
-/// changes how quickly the answer arrives.
+/// changes how quickly the answer arrives. The tick engine is the
+/// reference oracle that tests and benches select; the `qz` CLI always
+/// runs fast-forward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
     /// The reference fixed-increment loop: every 1 ms tick runs the full
@@ -144,24 +146,6 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Parses an engine name as accepted by `--engine` and `QZ_ENGINE`:
-    /// `tick` (or `reference`) and `fast` (or `fast-forward`, `ff`).
-    pub fn parse(name: &str) -> Option<EngineKind> {
-        match name.to_ascii_lowercase().as_str() {
-            "tick" | "reference" => Some(EngineKind::Tick),
-            "fast" | "fast-forward" | "fastforward" | "ff" => Some(EngineKind::FastForward),
-            _ => None,
-        }
-    }
-
-    /// The engine selected by the `QZ_ENGINE` environment variable, if
-    /// it is set to a recognized name.
-    pub fn from_env() -> Option<EngineKind> {
-        std::env::var("QZ_ENGINE")
-            .ok()
-            .and_then(|v| EngineKind::parse(&v))
-    }
-
     /// Short label for reports and logs.
     pub fn label(self) -> &'static str {
         match self {
@@ -220,21 +204,5 @@ mod tests {
     fn checkpoint_reserve_covers_checkpoint() {
         let d = DeviceConfig::default();
         assert!(d.checkpoint_reserve() > d.checkpoint_energy);
-    }
-
-    #[test]
-    fn engine_names_parse() {
-        assert_eq!(EngineKind::parse("tick"), Some(EngineKind::Tick));
-        assert_eq!(EngineKind::parse("reference"), Some(EngineKind::Tick));
-        assert_eq!(EngineKind::parse("fast"), Some(EngineKind::FastForward));
-        assert_eq!(
-            EngineKind::parse("FAST-FORWARD"),
-            Some(EngineKind::FastForward)
-        );
-        assert_eq!(EngineKind::parse("ff"), Some(EngineKind::FastForward));
-        assert_eq!(EngineKind::parse("warp"), None);
-        assert_eq!(EngineKind::default(), EngineKind::FastForward);
-        assert_eq!(EngineKind::Tick.label(), "tick");
-        assert_eq!(EngineKind::FastForward.label(), "fast-forward");
     }
 }

@@ -88,14 +88,6 @@ struct ActiveJob {
     tx_wait: bool,
 }
 
-/// Block size of the batched busy-tick kernel: runs of busy ticks in
-/// repeating regimes (fault-candidate ticks, scheduler-every-tick
-/// crowds) execute in fixed blocks of up to this many ticks with the
-/// per-tick invariants hoisted into a per-block prologue. Observables
-/// stay byte-identical to the reference loop; see
-/// [`Simulation::busy_block`].
-const BUSY_BLOCK_TICKS: u64 = 64;
-
 /// One simulated device run: environment + power system + runtime +
 /// application pipeline.
 ///
@@ -756,27 +748,15 @@ impl<'a> Simulation<'a> {
 
     /// Advances the simulation. Under [`EngineKind::Tick`] this is
     /// exactly one 1 ms tick; under [`EngineKind::FastForward`] it is
-    /// one tick, one batched block of busy ticks, *or* one
-    /// bulk-advanced quiescent span — every observable (metrics,
-    /// telemetry, observer events) is identical in all three cases.
+    /// one tick *or* one bulk-advanced quiescent span — every observable
+    /// (metrics, telemetry, observer events) is identical either way.
     /// Returns `false` once the simulation has finished (events over,
     /// work drained, or horizon reached).
     pub fn step(&mut self) -> bool {
         if self.done {
             return false;
         }
-        if self.cfg.engine == EngineKind::FastForward {
-            let (span, cause) = self.quiescent_span();
-            if span > 0 {
-                self.horizon_stats.record_span(cause, span);
-                let t0 = self.prof.begin();
-                let alive = self.advance_span(span);
-                self.prof.end(Phase::SpanAdvance, t0);
-                return alive;
-            }
-            return self.busy_ticks(cause, u64::MAX);
-        }
-        self.step_tick()
+        self.step_at_most(u64::MAX)
     }
 
     /// Steps until `limit` (exclusive) or completion, whichever comes
@@ -786,26 +766,35 @@ impl<'a> Simulation<'a> {
     /// the tick engine would expose.
     pub fn step_until(&mut self, limit: SimTime) -> bool {
         while !self.done && self.now < limit {
-            if self.cfg.engine == EngineKind::FastForward {
-                let (raw, cause) = self.quiescent_span();
-                let span = raw.min(limit.as_millis().saturating_sub(self.now.as_millis()));
-                if span > 0 {
-                    self.horizon_stats.record_span(cause, span);
-                    let t0 = self.prof.begin();
-                    self.advance_span(span);
-                    self.prof.end(Phase::SpanAdvance, t0);
-                } else {
-                    // Busy ticks batch too, but blocks never cross
-                    // `limit`: the barrier sees the same intermediate
-                    // state the tick engine would expose.
-                    let remaining = limit.as_millis() - self.now.as_millis();
-                    self.busy_ticks(cause, remaining);
-                }
-                continue;
-            }
-            self.step_tick();
+            self.step_at_most(limit.as_millis() - self.now.as_millis());
         }
         !self.done
+    }
+
+    /// One engine step of at most `max_ticks` (≥ 1) ticks: a quiescent
+    /// span clamped to `max_ticks` when the horizon planner finds one,
+    /// otherwise a single reference tick (a *busy* tick under
+    /// fast-forward, attributed to the bound that forced it).
+    fn step_at_most(&mut self, max_ticks: u64) -> bool {
+        let phase = if self.cfg.engine == EngineKind::Tick {
+            Phase::RefTick
+        } else {
+            let (raw, cause) = self.quiescent_span();
+            let span = raw.min(max_ticks);
+            if span > 0 {
+                self.horizon_stats.record_span(cause, span);
+                let t0 = self.prof.begin();
+                let alive = self.advance_span(span);
+                self.prof.end(Phase::SpanAdvance, t0);
+                return alive;
+            }
+            self.horizon_stats.record_busy_tail(cause);
+            Phase::BusyTail
+        };
+        let t0 = self.prof.begin();
+        let alive = self.step_tick();
+        self.prof.end(phase, t0);
+        alive
     }
 
     /// How many ticks from `now` are provably *quiescent*: no capture
@@ -1061,13 +1050,6 @@ impl<'a> Simulation<'a> {
 
     /// Advances one 1 ms tick of the reference loop.
     fn step_tick(&mut self) -> bool {
-        let t0 = self.prof.begin();
-        let alive = self.step_tick_inner();
-        self.prof.end(Phase::RefTick, t0);
-        alive
-    }
-
-    fn step_tick_inner(&mut self) -> bool {
         let t = self.now;
         let irr = self.env.solar().irradiance(t);
         // Stamp every event emitted this tick (runtime- and sim-side)
@@ -1112,85 +1094,48 @@ impl<'a> Simulation<'a> {
             .is_some_and(|rec| (t % rec.interval).is_zero());
         let snapshot_due = self.runtime.observing() && (t % self.snapshot_every).is_zero();
         if recorder_due || snapshot_due {
-            self.emit_samples(t, irr, recorder_due, snapshot_due);
+            let t_obs = self.prof.begin();
+            let sample = TelemetrySample {
+                t,
+                irradiance: irr,
+                stored: self.power.capacitor().energy(),
+                on: self.state == DeviceState::On,
+                occupancy: self.buffer.occupancy(),
+                lambda: self.runtime.lambda(),
+                correction: self.runtime.correction().value(),
+                active_option: self.job.as_ref().map(|j| j.option),
+                ibo_discards: self.metrics.ibo_discards,
+            };
+            if snapshot_due {
+                self.runtime
+                    .emit_event(EventKind::Snapshot(sample.to_snapshot()));
+            }
+            if recorder_due {
+                self.recorder
+                    .as_mut()
+                    .expect("recorder_due implies recorder")
+                    .telemetry
+                    .push(sample);
+            }
+            self.prof.end(Phase::ObsEmit, t_obs);
         }
 
         // 4b. Fault hooks: let the adversary observe the tick and decide
         //     on a forced power failure before normal progress runs.
-        let forced_failure = if self.fault.is_some() {
-            self.fault_hooks(t)
-        } else {
-            false
-        };
-
-        // 5. Power-state transitions and work progress.
-        self.tick_transitions(t, irr, out.brownout, forced_failure);
-
-        self.now = t.tick();
-
-        // 6. Termination: horizon, or everything drained after the last
-        //    event.
-        let drained = self.now >= self.events_end && self.job.is_none() && self.buffer.is_idle();
-        if self.now >= self.horizon || drained {
-            self.finalize();
-            return false;
-        }
-        true
-    }
-
-    /// Builds this tick's telemetry sample and routes it to the
-    /// due consumers (observer `Snapshot` event, legacy recorder).
-    /// Shared verbatim by the reference tick and the busy-block kernel
-    /// so the emitted bytes cannot diverge between them.
-    fn emit_samples(&mut self, t: SimTime, irr: f64, recorder_due: bool, snapshot_due: bool) {
-        let t_obs = self.prof.begin();
-        let sample = TelemetrySample {
-            t,
-            irradiance: irr,
-            stored: self.power.capacitor().energy(),
-            on: self.state == DeviceState::On,
-            occupancy: self.buffer.occupancy(),
-            lambda: self.runtime.lambda(),
-            correction: self.runtime.correction().value(),
-            active_option: self.job.as_ref().map(|j| j.option),
-            ibo_discards: self.metrics.ibo_discards,
-        };
-        if snapshot_due {
-            self.runtime
-                .emit_event(EventKind::Snapshot(sample.to_snapshot()));
-        }
-        if recorder_due {
-            self.recorder
-                .as_mut()
-                .expect("recorder_due implies recorder")
-                .telemetry
-                .push(sample);
-        }
-        self.prof.end(Phase::ObsEmit, t_obs);
-    }
-
-    /// Runs the per-tick fault hooks (adversary observation plus the
-    /// forced-power-failure decision). Callers must only invoke this
-    /// with an injector installed.
-    fn fault_hooks(&mut self, t: SimTime) -> bool {
-        // The context snapshot needs `&self`, so build it before
-        // borrowing the injector mutably.
-        let ctx = self.fault_context(t);
         let mut forced_failure = false;
-        if let Some(f) = self.fault.as_mut() {
-            f.on_tick(&ctx);
-            if self.state == DeviceState::On {
-                forced_failure = f.force_power_failure(&ctx);
+        if self.fault.is_some() {
+            // The context snapshot needs `&self`, so build it before
+            // borrowing the injector mutably.
+            let ctx = self.fault_context(t);
+            if let Some(f) = self.fault.as_mut() {
+                f.on_tick(&ctx);
+                if self.state == DeviceState::On {
+                    forced_failure = f.force_power_failure(&ctx);
+                }
             }
         }
-        forced_failure
-    }
 
-    /// The reference tick's power-state transition and work-progress
-    /// step (step 5): forced failures, natural failures, restores, and
-    /// job/scheduler progress. Shared verbatim by the reference tick
-    /// and the busy-block kernel.
-    fn tick_transitions(&mut self, t: SimTime, irr: f64, brownout: bool, forced_failure: bool) {
+        // 5. Power-state transitions and work progress.
         if forced_failure {
             // Adversarial brownout: drain stored energy down to the
             // checkpoint reserve, then take the normal failure path so
@@ -1211,7 +1156,7 @@ impl<'a> Simulation<'a> {
                 DeviceState::On => {
                     if self.power.capacitor().energy() <= self.cfg.device.checkpoint_reserve() {
                         self.on_power_failure();
-                    } else if !brownout {
+                    } else if !out.brownout {
                         self.progress(t, irr);
                     }
                 }
@@ -1233,149 +1178,17 @@ impl<'a> Simulation<'a> {
                 }
             }
         }
-    }
 
-    /// Dispatches a run of busy (non-quiescent) ticks: repeating busy
-    /// regimes — fault-candidate ticks, the scheduler-every-tick crowd —
-    /// enter the batched [`Simulation::busy_block`] kernel; one-off
-    /// boundary events (capture, telemetry, countdown expiry) run a
-    /// single reference tick, the busy *tail*. Both paths execute
-    /// reference-loop semantics tick for tick; only the dispatch cost
-    /// and the profiler attribution differ.
-    fn busy_ticks(&mut self, cause: HorizonCause, limit_ticks: u64) -> bool {
-        let blockable = matches!(
-            cause,
-            HorizonCause::FaultCollapse | HorizonCause::BusyScheduler
-        );
-        if blockable && limit_ticks > 1 {
-            let t0 = self.prof.begin();
-            let (ticks, alive) = if self.fault.is_some() {
-                self.busy_block::<true>(cause, limit_ticks)
-            } else {
-                self.busy_block::<false>(cause, limit_ticks)
-            };
-            self.prof.end(Phase::BusyBlock, t0);
-            self.horizon_stats.record_busy_block(cause, ticks);
-            alive
-        } else {
-            self.horizon_stats.record_busy_tail(cause);
-            let t0 = self.prof.begin();
-            let alive = self.step_tick_inner();
-            self.prof.end(Phase::BusyTail, t0);
-            alive
-        }
-    }
+        self.now = t.tick();
 
-    /// The batched busy-tick kernel: executes up to
-    /// [`BUSY_BLOCK_TICKS`] consecutive reference-semantics ticks with
-    /// the per-tick invariants hoisted into a per-block prologue. The
-    /// prologue precomputes when the next capture boundary, telemetry
-    /// sample, or observer snapshot falls due and ends the block just
-    /// before it (a boundary due *now* runs inside the first tick,
-    /// exactly like the reference loop), pins the solar segment so the
-    /// harvester conversion hoists out of the loop
-    /// ([`PowerSystem::step_prepared`]), and monomorphizes over fault
-    /// presence. Every tick then runs the same helper sequence as
-    /// [`Simulation::step_tick_inner`] on the same values, so
-    /// observables are byte-identical by construction.
-    ///
-    /// Degradation to reference is exact: any in-block event that ends
-    /// the repeating busy regime named by `cause` (the scheduler starts
-    /// a job, the device powers down, the buffer drains; the adversary
-    /// promises the next tick quiet) commits the tick that caused it and
-    /// returns to the horizon planner, which re-plans from that tick.
-    fn busy_block<const FAULT: bool>(
-        &mut self,
-        cause: HorizonCause,
-        limit_ticks: u64,
-    ) -> (u64, bool) {
-        let t0 = self.now;
-        let start_ms = t0.as_millis();
-        // --- Prologue: hoist per-tick due-ness into a block end. ---
-        let mut end_ms = start_ms.saturating_add(BUSY_BLOCK_TICKS.min(limit_ticks));
-        let period = self.cfg.device.capture_period;
-        let first_capture = t0 < self.events_end && (t0 % period).is_zero();
-        if t0 < self.events_end {
-            end_ms = end_ms.min(t0.tick().next_multiple_of(period).as_millis());
+        // 6. Termination: horizon, or everything drained after the last
+        //    event.
+        let drained = self.now >= self.events_end && self.job.is_none() && self.buffer.is_idle();
+        if self.now >= self.horizon || drained {
+            self.finalize();
+            return false;
         }
-        let first_recorder = self
-            .recorder
-            .as_ref()
-            .is_some_and(|rec| (t0 % rec.interval).is_zero());
-        if let Some(rec) = &self.recorder {
-            end_ms = end_ms.min(t0.tick().next_multiple_of(rec.interval).as_millis());
-        }
-        let observing = self.runtime.observing();
-        let first_snapshot = observing && (t0 % self.snapshot_every).is_zero();
-        if observing {
-            end_ms = end_ms.min(t0.tick().next_multiple_of(self.snapshot_every).as_millis());
-        }
-        end_ms = end_ms.min(self.horizon.as_millis());
-        // Solar segment: irradiance is constant across the block, so
-        // the harvester conversion runs once.
-        let (irr, seg) = self.env.solar().constant_until(t0);
-        end_ms = end_ms.min(start_ms.saturating_add(seg.max(1)));
-        let input_power = self.power.input_power(irr);
-        // --- Block body: reference-tick semantics, hoisted checks. ---
-        let mut ticks = 0;
-        loop {
-            let t = self.now;
-            self.runtime.set_time_ms(t.as_millis());
-            let first = ticks == 0;
-            if first && first_capture {
-                self.on_capture_boundary(t);
-            }
-            let load = match self.state {
-                DeviceState::Off => self.cfg.device.off_leakage,
-                DeviceState::On => self.current_power(),
-            };
-            let out = self
-                .power
-                .step_prepared(input_power, load, SimDuration::TICK);
-            self.metrics.energy_harvested += out.harvested;
-            self.metrics.energy_wasted += out.wasted;
-            match self.state {
-                DeviceState::On => self.metrics.time_on += SimDuration::TICK,
-                DeviceState::Off => self.metrics.time_off += SimDuration::TICK,
-            }
-            self.metrics.occupancy_ms += self.buffer.occupancy() as u64;
-            if first && (first_recorder || first_snapshot) {
-                self.emit_samples(t, irr, first_recorder, first_snapshot);
-            }
-            let forced_failure = if FAULT { self.fault_hooks(t) } else { false };
-            self.tick_transitions(t, irr, out.brownout, forced_failure);
-            self.now = t.tick();
-            ticks += 1;
-            let drained =
-                self.now >= self.events_end && self.job.is_none() && self.buffer.is_idle();
-            if self.now >= self.horizon || drained {
-                self.finalize();
-                return (ticks, false);
-            }
-            if self.now.as_millis() >= end_ms {
-                break;
-            }
-            let on = self.state == DeviceState::On;
-            let regime_holds = match cause {
-                HorizonCause::BusyScheduler => on && self.job.is_none() && !self.buffer.is_idle(),
-                // Still a fault candidate: the adversary cannot promise
-                // the next tick quiet.
-                _ => {
-                    FAULT
-                        && self
-                            .fault
-                            .as_ref()
-                            .is_some_and(|f| f.quiet_ticks(self.now, on, 1) == 0)
-                }
-            };
-            if !regime_holds {
-                // The regime ended (a job started, the device powered
-                // down, the buffer drained; the next tick is quiet):
-                // commit the prefix and re-plan from this tick.
-                break;
-            }
-        }
-        (ticks, true)
+        true
     }
 
     /// Executes one capture-path firing: sense, prefilter, and (for
@@ -2481,10 +2294,6 @@ mod tests {
             h.cause(HorizonCause::FaultCollapse).ref_ticks > h.total_ref_ticks() / 2,
             "{}",
             h.render_ranking()
-        );
-        assert!(
-            h.median_block_occupancy() > 1,
-            "candidate ticks still batch"
         );
     }
 

@@ -34,9 +34,8 @@ pub enum EnvironmentKind {
     /// Alternating storms and lulls: events capped at 2 s arriving in
     /// dense bursts separated by ~10 s quiet gaps. Outside the paper's
     /// table; built to exercise the mixed regime where the engine
-    /// switches between bulk-advanced quiescent spans and batched
-    /// busy-tick blocks most often (the kernel's prologue/tail
-    /// boundary).
+    /// switches between bulk-advanced quiescent spans and busy
+    /// reference ticks most often.
     Burst,
 }
 

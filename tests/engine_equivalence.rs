@@ -29,6 +29,7 @@ use qz_app::{
 use qz_baselines::BaselineKind;
 use qz_fault::{run_one, AdversarialInjector, FaultPlan, FaultStats};
 use qz_obs::RecordingObserver;
+use qz_prof::HorizonCause;
 use qz_sim::{CheckpointPolicy, EngineKind, FaultContext, FaultInjector, FaultPhase, SimState};
 use qz_traces::{EnvironmentKind, SensingEnvironment, SolarTrace};
 use qz_types::{SimDuration, SimTime, SplitMix64};
@@ -204,14 +205,13 @@ fn fast_forward_is_byte_identical_across_randomized_cases() {
     );
 }
 
-/// Kernel-boundary torture class: randomized configurations whose
-/// invariant-invalidating events land on the batched busy-tick kernel's
-/// block edges. Capture and telemetry periods are pinned to
-/// `64k + {0, 1, 63}` ms so periodic due-ness flips exactly at (or one
-/// tick either side of) a 64-tick block boundary, and the adversarial
-/// injector activates mid-run at instants `≡ 0, 1, 63 (mod 64)` — the
-/// three offsets where a prologue that clamps one tick too early or too
-/// late would emit different bytes. Metrics, the structural event
+/// Boundary torture class: randomized configurations whose
+/// invariant-invalidating events land on 64-tick residues. Capture and
+/// telemetry periods are pinned to `64k + {0, 1, 63}` ms so periodic
+/// due-ness flips exactly at (or one tick either side of) a multiple of
+/// 64, and the adversarial injector activates mid-run at instants
+/// `≡ 0, 1, 63 (mod 64)`, an off-by-one sweep of the horizon planner's
+/// due-checks. Metrics, the structural event
 /// stream, serialized JSONL bytes, reconstructed telemetry CSV bytes,
 /// and fault statistics must all be identical across engines.
 #[test]
@@ -223,14 +223,14 @@ fn kernel_boundary_torture_cases_are_byte_identical() {
         for &fault_off in &offsets {
             let mut case = draw_case(&mut rng, index);
             index += 1;
-            // Capture cadence a multiple of the 64-tick block (1024 ≡
-            // 0 mod 64) plus the torture offset, so successive capture
-            // boundaries sweep the residues around block edges. Stays
+            // Capture cadence a multiple of 64 ticks (1024 ≡ 0 mod 64)
+            // plus the torture offset, so successive capture
+            // boundaries sweep the residues around multiples of 64. Stays
             // ≥ 1 s to keep the config past the QZ010 overflow
             // preflight.
             let capture_ms = 1024 * (1 + rng.next_below(3)) + period_off;
             case.tweaks.capture_period = SimDuration::from_millis(capture_ms.max(1));
-            // Fault activation pinned to a block-aligned instant.
+            // Fault activation pinned near a multiple of 64 ticks.
             let fault_at = SimTime::from_millis(64 * 200 + fault_off);
             let plan = match rng.next_below(3) {
                 0 => FaultPlan::smoke(),
@@ -294,9 +294,8 @@ fn kernel_boundary_torture_cases_are_byte_identical() {
 }
 
 /// Drives the fast-forward engine through `step_until` barriers whose
-/// limits sweep every offset around the 64-tick block size (so busy
-/// blocks are truncated at 1, 63, 64, 65, … remaining ticks), and
-/// demands the final metrics and event stream match the reference
+/// limits sweep chunk sizes 1, 63, 64, 65, … (so quiescent spans are
+/// truncated at arbitrary remaining budgets), and demands the final metrics and event stream match the reference
 /// engine run to completion in one go.
 #[test]
 fn step_until_boundary_chunks_match_reference() {
@@ -393,13 +392,13 @@ fn telemetry_csv_bytes_match_across_engines() {
 
 /// An armed injector that can never fire must leave the fast-forward
 /// engine's horizon accounting exactly as it is without an injector:
-/// every span, busy block and tail the same. In particular a
-/// scheduler-every-tick block ends when that regime ends, armed
-/// adversary or not.
+/// every span and busy tick the same. In particular a
+/// scheduler-every-tick run of busy ticks ends when that regime ends,
+/// armed adversary or not.
 #[test]
 fn armed_none_plan_matches_the_uninjected_horizon_exactly() {
     let mut rng = SplitMix64::new(SUITE_SEED ^ 0x0E0E);
-    let mut busy_blocks = 0;
+    let mut busy_scheduler_ticks = 0;
     for index in 0..12u64 {
         let case = draw_case(&mut rng, index);
         let tweaks = case.tweaks_for(EngineKind::FastForward);
@@ -409,7 +408,10 @@ fn armed_none_plan_matches_the_uninjected_horizon_exactly() {
         while clean.step() {}
         while armed.step() {}
         assert_eq!(clean.metrics(), armed.metrics(), "{}", case.describe());
-        busy_blocks += clean.horizon_stats().busy_blocks();
+        busy_scheduler_ticks += clean
+            .horizon_stats()
+            .cause(HorizonCause::BusyScheduler)
+            .ref_ticks;
         assert_eq!(
             clean.horizon_stats(),
             armed.horizon_stats(),
@@ -419,7 +421,10 @@ fn armed_none_plan_matches_the_uninjected_horizon_exactly() {
             armed.horizon_stats().render_ranking()
         );
     }
-    assert!(busy_blocks > 0, "the cases must exercise the busy kernel");
+    assert!(
+        busy_scheduler_ticks > 0,
+        "the cases must exercise the busy scheduler"
+    );
 }
 
 /// What the fault hooks saw on one tick of a scouting run.

@@ -75,8 +75,9 @@ fn different_fleet_seeds_diverge() {
 
 /// Runs the same config under both schedulers and asserts every
 /// deterministic output surface matches byte for byte: JSON, CSV,
-/// rendered text, and the qz-obs metrics registry.
-fn assert_schedulers_agree(cfg: &FleetConfig, threads: usize) {
+/// rendered text, and the qz-obs metrics registry. Returns the agreed
+/// JSON report.
+fn assert_schedulers_agree(cfg: &FleetConfig, threads: usize) -> String {
     let eb = run_fleet(
         &FleetConfig {
             scheduler: FleetSchedulerKind::EpochBarrier,
@@ -101,6 +102,7 @@ fn assert_schedulers_agree(cfg: &FleetConfig, threads: usize) {
         eh.registry().render(),
         "metrics registry diverged"
     );
+    eb.to_json()
 }
 
 #[test]
@@ -122,7 +124,14 @@ fn cross_scheduler_identity_holds_at_any_thread_count() {
         events: 8,
         ..FleetConfig::default()
     };
-    let reference = run_fleet(&cfg, Executor::new(1)).expect("reference");
+    let reference = run_fleet(
+        &FleetConfig {
+            scheduler: FleetSchedulerKind::EpochBarrier,
+            ..cfg.clone()
+        },
+        Executor::new(1),
+    )
+    .expect("reference");
     for threads in [1, 2, 8] {
         let eh = run_fleet(
             &FleetConfig {
@@ -136,16 +145,25 @@ fn cross_scheduler_identity_holds_at_any_thread_count() {
     }
 }
 
+/// The schedulers agree under either stepping engine, and the engines
+/// agree with each other: a fleet stepped by the per-tick reference
+/// loop reports the same JSON bytes as one stepped by fast-forward.
 #[test]
 fn cross_scheduler_identity_holds_on_both_stepping_engines() {
-    for engine in [qz_sim::EngineKind::FastForward, qz_sim::EngineKind::Tick] {
-        let mut cfg = FleetConfig {
-            devices: 4,
-            events: 5,
-            ..FleetConfig::default()
-        };
-        cfg.tweaks.engine = engine;
-        assert_schedulers_agree(&cfg, 2);
+    for (devices, events) in [(4, 5), (6, 10)] {
+        let reports = [qz_sim::EngineKind::FastForward, qz_sim::EngineKind::Tick].map(|engine| {
+            let mut cfg = FleetConfig {
+                devices,
+                events,
+                ..FleetConfig::default()
+            };
+            cfg.tweaks.engine = engine;
+            assert_schedulers_agree(&cfg, 2)
+        });
+        assert_eq!(
+            reports[0], reports[1],
+            "tick and fast-forward fleet JSON diverged at {devices} devices x {events} events"
+        );
     }
 }
 

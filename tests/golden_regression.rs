@@ -123,7 +123,9 @@ golden!(
 /// The fleet layer gets the same treatment: a small 3-device run whose
 /// entire JSON report is snapshotted byte-for-byte. Covers per-device
 /// simulation, uplink contention accounting, and aggregate statistics
-/// in one artifact. Regenerate after an intentional behaviour change:
+/// in one artifact. Pinned to the epoch-barrier reference scheduler.
+/// Regenerate after an intentional behaviour change (`qz fleet` runs the
+/// event-horizon scheduler, which must reproduce the same bytes):
 /// `qz fleet --devices 3 --events 6 --seed 424242 --json tests/golden/fleet_small.json`
 #[test]
 fn fleet_small_json_snapshot() {
@@ -131,6 +133,7 @@ fn fleet_small_json_snapshot() {
         devices: 3,
         events: 6,
         fleet_seed: SEED,
+        scheduler: qz_fleet::FleetSchedulerKind::EpochBarrier,
         ..qz_fleet::FleetConfig::default()
     };
     let report = qz_fleet::run_fleet(&cfg, qz_fleet::Executor::new(2)).expect("fleet runs");
