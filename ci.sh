@@ -31,7 +31,7 @@ echo "== test-count guard =="
 # The suite must never silently shrink (a deleted [[test]] stanza or a
 # dropped module compiles fine and loses coverage without failing CI).
 # Raise the floor when tests are added; never lower it casually.
-test_floor=931
+test_floor=948
 test_count=$(cargo test -q --workspace -- --list 2>/dev/null | grep -c ': test$')
 echo "   ${test_count} tests (floor ${test_floor})"
 if [ "${test_count}" -lt "${test_floor}" ]; then
@@ -56,8 +56,8 @@ echo "== qz verify: envelope proofs + a caught refutation =="
 # --deny-unproven turns any UNKNOWN or REFUTED verdict into a CI
 # failure. Conversely, on the Crowded scene even Quetzal overflows
 # under the envelope's floor corner (crowded scenes discard frames by
-# design), so verify must exit nonzero there AND print a runnable
-# single-line repro — the directed-search contract, end to end.
+# design), so verify must exit nonzero there AND print a single-line
+# repro that runs — the directed-search contract, end to end.
 cargo run -q --bin qz -- verify --env quiet --events 12 \
     --deny-unproven > /dev/null
 if verify_out=$(cargo run -q --bin qz -- verify --system QZ --device apollo4 \
@@ -66,7 +66,9 @@ if verify_out=$(cargo run -q --bin qz -- verify --system QZ --device apollo4 \
     exit 1
 fi
 grep -q "REFUTED" <<< "${verify_out}"
-grep -q "repro: qz run .* --solar floor" <<< "${verify_out}"
+verify_repro=$(grep -m1 -o "repro: qz run .* --solar floor.*" <<< "${verify_out}")
+read -ra repro_args <<< "${verify_repro#repro: qz }"
+cargo run -q --bin qz -- "${repro_args[@]}" > /dev/null
 
 echo "== qz fleet: smoke run + thread-count determinism =="
 # A small fleet must complete, and the JSON report must be byte-identical
@@ -179,11 +181,18 @@ echo "== qz bisect: exact first-divergence + runnable repro =="
 # Binary-searching a heavy campaign against its fault-free twin must
 # land on the exact first divergent millisecond (pinned — the linear
 # lockstep-scan validation is in qz-fault's tests) and print a repro
-# line in `qz fault` vocabulary.
+# line in `qz fault` vocabulary that runs. A violating campaign only
+# sets the exit code; parse and I/O failures print `error:`.
 bisect_out=$(cargo run -q --bin qz -- bisect --preset heavy --events 4 \
     --inject-at 15 --stride 5 --ring 16)
 grep -q "first diverges from its fault-free twin at t=15001ms" <<< "${bisect_out}"
-grep -q "repro: qz fault .* --campaigns 1 --inject-at 15" <<< "${bisect_out}"
+bisect_repro=$(grep -o "repro: qz fault .* --campaigns 1 --inject-at 15" <<< "${bisect_out}")
+read -ra repro_args <<< "${bisect_repro#repro: qz }"
+repro_err=$(cargo run -q --bin qz -- "${repro_args[@]}" 2>&1 > /dev/null) || true
+if grep -q "error:" <<< "${repro_err}"; then
+    echo "bisect repro line failed: ${repro_err}" >&2
+    exit 1
+fi
 
 echo "== examples (each front-ends its config through qz-check) =="
 for example in quickstart smart_camera wildlife_monitor custom_policy hw_ratio_module; do

@@ -58,6 +58,46 @@ impl BaselineKind {
             BaselineKind::LcfsIbo => "LCFS".into(),
         }
     }
+
+    /// Stable command-line spelling (`qz --system`), as repro lines
+    /// print it. Kinds without a spelling render as their nearest kin:
+    /// `QuetzalVar` as `qz`, and every `PowerThreshold` as `pzo`.
+    pub fn token(&self) -> String {
+        match self {
+            BaselineKind::Quetzal | BaselineKind::QuetzalVar(_) => "qz".into(),
+            BaselineKind::QuetzalHw => "qz-hw".into(),
+            BaselineKind::NoAdapt => "na".into(),
+            BaselineKind::AlwaysDegrade => "ad".into(),
+            BaselineKind::CatNap => "cn".into(),
+            BaselineKind::FixedThreshold(p) => format!("th{:.0}", p * 100.0),
+            BaselineKind::PowerThreshold(_) => "pzo".into(),
+            BaselineKind::AvgSe2e => "avgse2e".into(),
+            BaselineKind::FcfsIbo => "fcfs".into(),
+            BaselineKind::LcfsIbo => "lcfs".into(),
+        }
+    }
+
+    /// Parses a [`token`](Self::token), case-insensitively, plus the
+    /// long aliases (`quetzal`, `noadapt`, `alwaysdegrade`, `catnap`,
+    /// `avg`). Only the figure thresholds `th25`/`th50`/`th75` and the
+    /// datasheet `pzo` (30 mW) have spellings.
+    pub fn parse(s: &str) -> Option<BaselineKind> {
+        Some(match s.to_ascii_lowercase().as_str() {
+            "qz" | "quetzal" => BaselineKind::Quetzal,
+            "qz-hw" => BaselineKind::QuetzalHw,
+            "na" | "noadapt" => BaselineKind::NoAdapt,
+            "ad" | "alwaysdegrade" => BaselineKind::AlwaysDegrade,
+            "cn" | "catnap" => BaselineKind::CatNap,
+            "th25" => BaselineKind::FixedThreshold(0.25),
+            "th50" => BaselineKind::FixedThreshold(0.50),
+            "th75" => BaselineKind::FixedThreshold(0.75),
+            "pzo" => BaselineKind::PowerThreshold(Watts(0.030)),
+            "fcfs" => BaselineKind::FcfsIbo,
+            "lcfs" => BaselineKind::LcfsIbo,
+            "avgse2e" | "avg" => BaselineKind::AvgSe2e,
+            _ => return None,
+        })
+    }
 }
 
 impl fmt::Display for BaselineKind {
@@ -134,6 +174,32 @@ mod tests {
     use quetzal::model::{AppSpecBuilder, TaskCost};
     use quetzal::runtime::BufferView;
     use qz_types::Seconds;
+
+    #[test]
+    fn every_parseable_kind_round_trips_through_its_token() {
+        let parseable = [
+            BaselineKind::Quetzal,
+            BaselineKind::QuetzalHw,
+            BaselineKind::NoAdapt,
+            BaselineKind::AlwaysDegrade,
+            BaselineKind::CatNap,
+            BaselineKind::FixedThreshold(0.25),
+            BaselineKind::FixedThreshold(0.50),
+            BaselineKind::FixedThreshold(0.75),
+            BaselineKind::PowerThreshold(Watts(0.030)),
+            BaselineKind::AvgSe2e,
+            BaselineKind::FcfsIbo,
+            BaselineKind::LcfsIbo,
+        ];
+        for kind in parseable {
+            assert_eq!(BaselineKind::parse(&kind.token()), Some(kind), "{kind}");
+        }
+        // No spelling of its own: the nearest kin.
+        assert_eq!(BaselineKind::QuetzalVar(0.9).token(), "qz");
+        assert_eq!(BaselineKind::parse("quetzal"), Some(BaselineKind::Quetzal));
+        assert_eq!(BaselineKind::parse("avg"), Some(BaselineKind::AvgSe2e));
+        assert_eq!(BaselineKind::parse("th10"), None);
+    }
 
     fn spec() -> AppSpec {
         let mut b = AppSpecBuilder::new();

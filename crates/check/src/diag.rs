@@ -6,6 +6,7 @@
 //! catalog lives in DESIGN.md ("Diagnostics catalog"); each code's
 //! one-line summary here must stay in sync with it.
 
+use qz_types::json::escape_into;
 use std::fmt;
 
 /// A stable diagnostic code.
@@ -862,19 +863,19 @@ impl Report {
                     out.push('"');
                     out.push_str(key);
                     out.push_str("\":\"");
-                    json_escape_into(&mut out, value);
+                    escape_into(&mut out, value);
                     out.push('"');
                 }
             }
             out.push_str("},\"message\":\"");
-            json_escape_into(&mut out, &d.message);
+            escape_into(&mut out, &d.message);
             out.push_str("\",\"sources\":[");
             for (j, s) in d.sources.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
                 out.push('"');
-                json_escape_into(&mut out, s);
+                escape_into(&mut out, s);
                 out.push('"');
             }
             out.push_str("]}");
@@ -886,22 +887,6 @@ impl Report {
             self.notes()
         ));
         out
-    }
-}
-
-fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
     }
 }
 

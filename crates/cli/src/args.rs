@@ -1,343 +1,219 @@
-//! Hand-rolled argument parsing for the `qz` binary (keeping the
-//! workspace dependency-free).
+//! Argument parsing for the `qz` binary (dependency-free).
+//!
+//! Each subcommand is one row of [`SUBCOMMANDS`]: its name, its flag
+//! table and its `--events`/`--seed` defaults. Each flag is one
+//! [`Flag`]: the name, a usage sample (empty for a switch) and a setter
+//! that parses the value into [`Args`], the one struct every handler
+//! reads. Shared flags (`--system`, `--device`, `--env`, `--events`,
+//! `--seed`, `--threads`, `--preset`, the snapshot-ring pair) are
+//! defined once and listed in every table that takes them. A single
+//! loop walks argv against the table, so a subcommand rejects every flag
+//! its handler would ignore, and [`help`] renders the usage block from
+//! the same tables.
 
 use core::fmt;
+use core::str::FromStr;
 use qz_baselines::BaselineKind;
 use qz_traces::EnvironmentKind;
-use qz_types::Watts;
 
-/// A parsed `qz` invocation.
+/// A parsed `qz` invocation: the subcommand and its options.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// `qz run …` — simulate one system in one environment.
-    Run(RunArgs),
+    Run(Args),
     /// `qz compare …` — run the standard system set side by side.
-    Compare(RunArgs),
+    Compare(Args),
     /// `qz export-traces …` — write the environment's solar/event CSVs.
-    ExportTraces(RunArgs),
+    ExportTraces(Args),
     /// `qz trace …` — record and render the decision-event timeline.
-    Trace(RunArgs),
+    Trace(Args),
     /// `qz check …` — static semantic analysis of an experiment config.
-    Check(CheckArgs),
+    Check(Args),
     /// `qz verify …` — sound abstract-interpretation verification of the
     /// no-stall / no-overflow properties under a harvest envelope.
-    Verify(VerifyArgs),
+    Verify(Args),
     /// `qz lint-src …` — workspace determinism source lint.
-    LintSrc(LintSrcArgs),
+    LintSrc(Args),
     /// `qz fleet …` — parallel multi-device fleet simulation over a
     /// shared uplink channel.
-    Fleet(FleetArgs),
+    Fleet(Args),
     /// `qz fault …` — seeded fault-injection campaigns judged by the
     /// differential oracle harness.
-    Fault(FaultArgs),
+    Fault(Args),
     /// `qz branch …` — fork a run at a tick under modified tweaks and
     /// report where the decision streams first diverge.
-    Branch(BranchArgs),
+    Branch(Args),
     /// `qz bisect …` — binary-search a faulted campaign against its
     /// fault-free twin for the exact first divergent tick.
-    Bisect(BisectArgs),
+    Bisect(Args),
     /// `qz profile …` — run one simulation with the phase profiler and
     /// horizon-cause accounting enabled and explain where time went.
-    Profile(ProfileArgs),
+    Profile(Args),
     /// `qz bench …` — inspect the bench trajectory and gate against the
     /// committed baseline.
-    Bench(BenchArgs),
+    Bench(Args),
     /// `qz help` / `--help`.
     Help,
 }
 
-/// Options for `qz profile`.
+/// A `--device` selection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Device {
+    /// The Ambiq Apollo 4 profile.
+    Apollo4,
+    /// The TI MSP430FR5994 profile.
+    Msp430,
+    /// Both profiles: the default, and only accepted value, of the
+    /// sweeping subcommands (`check`, `verify`).
+    All,
+}
+
+/// Every option any subcommand takes. A subcommand's table decides
+/// which fields its argv may set; the rest keep their defaults.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ProfileArgs {
-    /// System under test.
-    pub system: BaselineKind,
-    /// Device profile (`apollo4` or `msp430`).
-    pub device: String,
-    /// Sensing environment.
-    pub env: EnvironmentKind,
-    /// Events in the environment trace.
-    pub events: usize,
-    /// Environment/simulation seed.
-    pub seed: u64,
-    /// Profile report JSON output path (`-` for stdout).
-    pub json: Option<String>,
-    /// Collapsed-stack flamegraph output path.
-    pub flame: Option<String>,
-    /// Flight-recorder dump output path (installs a flight observer).
-    pub flight: Option<String>,
-}
-
-impl Default for ProfileArgs {
-    fn default() -> ProfileArgs {
-        ProfileArgs {
-            system: BaselineKind::Quetzal,
-            device: "apollo4".into(),
-            env: EnvironmentKind::Crowded,
-            events: 200,
-            seed: 20_250_330,
-            json: None,
-            flame: None,
-            flight: None,
-        }
-    }
-}
-
-/// Options for `qz bench`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchArgs {
-    /// Compare the newest trajectory records against the committed
-    /// baseline and exit nonzero on regression.
-    pub check: bool,
-    /// Directory holding `BENCH_*.json` trajectories.
-    pub results_dir: String,
-    /// Baseline file path (defaults to `<results-dir>/BENCH_baseline.json`).
-    pub baseline: Option<String>,
-}
-
-impl Default for BenchArgs {
-    fn default() -> BenchArgs {
-        BenchArgs {
-            check: false,
-            results_dir: "results".into(),
-            baseline: None,
-        }
-    }
-}
-
-/// Options for `qz branch`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BranchArgs {
-    /// System under test.
-    pub system: BaselineKind,
-    /// Device profile (`apollo4` or `msp430`).
-    pub device: String,
-    /// Sensing environment.
-    pub env: EnvironmentKind,
-    /// Events in the environment trace.
-    pub events: usize,
-    /// Environment/simulation seed.
-    pub seed: u64,
-    /// Fork instant, seconds of simulated time.
-    pub at: u64,
-    /// Fork with the PID error-mitigation loop disabled.
-    pub fork_no_pid: bool,
-    /// Fork with sticky current-option scheduling disabled.
-    pub fork_no_sticky: bool,
-    /// Fork under a different checkpoint policy.
-    pub fork_checkpoint: Option<qz_sim::CheckpointPolicy>,
-    /// Fork under a different capture period, seconds.
-    pub fork_capture_period: Option<f64>,
-}
-
-impl Default for BranchArgs {
-    fn default() -> BranchArgs {
-        BranchArgs {
-            system: BaselineKind::Quetzal,
-            device: "apollo4".into(),
-            env: EnvironmentKind::Crowded,
-            events: 40,
-            seed: 20_250_330,
-            at: 60,
-            fork_no_pid: false,
-            fork_no_sticky: false,
-            fork_checkpoint: None,
-            fork_capture_period: None,
-        }
-    }
-}
-
-/// Options for `qz bisect`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BisectArgs {
-    /// Fault plan preset (`smoke`, `standard`, `heavy`).
-    pub preset: String,
-    /// System under test.
-    pub system: BaselineKind,
-    /// Device profile (`apollo4` or `msp430`).
-    pub device: String,
-    /// Sensing environment.
-    pub env: EnvironmentKind,
-    /// Events in the shared environment trace.
-    pub events: usize,
-    /// Global index of the campaign to bisect.
-    pub start: usize,
-    /// Master campaign seed (decimal or `0x`-prefixed hex).
-    pub seed: u64,
-    /// Gate every fault class until this many seconds in.
-    pub inject_at: u64,
-    /// Coarse-pass snapshot stride, seconds.
-    pub stride: u64,
-    /// Snapshot ring capacity per twin.
-    pub ring: usize,
-}
-
-impl Default for BisectArgs {
-    fn default() -> BisectArgs {
-        BisectArgs {
-            preset: "standard".into(),
-            system: BaselineKind::Quetzal,
-            device: "apollo4".into(),
-            env: EnvironmentKind::Crowded,
-            events: 12,
-            start: 0,
-            seed: 0xFA017,
-            inject_at: 0,
-            stride: 10,
-            ring: 64,
-        }
-    }
-}
-
-/// Options for `qz fault`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultArgs {
-    /// Fault plan preset (`none`, `smoke`, `standard`, `heavy`).
-    pub preset: String,
-    /// System under test.
-    pub system: BaselineKind,
-    /// Device profile (`apollo4` or `msp430`).
-    pub device: String,
-    /// Sensing environment.
-    pub env: EnvironmentKind,
-    /// Events in the shared environment trace.
-    pub events: usize,
-    /// Number of seeded campaigns to run.
-    pub campaigns: usize,
-    /// First campaign index (repro lines use `--start N --campaigns 1`).
-    pub start: usize,
-    /// Master campaign seed (decimal or `0x`-prefixed hex).
-    pub seed: u64,
-    /// Worker threads; 0 = all available cores (`QZ_THREADS` also
-    /// applies when the flag is absent).
-    pub threads: Option<usize>,
-    /// JSON report output path (`-` for stdout).
-    pub json: Option<String>,
-    /// Directory for `qz-flight/v1` postmortem dumps of violated
-    /// campaigns (one JSON file per violation).
-    pub postmortem: Option<String>,
-    /// Gate every fault class until this many seconds in (the faulted
-    /// prefix forks from a shared snapshot at this instant).
-    pub inject_at: u64,
-    /// Snapshot ring capacity declared for the QZ073 memory-budget
-    /// preflight (`None` skips the estimate).
-    pub snapshot_ring: Option<usize>,
-    /// Snapshot stride, seconds, for the QZ073 preflight context.
-    pub snapshot_stride: Option<u64>,
-}
-
-impl Default for FaultArgs {
-    fn default() -> FaultArgs {
-        FaultArgs {
-            preset: "standard".into(),
-            system: BaselineKind::Quetzal,
-            device: "apollo4".into(),
-            env: EnvironmentKind::Crowded,
-            events: 12,
-            campaigns: 8,
-            start: 0,
-            seed: 0xFA017,
-            threads: None,
-            json: None,
-            postmortem: None,
-            inject_at: 0,
-            snapshot_ring: None,
-            snapshot_stride: None,
-        }
-    }
-}
-
-/// Options for `qz fleet`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetArgs {
-    /// Number of devices in the fleet.
-    pub devices: usize,
-    /// Events per device environment.
-    pub events: usize,
-    /// Master fleet seed (per-device streams derive from it).
-    pub seed: u64,
-    /// System every device runs.
-    pub system: BaselineKind,
-    /// Device profile (`apollo4` or `msp430`).
-    pub device: String,
-    /// Environment mix, assigned round-robin by device index.
-    pub envs: Vec<EnvironmentKind>,
-    /// Worker threads; 0 = all available cores (`QZ_THREADS` also
-    /// applies when the flag is absent).
-    pub threads: Option<usize>,
-    /// Shared-channel duty-cycle override (fraction of the window).
-    pub duty_cycle: Option<f64>,
-    /// Channel slot length override, milliseconds.
-    pub slot_ms: Option<u64>,
-    /// JSON report output path (`-` for stdout).
-    pub json: Option<String>,
-    /// Per-device CSV output path (`-` for stdout).
-    pub csv: Option<String>,
-    /// Also print the qz-obs metrics registry.
-    pub metrics: bool,
-    /// Gateways the fleet is sharded across.
-    pub gateways: usize,
-    /// Per-device capture period override, seconds.
-    pub capture_period: Option<f64>,
-}
-
-impl Default for FleetArgs {
-    fn default() -> FleetArgs {
-        FleetArgs {
-            devices: 16,
-            events: 40,
-            seed: 0xF1EE7,
-            system: BaselineKind::Quetzal,
-            device: "apollo4".into(),
-            envs: Vec::new(),
-            threads: None,
-            duty_cycle: None,
-            slot_ms: None,
-            json: None,
-            csv: None,
-            metrics: false,
-            gateways: 1,
-            capture_period: None,
-        }
-    }
-}
-
-/// Options for `qz check`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CheckArgs {
-    /// System preset to check; `None` sweeps every shipped preset.
+pub struct Args {
+    /// System under test; `None` sweeps every preset (`check`, `verify`)
+    /// and means QZ elsewhere (see [`Args::system`]).
     pub system: Option<BaselineKind>,
-    /// Device profile (`apollo4`, `msp430`, or `all`).
-    pub device: String,
-    /// Emit the report as JSON instead of rendered text.
-    pub json: bool,
-    /// Exit nonzero on warnings as well as errors (CI mode).
+    /// Device profile.
+    pub device: Device,
+    /// Sensing environment.
+    pub env: EnvironmentKind,
+    /// Fleet environment mix, assigned round-robin by device index.
+    pub envs: Vec<EnvironmentKind>,
+    /// Events in the environment trace.
+    pub events: usize,
+    /// Environment/simulation (or master campaign/fleet) seed.
+    pub seed: u64,
+    /// Worker threads; 0 = all cores (`QZ_THREADS` applies when absent).
+    pub threads: Option<usize>,
+    /// JSON output path, `-` for stdout (the `--json` switch of check,
+    /// verify and lint-src sets `-`).
+    pub json: Option<String>,
+    /// CSV output path (`-` for stdout in `fleet`).
+    pub csv: Option<String>,
+    /// Telemetry CSV output path (`run`).
+    pub telemetry: Option<String>,
+    /// Render the telemetry as terminal sparklines (`run`).
+    pub plot: bool,
+    /// Output directory (`export-traces`).
+    pub out_dir: String,
+    /// Event-log JSONL output path (`trace`).
+    pub jsonl: Option<String>,
+    /// Maximum timeline lines to render, 0 = unlimited (`trace`).
+    pub limit: usize,
+    /// Include periodic state snapshots in the timeline (`trace`).
+    pub snapshots: bool,
+    /// Solar realization: the seeded trace, or an envelope corner
+    /// (`qz verify` repro lines use `--solar floor`).
+    pub solar: qz_absint::SolarMode,
+    /// Envelope segment length for `--solar floor|ceil`, seconds.
+    pub solar_seg: u64,
+    /// Snapshot ring capacity (`run` keeps one; `fault` preflights it).
+    pub snapshot_ring: Option<usize>,
+    /// Snapshot ring capture stride, seconds.
+    pub snapshot_stride: Option<u64>,
+    /// Exit nonzero on warnings as well as errors (`check`).
     pub deny_warnings: bool,
     /// Diagnostic codes downgraded to notes (repeatable `--allow`).
     pub allow: Vec<qz_check::Code>,
-    /// Override the supercapacitor capacitance, in millifarads.
+    /// Supercapacitor capacitance override, millifarads (`check`).
     pub cap_mf: Option<f64>,
-    /// Override the checkpoint policy.
+    /// Checkpoint policy override (`check`).
     pub checkpoint: Option<qz_sim::CheckpointPolicy>,
-    /// Override the harvester cell count.
+    /// Harvester cell count override (`check`).
     pub cells: Option<u32>,
-    /// Override the input-buffer capacity.
+    /// Input-buffer capacity override (`check`).
     pub buffer: Option<usize>,
-    /// Override the capture period, in seconds.
+    /// Capture period override, seconds (`check`, `fleet`).
     pub capture_period: Option<f64>,
-    /// Declare a telemetry-recorder sample period, in seconds (QZ071).
+    /// Declared telemetry-recorder sample period, seconds (`check`).
     pub telemetry_period: Option<f64>,
-    /// Declare an observer snapshot period, in seconds (QZ071).
+    /// Declared observer snapshot period, seconds (`check`).
     pub snapshot_period: Option<f64>,
-    /// Print the diagnostic-catalog entry for one code and exit.
+    /// Print the catalog entry for one diagnostic code and exit (`check`).
     pub explain: Option<qz_check::Code>,
+    /// Envelope segment length, seconds (`verify`).
+    pub segment: u64,
+    /// Exit nonzero on UNKNOWN verdicts too (`verify`).
+    pub deny_unproven: bool,
+    /// Workspace root holding the `crates/` tree (`lint-src`).
+    pub root: String,
+    /// Allowlist file path, relative to the root (`lint-src`).
+    pub allow_file: String,
+    /// Number of devices (`fleet`).
+    pub devices: usize,
+    /// Shared-channel duty-cycle override (`fleet`).
+    pub duty_cycle: Option<f64>,
+    /// Channel slot length override, milliseconds (`fleet`).
+    pub slot_ms: Option<u64>,
+    /// Also print the qz-obs metrics registry (`fleet`).
+    pub metrics: bool,
+    /// Gateways the fleet is sharded across (`fleet`).
+    pub gateways: usize,
+    /// Fault plan preset (`fault`, `bisect`).
+    pub preset: String,
+    /// Number of seeded campaigns (`fault`).
+    pub campaigns: usize,
+    /// First (`fault`) or bisected (`bisect`) global campaign index.
+    pub start: usize,
+    /// Directory for `qz-flight/v1` postmortems of violated campaigns.
+    pub postmortem: Option<String>,
+    /// Gate every fault class until this many seconds in.
+    pub inject_at: u64,
+    /// Fork instant, seconds (`branch`).
+    pub at: u64,
+    /// Fork with the PID error-mitigation loop disabled (`branch`).
+    pub fork_no_pid: bool,
+    /// Fork with sticky current-option scheduling disabled (`branch`).
+    pub fork_no_sticky: bool,
+    /// Fork under a different checkpoint policy (`branch`).
+    pub fork_checkpoint: Option<qz_sim::CheckpointPolicy>,
+    /// Fork under a different capture period, seconds (`branch`).
+    pub fork_capture_period: Option<f64>,
+    /// Coarse-pass snapshot stride, seconds (`bisect`).
+    pub stride: u64,
+    /// Snapshot ring capacity per twin (`bisect`).
+    pub ring: usize,
+    /// Collapsed-stack flamegraph output path (`profile`).
+    pub flame: Option<String>,
+    /// Flight-recorder dump output path (`profile`).
+    pub flight: Option<String>,
+    /// Gate the newest trajectory records against the baseline (`bench`).
+    pub check: bool,
+    /// Directory holding `BENCH_*.json` trajectories (`bench`).
+    pub results_dir: String,
+    /// Baseline file path (`bench`; default `<results-dir>/BENCH_baseline.json`).
+    pub baseline: Option<String>,
 }
 
-impl Default for CheckArgs {
-    fn default() -> CheckArgs {
-        CheckArgs {
+impl Args {
+    /// The defaults of `sub` before any flag applies.
+    fn new(sub: &Subcommand) -> Args {
+        Args {
             system: None,
-            device: "all".into(),
-            json: false,
+            device: if sub.sweep {
+                Device::All
+            } else {
+                Device::Apollo4
+            },
+            env: EnvironmentKind::Crowded,
+            envs: Vec::new(),
+            events: sub.events,
+            seed: sub.seed,
+            threads: None,
+            json: None,
+            csv: None,
+            telemetry: None,
+            plot: false,
+            out_dir: ".".into(),
+            jsonl: None,
+            limit: 200,
+            snapshots: false,
+            solar: qz_absint::SolarMode::Trace,
+            solar_seg: 60,
+            snapshot_ring: None,
+            snapshot_stride: None,
             deny_warnings: false,
             allow: Vec::new(),
             cap_mf: None,
@@ -348,156 +224,38 @@ impl Default for CheckArgs {
             telemetry_period: None,
             snapshot_period: None,
             explain: None,
-        }
-    }
-}
-
-/// Options for `qz verify`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VerifyArgs {
-    /// System preset to verify; `None` sweeps every shipped preset.
-    pub system: Option<BaselineKind>,
-    /// Device profile (`apollo4`, `msp430`, or `all`).
-    pub device: String,
-    /// Sensing environment whose traces define the harvest envelope and
-    /// event schedule.
-    pub env: EnvironmentKind,
-    /// Events in the environment trace.
-    pub events: usize,
-    /// Environment seed (decimal or `0x`-prefixed hex).
-    pub seed: u64,
-    /// Envelope segment length, seconds (the band granularity).
-    pub segment: u64,
-    /// Emit the verdicts as JSON instead of rendered text.
-    pub json: bool,
-    /// Exit nonzero on UNKNOWN verdicts as well as refutations (CI
-    /// mode: every property must be PROVEN).
-    pub deny_unproven: bool,
-}
-
-impl Default for VerifyArgs {
-    fn default() -> VerifyArgs {
-        VerifyArgs {
-            system: None,
-            device: "all".into(),
-            env: EnvironmentKind::Crowded,
-            events: 40,
-            seed: 20_250_330,
             segment: 60,
-            json: false,
             deny_unproven: false,
-        }
-    }
-}
-
-/// Options for `qz lint-src`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LintSrcArgs {
-    /// Workspace root holding the `crates/` tree.
-    pub root: String,
-    /// Allowlist file path, relative to the root.
-    pub allow_file: String,
-    /// Emit findings as JSON instead of rendered text.
-    pub json: bool,
-}
-
-impl Default for LintSrcArgs {
-    fn default() -> LintSrcArgs {
-        LintSrcArgs {
             root: ".".into(),
             allow_file: "lint-allow.txt".into(),
-            json: false,
+            devices: 16,
+            duty_cycle: None,
+            slot_ms: None,
+            metrics: false,
+            gateways: 1,
+            preset: "standard".into(),
+            campaigns: 8,
+            start: 0,
+            postmortem: None,
+            inject_at: 0,
+            at: 60,
+            fork_no_pid: false,
+            fork_no_sticky: false,
+            fork_checkpoint: None,
+            fork_capture_period: None,
+            stride: 10,
+            ring: 64,
+            flame: None,
+            flight: None,
+            check: false,
+            results_dir: "results".into(),
+            baseline: None,
         }
     }
-}
 
-/// Parses a `--checkpoint` value: `jit`, `task-boundary`, or
-/// `periodic:SECS`.
-pub fn parse_checkpoint(value: &str) -> Result<qz_sim::CheckpointPolicy, ParseError> {
-    let v = value.to_ascii_lowercase();
-    match v.as_str() {
-        "jit" | "just-in-time" => Ok(qz_sim::CheckpointPolicy::JustInTime),
-        "task-boundary" | "task" => Ok(qz_sim::CheckpointPolicy::TaskBoundary),
-        _ => {
-            if let Some(secs) = v.strip_prefix("periodic:") {
-                let secs: f64 = secs
-                    .parse()
-                    .map_err(|_| err("`--checkpoint periodic:SECS` needs a number of seconds"))?;
-                if !(secs.is_finite() && secs > 0.0) {
-                    return Err(err("`--checkpoint periodic:SECS` must be positive"));
-                }
-                Ok(qz_sim::CheckpointPolicy::Periodic {
-                    interval: qz_types::SimDuration::from_seconds_ceil(qz_types::Seconds(secs)),
-                })
-            } else {
-                Err(err(format!(
-                    "unknown checkpoint policy `{value}` (try jit, task-boundary, periodic:SECS)"
-                )))
-            }
-        }
-    }
-}
-
-/// Options shared by the subcommands.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunArgs {
-    /// System to run (`Run` only).
-    pub system: BaselineKind,
-    /// Sensing environment.
-    pub env: EnvironmentKind,
-    /// Number of events to generate.
-    pub events: usize,
-    /// Environment seed.
-    pub seed: u64,
-    /// Device profile name (`apollo4` or `msp430`).
-    pub device: String,
-    /// Telemetry CSV output path (`Run` only).
-    pub telemetry: Option<String>,
-    /// Render the telemetry as terminal sparklines (`Run` only).
-    pub plot: bool,
-    /// Output directory (`ExportTraces` only).
-    pub out_dir: String,
-    /// Event-log JSONL output path (`Trace` only).
-    pub jsonl: Option<String>,
-    /// Event-log CSV output path (`Trace` only).
-    pub csv: Option<String>,
-    /// Maximum timeline lines to render, 0 = unlimited (`Trace` only).
-    pub limit: usize,
-    /// Include periodic state snapshots in the timeline (`Trace` only).
-    pub snapshots: bool,
-    /// Which solar realization to run: the seeded trace itself, or an
-    /// envelope corner (`qz verify` counterexample repro lines use
-    /// `--solar floor`).
-    pub solar: qz_absint::SolarMode,
-    /// Envelope segment length for `--solar floor|ceil`, seconds.
-    pub solar_seg: u64,
-    /// Keep a rolling snapshot ring of this capacity while running
-    /// (`Run` only; enables rollback studies and the QZ073 preflight).
-    pub snapshot_ring: Option<usize>,
-    /// Snapshot ring capture stride, seconds (`Run` only).
-    pub snapshot_stride: Option<u64>,
-}
-
-impl Default for RunArgs {
-    fn default() -> RunArgs {
-        RunArgs {
-            system: BaselineKind::Quetzal,
-            env: EnvironmentKind::Crowded,
-            events: 200,
-            seed: 20_250_330,
-            device: "apollo4".into(),
-            telemetry: None,
-            plot: false,
-            out_dir: ".".into(),
-            jsonl: None,
-            csv: None,
-            limit: 200,
-            snapshots: false,
-            solar: qz_absint::SolarMode::Trace,
-            solar_seg: 60,
-            snapshot_ring: None,
-            snapshot_stride: None,
-        }
+    /// The one system a non-sweeping subcommand runs (QZ by default).
+    pub fn system(&self) -> BaselineKind {
+        self.system.unwrap_or(BaselineKind::Quetzal)
     }
 }
 
@@ -517,785 +275,544 @@ fn err(msg: impl Into<String>) -> ParseError {
     ParseError(msg.into())
 }
 
-/// Parses a seed value, decimal or `0x`-prefixed hex (the form fault
-/// repro lines print).
+/// One `--flag` of a subcommand table.
+struct Flag {
+    /// The flag as typed, e.g. `--events`.
+    name: &'static str,
+    /// Usage sample for the help text (`200`); empty for a switch,
+    /// which takes no value.
+    sample: &'static str,
+    /// Parses the value (`""` for a switch) into [`Args`].
+    set: fn(&mut Args, &str) -> Result<(), ParseError>,
+}
+
+/// One subcommand: its flag table and the defaults that differ between
+/// subcommands.
+struct Subcommand {
+    /// The subcommand as typed, e.g. `run`.
+    name: &'static str,
+    /// Every flag it accepts, in help order.
+    flags: &'static [Flag],
+    /// `--events` default.
+    events: usize,
+    /// `--seed` default.
+    seed: u64,
+    /// Sweeps every preset and both devices unless narrowed.
+    sweep: bool,
+    /// Wraps the parsed options.
+    make: fn(Args) -> Command,
+}
+
+const fn flag(
+    name: &'static str,
+    sample: &'static str,
+    set: fn(&mut Args, &str) -> Result<(), ParseError>,
+) -> Flag {
+    Flag { name, sample, set }
+}
+
+/// Stores a parsed value.
+fn set<T>(slot: &mut T, value: Result<T, ParseError>) -> Result<(), ParseError> {
+    *slot = value?;
+    Ok(())
+}
+
+fn num<T: FromStr>(v: &str, what: &str) -> Result<T, ParseError> {
+    v.parse().map_err(|_| err(format!("must be {what}")))
+}
+
+/// A count or duration that must be at least 1.
+fn positive<T: FromStr + PartialEq + From<u8>>(v: &str) -> Result<T, ParseError> {
+    let n: T = num(v, "a positive integer")?;
+    if n == T::from(0) {
+        return Err(err("must be at least 1"));
+    }
+    Ok(n)
+}
+
+/// A finite number above zero.
+fn positive_f64(v: &str) -> Result<f64, ParseError> {
+    let x: f64 = num(v, "a number")?;
+    if !(x.is_finite() && x > 0.0) {
+        return Err(err("must be positive"));
+    }
+    Ok(x)
+}
+
+fn path(v: &str) -> Result<Option<String>, ParseError> {
+    Ok(Some(v.into()))
+}
+
+fn code(v: &str) -> Result<qz_check::Code, ParseError> {
+    qz_check::Code::parse(v).ok_or_else(|| err(format!("unknown diagnostic code `{v}`")))
+}
+
+/// Parses a seed value, decimal or `0x`-prefixed hex (the form repro
+/// lines print).
 pub fn parse_seed(value: &str) -> Result<u64, ParseError> {
     let v = value.to_ascii_lowercase();
-    let parsed = if let Some(hex) = v.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16)
-    } else {
-        v.parse()
+    let parsed = match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => v.parse(),
     };
-    parsed.map_err(|_| err("`--seed` must be an integer (decimal or 0x-prefixed hex)"))
+    parsed.map_err(|_| err("must be an integer (decimal or 0x-prefixed hex)"))
 }
 
 /// Parses a system name (paper abbreviation, case-insensitive).
 pub fn parse_system(name: &str) -> Result<BaselineKind, ParseError> {
-    match name.to_ascii_lowercase().as_str() {
-        "qz" | "quetzal" => Ok(BaselineKind::Quetzal),
-        "qz-hw" => Ok(BaselineKind::QuetzalHw),
-        "na" | "noadapt" => Ok(BaselineKind::NoAdapt),
-        "ad" | "alwaysdegrade" => Ok(BaselineKind::AlwaysDegrade),
-        "cn" | "catnap" => Ok(BaselineKind::CatNap),
-        "th25" => Ok(BaselineKind::FixedThreshold(0.25)),
-        "th50" => Ok(BaselineKind::FixedThreshold(0.50)),
-        "th75" => Ok(BaselineKind::FixedThreshold(0.75)),
-        "pzo" => Ok(BaselineKind::PowerThreshold(Watts(0.030))),
-        "fcfs" => Ok(BaselineKind::FcfsIbo),
-        "lcfs" => Ok(BaselineKind::LcfsIbo),
-        "avgse2e" | "avg" => Ok(BaselineKind::AvgSe2e),
-        other => Err(err(format!(
-            "unknown system `{other}` (try QZ, NA, AD, CN, TH25/50/75, PZO, FCFS, LCFS, AvgSe2e)"
-        ))),
-    }
+    BaselineKind::parse(name).ok_or_else(|| {
+        err(format!(
+            "unknown system `{name}` (try QZ, QZ-HW, NA, AD, CN, TH25/50/75, PZO, FCFS, LCFS, \
+             AvgSe2e)"
+        ))
+    })
 }
 
 /// Parses an environment name.
 pub fn parse_env(name: &str) -> Result<EnvironmentKind, ParseError> {
-    match name.to_ascii_lowercase().as_str() {
-        "more" | "morecrowded" | "more-crowded" => Ok(EnvironmentKind::MoreCrowded),
-        "crowded" => Ok(EnvironmentKind::Crowded),
-        "less" | "lesscrowded" | "less-crowded" => Ok(EnvironmentKind::LessCrowded),
-        "short" => Ok(EnvironmentKind::Short),
-        "quiet" => Ok(EnvironmentKind::Quiet),
-        "burst" => Ok(EnvironmentKind::Burst),
-        other => Err(err(format!(
-            "unknown environment `{other}` (try more-crowded, crowded, less-crowded, short, \
-             quiet, burst)"
-        ))),
+    EnvironmentKind::parse(name).ok_or_else(|| {
+        let names: Vec<&str> = EnvironmentKind::ALL.iter().map(|k| k.token()).collect();
+        err(format!(
+            "unknown environment `{name}` (try {})",
+            names.join(", ")
+        ))
+    })
+}
+
+/// Parses a `--device` value; `all` is rejected after parsing by every
+/// subcommand that does not sweep.
+fn parse_device(value: &str) -> Result<Device, ParseError> {
+    match value.to_ascii_lowercase().as_str() {
+        "apollo4" => Ok(Device::Apollo4),
+        "msp430" => Ok(Device::Msp430),
+        "all" => Ok(Device::All),
+        _ => Err(err(
+            "must be `apollo4` or `msp430` (or `all` for check and verify)",
+        )),
     }
+}
+
+/// Parses a checkpoint policy: `jit`, `task-boundary`, or
+/// `periodic:SECS`.
+pub fn parse_checkpoint(value: &str) -> Result<qz_sim::CheckpointPolicy, ParseError> {
+    let v = value.to_ascii_lowercase();
+    match v.as_str() {
+        "jit" | "just-in-time" => Ok(qz_sim::CheckpointPolicy::JustInTime),
+        "task-boundary" | "task" => Ok(qz_sim::CheckpointPolicy::TaskBoundary),
+        _ => {
+            let secs = v.strip_prefix("periodic:").ok_or_else(|| {
+                err("unknown checkpoint policy (try jit, task-boundary, periodic:SECS)")
+            })?;
+            Ok(qz_sim::CheckpointPolicy::Periodic {
+                interval: qz_types::SimDuration::from_seconds_ceil(qz_types::Seconds(
+                    positive_f64(secs)?,
+                )),
+            })
+        }
+    }
+}
+
+fn parse_preset(value: &str) -> Result<String, ParseError> {
+    let p = value.to_ascii_lowercase();
+    match qz_fault::FaultPlan::preset(&p) {
+        Some(_) => Ok(p),
+        None => Err(err(
+            "unknown fault preset (try none, smoke, standard, heavy)",
+        )),
+    }
+}
+
+// Flags several subcommands share, each defined once.
+const SYSTEM: Flag = flag("--system", "QZ", |a, v| {
+    set(&mut a.system, parse_system(v).map(Some))
+});
+const DEVICE: Flag = flag("--device", "apollo4|msp430", |a, v| {
+    set(&mut a.device, parse_device(v))
+});
+const ENV: Flag = flag("--env", "crowded", |a, v| set(&mut a.env, parse_env(v)));
+const EVENTS: Flag = flag("--events", "N", |a, v| set(&mut a.events, positive(v)));
+const SEED: Flag = flag("--seed", "N|0xN", |a, v| set(&mut a.seed, parse_seed(v)));
+const THREADS: Flag = flag("--threads", "N", |a, v| {
+    set(&mut a.threads, num(v, "a non-negative integer").map(Some))
+});
+const PRESET: Flag = flag("--preset", "none|smoke|standard|heavy", |a, v| {
+    set(&mut a.preset, parse_preset(v))
+});
+const SNAPSHOT_RING: Flag = flag("--snapshot-ring", "64", |a, v| {
+    set(&mut a.snapshot_ring, positive(v).map(Some))
+});
+const SNAPSHOT_STRIDE: Flag = flag("--snapshot-stride", "10", |a, v| {
+    set(&mut a.snapshot_stride, positive(v).map(Some))
+});
+const JSON_SWITCH: Flag = flag("--json", "", |a, _| set(&mut a.json, path("-")));
+const JSON_PATH: Flag = flag("--json", "out.json|-", |a, v| set(&mut a.json, path(v)));
+const CSV: Flag = flag("--csv", "out.csv", |a, v| set(&mut a.csv, path(v)));
+const SOLAR: Flag = flag("--solar", "trace|floor|ceil", |a, v| {
+    let mode = qz_absint::SolarMode::parse(&v.to_ascii_lowercase());
+    set(
+        &mut a.solar,
+        mode.ok_or_else(|| err("unknown solar mode (try trace, floor, ceil)")),
+    )
+});
+const SOLAR_SEG: Flag = flag("--solar-seg", "60", |a, v| {
+    set(&mut a.solar_seg, positive(v))
+});
+const START: Flag = flag("--start", "0", |a, v| {
+    set(&mut a.start, num(v, "a non-negative integer"))
+});
+const INJECT_AT: Flag = flag("--inject-at", "0", |a, v| {
+    set(&mut a.inject_at, num(v, "a number of seconds"))
+});
+const RUN: &[Flag] = &[
+    SYSTEM,
+    ENV,
+    EVENTS,
+    SEED,
+    DEVICE,
+    flag("--telemetry", "out.csv", |a, v| {
+        set(&mut a.telemetry, path(v))
+    }),
+    flag("--plot", "", |a, _| set(&mut a.plot, Ok(true))),
+    SOLAR,
+    SOLAR_SEG,
+    SNAPSHOT_RING,
+    SNAPSHOT_STRIDE,
+];
+const COMPARE: &[Flag] = &[ENV, EVENTS, SEED, DEVICE, SOLAR, SOLAR_SEG];
+const EXPORT_TRACES: &[Flag] = &[
+    ENV,
+    EVENTS,
+    SEED,
+    SOLAR,
+    SOLAR_SEG,
+    flag("--out-dir", "DIR", |a, v| set(&mut a.out_dir, Ok(v.into()))),
+];
+const TRACE: &[Flag] = &[
+    SYSTEM,
+    ENV,
+    EVENTS,
+    SEED,
+    DEVICE,
+    SOLAR,
+    SOLAR_SEG,
+    flag("--jsonl", "out.jsonl", |a, v| set(&mut a.jsonl, path(v))),
+    CSV,
+    flag("--limit", "200", |a, v| {
+        set(&mut a.limit, num(v, "a non-negative integer"))
+    }),
+    flag("--snapshots", "", |a, _| set(&mut a.snapshots, Ok(true))),
+];
+
+// `qz check`'s overrides stay unvalidated on purpose: its own range
+// diagnostics report nonsense values with the reason they are wrong.
+const CHECK: &[Flag] = &[
+    SYSTEM,
+    DEVICE,
+    JSON_SWITCH,
+    flag("--deny-warnings", "", |a, _| {
+        set(&mut a.deny_warnings, Ok(true))
+    }),
+    flag("--allow", "QZ011", |a, v| {
+        a.allow.push(code(v)?);
+        Ok(())
+    }),
+    flag("--cap-mf", "33", |a, v| {
+        set(&mut a.cap_mf, num(v, "a number").map(Some))
+    }),
+    flag("--checkpoint", "jit|task-boundary|periodic:SECS", |a, v| {
+        set(&mut a.checkpoint, parse_checkpoint(v).map(Some))
+    }),
+    flag("--cells", "6", |a, v| {
+        set(&mut a.cells, num(v, "an integer").map(Some))
+    }),
+    flag("--buffer", "10", |a, v| {
+        set(&mut a.buffer, num(v, "an integer").map(Some))
+    }),
+    flag("--capture-period", "1", |a, v| {
+        set(&mut a.capture_period, num(v, "a number").map(Some))
+    }),
+    flag("--telemetry-period", "1", |a, v| {
+        set(&mut a.telemetry_period, positive_f64(v).map(Some))
+    }),
+    flag("--snapshot-period", "1", |a, v| {
+        set(&mut a.snapshot_period, positive_f64(v).map(Some))
+    }),
+    flag("--explain", "QZ010", |a, v| {
+        set(&mut a.explain, code(v).map(Some))
+    }),
+];
+
+const VERIFY: &[Flag] = &[
+    SYSTEM,
+    DEVICE,
+    ENV,
+    EVENTS,
+    SEED,
+    flag("--segment", "60", |a, v| set(&mut a.segment, positive(v))),
+    JSON_SWITCH,
+    flag("--deny-unproven", "", |a, _| {
+        set(&mut a.deny_unproven, Ok(true))
+    }),
+];
+
+const LINT_SRC: &[Flag] = &[
+    flag("--root", ".", |a, v| set(&mut a.root, Ok(v.into()))),
+    flag("--allow-file", "lint-allow.txt", |a, v| {
+        set(&mut a.allow_file, Ok(v.into()))
+    }),
+    JSON_SWITCH,
+];
+
+const FLEET: &[Flag] = &[
+    flag("--devices", "16", |a, v| set(&mut a.devices, positive(v))),
+    EVENTS,
+    SEED,
+    SYSTEM,
+    DEVICE,
+    flag("--envs", "more,crowded,less", |a, v| {
+        let envs: Vec<EnvironmentKind> = v
+            .split(',')
+            .filter(|s| !s.is_empty())
+            .map(parse_env)
+            .collect::<Result<_, _>>()?;
+        if envs.is_empty() {
+            return Err(err("needs at least one environment"));
+        }
+        set(&mut a.envs, Ok(envs))
+    }),
+    THREADS,
+    flag("--duty-cycle", "0.1", |a, v| {
+        set(&mut a.duty_cycle, positive_f64(v).map(Some))
+    }),
+    flag("--slot-ms", "50", |a, v| {
+        set(&mut a.slot_ms, positive(v).map(Some))
+    }),
+    JSON_PATH,
+    CSV,
+    flag("--metrics", "", |a, _| set(&mut a.metrics, Ok(true))),
+    flag("--gateways", "1", |a, v| set(&mut a.gateways, positive(v))),
+    flag("--capture-period", "1", |a, v| {
+        set(&mut a.capture_period, positive_f64(v).map(Some))
+    }),
+];
+
+const FAULT: &[Flag] = &[
+    PRESET,
+    SYSTEM,
+    DEVICE,
+    ENV,
+    EVENTS,
+    flag("--campaigns", "8", |a, v| {
+        set(&mut a.campaigns, positive(v))
+    }),
+    SEED,
+    START,
+    INJECT_AT,
+    THREADS,
+    JSON_PATH,
+    flag("--postmortem", "DIR", |a, v| {
+        set(&mut a.postmortem, path(v))
+    }),
+    SNAPSHOT_RING,
+    SNAPSHOT_STRIDE,
+];
+
+const BRANCH: &[Flag] = &[
+    SYSTEM,
+    DEVICE,
+    ENV,
+    EVENTS,
+    SEED,
+    flag("--at", "60", |a, v| {
+        set(&mut a.at, num(v, "a number of seconds"))
+    }),
+    flag("--fork-no-pid", "", |a, _| {
+        set(&mut a.fork_no_pid, Ok(true))
+    }),
+    flag("--fork-no-sticky", "", |a, _| {
+        set(&mut a.fork_no_sticky, Ok(true))
+    }),
+    flag(
+        "--fork-checkpoint",
+        "jit|task-boundary|periodic:SECS",
+        |a, v| set(&mut a.fork_checkpoint, parse_checkpoint(v).map(Some)),
+    ),
+    flag("--fork-capture-period", "SECS", |a, v| {
+        set(&mut a.fork_capture_period, positive_f64(v).map(Some))
+    }),
+];
+
+const BISECT: &[Flag] = &[
+    PRESET,
+    SYSTEM,
+    DEVICE,
+    ENV,
+    EVENTS,
+    SEED,
+    START,
+    INJECT_AT,
+    flag("--stride", "10", |a, v| set(&mut a.stride, positive(v))),
+    flag("--ring", "64", |a, v| set(&mut a.ring, positive(v))),
+];
+
+const PROFILE: &[Flag] = &[
+    SYSTEM,
+    ENV,
+    EVENTS,
+    SEED,
+    DEVICE,
+    JSON_PATH,
+    flag("--flame", "out.folded", |a, v| set(&mut a.flame, path(v))),
+    flag("--flight", "dump.json", |a, v| set(&mut a.flight, path(v))),
+];
+
+const BENCH: &[Flag] = &[
+    flag("--check", "", |a, _| set(&mut a.check, Ok(true))),
+    flag("--results-dir", "results", |a, v| {
+        set(&mut a.results_dir, Ok(v.into()))
+    }),
+    flag("--baseline", "FILE", |a, v| set(&mut a.baseline, path(v))),
+];
+
+/// The seed the paper-figure runs use.
+const RUN_SEED: u64 = 20_250_330;
+/// The master seed of fault campaigns and bisection.
+const FAULT_SEED: u64 = 0xFA017;
+
+const fn sub(
+    name: &'static str,
+    flags: &'static [Flag],
+    events: usize,
+    seed: u64,
+    make: fn(Args) -> Command,
+) -> Subcommand {
+    Subcommand {
+        name,
+        flags,
+        events,
+        seed,
+        sweep: false,
+        make,
+    }
+}
+
+const fn sweep(s: Subcommand) -> Subcommand {
+    Subcommand { sweep: true, ..s }
+}
+
+/// Every subcommand, in help order.
+const SUBCOMMANDS: &[Subcommand] = &[
+    sub("run", RUN, 200, RUN_SEED, Command::Run),
+    sub("compare", COMPARE, 200, RUN_SEED, Command::Compare),
+    sub(
+        "export-traces",
+        EXPORT_TRACES,
+        200,
+        RUN_SEED,
+        Command::ExportTraces,
+    ),
+    sub("trace", TRACE, 200, RUN_SEED, Command::Trace),
+    sweep(sub("check", CHECK, 200, RUN_SEED, Command::Check)),
+    sweep(sub("verify", VERIFY, 40, RUN_SEED, Command::Verify)),
+    sub("lint-src", LINT_SRC, 200, RUN_SEED, Command::LintSrc),
+    sub("fleet", FLEET, 40, 0xF1EE7, Command::Fleet),
+    sub("fault", FAULT, 12, FAULT_SEED, Command::Fault),
+    sub("branch", BRANCH, 40, RUN_SEED, Command::Branch),
+    sub("bisect", BISECT, 12, FAULT_SEED, Command::Bisect),
+    sub("profile", PROFILE, 200, RUN_SEED, Command::Profile),
+    sub("bench", BENCH, 200, RUN_SEED, Command::Bench),
+];
+
+/// The value after `flag`, or an error naming it.
+fn take_value<'a>(
+    rest: &mut core::slice::Iter<'a, String>,
+    flag: &str,
+) -> Result<&'a str, ParseError> {
+    rest.next()
+        .map(String::as_str)
+        .ok_or_else(|| err(format!("flag `{flag}` needs a value")))
 }
 
 /// Parses the full argument vector (without the program name).
-pub fn parse(args: &[String]) -> Result<Command, ParseError> {
-    let Some(sub) = args.first() else {
+pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
+    let Some(name) = argv.first() else {
         return Ok(Command::Help);
     };
-    if sub == "help" || sub == "--help" || sub == "-h" {
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
         return Ok(Command::Help);
     }
-    if sub == "check" {
-        return parse_check(&args[1..]).map(Command::Check);
-    }
-    if sub == "verify" {
-        return parse_verify(&args[1..]).map(Command::Verify);
-    }
-    if sub == "lint-src" {
-        return parse_lint_src(&args[1..]).map(Command::LintSrc);
-    }
-    if sub == "fleet" {
-        return parse_fleet(&args[1..]).map(Command::Fleet);
-    }
-    if sub == "fault" {
-        return parse_fault(&args[1..]).map(Command::Fault);
-    }
-    if sub == "branch" {
-        return parse_branch(&args[1..]).map(Command::Branch);
-    }
-    if sub == "bisect" {
-        return parse_bisect(&args[1..]).map(Command::Bisect);
-    }
-    if sub == "profile" {
-        return parse_profile(&args[1..]).map(Command::Profile);
-    }
-    if sub == "bench" {
-        return parse_bench(&args[1..]).map(Command::Bench);
-    }
-    let mut run = RunArgs::default();
-    let mut i = 1;
-    let take_value = |i: &mut usize, flag: &str| -> Result<String, ParseError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| err(format!("flag `{flag}` needs a value")))
+    let Some(sub) = SUBCOMMANDS.iter().find(|s| s.name == name.as_str()) else {
+        let names: Vec<&str> = SUBCOMMANDS.iter().map(|s| s.name).collect();
+        return Err(err(format!(
+            "unknown command `{name}` (try {}, help)",
+            names.join(", ")
+        )));
     };
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--system" => run.system = parse_system(&take_value(&mut i, flag)?)?,
-            "--env" => run.env = parse_env(&take_value(&mut i, flag)?)?,
-            "--events" => {
-                run.events = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--events` must be a positive integer"))?;
-            }
-            "--seed" => run.seed = parse_seed(&take_value(&mut i, flag)?)?,
-            "--device" => {
-                let d = take_value(&mut i, flag)?.to_ascii_lowercase();
-                if d != "apollo4" && d != "msp430" {
-                    return Err(err("`--device` must be `apollo4` or `msp430`"));
-                }
-                run.device = d;
-            }
-            "--telemetry" => run.telemetry = Some(take_value(&mut i, flag)?),
-            "--plot" => run.plot = true,
-            "--out-dir" => run.out_dir = take_value(&mut i, flag)?,
-            "--jsonl" => run.jsonl = Some(take_value(&mut i, flag)?),
-            "--csv" => run.csv = Some(take_value(&mut i, flag)?),
-            "--limit" => {
-                run.limit = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--limit` must be a non-negative integer"))?;
-            }
-            "--snapshots" => run.snapshots = true,
-            "--solar" => {
-                let v = take_value(&mut i, flag)?.to_ascii_lowercase();
-                run.solar = qz_absint::SolarMode::parse(&v).ok_or_else(|| {
-                    err(format!("unknown solar mode `{v}` (try trace, floor, ceil)"))
-                })?;
-            }
-            "--solar-seg" => {
-                run.solar_seg = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--solar-seg` must be a number of seconds"))?;
-                if run.solar_seg == 0 {
-                    return Err(err("`--solar-seg` must be at least 1 second"));
-                }
-            }
-            "--snapshot-ring" => {
-                let n: usize = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--snapshot-ring` must be a positive integer"))?;
-                if n == 0 {
-                    return Err(err("`--snapshot-ring` must be at least 1"));
-                }
-                run.snapshot_ring = Some(n);
-            }
-            "--snapshot-stride" => {
-                let s: u64 = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--snapshot-stride` must be a number of seconds"))?;
-                if s == 0 {
-                    return Err(err("`--snapshot-stride` must be at least 1 second"));
-                }
-                run.snapshot_stride = Some(s);
-            }
-            other => return Err(err(format!("unknown flag `{other}`"))),
-        }
-        i += 1;
+    let mut args = Args::new(sub);
+    let mut rest = argv[1..].iter();
+    while let Some(given) = rest.next() {
+        let Some(flag) = sub.flags.iter().find(|f| f.name == given.as_str()) else {
+            return Err(err(format!("unknown flag `{given}` for `qz {name}`")));
+        };
+        let value = if flag.sample.is_empty() {
+            ""
+        } else {
+            take_value(&mut rest, given)?
+        };
+        (flag.set)(&mut args, value).map_err(|e| err(format!("`{} {value}`: {e}", flag.name)))?;
     }
-    match sub.as_str() {
-        "run" => Ok(Command::Run(run)),
-        "compare" => Ok(Command::Compare(run)),
-        "export-traces" => Ok(Command::ExportTraces(run)),
-        "trace" => Ok(Command::Trace(run)),
-        other => Err(err(format!(
-            "unknown command `{other}` (try run, compare, export-traces, trace, check, fleet, \
-             fault, branch, bisect, profile, bench)"
-        ))),
+    if args.device == Device::All && !sub.sweep {
+        return Err(err(format!(
+            "`--device all` sweeps only in check and verify, not `qz {name}`"
+        )));
     }
-}
-
-/// Parses the flags of `qz check`.
-fn parse_check(args: &[String]) -> Result<CheckArgs, ParseError> {
-    let mut check = CheckArgs::default();
-    let mut i = 0;
-    let take_value = |i: &mut usize, flag: &str| -> Result<String, ParseError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| err(format!("flag `{flag}` needs a value")))
-    };
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--system" => check.system = Some(parse_system(&take_value(&mut i, flag)?)?),
-            "--device" => {
-                let d = take_value(&mut i, flag)?.to_ascii_lowercase();
-                if d != "apollo4" && d != "msp430" && d != "all" {
-                    return Err(err("`--device` must be `apollo4`, `msp430`, or `all`"));
-                }
-                check.device = d;
-            }
-            "--json" => check.json = true,
-            "--deny-warnings" => check.deny_warnings = true,
-            "--allow" => {
-                let code = take_value(&mut i, flag)?;
-                check.allow.push(
-                    qz_check::Code::parse(&code)
-                        .ok_or_else(|| err(format!("unknown diagnostic code `{code}`")))?,
-                );
-            }
-            "--cap-mf" => {
-                let mf: f64 = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--cap-mf` must be a capacitance in millifarads"))?;
-                check.cap_mf = Some(mf);
-            }
-            "--checkpoint" => {
-                check.checkpoint = Some(parse_checkpoint(&take_value(&mut i, flag)?)?)
-            }
-            "--cells" => {
-                check.cells = Some(
-                    take_value(&mut i, flag)?
-                        .parse()
-                        .map_err(|_| err("`--cells` must be a positive integer"))?,
-                );
-            }
-            "--buffer" => {
-                check.buffer = Some(
-                    take_value(&mut i, flag)?
-                        .parse()
-                        .map_err(|_| err("`--buffer` must be a non-negative integer"))?,
-                );
-            }
-            "--capture-period" => {
-                let secs: f64 = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--capture-period` must be a number of seconds"))?;
-                check.capture_period = Some(secs);
-            }
-            "--telemetry-period" => {
-                let secs: f64 = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--telemetry-period` must be a number of seconds"))?;
-                if !(secs.is_finite() && secs > 0.0) {
-                    return Err(err("`--telemetry-period` must be positive"));
-                }
-                check.telemetry_period = Some(secs);
-            }
-            "--snapshot-period" => {
-                let secs: f64 = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--snapshot-period` must be a number of seconds"))?;
-                if !(secs.is_finite() && secs > 0.0) {
-                    return Err(err("`--snapshot-period` must be positive"));
-                }
-                check.snapshot_period = Some(secs);
-            }
-            "--explain" => {
-                let code = take_value(&mut i, flag)?;
-                check.explain = Some(
-                    qz_check::Code::parse(&code)
-                        .ok_or_else(|| err(format!("unknown diagnostic code `{code}`")))?,
-                );
-            }
-            other => return Err(err(format!("unknown flag `{other}` for `qz check`"))),
-        }
-        i += 1;
-    }
-    Ok(check)
-}
-
-/// Parses the flags of `qz verify`.
-fn parse_verify(args: &[String]) -> Result<VerifyArgs, ParseError> {
-    let mut verify = VerifyArgs::default();
-    let mut i = 0;
-    let take_value = |i: &mut usize, flag: &str| -> Result<String, ParseError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| err(format!("flag `{flag}` needs a value")))
-    };
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--system" => verify.system = Some(parse_system(&take_value(&mut i, flag)?)?),
-            "--device" => {
-                let d = take_value(&mut i, flag)?.to_ascii_lowercase();
-                if d != "apollo4" && d != "msp430" && d != "all" {
-                    return Err(err("`--device` must be `apollo4`, `msp430`, or `all`"));
-                }
-                verify.device = d;
-            }
-            "--env" => verify.env = parse_env(&take_value(&mut i, flag)?)?,
-            "--events" => {
-                verify.events = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--events` must be a positive integer"))?;
-                if verify.events == 0 {
-                    return Err(err("`--events` must be at least 1"));
-                }
-            }
-            "--seed" => verify.seed = parse_seed(&take_value(&mut i, flag)?)?,
-            "--segment" => {
-                verify.segment = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--segment` must be a number of seconds"))?;
-                if verify.segment == 0 {
-                    return Err(err("`--segment` must be at least 1 second"));
-                }
-            }
-            "--json" => verify.json = true,
-            "--deny-unproven" => verify.deny_unproven = true,
-            other => return Err(err(format!("unknown flag `{other}` for `qz verify`"))),
-        }
-        i += 1;
-    }
-    Ok(verify)
-}
-
-/// Parses the flags of `qz lint-src`.
-fn parse_lint_src(args: &[String]) -> Result<LintSrcArgs, ParseError> {
-    let mut lint = LintSrcArgs::default();
-    let mut i = 0;
-    let take_value = |i: &mut usize, flag: &str| -> Result<String, ParseError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| err(format!("flag `{flag}` needs a value")))
-    };
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--root" => lint.root = take_value(&mut i, flag)?,
-            "--allow-file" => lint.allow_file = take_value(&mut i, flag)?,
-            "--json" => lint.json = true,
-            other => return Err(err(format!("unknown flag `{other}` for `qz lint-src`"))),
-        }
-        i += 1;
-    }
-    Ok(lint)
-}
-
-/// Parses the flags of `qz fleet`.
-fn parse_fleet(args: &[String]) -> Result<FleetArgs, ParseError> {
-    let mut fleet = FleetArgs::default();
-    let mut i = 0;
-    let take_value = |i: &mut usize, flag: &str| -> Result<String, ParseError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| err(format!("flag `{flag}` needs a value")))
-    };
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--devices" => {
-                fleet.devices = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--devices` must be a positive integer"))?;
-                if fleet.devices == 0 {
-                    return Err(err("`--devices` must be at least 1"));
-                }
-            }
-            "--events" => {
-                fleet.events = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--events` must be a positive integer"))?;
-            }
-            "--seed" => {
-                fleet.seed = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--seed` must be an integer"))?;
-            }
-            "--system" => fleet.system = parse_system(&take_value(&mut i, flag)?)?,
-            "--device" => {
-                let d = take_value(&mut i, flag)?.to_ascii_lowercase();
-                if d != "apollo4" && d != "msp430" {
-                    return Err(err("`--device` must be `apollo4` or `msp430`"));
-                }
-                fleet.device = d;
-            }
-            "--envs" => {
-                let list = take_value(&mut i, flag)?;
-                fleet.envs = list
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(parse_env)
-                    .collect::<Result<_, _>>()?;
-                if fleet.envs.is_empty() {
-                    return Err(err("`--envs` needs at least one environment"));
-                }
-            }
-            "--threads" => {
-                fleet.threads = Some(
-                    take_value(&mut i, flag)?
-                        .parse()
-                        .map_err(|_| err("`--threads` must be a non-negative integer"))?,
-                );
-            }
-            "--duty-cycle" => {
-                let d: f64 = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--duty-cycle` must be a fraction"))?;
-                if !(d.is_finite() && d > 0.0) {
-                    return Err(err(
-                        "`--duty-cycle` must be positive (>= 1 disables the cap)",
-                    ));
-                }
-                fleet.duty_cycle = Some(d);
-            }
-            "--slot-ms" => {
-                let ms: u64 = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--slot-ms` must be a positive integer"))?;
-                if ms == 0 {
-                    return Err(err("`--slot-ms` must be at least 1"));
-                }
-                fleet.slot_ms = Some(ms);
-            }
-            "--json" => fleet.json = Some(take_value(&mut i, flag)?),
-            "--csv" => fleet.csv = Some(take_value(&mut i, flag)?),
-            "--metrics" => fleet.metrics = true,
-            "--gateways" => {
-                fleet.gateways = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--gateways` must be a positive integer"))?;
-                if fleet.gateways == 0 {
-                    return Err(err("`--gateways` must be at least 1"));
-                }
-            }
-            "--capture-period" => {
-                let p: f64 = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--capture-period` must be seconds"))?;
-                if !(p.is_finite() && p > 0.0) {
-                    return Err(err("`--capture-period` must be positive seconds"));
-                }
-                fleet.capture_period = Some(p);
-            }
-            other => return Err(err(format!("unknown flag `{other}` for `qz fleet`"))),
-        }
-        i += 1;
-    }
-    if fleet.json.as_deref() == Some("-") && fleet.csv.as_deref() == Some("-") {
+    if args.json.as_deref() == Some("-") && args.csv.as_deref() == Some("-") {
         return Err(err(
             "`--json -` and `--csv -` cannot both stream to stdout (pick one, or write files)",
         ));
     }
-    Ok(fleet)
+    Ok((sub.make)(args))
 }
 
-/// Parses the flags of `qz fault`.
-fn parse_fault(args: &[String]) -> Result<FaultArgs, ParseError> {
-    let mut fault = FaultArgs::default();
-    let mut i = 0;
-    let take_value = |i: &mut usize, flag: &str| -> Result<String, ParseError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| err(format!("flag `{flag}` needs a value")))
-    };
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--preset" => {
-                let p = take_value(&mut i, flag)?.to_ascii_lowercase();
-                if qz_fault::FaultPlan::preset(&p).is_none() {
-                    return Err(err(format!(
-                        "unknown fault preset `{p}` (try none, smoke, standard, heavy)"
-                    )));
-                }
-                fault.preset = p;
+/// Renders the help text: the usage block from [`SUBCOMMANDS`], then
+/// the vocabulary and one paragraph per subcommand.
+pub fn help() -> String {
+    const WIDTH: usize = 80;
+    const INDENT: usize = 20;
+    let mut usage = String::new();
+    for sub in SUBCOMMANDS {
+        let mut line = format!("  qz {:<1$}", sub.name, INDENT - 5);
+        for (i, flag) in sub.flags.iter().enumerate() {
+            let item = if flag.sample.is_empty() {
+                format!("[{}]", flag.name)
+            } else {
+                format!("[{} {}]", flag.name, flag.sample)
+            };
+            if i > 0 && line.len() + 1 + item.len() > WIDTH {
+                usage.push_str(&line);
+                usage.push('\n');
+                line = " ".repeat(INDENT);
+            } else if i > 0 {
+                line.push(' ');
             }
-            "--system" => fault.system = parse_system(&take_value(&mut i, flag)?)?,
-            "--device" => {
-                let d = take_value(&mut i, flag)?.to_ascii_lowercase();
-                if d != "apollo4" && d != "msp430" {
-                    return Err(err("`--device` must be `apollo4` or `msp430`"));
-                }
-                fault.device = d;
-            }
-            "--env" => fault.env = parse_env(&take_value(&mut i, flag)?)?,
-            "--events" => {
-                fault.events = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--events` must be a positive integer"))?;
-                if fault.events == 0 {
-                    return Err(err("`--events` must be at least 1"));
-                }
-            }
-            "--campaigns" => {
-                fault.campaigns = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--campaigns` must be a positive integer"))?;
-                if fault.campaigns == 0 {
-                    return Err(err("`--campaigns` must be at least 1"));
-                }
-            }
-            "--start" => {
-                fault.start = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--start` must be a non-negative integer"))?;
-            }
-            "--seed" => fault.seed = parse_seed(&take_value(&mut i, flag)?)?,
-            "--threads" => {
-                fault.threads = Some(
-                    take_value(&mut i, flag)?
-                        .parse()
-                        .map_err(|_| err("`--threads` must be a non-negative integer"))?,
-                );
-            }
-            "--json" => fault.json = Some(take_value(&mut i, flag)?),
-            "--postmortem" => fault.postmortem = Some(take_value(&mut i, flag)?),
-            "--inject-at" => {
-                fault.inject_at = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--inject-at` must be a number of seconds"))?;
-            }
-            "--snapshot-ring" => {
-                let n: usize = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--snapshot-ring` must be a positive integer"))?;
-                if n == 0 {
-                    return Err(err("`--snapshot-ring` must be at least 1"));
-                }
-                fault.snapshot_ring = Some(n);
-            }
-            "--snapshot-stride" => {
-                let s: u64 = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--snapshot-stride` must be a number of seconds"))?;
-                if s == 0 {
-                    return Err(err("`--snapshot-stride` must be at least 1 second"));
-                }
-                fault.snapshot_stride = Some(s);
-            }
-            other => return Err(err(format!("unknown flag `{other}` for `qz fault`"))),
+            line.push_str(&item);
         }
-        i += 1;
+        usage.push_str(&line);
+        usage.push('\n');
     }
-    Ok(fault)
+    let envs: Vec<&str> = EnvironmentKind::ALL.iter().map(|k| k.token()).collect();
+    format!(
+        "qz — Quetzal experiment runner\n\nUSAGE:\n{usage}  qz help\n\n\
+         SYSTEMS:       QZ, QZ-HW, NA, AD, CN, TH25, TH50, TH75, PZO, FCFS, LCFS, AvgSe2e\n\
+         ENVIRONMENTS:  {}\n\
+         DEVICES:       apollo4, msp430; all (both) is the check and verify default\n\
+         {PROSE}",
+        envs.join(", ")
+    )
 }
 
-/// Parses the flags of `qz branch`.
-fn parse_branch(args: &[String]) -> Result<BranchArgs, ParseError> {
-    let mut branch = BranchArgs::default();
-    let mut i = 0;
-    let take_value = |i: &mut usize, flag: &str| -> Result<String, ParseError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| err(format!("flag `{flag}` needs a value")))
-    };
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--system" => branch.system = parse_system(&take_value(&mut i, flag)?)?,
-            "--device" => {
-                let d = take_value(&mut i, flag)?.to_ascii_lowercase();
-                if d != "apollo4" && d != "msp430" {
-                    return Err(err("`--device` must be `apollo4` or `msp430`"));
-                }
-                branch.device = d;
-            }
-            "--env" => branch.env = parse_env(&take_value(&mut i, flag)?)?,
-            "--events" => {
-                branch.events = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--events` must be a positive integer"))?;
-                if branch.events == 0 {
-                    return Err(err("`--events` must be at least 1"));
-                }
-            }
-            "--seed" => branch.seed = parse_seed(&take_value(&mut i, flag)?)?,
-            "--at" => {
-                branch.at = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--at` must be a number of seconds"))?;
-            }
-            "--fork-no-pid" => branch.fork_no_pid = true,
-            "--fork-no-sticky" => branch.fork_no_sticky = true,
-            "--fork-checkpoint" => {
-                branch.fork_checkpoint = Some(parse_checkpoint(&take_value(&mut i, flag)?)?)
-            }
-            "--fork-capture-period" => {
-                let secs: f64 = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--fork-capture-period` must be a number of seconds"))?;
-                if !(secs.is_finite() && secs > 0.0) {
-                    return Err(err("`--fork-capture-period` must be positive"));
-                }
-                branch.fork_capture_period = Some(secs);
-            }
-            other => return Err(err(format!("unknown flag `{other}` for `qz branch`"))),
-        }
-        i += 1;
-    }
-    Ok(branch)
-}
-
-/// Parses the flags of `qz bisect`.
-fn parse_bisect(args: &[String]) -> Result<BisectArgs, ParseError> {
-    let mut bisect = BisectArgs::default();
-    let mut i = 0;
-    let take_value = |i: &mut usize, flag: &str| -> Result<String, ParseError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| err(format!("flag `{flag}` needs a value")))
-    };
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--preset" => {
-                let p = take_value(&mut i, flag)?.to_ascii_lowercase();
-                if qz_fault::FaultPlan::preset(&p).is_none() {
-                    return Err(err(format!(
-                        "unknown fault preset `{p}` (try none, smoke, standard, heavy)"
-                    )));
-                }
-                bisect.preset = p;
-            }
-            "--system" => bisect.system = parse_system(&take_value(&mut i, flag)?)?,
-            "--device" => {
-                let d = take_value(&mut i, flag)?.to_ascii_lowercase();
-                if d != "apollo4" && d != "msp430" {
-                    return Err(err("`--device` must be `apollo4` or `msp430`"));
-                }
-                bisect.device = d;
-            }
-            "--env" => bisect.env = parse_env(&take_value(&mut i, flag)?)?,
-            "--events" => {
-                bisect.events = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--events` must be a positive integer"))?;
-                if bisect.events == 0 {
-                    return Err(err("`--events` must be at least 1"));
-                }
-            }
-            "--start" => {
-                bisect.start = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--start` must be a non-negative integer"))?;
-            }
-            "--seed" => bisect.seed = parse_seed(&take_value(&mut i, flag)?)?,
-            "--inject-at" => {
-                bisect.inject_at = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--inject-at` must be a number of seconds"))?;
-            }
-            "--stride" => {
-                bisect.stride = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--stride` must be a number of seconds"))?;
-                if bisect.stride == 0 {
-                    return Err(err("`--stride` must be at least 1 second"));
-                }
-            }
-            "--ring" => {
-                bisect.ring = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--ring` must be a positive integer"))?;
-                if bisect.ring == 0 {
-                    return Err(err("`--ring` must be at least 1"));
-                }
-            }
-            other => return Err(err(format!("unknown flag `{other}` for `qz bisect`"))),
-        }
-        i += 1;
-    }
-    Ok(bisect)
-}
-
-/// Parses the flags of `qz profile`.
-fn parse_profile(args: &[String]) -> Result<ProfileArgs, ParseError> {
-    let mut prof = ProfileArgs::default();
-    let mut i = 0;
-    let take_value = |i: &mut usize, flag: &str| -> Result<String, ParseError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| err(format!("flag `{flag}` needs a value")))
-    };
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--system" => prof.system = parse_system(&take_value(&mut i, flag)?)?,
-            "--device" => {
-                let d = take_value(&mut i, flag)?.to_ascii_lowercase();
-                if d != "apollo4" && d != "msp430" {
-                    return Err(err("`--device` must be `apollo4` or `msp430`"));
-                }
-                prof.device = d;
-            }
-            "--env" => prof.env = parse_env(&take_value(&mut i, flag)?)?,
-            "--events" => {
-                prof.events = take_value(&mut i, flag)?
-                    .parse()
-                    .map_err(|_| err("`--events` must be a positive integer"))?;
-                if prof.events == 0 {
-                    return Err(err("`--events` must be at least 1"));
-                }
-            }
-            "--seed" => prof.seed = parse_seed(&take_value(&mut i, flag)?)?,
-            "--json" => prof.json = Some(take_value(&mut i, flag)?),
-            "--flame" => prof.flame = Some(take_value(&mut i, flag)?),
-            "--flight" => prof.flight = Some(take_value(&mut i, flag)?),
-            other => return Err(err(format!("unknown flag `{other}` for `qz profile`"))),
-        }
-        i += 1;
-    }
-    Ok(prof)
-}
-
-/// Parses the flags of `qz bench`.
-fn parse_bench(args: &[String]) -> Result<BenchArgs, ParseError> {
-    let mut bench = BenchArgs::default();
-    let mut i = 0;
-    let take_value = |i: &mut usize, flag: &str| -> Result<String, ParseError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| err(format!("flag `{flag}` needs a value")))
-    };
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--check" => bench.check = true,
-            "--results-dir" => bench.results_dir = take_value(&mut i, flag)?,
-            "--baseline" => bench.baseline = Some(take_value(&mut i, flag)?),
-            other => return Err(err(format!("unknown flag `{other}` for `qz bench`"))),
-        }
-        i += 1;
-    }
-    Ok(bench)
-}
-
-/// The help text.
-pub const HELP: &str = "\
-qz — Quetzal experiment runner
-
-USAGE:
-  qz run            [--system QZ] [--env crowded] [--events 200] [--seed N|0xN]
-                    [--device apollo4|msp430] [--telemetry out.csv] [--plot]
-                    [--solar trace|floor|ceil] [--solar-seg 60]
-                    [--snapshot-ring 64] [--snapshot-stride 10]
-  qz compare        [--env crowded] [--events 200] [--seed N] [--device …]
-  qz export-traces  [--env crowded] [--events 200] [--seed N] [--out-dir DIR]
-  qz trace          [--system QZ] [--env crowded] [--events 200] [--seed N]
-                    [--device …] [--jsonl out.jsonl] [--csv out.csv]
-                    [--limit 200] [--snapshots]
-  qz check          [--system QZ] [--device apollo4|msp430|all] [--json]
-                    [--deny-warnings] [--allow QZ011]…
-                    [--cap-mf 33] [--checkpoint jit|task-boundary|periodic:SECS]
-                    [--cells 6] [--buffer 10] [--capture-period 1]
-                    [--telemetry-period 1] [--snapshot-period 1]
-                    [--explain QZ010]
-  qz verify         [--system QZ] [--device apollo4|msp430|all] [--env crowded]
-                    [--events 40] [--seed N|0xN] [--segment 60] [--json]
-                    [--deny-unproven]
-  qz lint-src       [--root .] [--allow-file lint-allow.txt] [--json]
-  qz fleet          [--devices 16] [--events 40] [--seed N] [--system QZ]
-                    [--device apollo4|msp430] [--envs more,crowded,less]
-                    [--threads N] [--duty-cycle 0.1] [--slot-ms 50]
-                    [--json out.json|-] [--csv out.csv|-] [--metrics]
-                    [--gateways 1] [--capture-period 1]
-  qz fault          [--preset none|smoke|standard|heavy] [--system QZ]
-                    [--device apollo4|msp430] [--env crowded] [--events 12]
-                    [--campaigns 8] [--seed N|0xN] [--start 0] [--inject-at 0]
-                    [--threads N] [--json out.json|-] [--postmortem DIR]
-                    [--snapshot-ring 64] [--snapshot-stride 10]
-  qz branch         [--system QZ] [--device apollo4|msp430] [--env crowded]
-                    [--events 40] [--seed N|0xN] [--at 60]
-                    [--fork-no-pid] [--fork-no-sticky]
-                    [--fork-checkpoint jit|task-boundary|periodic:SECS]
-                    [--fork-capture-period SECS]
-  qz bisect         [--preset standard|heavy] [--system QZ]
-                    [--device apollo4|msp430] [--env crowded] [--events 12]
-                    [--seed N|0xN] [--start 0] [--inject-at 0]
-                    [--stride 10] [--ring 64]
-  qz profile        [--system QZ] [--env crowded] [--events 200] [--seed N|0xN]
-                    [--device apollo4|msp430]
-                    [--json out.json|-] [--flame out.folded]
-                    [--flight dump.json]
-  qz bench          [--check] [--results-dir results] [--baseline FILE]
-  qz help
-
-SYSTEMS:       QZ, QZ-HW, NA, AD, CN, TH25, TH50, TH75, PZO, FCFS, LCFS, AvgSe2e
-ENVIRONMENTS:  more-crowded, crowded, less-crowded, short, quiet
-
+/// The help text's prose, one paragraph per subcommand.
+const PROSE: &str = "
 Every subcommand runs the fast-forward engine: it skips quiescent ticks in
 bulk, and its reports are byte-identical to the per-tick reference loop
 (an oracle that only the test suites and benches select).
@@ -1332,9 +849,9 @@ works). Reports are byte-identical at any thread count. The event-horizon
 scheduler wakes only due devices; its reports are byte-identical to the
 lockstep epoch-barrier reference the test suites check it against.
 --gateways shards devices across multiple channels deterministically.
-The preflight feasibility check (QZ050-QZ052, QZ080-QZ081) rejects
-configs whose offered airtime saturates a channel and warns on
-host-memory overshoot.
+--json - or --csv - streams that report to stdout. The preflight
+feasibility check (QZ050-QZ052, QZ080-QZ081) rejects configs whose
+offered airtime saturates a channel and warns on host-memory overshoot.
 
 `qz fault` runs seeded fault-injection campaigns (adversarial power
 failures, checkpoint corruption, ADC misreads, clock jitter, input
@@ -1383,11 +900,40 @@ when any gated metric regresses beyond the baseline tolerance.
 ";
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
+    }
+
+    /// The options of a parsed command (panics on `help`).
+    pub(crate) fn options(command: Command) -> Args {
+        match command {
+            Command::Run(a)
+            | Command::Compare(a)
+            | Command::ExportTraces(a)
+            | Command::Trace(a)
+            | Command::Check(a)
+            | Command::Verify(a)
+            | Command::LintSrc(a)
+            | Command::Fleet(a)
+            | Command::Fault(a)
+            | Command::Branch(a)
+            | Command::Bisect(a)
+            | Command::Profile(a)
+            | Command::Bench(a) => a,
+            Command::Help => panic!("help carries no options"),
+        }
+    }
+
+    fn ok(line: &str) -> Args {
+        options(parse(&argv(line)).unwrap_or_else(|e| panic!("`{line}`: {e}")))
+    }
+
+    fn rejected(line: &str) -> bool {
+        parse(&argv(line)).is_err()
     }
 
     #[test]
@@ -1399,36 +945,30 @@ mod tests {
 
     #[test]
     fn run_defaults() {
-        let Command::Run(r) = parse(&argv("run")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(r.system, BaselineKind::Quetzal);
+        let r = ok("run");
+        assert_eq!(r.system(), BaselineKind::Quetzal);
         assert_eq!(r.env, EnvironmentKind::Crowded);
         assert_eq!(r.events, 200);
+        assert_eq!(r.seed, RUN_SEED);
+        assert_eq!(r.device, Device::Apollo4);
     }
 
     #[test]
     fn run_with_flags() {
-        let Command::Run(r) = parse(&argv(
+        let r = ok(
             "run --system NA --env more-crowded --events 50 --seed 9 --device msp430 --telemetry t.csv",
-        ))
-        .unwrap() else {
-            panic!()
-        };
-        assert_eq!(r.system, BaselineKind::NoAdapt);
+        );
+        assert_eq!(r.system(), BaselineKind::NoAdapt);
         assert_eq!(r.env, EnvironmentKind::MoreCrowded);
         assert_eq!(r.events, 50);
         assert_eq!(r.seed, 9);
-        assert_eq!(r.device, "msp430");
+        assert_eq!(r.device, Device::Msp430);
         assert_eq!(r.telemetry.as_deref(), Some("t.csv"));
     }
 
     #[test]
     fn plot_flag() {
-        let Command::Run(r) = parse(&argv("run --plot")).unwrap() else {
-            panic!()
-        };
-        assert!(r.plot);
+        assert!(ok("run --plot").plot);
     }
 
     #[test]
@@ -1446,23 +986,37 @@ mod tests {
 
     #[test]
     fn trace_defaults_and_flags() {
-        let Command::Trace(r) = parse(&argv("trace")).unwrap() else {
-            panic!()
-        };
+        let r = ok("trace");
         assert_eq!(r.limit, 200);
         assert!(!r.snapshots);
         assert_eq!(r.jsonl, None);
-        let Command::Trace(r) = parse(&argv(
-            "trace --env less --jsonl e.jsonl --csv e.csv --limit 0 --snapshots",
-        ))
-        .unwrap() else {
-            panic!()
-        };
+        let r = ok("trace --env less --jsonl e.jsonl --csv e.csv --limit 0 --snapshots");
         assert_eq!(r.env, EnvironmentKind::LessCrowded);
         assert_eq!(r.jsonl.as_deref(), Some("e.jsonl"));
         assert_eq!(r.csv.as_deref(), Some("e.csv"));
         assert_eq!(r.limit, 0);
         assert!(r.snapshots);
+    }
+
+    #[test]
+    fn run_family_rejects_flags_its_handler_ignores() {
+        for line in [
+            "compare --system NA",
+            "compare --telemetry t.csv",
+            "compare --plot",
+            "compare --jsonl e.jsonl",
+            "export-traces --system QZ",
+            "export-traces --device msp430",
+            "export-traces --limit 3",
+            "trace --plot",
+            "trace --telemetry t.csv",
+            "trace --snapshot-ring 4",
+            "run --jsonl e.jsonl",
+            "run --out-dir x",
+        ] {
+            let e = parse(&argv(line)).unwrap_err();
+            assert!(e.0.contains("unknown flag"), "`{line}`: {e}");
+        }
     }
 
     #[test]
@@ -1478,25 +1032,26 @@ mod tests {
 
     #[test]
     fn check_defaults_and_flags() {
-        let Command::Check(c) = parse(&argv("check")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(c, CheckArgs::default());
-        let Command::Check(c) = parse(&argv(
+        let c = ok("check");
+        assert_eq!(c.system, None, "no --system sweeps every preset");
+        assert_eq!(c.device, Device::All);
+        assert_eq!(c.json, None);
+        assert!(c.allow.is_empty() && c.explain.is_none() && c.cap_mf.is_none());
+        let c = ok(
             "check --system QZ --device msp430 --json --deny-warnings --allow QZ011 \
              --cap-mf 0.05 --checkpoint task-boundary --buffer 4 --capture-period 0.5",
-        ))
-        .unwrap() else {
-            panic!()
-        };
+        );
         assert_eq!(c.system, Some(BaselineKind::Quetzal));
-        assert_eq!(c.device, "msp430");
-        assert!(c.json && c.deny_warnings);
+        assert_eq!(c.device, Device::Msp430);
+        assert!(c.json.is_some() && c.deny_warnings);
         assert_eq!(c.allow, vec![qz_check::Code::QZ011]);
         assert_eq!(c.cap_mf, Some(0.05));
         assert_eq!(c.checkpoint, Some(qz_sim::CheckpointPolicy::TaskBoundary));
         assert_eq!(c.buffer, Some(4));
         assert_eq!(c.capture_period, Some(0.5));
+        // Overrides stay unvalidated: qz-check's diagnostics report them.
+        assert_eq!(ok("check --capture-period -1").capture_period, Some(-1.0));
+        assert_eq!(ok("check --cap-mf 0").cap_mf, Some(0.0));
     }
 
     #[test]
@@ -1517,128 +1072,105 @@ mod tests {
 
     #[test]
     fn check_rejects_bad_input() {
-        assert!(parse(&argv("check --allow QZ999")).is_err());
-        assert!(parse(&argv("check --device z80")).is_err());
-        assert!(parse(&argv("check --events 5")).is_err(), "run-only flag");
-        assert!(parse(&argv("check --telemetry-period 0")).is_err());
-        assert!(parse(&argv("check --snapshot-period -2")).is_err());
+        assert!(rejected("check --allow QZ999"));
+        assert!(rejected("check --device z80"));
+        assert!(rejected("check --events 5"), "run-only flag");
+        assert!(rejected("check --telemetry-period 0"));
+        assert!(rejected("check --snapshot-period -2"));
     }
 
     #[test]
     fn check_explain_flag() {
-        let Command::Check(c) = parse(&argv("check --explain QZ010")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(c.explain, Some(qz_check::Code::QZ010));
-        assert!(parse(&argv("check --explain QZ999")).is_err());
-        assert!(parse(&argv("check --explain")).is_err(), "missing value");
+        assert_eq!(
+            ok("check --explain QZ010").explain,
+            Some(qz_check::Code::QZ010)
+        );
+        assert!(rejected("check --explain QZ999"));
+        assert!(rejected("check --explain"), "missing value");
     }
 
     #[test]
     fn verify_defaults_and_flags() {
-        let Command::Verify(v) = parse(&argv("verify")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(v, VerifyArgs::default());
+        let v = ok("verify");
         assert_eq!(v.system, None, "no --system sweeps every preset");
-        let Command::Verify(v) = parse(&argv(
+        assert_eq!(v.device, Device::All);
+        assert_eq!((v.events, v.seed, v.segment), (40, RUN_SEED, 60));
+        assert!(v.json.is_none() && !v.deny_unproven);
+        let v = ok(
             "verify --system QZ --device msp430 --env quiet --events 12 --seed 0xBEEF \
              --segment 30 --json --deny-unproven",
-        ))
-        .unwrap() else {
-            panic!()
-        };
+        );
         assert_eq!(v.system, Some(BaselineKind::Quetzal));
-        assert_eq!(v.device, "msp430");
+        assert_eq!(v.device, Device::Msp430);
         assert_eq!(v.env, EnvironmentKind::Quiet);
         assert_eq!(v.events, 12);
         assert_eq!(v.seed, 0xBEEF);
         assert_eq!(v.segment, 30);
-        assert!(v.json && v.deny_unproven);
+        assert!(v.json.is_some() && v.deny_unproven);
     }
 
     #[test]
     fn verify_rejects_bad_input() {
-        assert!(parse(&argv("verify --device z80")).is_err());
-        assert!(parse(&argv("verify --events 0")).is_err());
-        assert!(parse(&argv("verify --segment 0")).is_err());
-        assert!(parse(&argv("verify --campaigns 4")).is_err(), "fault-only");
-        assert!(parse(&argv("verify --plot")).is_err(), "run-only flag");
+        assert!(rejected("verify --device z80"));
+        assert!(rejected("verify --events 0"));
+        assert!(rejected("verify --segment 0"));
+        assert!(rejected("verify --campaigns 4"), "fault-only");
+        assert!(rejected("verify --plot"), "run-only flag");
     }
 
     #[test]
     fn lint_src_defaults_and_flags() {
-        let Command::LintSrc(l) = parse(&argv("lint-src")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(l, LintSrcArgs::default());
+        let l = ok("lint-src");
+        assert_eq!((l.root.as_str(), l.json.as_deref()), (".", None));
         assert_eq!(l.allow_file, "lint-allow.txt");
-        let Command::LintSrc(l) = parse(&argv(
-            "lint-src --root /tmp/ws --allow-file allow.txt --json",
-        ))
-        .unwrap() else {
-            panic!()
-        };
+        let l = ok("lint-src --root /tmp/ws --allow-file allow.txt --json");
         assert_eq!(l.root, "/tmp/ws");
         assert_eq!(l.allow_file, "allow.txt");
-        assert!(l.json);
-        assert!(
-            parse(&argv("lint-src --system QZ")).is_err(),
-            "foreign flag"
-        );
+        assert!(l.json.is_some());
+        assert!(rejected("lint-src --system QZ"), "foreign flag");
     }
 
     #[test]
     fn run_solar_flags_and_repro_lines() {
-        let Command::Run(r) = parse(&argv("run")).unwrap() else {
-            panic!()
-        };
+        let r = ok("run");
         assert_eq!(r.solar, qz_absint::SolarMode::Trace);
         assert_eq!(r.solar_seg, 60);
         // The exact flag vocabulary a `qz verify` refutation prints.
-        let Command::Run(r) = parse(&argv(
+        let r = ok(
             "run --system qz --device apollo4 --env crowded --events 40 \
-             --seed 0x134fd62 --solar floor --solar-seg 60",
-        ))
-        .unwrap() else {
-            panic!()
-        };
+                    --seed 0x134fd62 --solar floor --solar-seg 60",
+        );
         assert_eq!(r.seed, 0x134_FD62);
         assert_eq!(r.solar, qz_absint::SolarMode::Floor);
-        assert!(parse(&argv("run --solar eclipse")).is_err());
-        assert!(parse(&argv("run --solar-seg 0")).is_err());
+        assert!(rejected("run --solar eclipse"));
+        assert!(rejected("run --solar-seg 0"));
     }
 
     #[test]
     fn check_observation_period_flags() {
-        let Command::Check(c) =
-            parse(&argv("check --telemetry-period 0.001 --snapshot-period 1")).unwrap()
-        else {
-            panic!()
-        };
+        let c = ok("check --telemetry-period 0.001 --snapshot-period 1");
         assert_eq!(c.telemetry_period, Some(0.001));
         assert_eq!(c.snapshot_period, Some(1.0));
     }
 
     #[test]
     fn fleet_defaults_and_flags() {
-        let Command::Fleet(f) = parse(&argv("fleet")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(f, FleetArgs::default());
-        let Command::Fleet(f) = parse(&argv(
+        let f = ok("fleet");
+        assert_eq!(
+            (f.devices, f.events, f.seed, f.gateways),
+            (16, 40, 0xF1EE7, 1)
+        );
+        assert!(f.envs.is_empty() && f.threads.is_none() && !f.metrics);
+        let f = ok(
             "fleet --devices 64 --events 20 --seed 7 --system CN --device msp430 \
              --envs more,short --threads 8 --duty-cycle 0.2 --slot-ms 100 \
              --json out.json --csv - --metrics",
-        ))
-        .unwrap() else {
-            panic!()
-        };
+        );
         assert_eq!(f.devices, 64);
         assert_eq!(f.events, 20);
         assert_eq!(f.seed, 7);
-        assert_eq!(f.system, BaselineKind::CatNap);
-        assert_eq!(f.device, "msp430");
+        assert_eq!(f.system(), BaselineKind::CatNap);
+        assert_eq!(f.device, Device::Msp430);
         assert_eq!(
             f.envs,
             vec![EnvironmentKind::MoreCrowded, EnvironmentKind::Short]
@@ -1649,58 +1181,56 @@ mod tests {
         assert_eq!(f.json.as_deref(), Some("out.json"));
         assert_eq!(f.csv.as_deref(), Some("-"));
         assert!(f.metrics);
+        assert_eq!(ok("fleet --seed 0x10").seed, 16, "hex like every seed");
     }
 
     #[test]
     fn fleet_parses_gateways_and_capture_period() {
-        let Command::Fleet(f) = parse(&argv("fleet --gateways 64 --capture-period 30")).unwrap()
-        else {
-            panic!()
-        };
+        let f = ok("fleet --gateways 64 --capture-period 30");
         assert_eq!(f.gateways, 64);
         assert_eq!(f.capture_period, Some(30.0));
-        let Command::Fleet(f) = parse(&argv("fleet")).unwrap() else {
-            panic!()
-        };
+        let f = ok("fleet");
         assert_eq!(f.gateways, 1);
         assert_eq!(f.capture_period, None);
     }
 
     #[test]
     fn fleet_rejects_conflicting_stdout_streams() {
-        assert!(parse(&argv("fleet --json - --csv -")).is_err());
-        assert!(parse(&argv("fleet --json - --csv out.csv")).is_ok());
-        assert!(parse(&argv("fleet --json out.json --csv -")).is_ok());
+        assert!(rejected("fleet --json - --csv -"));
+        assert!(!rejected("fleet --json - --csv out.csv"));
+        assert!(!rejected("fleet --json out.json --csv -"));
     }
 
     #[test]
     fn fleet_rejects_bad_input() {
-        assert!(parse(&argv("fleet --devices 0")).is_err());
-        assert!(parse(&argv("fleet --envs")).is_err());
-        assert!(parse(&argv("fleet --envs mars")).is_err());
-        assert!(parse(&argv("fleet --duty-cycle -1")).is_err());
-        assert!(parse(&argv("fleet --slot-ms 0")).is_err());
-        assert!(parse(&argv("fleet --plot")).is_err(), "run-only flag");
-        assert!(parse(&argv("fleet --gateways 0")).is_err());
-        assert!(parse(&argv("fleet --capture-period 0")).is_err());
+        assert!(rejected("fleet --devices 0"));
+        assert!(rejected("fleet --envs"));
+        assert!(rejected("fleet --envs mars"));
+        assert!(rejected("fleet --envs ,"));
+        assert!(rejected("fleet --duty-cycle -1"));
+        assert!(rejected("fleet --slot-ms 0"));
+        assert!(rejected("fleet --plot"), "run-only flag");
+        assert!(rejected("fleet --gateways 0"));
+        assert!(rejected("fleet --capture-period 0"));
+        assert!(rejected("fleet --device all"));
     }
 
     #[test]
     fn fault_defaults_and_flags() {
-        let Command::Fault(f) = parse(&argv("fault")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(f, FaultArgs::default());
-        let Command::Fault(f) = parse(&argv(
+        let f = ok("fault");
+        assert_eq!(f.preset, "standard");
+        assert_eq!(
+            (f.events, f.campaigns, f.start, f.seed),
+            (12, 8, 0, FAULT_SEED)
+        );
+        assert!(f.json.is_none() && f.postmortem.is_none() && f.snapshot_ring.is_none());
+        let f = ok(
             "fault --preset heavy --system QZ-HW --device msp430 --env more-crowded \
              --events 4 --campaigns 1 --seed 0xD1FF0002 --start 17 --threads 2 --json -",
-        ))
-        .unwrap() else {
-            panic!()
-        };
+        );
         assert_eq!(f.preset, "heavy");
-        assert_eq!(f.system, BaselineKind::QuetzalHw);
-        assert_eq!(f.device, "msp430");
+        assert_eq!(f.system(), BaselineKind::QuetzalHw);
+        assert_eq!(f.device, Device::Msp430);
         assert_eq!(f.env, EnvironmentKind::MoreCrowded);
         assert_eq!(f.events, 4);
         assert_eq!(f.campaigns, 1);
@@ -1713,11 +1243,10 @@ mod tests {
     #[test]
     fn fault_accepts_its_own_repro_lines() {
         // The exact flag vocabulary FaultReport::repro_line() emits.
-        let line = "fault --system qz --device apollo4 --env crowded --events 4 \
-                    --preset standard --seed 0xd1ff0001 --start 3 --campaigns 1";
-        let Command::Fault(f) = parse(&argv(line)).unwrap() else {
-            panic!()
-        };
+        let f = ok(
+            "fault --system qz --device apollo4 --env crowded --events 4 \
+                    --preset standard --seed 0xd1ff0001 --start 3 --campaigns 1",
+        );
         assert_eq!(f.seed, 0xD1FF_0001);
         assert_eq!(f.start, 3);
         assert_eq!(f.campaigns, 1);
@@ -1725,82 +1254,63 @@ mod tests {
 
     #[test]
     fn fault_rejects_bad_input() {
-        assert!(parse(&argv("fault --preset catastrophic")).is_err());
-        assert!(parse(&argv("fault --campaigns 0")).is_err());
-        assert!(parse(&argv("fault --events 0")).is_err());
-        assert!(parse(&argv("fault --seed 0xnope")).is_err());
-        assert!(parse(&argv("fault --device z80")).is_err());
-        assert!(
-            parse(&argv("fault --devices 4")).is_err(),
-            "fleet-only flag"
-        );
+        assert!(rejected("fault --preset catastrophic"));
+        assert!(rejected("fault --campaigns 0"));
+        assert!(rejected("fault --events 0"));
+        assert!(rejected("fault --seed 0xnope"));
+        assert!(rejected("fault --device z80"));
+        assert!(rejected("fault --devices 4"), "fleet-only flag");
     }
 
     #[test]
     fn fault_postmortem_flag() {
-        let Command::Fault(f) = parse(&argv("fault --postmortem dumps/")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(f.postmortem.as_deref(), Some("dumps/"));
-        assert!(parse(&argv("fault --postmortem")).is_err(), "missing value");
+        assert_eq!(
+            ok("fault --postmortem dumps/").postmortem.as_deref(),
+            Some("dumps/")
+        );
+        assert!(rejected("fault --postmortem"), "missing value");
     }
 
     #[test]
     fn fault_inject_at_and_snapshot_flags() {
         // The exact vocabulary a gated campaign's repro line emits.
-        let line = "fault --system qz --device apollo4 --env crowded --events 4 \
-                    --preset heavy --seed 0xfa017 --start 1 --campaigns 1 --inject-at 15";
-        let Command::Fault(f) = parse(&argv(line)).unwrap() else {
-            panic!()
-        };
+        let f = ok(
+            "fault --system qz --device apollo4 --env crowded --events 4 \
+                    --preset heavy --seed 0xfa017 --start 1 --campaigns 1 --inject-at 15",
+        );
         assert_eq!(f.inject_at, 15);
         assert_eq!(f.start, 1);
-        let Command::Fault(f) =
-            parse(&argv("fault --snapshot-ring 8 --snapshot-stride 30")).unwrap()
-        else {
-            panic!()
-        };
+        let f = ok("fault --snapshot-ring 8 --snapshot-stride 30");
         assert_eq!(f.snapshot_ring, Some(8));
         assert_eq!(f.snapshot_stride, Some(30));
-        assert!(parse(&argv("fault --snapshot-ring 0")).is_err());
-        assert!(parse(&argv("fault --snapshot-stride 0")).is_err());
-        assert!(parse(&argv("fault --inject-at soon")).is_err());
+        assert!(rejected("fault --snapshot-ring 0"));
+        assert!(rejected("fault --snapshot-stride 0"));
+        assert!(rejected("fault --inject-at soon"));
     }
 
     #[test]
     fn run_snapshot_ring_flags() {
-        let Command::Run(r) = parse(&argv("run")).unwrap() else {
-            panic!()
-        };
+        let r = ok("run");
         assert_eq!(r.snapshot_ring, None);
         assert_eq!(r.snapshot_stride, None);
-        let Command::Run(r) = parse(&argv("run --snapshot-ring 16 --snapshot-stride 5")).unwrap()
-        else {
-            panic!()
-        };
+        let r = ok("run --snapshot-ring 16 --snapshot-stride 5");
         assert_eq!(r.snapshot_ring, Some(16));
         assert_eq!(r.snapshot_stride, Some(5));
-        assert!(parse(&argv("run --snapshot-ring 0")).is_err());
-        assert!(parse(&argv("run --snapshot-stride 0")).is_err());
+        assert!(rejected("run --snapshot-ring 0"));
+        assert!(rejected("run --snapshot-stride 0"));
     }
 
     #[test]
     fn branch_defaults_and_flags() {
-        let Command::Branch(b) = parse(&argv("branch")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(b, BranchArgs::default());
-        assert_eq!(b.at, 60);
-        assert!(!b.fork_no_pid);
-        let Command::Branch(b) = parse(&argv(
+        let b = ok("branch");
+        assert_eq!((b.events, b.seed, b.at), (40, RUN_SEED, 60));
+        assert!(!b.fork_no_pid && b.fork_checkpoint.is_none());
+        let b = ok(
             "branch --system QZ --device msp430 --env quiet --events 20 --seed 0xBEEF \
              --at 90 --fork-no-pid --fork-no-sticky \
              --fork-checkpoint task-boundary --fork-capture-period 2",
-        ))
-        .unwrap() else {
-            panic!()
-        };
-        assert_eq!(b.device, "msp430");
+        );
+        assert_eq!(b.device, Device::Msp430);
         assert_eq!(b.env, EnvironmentKind::Quiet);
         assert_eq!(b.events, 20);
         assert_eq!(b.seed, 0xBEEF);
@@ -1815,28 +1325,25 @@ mod tests {
 
     #[test]
     fn branch_rejects_bad_input() {
-        assert!(parse(&argv("branch --events 0")).is_err());
-        assert!(parse(&argv("branch --at never")).is_err());
-        assert!(parse(&argv("branch --fork-capture-period 0")).is_err());
-        assert!(parse(&argv("branch --campaigns 4")).is_err(), "fault-only");
+        assert!(rejected("branch --events 0"));
+        assert!(rejected("branch --at never"));
+        assert!(rejected("branch --fork-capture-period 0"));
+        assert!(rejected("branch --campaigns 4"), "fault-only");
     }
 
     #[test]
     fn bisect_defaults_and_flags() {
-        let Command::Bisect(b) = parse(&argv("bisect")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(b, BisectArgs::default());
-        assert_eq!(b.stride, 10);
-        assert_eq!(b.ring, 64);
-        let Command::Bisect(b) = parse(&argv(
+        let b = ok("bisect");
+        assert_eq!(b.preset, "standard");
+        assert_eq!(
+            (b.events, b.seed, b.stride, b.ring),
+            (12, FAULT_SEED, 10, 64)
+        );
+        let b = ok(
             "bisect --preset heavy --system QZ --device apollo4 --env crowded \
              --events 4 --seed 0xFA017 --start 3 --inject-at 15 \
              --stride 5 --ring 16",
-        ))
-        .unwrap() else {
-            panic!()
-        };
+        );
         assert_eq!(b.preset, "heavy");
         assert_eq!(b.events, 4);
         assert_eq!(b.start, 3);
@@ -1847,27 +1354,26 @@ mod tests {
 
     #[test]
     fn bisect_rejects_bad_input() {
-        assert!(parse(&argv("bisect --preset catastrophic")).is_err());
-        assert!(parse(&argv("bisect --stride 0")).is_err());
-        assert!(parse(&argv("bisect --ring 0")).is_err());
-        assert!(parse(&argv("bisect --campaigns 4")).is_err(), "fault-only");
+        assert!(rejected("bisect --preset catastrophic"));
+        assert!(rejected("bisect --stride 0"));
+        assert!(rejected("bisect --ring 0"));
+        assert!(rejected("bisect --campaigns 4"), "fault-only");
     }
 
     #[test]
     fn profile_defaults_and_flags() {
-        let Command::Profile(p) = parse(&argv("profile")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(p, ProfileArgs::default());
-        let Command::Profile(p) = parse(&argv(
+        let p = ok("profile");
+        assert_eq!(
+            (p.events, p.seed, p.device),
+            (200, RUN_SEED, Device::Apollo4)
+        );
+        assert!(p.json.is_none() && p.flame.is_none() && p.flight.is_none());
+        let p = ok(
             "profile --system CN --device msp430 --env quiet --events 50 --seed 0xBEEF \
              --json - --flame out.folded --flight dump.json",
-        ))
-        .unwrap() else {
-            panic!()
-        };
-        assert_eq!(p.system, BaselineKind::CatNap);
-        assert_eq!(p.device, "msp430");
+        );
+        assert_eq!(p.system(), BaselineKind::CatNap);
+        assert_eq!(p.device, Device::Msp430);
         assert_eq!(p.env, EnvironmentKind::Quiet);
         assert_eq!(p.events, 50);
         assert_eq!(p.seed, 0xBEEF);
@@ -1878,28 +1384,24 @@ mod tests {
 
     #[test]
     fn profile_rejects_bad_input() {
-        assert!(parse(&argv("profile --events 0")).is_err());
-        assert!(parse(&argv("profile --device z80")).is_err());
-        assert!(parse(&argv("profile --campaigns 4")).is_err(), "fault-only");
+        assert!(rejected("profile --events 0"));
+        assert!(rejected("profile --device z80"));
+        assert!(rejected("profile --campaigns 4"), "fault-only");
     }
 
     #[test]
     fn bench_defaults_and_flags() {
-        let Command::Bench(b) = parse(&argv("bench")).unwrap() else {
-            panic!()
-        };
-        assert_eq!(b, BenchArgs::default());
+        let b = ok("bench");
         assert!(!b.check);
-        let Command::Bench(b) = parse(&argv(
-            "bench --check --results-dir out --baseline floor.json",
-        ))
-        .unwrap() else {
-            panic!()
-        };
+        assert_eq!(
+            (b.results_dir.as_str(), b.baseline.as_deref()),
+            ("results", None)
+        );
+        let b = ok("bench --check --results-dir out --baseline floor.json");
         assert!(b.check);
         assert_eq!(b.results_dir, "out");
         assert_eq!(b.baseline.as_deref(), Some("floor.json"));
-        assert!(parse(&argv("bench --wat")).is_err());
+        assert!(rejected("bench --wat"));
     }
 
     #[test]
@@ -1918,11 +1420,41 @@ mod tests {
 
     #[test]
     fn rejects_bad_input() {
-        assert!(parse(&argv("run --events nope")).is_err());
-        assert!(parse(&argv("run --device z80")).is_err());
-        assert!(parse(&argv("run --system")).is_err(), "missing value");
-        assert!(parse(&argv("frobnicate")).is_err());
-        assert!(parse(&argv("run --wat 1")).is_err());
+        assert!(rejected("run --events nope"));
+        assert!(rejected("run --device z80"));
+        assert!(rejected("run --device all"), "only check and verify sweep");
+        assert!(rejected("run --system"), "missing value");
+        assert!(rejected("frobnicate"));
+        assert!(rejected("run --wat 1"));
+    }
+
+    #[test]
+    fn events_zero_is_rejected_everywhere() {
+        for sub in SUBCOMMANDS {
+            if sub.flags.iter().any(|f| f.name == "--events") {
+                assert!(
+                    rejected(&format!("{} --events 0", sub.name)),
+                    "{}",
+                    sub.name
+                );
+                assert_eq!(ok(&format!("{} --events 1", sub.name)).events, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn each_table_lists_a_flag_once() {
+        for sub in SUBCOMMANDS {
+            for (i, f) in sub.flags.iter().enumerate() {
+                assert!(f.name.starts_with("--"), "{}", f.name);
+                assert!(
+                    sub.flags[i + 1..].iter().all(|g| g.name != f.name),
+                    "`qz {}` lists {} twice",
+                    sub.name,
+                    f.name
+                );
+            }
+        }
     }
 
     #[test]
@@ -1930,7 +1462,161 @@ mod tests {
         // The discoverability contract: every fleet scheduling knob the
         // parser accepts is advertised, and the help names the one
         // production scheduler.
-        assert!(HELP.contains("[--gateways 1] [--capture-period 1]"));
-        assert!(HELP.contains("The event-horizon\nscheduler wakes only due devices"));
+        let help = help();
+        assert!(help.contains("[--gateways 1] [--capture-period 1]"));
+        assert!(help.contains("The event-horizon\nscheduler wakes only due devices"));
+    }
+
+    #[test]
+    fn help_and_unknown_command_name_every_subcommand_and_environment() {
+        let help = help();
+        let unknown = parse(&argv("frobnicate")).unwrap_err().0;
+        for sub in SUBCOMMANDS {
+            assert!(
+                help.contains(&format!("\n  qz {} ", sub.name)),
+                "{}",
+                sub.name
+            );
+            assert!(unknown.contains(&format!(" {},", sub.name)), "{}", sub.name);
+            for flag in sub.flags {
+                assert!(help.contains(&format!("[{}", flag.name)), "{}", flag.name);
+            }
+        }
+        for env in EnvironmentKind::ALL {
+            assert!(help.contains(env.token()), "{env}");
+        }
+        assert!(help.lines().all(|l| l.chars().count() <= 80));
+    }
+
+    /// Every `qz …` command line in the docs and the CI script, with
+    /// where it came from. Handles `\` continuations (also inside `#`
+    /// comments), the `cargo run … --bin qz --` / `-p qz-cli --` and
+    /// `repro: qz` prefixes, `VAR=…` prefixes, and `for VAR in a b`
+    /// loop variables (expanded to their first value). A line whose
+    /// argv is itself a shell expansion is computed at run time and
+    /// skipped.
+    fn documented_commands() -> Vec<(String, Vec<String>)> {
+        let docs = [
+            ("README.md", include_str!("../../../README.md")),
+            ("EXPERIMENTS.md", include_str!("../../../EXPERIMENTS.md")),
+            ("ci.sh", include_str!("../../../ci.sh")),
+        ];
+        let mut found = Vec::new();
+        for (file, text) in docs {
+            let mut loops: Vec<(String, String)> = Vec::new();
+            let mut fenced = file == "ci.sh";
+            let mut lines = text.lines();
+            while let Some(first) = lines.next() {
+                let mut line = first.to_string();
+                while line.ends_with('\\') {
+                    line.pop();
+                    let next = lines.next().unwrap_or_default().trim_start();
+                    line.push_str(next.trim_start_matches('#'));
+                }
+                if line.starts_with("```") {
+                    fenced = !fenced;
+                    continue;
+                }
+                let words: Vec<&str> = line.split_whitespace().collect();
+                if let ["for", var, "in", value, ..] = words[..] {
+                    loops.push((format!("${{{var}}}"), value.trim_matches('"').to_string()));
+                }
+                let assignment = |w: &&str| {
+                    w.split_once('=').is_some_and(|(k, _)| {
+                        !k.is_empty() && k.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+                    })
+                };
+                let start = words
+                    .windows(3)
+                    .position(|w| matches!(w, ["--bin", "qz", "--"] | ["-p", "qz-cli", "--"]))
+                    .map(|i| i + 3)
+                    .or_else(|| {
+                        words
+                            .windows(2)
+                            .position(|w| w == ["repro:", "qz"])
+                            .map(|i| i + 2)
+                    })
+                    .or_else(|| {
+                        let i = words.iter().position(|w| !assignment(w))?;
+                        (fenced && words[i] == "qz").then_some(i + 1)
+                    });
+                let Some(start) = start else { continue };
+                let mut argv = Vec::new();
+                for word in &words[start..] {
+                    if ["#", ">", "2>", "|", ";", "&&", "<<<"]
+                        .iter()
+                        .any(|op| word.starts_with(op))
+                    {
+                        break;
+                    }
+                    let closes = word.ends_with(')');
+                    let mut word = word.trim_end_matches(')').trim_matches('"').to_string();
+                    for (var, value) in &loops {
+                        word = word.replace(var.as_str(), value);
+                    }
+                    argv.push(word);
+                    if closes {
+                        break;
+                    }
+                }
+                if argv.first().is_some_and(|w| !w.starts_with('$')) {
+                    found.push((format!("{file}: {line}"), argv));
+                }
+            }
+        }
+        found
+    }
+
+    #[test]
+    fn documented_command_lines_parse() {
+        let commands = documented_commands();
+        assert!(
+            commands.len() >= 40,
+            "found only {} commands",
+            commands.len()
+        );
+        for (source, argv) in &commands {
+            if let Err(e) = parse(argv) {
+                panic!("{source}\n  argv {argv:?}\n  {e}");
+            }
+        }
+    }
+
+    fn flag_names() -> Vec<&'static str> {
+        let mut names: Vec<&str> = SUBCOMMANDS
+            .iter()
+            .flat_map(|s| s.flags.iter().map(|f| f.name))
+            .collect();
+        names.sort_unstable();
+        names.dedup();
+        names
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+        #[test]
+        fn parse_is_total_on_random_argv(
+            picks in proptest::collection::vec((0usize..1000, 0usize..1000), 0..12)
+        ) {
+            let subs: Vec<&str> = SUBCOMMANDS.iter().map(|s| s.name).collect();
+            let flags = flag_names();
+            let values = [
+                "", "0", "1", "-1", "0x", "0x10", "1e999", "nan", "inf", "-", "all",
+                "apollo4", "msp430", "qz", "burst", "more,,less", ",", "periodic:",
+                "periodic:0", "QZ011", "heavy", "floor", "18446744073709551616", "é",
+            ];
+            let argv: Vec<String> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &(kind, n))| match (i, kind % 3) {
+                    (0, _) => subs[n % subs.len()].to_string(),
+                    (_, 0) => flags[n % flags.len()].to_string(),
+                    (_, 1) => values[n % values.len()].to_string(),
+                    _ => format!("--{n}"),
+                })
+                .collect();
+            // Any outcome is fine; reaching it without a panic is the property.
+            let _ = parse(&argv);
+        }
     }
 }

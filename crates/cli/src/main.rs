@@ -10,10 +10,7 @@
 mod args;
 mod plot;
 
-use args::{
-    BenchArgs, BisectArgs, BranchArgs, CheckArgs, Command, FaultArgs, FleetArgs, LintSrcArgs,
-    ProfileArgs, RunArgs, VerifyArgs,
-};
+use args::{Args, Command, Device};
 use qz_absint::{
     decide, interpret, AbsModel, ConcreteObservation, HarvestEnvelope, Property, SolarMode, Verdict,
 };
@@ -24,6 +21,7 @@ use qz_app::{
 use qz_baselines::BaselineKind;
 use qz_sim::Metrics;
 use qz_traces::SensingEnvironment;
+use qz_types::json::escape;
 use qz_types::{Farads, Seconds, SimDuration, SimTime, Watts};
 use std::process::ExitCode;
 
@@ -32,13 +30,13 @@ fn main() -> ExitCode {
     let command = match args::parse(&argv) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("error: {e}\n\n{}", args::HELP);
+            eprintln!("error: {e}\n\n{}", args::help());
             return ExitCode::FAILURE;
         }
     };
     let result = match command {
         Command::Help => {
-            print!("{}", args::HELP);
+            print!("{}", args::help());
             Ok(())
         }
         Command::Run(r) => run_one(&r),
@@ -64,15 +62,28 @@ fn main() -> ExitCode {
     }
 }
 
-fn profile_for(args: &RunArgs) -> DeviceProfile {
-    if args.device == "msp430" {
-        msp430fr5994()
-    } else {
-        apollo4()
+/// The profile a `--device` names; `all` only reaches [`sweep`].
+fn device_profile(device: Device) -> DeviceProfile {
+    match device {
+        Device::Msp430 => msp430fr5994(),
+        Device::Apollo4 | Device::All => apollo4(),
     }
 }
 
-fn environment(args: &RunArgs) -> SensingEnvironment {
+/// The systems and device profiles `qz check` and `qz verify` cover:
+/// every preset and both devices unless narrowed.
+fn sweep(args: &Args) -> (Vec<BaselineKind>, Vec<DeviceProfile>) {
+    let systems = args
+        .system
+        .map_or_else(|| PRESET_SWEEP.to_vec(), |k| vec![k]);
+    let profiles = match args.device {
+        Device::All => vec![apollo4(), msp430fr5994()],
+        d => vec![device_profile(d)],
+    };
+    (systems, profiles)
+}
+
+fn environment(args: &Args) -> SensingEnvironment {
     let env = SensingEnvironment::generate(args.env, args.events, args.seed);
     solar_corner(env, args.solar, args.solar_seg)
 }
@@ -93,7 +104,7 @@ fn solar_corner(env: SensingEnvironment, mode: SolarMode, segment_secs: u64) -> 
     SensingEnvironment::with_parts(env.kind(), env.events().clone(), solar)
 }
 
-fn tweaks_for(args: &RunArgs) -> SimTweaks {
+fn tweaks_for(args: &Args) -> SimTweaks {
     SimTweaks {
         seed: args.seed,
         ..SimTweaks::default()
@@ -144,7 +155,7 @@ const PRESET_SWEEP: [BaselineKind; 13] = [
     BaselineKind::LcfsIbo,
 ];
 
-fn check(args: &CheckArgs) -> ExitCode {
+fn check(args: &Args) -> ExitCode {
     if let Some(code) = args.explain {
         println!("{code}: {}", code.summary());
         println!("typical severity: {}", code.typical_severity());
@@ -152,15 +163,7 @@ fn check(args: &CheckArgs) -> ExitCode {
         println!("\nfix:\n  {}", code.fix_hint());
         return ExitCode::SUCCESS;
     }
-    let systems: Vec<BaselineKind> = match args.system {
-        Some(kind) => vec![kind],
-        None => PRESET_SWEEP.to_vec(),
-    };
-    let profiles: Vec<DeviceProfile> = match args.device.as_str() {
-        "apollo4" => vec![apollo4()],
-        "msp430" => vec![msp430fr5994()],
-        _ => vec![apollo4(), msp430fr5994()],
-    };
+    let (systems, profiles) = sweep(args);
     let mut tweaks = SimTweaks::default();
     if let Some(mf) = args.cap_mf {
         tweaks.supercap_capacitance = Some(Farads(mf * 1e-3));
@@ -192,7 +195,7 @@ fn check(args: &CheckArgs) -> ExitCode {
             report.allow(&args.allow);
             report.tag_source("sweep");
             failed |= report.fails(args.deny_warnings);
-            if args.json {
+            if args.json.is_some() {
                 json_entries.push(format!(
                     "{{\"system\":\"{}\",\"device\":\"{}\",\"report\":{}}}",
                     kind.label(),
@@ -208,7 +211,7 @@ fn check(args: &CheckArgs) -> ExitCode {
             }
         }
     }
-    if args.json {
+    if args.json.is_some() {
         println!("[{}]", json_entries.join(","));
     } else if failed {
         println!(
@@ -229,34 +232,17 @@ fn check(args: &CheckArgs) -> ExitCode {
     }
 }
 
-/// Minimal JSON string escaping for the hand-rolled emitters below.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn verdict_json(v: &Verdict, repro: &dyn Fn(SolarMode) -> String) -> String {
     match v {
         Verdict::Proven => String::from("{\"verdict\":\"PROVEN\"}"),
         Verdict::Refuted { mode } => format!(
             "{{\"verdict\":\"REFUTED\",\"mode\":\"{}\",\"repro\":\"{}\"}}",
             mode.token(),
-            json_escape(&repro(*mode))
+            escape(&repro(*mode))
         ),
         Verdict::Unknown { blocking } => format!(
             "{{\"verdict\":\"UNKNOWN\",\"blocking\":\"{}\"}}",
-            json_escape(blocking)
+            escape(blocking)
         ),
     }
 }
@@ -275,16 +261,40 @@ fn verdict_text(v: &Verdict, repro: &dyn Fn(SolarMode) -> String) -> String {
     }
 }
 
-fn verify(args: &VerifyArgs) -> ExitCode {
-    let systems: Vec<BaselineKind> = match args.system {
-        Some(kind) => vec![kind],
-        None => PRESET_SWEEP.to_vec(),
-    };
-    let profiles: Vec<DeviceProfile> = match args.device.as_str() {
-        "apollo4" => vec![apollo4()],
-        "msp430" => vec![msp430fr5994()],
-        _ => vec![apollo4(), msp430fr5994()],
-    };
+/// The `qz run` line reproducing a refuted verdict's corner run.
+fn verify_repro(
+    args: &Args,
+    kind: BaselineKind,
+    profile: &DeviceProfile,
+    mode: SolarMode,
+) -> String {
+    format!(
+        "qz run --system {} --device {} --env {} --events {} --seed {:#x} --solar {} \
+         --solar-seg {}",
+        kind.token(),
+        qz_fault::cli_device_token(profile.name),
+        args.env.token(),
+        args.events,
+        args.seed,
+        mode.token(),
+        args.segment,
+    )
+}
+
+/// The `qz profile` line a flight-recorder dump carries.
+fn profile_repro(args: &Args, device: &DeviceProfile) -> String {
+    format!(
+        "qz profile --system {} --device {} --env {} --events {} --seed {:#x}",
+        args.system().token(),
+        qz_fault::cli_device_token(device.name),
+        args.env.token(),
+        args.events,
+        args.seed,
+    )
+}
+
+fn verify(args: &Args) -> ExitCode {
+    let (systems, profiles) = sweep(args);
     let tweaks = SimTweaks {
         seed: args.seed,
         ..SimTweaks::default()
@@ -334,19 +344,7 @@ fn verify(args: &VerifyArgs) -> ExitCode {
                     decide(&run, Property::Stall, &mut observe),
                 )
             };
-            let repro = |mode: SolarMode| {
-                format!(
-                    "qz run --system {} --device {} --env {} --events {} --seed {:#x} \
-                     --solar {} --solar-seg {}",
-                    qz_fault::cli_system_token(kind),
-                    qz_fault::cli_device_token(profile.name),
-                    qz_fault::cli_env_token(args.env),
-                    args.events,
-                    args.seed,
-                    mode.token(),
-                    args.segment,
-                )
-            };
+            let repro = |mode: SolarMode| verify_repro(args, kind, profile, mode);
             // Refutations re-emit the stable heuristic codes with the
             // engine's evidence; merge_from deduplicates any finding
             // both paths produced identically.
@@ -385,14 +383,14 @@ fn verify(args: &VerifyArgs) -> ExitCode {
                 failed |= !(no_overflow.is_proven() && no_stall.is_proven());
             }
 
-            if args.json {
+            if args.json.is_some() {
                 json_entries.push(format!(
                     "{{\"system\":\"{}\",\"device\":\"{}\",\"env\":\"{}\",\"events\":{},\
                      \"seed\":{},\"segment_secs\":{},\"verdicts\":{{\"overflow\":{},\
                      \"stall\":{}}},\"report\":{}}}",
                     kind.label(),
                     profile.name,
-                    qz_fault::cli_env_token(args.env),
+                    args.env.token(),
                     args.events,
                     args.seed,
                     args.segment,
@@ -413,7 +411,7 @@ fn verify(args: &VerifyArgs) -> ExitCode {
             }
         }
     }
-    if args.json {
+    if args.json.is_some() {
         println!(
             "{{\"tool\":\"qz-verify\",\"configs\":[{}]}}",
             json_entries.join(",")
@@ -437,17 +435,17 @@ fn verify(args: &VerifyArgs) -> ExitCode {
     }
 }
 
-fn lint_src(args: &LintSrcArgs) -> ExitCode {
+fn lint_src(args: &Args) -> ExitCode {
     let root = std::path::Path::new(&args.root);
     let allow = qz_absint::Allowlist::load(&root.join(&args.allow_file));
     let findings = qz_absint::scan_workspace(root, &allow);
-    if args.json {
+    if args.json.is_some() {
         let items: Vec<String> = findings
             .iter()
             .map(|f| {
                 format!(
                     "{{\"path\":\"{}\",\"line\":{},\"pattern\":\"{}\",\"rationale\":\"{}\"}}",
-                    json_escape(&f.path),
+                    escape(&f.path),
                     f.line,
                     f.pattern,
                     f.rationale
@@ -484,19 +482,15 @@ fn lint_src(args: &LintSrcArgs) -> ExitCode {
     }
 }
 
-fn fault(args: &FaultArgs) -> ExitCode {
+fn fault(args: &Args) -> ExitCode {
     // The parser already vetted the preset name.
     let Some(plan) = qz_fault::FaultPlan::preset(&args.preset) else {
         eprintln!("error: unknown fault preset `{}`", args.preset);
         return ExitCode::FAILURE;
     };
     let cfg = qz_fault::CampaignConfig {
-        system: args.system,
-        profile: if args.device == "msp430" {
-            msp430fr5994()
-        } else {
-            apollo4()
-        },
+        system: args.system(),
+        profile: device_profile(args.device),
         env: args.env,
         events: args.events,
         campaigns: args.campaigns,
@@ -597,12 +591,8 @@ fn fault(args: &FaultArgs) -> ExitCode {
     }
 }
 
-fn branch(args: &BranchArgs) -> Result<(), Box<dyn std::error::Error>> {
-    let profile = if args.device == "msp430" {
-        msp430fr5994()
-    } else {
-        apollo4()
-    };
+fn branch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+    let profile = device_profile(args.device);
     let env = SensingEnvironment::generate(args.env, args.events, args.seed);
     let base = SimTweaks {
         seed: args.seed,
@@ -624,7 +614,7 @@ fn branch(args: &BranchArgs) -> Result<(), Box<dyn std::error::Error>> {
     let identity = fork == base;
     println!(
         "branching {} on {} in {} at t={}s ({} events, seed {}){}\n",
-        args.system.label(),
+        args.system().label(),
         profile.name,
         env.kind(),
         args.at,
@@ -637,7 +627,7 @@ fn branch(args: &BranchArgs) -> Result<(), Box<dyn std::error::Error>> {
         },
     );
     let report = qz_snap::branch(
-        args.system,
+        args.system(),
         &profile,
         &env,
         &base,
@@ -654,18 +644,14 @@ fn branch(args: &BranchArgs) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn bisect(args: &BisectArgs) -> ExitCode {
+fn bisect(args: &Args) -> ExitCode {
     let Some(plan) = qz_fault::FaultPlan::preset(&args.preset) else {
         eprintln!("error: unknown fault preset `{}`", args.preset);
         return ExitCode::FAILURE;
     };
     let cfg = qz_fault::CampaignConfig {
-        system: args.system,
-        profile: if args.device == "msp430" {
-            msp430fr5994()
-        } else {
-            apollo4()
-        },
+        system: args.system(),
+        profile: device_profile(args.device),
         env: args.env,
         events: args.events,
         campaigns: 1,
@@ -708,28 +694,17 @@ fn bisect(args: &BisectArgs) -> ExitCode {
     }
 }
 
-fn profile(args: &ProfileArgs) -> Result<(), Box<dyn std::error::Error>> {
-    let device = if args.device == "msp430" {
-        msp430fr5994()
-    } else {
-        apollo4()
-    };
+fn profile(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+    let device = device_profile(args.device);
     let env = SensingEnvironment::generate(args.env, args.events, args.seed);
     let tweaks = SimTweaks {
         seed: args.seed,
         ..SimTweaks::default()
     };
-    let repro = format!(
-        "qz profile --system {} --device {} --env {} --events {} --seed {:#x}",
-        qz_fault::cli_system_token(args.system),
-        qz_fault::cli_device_token(device.name),
-        qz_fault::cli_env_token(args.env),
-        args.events,
-        args.seed,
-    );
+    let repro = profile_repro(args, &device);
     println!(
         "profiling {} on {} in {} ({} events, seed {}, {} engine)\n",
-        args.system.label(),
+        args.system().label(),
         device.name,
         env.kind(),
         args.events,
@@ -745,14 +720,14 @@ fn profile(args: &ProfileArgs) -> Result<(), Box<dyn std::error::Error>> {
     if let (Some(path), Some(meta)) = (&args.flight, &flight_meta) {
         qz_prof::arm_panic_dump(path.into(), meta.clone(), None);
     }
-    let run = qz_app::profile_run(args.system, &device, &env, &tweaks, flight_meta);
+    let run = qz_app::profile_run(args.system(), &device, &env, &tweaks, flight_meta);
     println!("{}", run.horizon.render_ranking());
     println!("{}", run.report.render_text());
     #[allow(clippy::cast_precision_loss)] // display only
     let wall_ms = run.wall_ns as f64 / 1e6;
     println!("wall clock: {wall_ms:.2} ms");
     println!();
-    print_metrics(&args.system.label(), &run.metrics);
+    print_metrics(&args.system().label(), &run.metrics);
     if let Some(path) = &args.json {
         let doc = format!(
             "{{\"tool\":\"qz-prof\",\"repro\":\"{}\",\"wall_ns\":{},\"profile\":{},\
@@ -783,7 +758,7 @@ fn profile(args: &ProfileArgs) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn bench(args: &BenchArgs) -> ExitCode {
+fn bench(args: &Args) -> ExitCode {
     let dir = std::path::Path::new(&args.results_dir);
     if !args.check {
         return bench_list(dir);
@@ -879,17 +854,13 @@ fn bench_list(dir: &std::path::Path) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn fleet(args: &FleetArgs) -> Result<(), Box<dyn std::error::Error>> {
+fn fleet(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let mut cfg = qz_fleet::FleetConfig {
         devices: args.devices,
         events: args.events,
         fleet_seed: args.seed,
-        system: args.system,
-        profile: if args.device == "msp430" {
-            msp430fr5994()
-        } else {
-            apollo4()
-        },
+        system: args.system(),
+        profile: device_profile(args.device),
         ..qz_fleet::FleetConfig::default()
     };
     if !args.envs.is_empty() {
@@ -956,13 +927,13 @@ fn fleet(args: &FleetArgs) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn run_one(args: &RunArgs) -> Result<(), Box<dyn std::error::Error>> {
-    let profile = profile_for(args);
+fn run_one(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+    let profile = device_profile(args.device);
     let env = environment(args);
     let tweaks = tweaks_for(args);
     println!(
         "running {} on {} in {} ({} events, seed {})\n",
-        args.system.label(),
+        args.system().label(),
         profile.name,
         env.kind(),
         args.events,
@@ -973,13 +944,13 @@ fn run_one(args: &RunArgs) -> Result<(), Box<dyn std::error::Error>> {
     }
     if args.telemetry.is_some() || args.plot {
         let (m, telemetry) = simulate_with_telemetry(
-            args.system,
+            args.system(),
             &profile,
             &env,
             &tweaks,
             Some(SimDuration::from_secs(1)),
         );
-        print_metrics(&args.system.label(), &m);
+        print_metrics(&args.system().label(), &m);
         if args.plot {
             println!("\n{}", plot::telemetry_panel(&telemetry, 72));
         }
@@ -989,8 +960,8 @@ fn run_one(args: &RunArgs) -> Result<(), Box<dyn std::error::Error>> {
             println!("telemetry ({telemetry}) written to {path}");
         }
     } else {
-        let m = simulate(args.system, &profile, &env, &tweaks);
-        print_metrics(&args.system.label(), &m);
+        let m = simulate(args.system(), &profile, &env, &tweaks);
+        print_metrics(&args.system().label(), &m);
     }
     Ok(())
 }
@@ -1000,14 +971,14 @@ fn run_one(args: &RunArgs) -> Result<(), Box<dyn std::error::Error>> {
 /// and evaluate the QZ073 ring-memory budget against a measured
 /// snapshot size.
 fn run_with_ring(
-    args: &RunArgs,
+    args: &Args,
     profile: &DeviceProfile,
     env: &SensingEnvironment,
     tweaks: &SimTweaks,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let capacity = args.snapshot_ring.unwrap_or(64);
     let stride = args.snapshot_stride.unwrap_or(10);
-    let mut sim = build_simulation(args.system, profile, env, tweaks);
+    let mut sim = build_simulation(args.system(), profile, env, tweaks);
     let bytes = qz_snap::estimated_snapshot_bytes(&mut sim)?;
     let report = qz_check::check_snapshot_ring(
         u64::try_from(bytes).unwrap_or(u64::MAX),
@@ -1018,7 +989,7 @@ fn run_with_ring(
     }
     let mut history = qz_snap::History::new(SimDuration::from_secs(stride), capacity);
     history.run_to_completion(&mut sim)?;
-    print_metrics(&args.system.label(), sim.metrics());
+    print_metrics(&args.system().label(), sim.metrics());
     let times = history.times();
     println!(
         "\nsnapshot ring: {} rollback point(s) held (stride {stride}s, ~{} KiB per \
@@ -1031,8 +1002,8 @@ fn run_with_ring(
     Ok(())
 }
 
-fn compare(args: &RunArgs) -> Result<(), Box<dyn std::error::Error>> {
-    let profile = profile_for(args);
+fn compare(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+    let profile = device_profile(args.device);
     let env = environment(args);
     let tweaks = tweaks_for(args);
     println!(
@@ -1056,19 +1027,19 @@ fn compare(args: &RunArgs) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn trace(args: &RunArgs) -> Result<(), Box<dyn std::error::Error>> {
-    let profile = profile_for(args);
+fn trace(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+    let profile = device_profile(args.device);
     let env = environment(args);
     let tweaks = tweaks_for(args);
     println!(
         "tracing {} on {} in {} ({} events, seed {})\n",
-        args.system.label(),
+        args.system().label(),
         profile.name,
         env.kind(),
         args.events,
         args.seed
     );
-    let (metrics, events) = simulate_traced(args.system, &profile, &env, &tweaks);
+    let (metrics, events) = simulate_traced(args.system(), &profile, &env, &tweaks);
     let names = timeline_names(&AppModel::person_detection(&profile)?.spec);
     let cfg = qz_obs::timeline::TimelineConfig {
         show_snapshots: args.snapshots,
@@ -1080,7 +1051,7 @@ fn trace(args: &RunArgs) -> Result<(), Box<dyn std::error::Error>> {
         qz_obs::timeline::render_timeline(&events, &names, &cfg)
     );
     println!("{}", qz_obs::MetricsObserver::from_events(&events).render());
-    print_metrics(&args.system.label(), &metrics);
+    print_metrics(&args.system().label(), &metrics);
     if let Some(path) = &args.jsonl {
         let file = std::fs::File::create(path)?;
         qz_obs::export::write_jsonl(std::io::BufWriter::new(file), &events)?;
@@ -1094,7 +1065,7 @@ fn trace(args: &RunArgs) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn export_traces(args: &RunArgs) -> Result<(), Box<dyn std::error::Error>> {
+fn export_traces(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let env = environment(args);
     let dir = std::path::Path::new(&args.out_dir);
     std::fs::create_dir_all(dir)?;
@@ -1110,4 +1081,65 @@ fn export_traces(args: &RunArgs) -> Result<(), Box<dyn std::error::Error>> {
         env.events().len()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use args::tests::options;
+    use qz_traces::EnvironmentKind;
+
+    /// Parses a printed `qz …` line back into its options.
+    fn parse_line(line: &str) -> Args {
+        let argv: Vec<String> = line.split_whitespace().skip(1).map(String::from).collect();
+        options(args::parse(&argv).unwrap_or_else(|e| panic!("`{line}`: {e}")))
+    }
+
+    #[test]
+    fn repro_lines_parse_back_to_their_run() {
+        let kinds = [
+            (BaselineKind::Quetzal, Device::Apollo4),
+            (BaselineKind::CatNap, Device::Msp430),
+            (BaselineKind::FixedThreshold(0.5), Device::Apollo4),
+            (BaselineKind::PowerThreshold(Watts(0.030)), Device::Msp430),
+            (BaselineKind::QuetzalHw, Device::Apollo4),
+        ];
+        for env in EnvironmentKind::ALL {
+            for (kind, device) in kinds {
+                let profile = device_profile(device);
+                let want = (kind, device, env, 7, 0xBEEF);
+                let got = |a: &Args| (a.system(), a.device, a.env, a.events, a.seed);
+
+                let cfg = qz_fault::CampaignConfig {
+                    system: kind,
+                    profile: profile.clone(),
+                    env,
+                    events: 7,
+                    seed: 0xBEEF,
+                    injection_at: SimDuration::from_secs(15),
+                    ..qz_fault::CampaignConfig::default()
+                };
+                let fault = parse_line(&qz_fault::repro_line_for(&cfg, 2));
+                assert_eq!(got(&fault), want, "fault repro");
+                assert_eq!((fault.start, fault.campaigns, fault.inject_at), (2, 1, 15));
+
+                let base = format!(
+                    "qz profile --system {} --device {} --env {} --events 7 --seed 48879",
+                    kind.token(),
+                    qz_fault::cli_device_token(profile.name),
+                    env.token()
+                );
+                let prof = parse_line(&profile_repro(&parse_line(&base), &profile));
+                assert_eq!(got(&prof), want, "profile repro");
+
+                let verify = parse_line(&format!(
+                    "qz verify --env {} --events 7 --seed 0xbeef --segment 30",
+                    env.token()
+                ));
+                let run = parse_line(&verify_repro(&verify, kind, &profile, SolarMode::Floor));
+                assert_eq!(got(&run), want, "verify repro");
+                assert_eq!((run.solar, run.solar_seg), (SolarMode::Floor, 30));
+            }
+        }
+    }
 }

@@ -1,9 +1,10 @@
 //! Arg-matrix integration tests: drive the built `qz` binary across
 //! subcommand × flag combinations, asserting that foreign and
 //! conflicting flags are rejected and that every `--json`/`--jsonl`
-//! surface emits syntactically valid JSON (checked with a hand-rolled
-//! validator — the workspace is dependency-free by design).
+//! surface emits syntactically valid JSON (checked with the workspace's
+//! strict reader, `qz_types::json::Json`).
 
+use qz_types::json::Json;
 use std::process::Command;
 
 fn qz(args: &[&str]) -> std::process::Output {
@@ -15,162 +16,6 @@ fn qz(args: &[&str]) -> std::process::Output {
 
 fn tmp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("qz_matrix_{}_{name}", std::process::id()))
-}
-
-/// A minimal recursive-descent JSON syntax validator.
-mod json {
-    pub fn validate(s: &str) -> Result<(), String> {
-        let b = s.as_bytes();
-        let mut i = 0;
-        skip_ws(b, &mut i);
-        value(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if i != b.len() {
-            return Err(format!("trailing bytes at offset {i}"));
-        }
-        Ok(())
-    }
-
-    fn skip_ws(b: &[u8], i: &mut usize) {
-        while matches!(b.get(*i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            *i += 1;
-        }
-    }
-
-    fn value(b: &[u8], i: &mut usize) -> Result<(), String> {
-        match b.get(*i) {
-            Some(b'{') => object(b, i),
-            Some(b'[') => array(b, i),
-            Some(b'"') => string(b, i),
-            Some(b't') => literal(b, i, "true"),
-            Some(b'f') => literal(b, i, "false"),
-            Some(b'n') => literal(b, i, "null"),
-            Some(c) if *c == b'-' || c.is_ascii_digit() => number(b, i),
-            other => Err(format!("unexpected {other:?} at offset {i}")),
-        }
-    }
-
-    fn literal(b: &[u8], i: &mut usize, word: &str) -> Result<(), String> {
-        if b[*i..].starts_with(word.as_bytes()) {
-            *i += word.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at offset {i}"))
-        }
-    }
-
-    fn object(b: &[u8], i: &mut usize) -> Result<(), String> {
-        *i += 1; // consume '{'
-        skip_ws(b, i);
-        if b.get(*i) == Some(&b'}') {
-            *i += 1;
-            return Ok(());
-        }
-        loop {
-            skip_ws(b, i);
-            string(b, i)?;
-            skip_ws(b, i);
-            if b.get(*i) != Some(&b':') {
-                return Err(format!("expected `:` at offset {i}"));
-            }
-            *i += 1;
-            skip_ws(b, i);
-            value(b, i)?;
-            skip_ws(b, i);
-            match b.get(*i) {
-                Some(b',') => *i += 1,
-                Some(b'}') => {
-                    *i += 1;
-                    return Ok(());
-                }
-                other => return Err(format!("expected `,` or `}}`, got {other:?} at {i}")),
-            }
-        }
-    }
-
-    fn array(b: &[u8], i: &mut usize) -> Result<(), String> {
-        *i += 1; // consume '['
-        skip_ws(b, i);
-        if b.get(*i) == Some(&b']') {
-            *i += 1;
-            return Ok(());
-        }
-        loop {
-            skip_ws(b, i);
-            value(b, i)?;
-            skip_ws(b, i);
-            match b.get(*i) {
-                Some(b',') => *i += 1,
-                Some(b']') => {
-                    *i += 1;
-                    return Ok(());
-                }
-                other => return Err(format!("expected `,` or `]`, got {other:?} at {i}")),
-            }
-        }
-    }
-
-    fn string(b: &[u8], i: &mut usize) -> Result<(), String> {
-        if b.get(*i) != Some(&b'"') {
-            return Err(format!("expected string at offset {i}"));
-        }
-        *i += 1;
-        while let Some(&c) = b.get(*i) {
-            match c {
-                b'"' => {
-                    *i += 1;
-                    return Ok(());
-                }
-                b'\\' => *i += 2,
-                _ => *i += 1,
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn number(b: &[u8], i: &mut usize) -> Result<(), String> {
-        let start = *i;
-        if b.get(*i) == Some(&b'-') {
-            *i += 1;
-        }
-        let digits = |b: &[u8], i: &mut usize| {
-            let from = *i;
-            while b.get(*i).is_some_and(u8::is_ascii_digit) {
-                *i += 1;
-            }
-            *i > from
-        };
-        if !digits(b, i) {
-            return Err(format!("bad number at offset {start}"));
-        }
-        if b.get(*i) == Some(&b'.') {
-            *i += 1;
-            if !digits(b, i) {
-                return Err(format!("bad fraction at offset {start}"));
-            }
-        }
-        if matches!(b.get(*i), Some(b'e' | b'E')) {
-            *i += 1;
-            if matches!(b.get(*i), Some(b'+' | b'-')) {
-                *i += 1;
-            }
-            if !digits(b, i) {
-                return Err(format!("bad exponent at offset {start}"));
-            }
-        }
-        Ok(())
-    }
-
-    #[test]
-    fn validator_accepts_and_rejects() {
-        assert!(validate(r#"{"a": [1, -2.5e3, "x\"y", true, null], "b": {}}"#).is_ok());
-        assert!(validate("").is_err());
-        assert!(validate("{").is_err());
-        assert!(validate(r#"{"a": 1,}"#).is_err());
-        assert!(validate("[1 2]").is_err());
-        assert!(validate("07a").is_err());
-        assert!(validate("{}extra").is_err());
-    }
 }
 
 #[test]
@@ -193,7 +38,7 @@ fn check_json_is_valid_for_sweep_and_overrides() {
     ] {
         let out = qz(&args);
         let stdout = String::from_utf8_lossy(&out.stdout);
-        json::validate(stdout.trim())
+        Json::parse(stdout.trim())
             .unwrap_or_else(|e| panic!("`qz {}` emitted invalid JSON: {e}", args.join(" ")));
     }
 }
@@ -220,7 +65,7 @@ fn fleet_json_report_is_valid() {
         String::from_utf8_lossy(&out.stderr)
     );
     let doc = std::fs::read_to_string(&path).expect("json written");
-    json::validate(doc.trim()).expect("fleet JSON must parse");
+    Json::parse(doc.trim()).expect("fleet JSON must parse");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -248,7 +93,7 @@ fn fault_json_report_is_valid_and_exit_code_tracks_violations() {
         String::from_utf8_lossy(&out.stderr)
     );
     let doc = std::fs::read_to_string(&path).expect("json written");
-    json::validate(doc.trim()).expect("fault JSON must parse");
+    Json::parse(doc.trim()).expect("fault JSON must parse");
     assert!(doc.contains("\"violations\": 0"));
     let _ = std::fs::remove_file(&path);
 }
@@ -265,7 +110,7 @@ fn trace_jsonl_lines_are_each_valid_json() {
     let doc = std::fs::read_to_string(&path).expect("jsonl written");
     assert!(!doc.trim().is_empty());
     for (n, line) in doc.lines().enumerate() {
-        json::validate(line).unwrap_or_else(|e| panic!("jsonl line {n} invalid: {e}"));
+        Json::parse(line).unwrap_or_else(|e| panic!("jsonl line {n} invalid: {e}"));
     }
     let _ = std::fs::remove_file(&path);
 }

@@ -23,6 +23,7 @@ use qz_obs::Event;
 use qz_prof::{HorizonStats, PhaseProfiler};
 use qz_sim::SimState;
 use qz_traces::{EnvironmentKind, SensingEnvironment};
+use qz_types::json::escape;
 use qz_types::{SimDuration, SimTime, SplitMix64};
 use std::fmt::Write as _;
 
@@ -226,38 +227,6 @@ struct ReproTokens {
     env: String,
 }
 
-/// The `qz fault --system` token for a kind, matching the CLI parser.
-pub fn cli_system_token(kind: BaselineKind) -> String {
-    match kind {
-        BaselineKind::Quetzal => "qz".into(),
-        BaselineKind::QuetzalHw => "qz-hw".into(),
-        BaselineKind::NoAdapt => "na".into(),
-        BaselineKind::AlwaysDegrade => "ad".into(),
-        BaselineKind::CatNap => "cn".into(),
-        BaselineKind::FixedThreshold(p) => format!("th{:.0}", p * 100.0),
-        BaselineKind::PowerThreshold(_) => "pzo".into(),
-        BaselineKind::AvgSe2e => "avgse2e".into(),
-        BaselineKind::QuetzalVar(_) => "qz".into(), // no CLI spelling; nearest kin
-        BaselineKind::FcfsIbo => "fcfs".into(),
-        BaselineKind::LcfsIbo => "lcfs".into(),
-        // Kinds added after this crate default to the primary system.
-        _ => "qz".into(),
-    }
-}
-
-/// The `--env` token for an environment kind.
-pub fn cli_env_token(env: EnvironmentKind) -> &'static str {
-    match env {
-        EnvironmentKind::MoreCrowded => "more-crowded",
-        EnvironmentKind::Crowded => "crowded",
-        EnvironmentKind::LessCrowded => "less-crowded",
-        EnvironmentKind::Short => "short",
-        EnvironmentKind::Quiet => "quiet",
-        // Kinds added after this crate default to the mid-load mix.
-        _ => "crowded",
-    }
-}
-
 /// The `--device` token for a profile (by its platform name).
 pub fn cli_device_token(profile_name: &str) -> &'static str {
     if profile_name.to_ascii_lowercase().starts_with("msp430") {
@@ -329,7 +298,7 @@ impl FaultReport {
                     viol,
                     "{{\"invariant\": \"{}\", \"detail\": \"{}\"}}{vcomma}",
                     v.invariant,
-                    json_escape(&v.detail)
+                    escape(&v.detail)
                 );
             }
             let _ = writeln!(
@@ -398,23 +367,6 @@ impl FaultReport {
     }
 }
 
-/// Minimal JSON string escaping for violation details.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The single-line `qz fault` command reproducing global campaign
 /// `campaign` of `cfg` on its own — the same line a [`FaultReport`]
 /// prints for a violating row.
@@ -428,9 +380,9 @@ pub fn repro_line_for(cfg: &CampaignConfig, campaign: usize) -> String {
     format!(
         "qz fault --system {} --device {} --env {} --events {} --preset {} \
          --seed {:#x} --start {} --campaigns 1{inject}",
-        cli_system_token(cfg.system),
+        cfg.system.token(),
         cli_device_token(cfg.profile.name),
-        cli_env_token(cfg.env),
+        cfg.env.token(),
         cfg.events,
         cfg.plan.label,
         cfg.seed,
@@ -717,9 +669,9 @@ fn run_family(
     let report = FaultReport {
         system: cfg.system.label(),
         repro: ReproTokens {
-            system: cli_system_token(cfg.system),
+            system: cfg.system.token(),
             device: cli_device_token(cfg.profile.name).to_string(),
-            env: cli_env_token(cfg.env).to_string(),
+            env: cfg.env.token().to_string(),
         },
         inject_at_s: cfg.injection_at.as_millis() / 1000,
         events: cfg.events,

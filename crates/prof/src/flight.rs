@@ -16,6 +16,7 @@
 
 use qz_obs::export::event_to_json;
 use qz_obs::{Event, EventKind, Observer};
+use qz_types::json::escape_into;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -171,13 +172,13 @@ impl FlightRecorder {
         let mut out = String::from("{\"schema\":\"");
         out.push_str(FLIGHT_SCHEMA);
         out.push_str("\",\"source\":\"");
-        json_escape_into(&mut out, &self.meta.source);
+        escape_into(&mut out, &self.meta.source);
         out.push_str("\",\"repro\":\"");
-        json_escape_into(&mut out, &self.meta.repro);
+        escape_into(&mut out, &self.meta.repro);
         out.push('"');
         if let Some(note) = panic_note {
             out.push_str(",\"panic\":\"");
-            json_escape_into(&mut out, note);
+            escape_into(&mut out, note);
             out.push('"');
         }
         if let Some(snapshot) = resume {
@@ -220,20 +221,6 @@ impl FlightRecorder {
     /// Renders the postmortem without a crash annotation.
     pub fn to_json(&self) -> String {
         self.to_json_with_panic(None)
-    }
-}
-
-fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
 }
 

@@ -47,6 +47,6 @@ pub use horizon::{CauseStat, HorizonCause, HorizonStats};
 pub use profiler::{Phase, PhaseProfiler, PhaseStat};
 pub use report::{PhaseReport, ProfileReport};
 pub use trajectory::{
-    git_rev, Baseline, BaselineCheck, BenchCase, CheckOutcome, Json, Trajectory, TrajectoryRecord,
+    git_rev, Baseline, BaselineCheck, BenchCase, CheckOutcome, Trajectory, TrajectoryRecord,
     BASELINE_SCHEMA, TRAJECTORY_SCHEMA,
 };

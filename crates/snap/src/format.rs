@@ -4,7 +4,7 @@
 //! written next to postmortems, embedded in flight-recorder dumps, and
 //! diffed with ordinary text tools. Bit-exactness is the contract, and
 //! JSON numbers cannot carry it: the workspace JSON reader
-//! ([`qz_prof::Json`]) parses every number through `f64`, which silently
+//! ([`qz_types::json::Json`]) parses every number through `f64`, which
 //! rounds 64-bit integers above 2^53. Every `f64` therefore travels as
 //! the decimal rendering of its IEEE-754 bit pattern, and every `u64`
 //! (RNG words, counters, millisecond clocks) travels as a decimal
@@ -21,13 +21,13 @@ use quetzal::{
     RuntimeState,
 };
 use qz_energy::PowerSystemState;
-use qz_prof::Json;
 use qz_sim::buffer::BufferEntry;
 use qz_sim::uplink::TxRecord;
 use qz_sim::{
     ActiveJobState, InjectorState, InputBufferState, Metrics, ProgressKeeperState, SimState,
     TelemetrySample, UplinkState,
 };
+use qz_types::json::Json;
 use qz_types::{Joules, Seconds, SimDuration, SimTime, Watts};
 use std::fmt::Write as _;
 

@@ -123,6 +123,32 @@ mod tests {
         assert!(from_json(&as_number, spec).unwrap_err().contains("rng"));
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+        #[test]
+        fn from_json_is_total_on_corrupted_snapshots(
+            at in 0usize..1_000_000,
+            byte in proptest::prelude::any::<u8>(),
+            cut in 0usize..1_000_000,
+            junk in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..48),
+        ) {
+            let env = env();
+            let tw = tweaks(qz_sim::EngineKind::FastForward);
+            let mut sim = build(&env, &tw);
+            sim.record_telemetry(SimDuration::from_secs(5));
+            sim.step_until(SimTime::from_millis(60_000));
+            let mut bytes = to_json(&sim.save_state().unwrap()).into_bytes();
+            let spec = sim.runtime().spec();
+            // A value or an error, never a panic: one byte flipped, the
+            // document truncated, or plain junk.
+            let at = at % bytes.len();
+            bytes[at] = byte;
+            let _ = from_json(&String::from_utf8_lossy(&bytes), spec);
+            let _ = from_json(&String::from_utf8_lossy(&bytes[..cut % bytes.len()]), spec);
+            let _ = from_json(&String::from_utf8_lossy(&junk), spec);
+        }
+    }
+
     #[test]
     fn estimated_size_is_positive_and_stable() {
         let env = env();

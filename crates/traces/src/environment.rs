@@ -84,6 +84,39 @@ impl EnvironmentKind {
             EnvironmentKind::Burst => "Burst",
         }
     }
+
+    /// Every environment, in declaration order.
+    pub const ALL: [EnvironmentKind; 6] = [
+        EnvironmentKind::MoreCrowded,
+        EnvironmentKind::Crowded,
+        EnvironmentKind::LessCrowded,
+        EnvironmentKind::Short,
+        EnvironmentKind::Quiet,
+        EnvironmentKind::Burst,
+    ];
+
+    /// Stable command-line spelling (`qz --env`), as repro lines print it.
+    pub fn token(self) -> &'static str {
+        match self {
+            EnvironmentKind::MoreCrowded => "more-crowded",
+            EnvironmentKind::Crowded => "crowded",
+            EnvironmentKind::LessCrowded => "less-crowded",
+            EnvironmentKind::Short => "short",
+            EnvironmentKind::Quiet => "quiet",
+            EnvironmentKind::Burst => "burst",
+        }
+    }
+
+    /// Parses a [`token`](Self::token), case-insensitively; `more`,
+    /// `morecrowded`, `less` and `lesscrowded` are accepted aliases.
+    pub fn parse(s: &str) -> Option<EnvironmentKind> {
+        let kind = match s.to_ascii_lowercase().as_str() {
+            "more" | "morecrowded" => EnvironmentKind::MoreCrowded,
+            "less" | "lesscrowded" => EnvironmentKind::LessCrowded,
+            other => *Self::ALL.iter().find(|k| k.token() == other)?,
+        };
+        Some(kind)
+    }
 }
 
 impl fmt::Display for EnvironmentKind {
@@ -203,6 +236,26 @@ mod tests {
             EnvironmentKind::Burst.mean_gap(),
             SimDuration::from_secs(10)
         );
+    }
+
+    #[test]
+    fn every_kind_round_trips_through_its_token() {
+        for kind in EnvironmentKind::ALL {
+            assert_eq!(EnvironmentKind::parse(kind.token()), Some(kind));
+            assert_eq!(
+                EnvironmentKind::parse(&kind.token().to_uppercase()),
+                Some(kind)
+            );
+        }
+        assert_eq!(
+            EnvironmentKind::parse("more"),
+            Some(EnvironmentKind::MoreCrowded)
+        );
+        assert_eq!(
+            EnvironmentKind::parse("LessCrowded"),
+            Some(EnvironmentKind::LessCrowded)
+        );
+        assert_eq!(EnvironmentKind::parse("mars"), None);
     }
 
     #[test]

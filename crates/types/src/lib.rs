@@ -14,6 +14,8 @@
 //! - [`rng`] — a small deterministic [`SplitMix64`] generator used where the
 //!   simulator needs cheap reproducible randomness without pulling in a
 //!   full RNG crate.
+//! - [`json`] (with `std`) — the workspace's one JSON string escaper and
+//!   reader; every hand-written emitter and every parser uses it.
 //!
 //! The crate is `no_std`-capable (disable the default `std` feature):
 //! every type here is usable on the microcontrollers the Quetzal runtime
@@ -35,6 +37,8 @@
 #![cfg_attr(not(feature = "std"), no_std)]
 
 pub mod fixed;
+#[cfg(feature = "std")]
+pub mod json;
 pub mod math;
 pub mod rng;
 pub mod time;
