@@ -31,7 +31,7 @@ echo "== test-count guard =="
 # The suite must never silently shrink (a deleted [[test]] stanza or a
 # dropped module compiles fine and loses coverage without failing CI).
 # Raise the floor when tests are added; never lower it casually.
-test_floor=948
+test_floor=954
 test_count=$(cargo test -q --workspace -- --list 2>/dev/null | grep -c ': test$')
 echo "   ${test_count} tests (floor ${test_floor})"
 if [ "${test_count}" -lt "${test_floor}" ]; then
@@ -134,6 +134,14 @@ for env in quiet crowded; do
     grep -q "^phase " "${fleet_dir}/profile_${env}.txt"
     grep -q "^wall clock:" "${fleet_dir}/profile_${env}.txt"
 done
+
+echo "== qz trace: full timeline with snapshots =="
+# The unabridged diagnostic view: every decision, every 1 Hz state
+# snapshot, then the event-derived metrics registry.
+cargo run -q --bin qz -- trace --env crowded --events 30 --snapshots \
+    --limit 0 > "${fleet_dir}/trace.txt"
+grep -qE '^\[ +1\.000s\] .* irr=[0-9.]+ stored=[0-9.]+J buf=' "${fleet_dir}/trace.txt"
+grep -q "^counters:$" "${fleet_dir}/trace.txt"
 
 echo "== qz profile: flight-recorder dump smoke =="
 # A profiled run with the flight ring armed must write a postmortem

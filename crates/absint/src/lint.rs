@@ -55,10 +55,16 @@ impl Allowlist {
     /// Parses allowlist text: one `path-substring:pattern` per line,
     /// `#` comments, blank lines ignored. An empty pattern allows every
     /// pattern under the path substring.
-    pub fn parse(text: &str) -> Allowlist {
+    ///
+    /// # Errors
+    ///
+    /// An entry with an empty path substring (`:HashSet`) would match
+    /// every file in the workspace, so it is rejected with a message
+    /// naming its 1-based line.
+    pub fn parse(text: &str) -> Result<Allowlist, String> {
         let mut entries = Vec::new();
-        for line in text.lines() {
-            let line = line.split('#').next().unwrap_or("").trim();
+        for (idx, raw) in text.lines().enumerate() {
+            let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
                 continue;
             }
@@ -66,16 +72,27 @@ impl Allowlist {
                 Some((p, pat)) => (p.trim(), pat.trim()),
                 None => (line, ""),
             };
+            if path.is_empty() {
+                return Err(format!(
+                    "line {}: `{}` has an empty path substring, which would allow it in every file",
+                    idx + 1,
+                    raw.trim()
+                ));
+            }
             entries.push((path.to_string(), pattern.to_string()));
         }
-        Allowlist { entries }
+        Ok(Allowlist { entries })
     }
 
     /// Loads an allowlist file; a missing file is an empty allowlist.
-    pub fn load(path: &Path) -> Allowlist {
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`Allowlist::parse`] error, prefixed with `path`.
+    pub fn load(path: &Path) -> Result<Allowlist, String> {
         match fs::read_to_string(path) {
-            Ok(text) => Allowlist::parse(&text),
-            Err(_) => Allowlist::default(),
+            Ok(text) => Allowlist::parse(&text).map_err(|e| format!("{}: {e}", path.display())),
+            Err(_) => Ok(Allowlist::default()),
         }
     }
 
@@ -371,7 +388,8 @@ mod tests {
     fn allowlist_suppresses_by_path_and_pattern() {
         let allow = Allowlist::parse(
             "# deliberate uses\ncheck/src/lib.rs:HashSet\nprof/src: Instant::now\nshim\n",
-        );
+        )
+        .unwrap();
         let f = |path: &str, pattern: &'static str| Finding {
             path: path.to_string(),
             line: 1,
@@ -383,5 +401,41 @@ mod tests {
         assert!(allow.allows(&f("crates/prof/src/wall.rs", "Instant::now")));
         assert!(allow.allows(&f("crates/proptest-shim/src/lib.rs", "rayon")));
         assert!(!allow.allows(&f("crates/sim/src/engine.rs", "HashMap")));
+    }
+
+    #[test]
+    fn empty_path_entries_are_rejected_with_their_line() {
+        for (text, line) in [
+            (":HashSet\n", 1),
+            (
+                "# c\ncheck/src/lib.rs:HashSet\n\n  : Instant::now # stray\n",
+                4,
+            ),
+            (":\n", 1),
+        ] {
+            let err = Allowlist::parse(text).unwrap_err();
+            assert!(err.starts_with(&format!("line {line}:")), "{err}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+        #[test]
+        fn parse_is_total_on_arbitrary_text(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64)
+        ) {
+            let alphabet = b"ab/.:# \n\tHashSet";
+            let text: String = bytes
+                .iter()
+                .map(|&b| char::from(alphabet[usize::from(b) % alphabet.len()]))
+                .collect();
+            for input in [text, String::from_utf8_lossy(&bytes).into_owned()] {
+                // Any outcome is fine; an accepted list never holds an
+                // entry that matches every path.
+                if let Ok(allow) = Allowlist::parse(&input) {
+                    proptest::prop_assert!(allow.entries.iter().all(|(path, _)| !path.is_empty()));
+                }
+            }
+        }
     }
 }

@@ -6,19 +6,18 @@
 //! `results/BENCH_fault_campaigns.json` trajectory (`qz bench --check`
 //! gates on the newest record).
 //!
-//! The workspace's criterion shim has no measurement API, so this
-//! harness times suites itself with `std::time::Instant` (best of
-//! `REPS`). Both modes run the same seeds; the harness asserts their
-//! reports are byte-identical before reporting any number, so a
-//! speedup can never come from divergence.
+//! Both modes run the same seeds; the shared timer (best of `REPS`)
+//! asserts their reports are identical before reporting any number, so
+//! a speedup can never come from divergence.
 
+mod common;
+
+use common::{append_trajectory, as_metric, case, timed_pair};
 use qz_app::SimTweaks;
-use qz_fault::{run_campaigns_with, run_one, CampaignConfig, CampaignMode, FaultPlan, FaultReport};
+use qz_fault::{run_campaigns_with, run_one, CampaignConfig, CampaignMode, FaultPlan};
 use qz_fleet::Executor;
 use qz_traces::{EnvironmentKind, SensingEnvironment};
 use qz_types::SimDuration;
-use std::hint::black_box;
-use std::time::Instant;
 
 const REPS: usize = 2;
 const CAMPAIGNS: usize = 70;
@@ -49,51 +48,6 @@ fn config(env_kind: EnvironmentKind) -> CampaignConfig {
     cfg
 }
 
-/// Best-of-`REPS` wall-clock for one campaign mode; returns the report
-/// so the caller can assert both modes agree.
-fn time_mode(cfg: &CampaignConfig, mode: CampaignMode) -> (f64, FaultReport) {
-    let mut best = f64::INFINITY;
-    let mut report = None;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        let r = run_campaigns_with(cfg, Executor::new(1), mode).expect("campaign suite runs");
-        best = best.min(start.elapsed().as_secs_f64());
-        report = Some(black_box(r));
-    }
-    (best, report.expect("REPS > 0"))
-}
-
-struct Outcome {
-    label: &'static str,
-    inject_at_s: u64,
-    replay_secs: f64,
-    snapshot_secs: f64,
-}
-
-impl Outcome {
-    fn speedup(&self) -> f64 {
-        self.replay_secs / self.snapshot_secs.max(f64::MIN_POSITIVE)
-    }
-}
-
-fn run_case(env_kind: EnvironmentKind) -> Outcome {
-    let cfg = config(env_kind);
-    let (replay_secs, replay_report) = time_mode(&cfg, CampaignMode::Replay);
-    let (snapshot_secs, snapshot_report) = time_mode(&cfg, CampaignMode::Snapshot);
-    assert_eq!(
-        replay_report.to_json(),
-        snapshot_report.to_json(),
-        "modes diverged on {} — a speedup number would be meaningless",
-        env_kind.label()
-    );
-    Outcome {
-        label: env_kind.label(),
-        inject_at_s: cfg.injection_at.as_millis() / 1000,
-        replay_secs,
-        snapshot_secs,
-    }
-}
-
 fn main() {
     let envs = [
         EnvironmentKind::Quiet,
@@ -101,48 +55,35 @@ fn main() {
         EnvironmentKind::MoreCrowded,
     ];
 
-    let mut rows = Vec::new();
+    let mut cases = Vec::new();
     for env_kind in envs {
-        let o = run_case(env_kind);
-        println!(
-            "{:>12}: {} campaigns, inject at {}s | replay {:.3} s | snapshot {:.3} s | {:.1}x",
-            o.label,
-            CAMPAIGNS,
-            o.inject_at_s,
-            o.replay_secs,
-            o.snapshot_secs,
-            o.speedup()
+        let cfg = config(env_kind);
+        let label = env_kind.label();
+        let suite =
+            |mode| run_campaigns_with(&cfg, Executor::new(1), mode).expect("campaign suite runs");
+        let (pair, _) = timed_pair(
+            REPS,
+            &format!("modes on {label}"),
+            || suite(CampaignMode::Replay),
+            || suite(CampaignMode::Snapshot),
         );
-        rows.push(o);
-    }
-
-    let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let cases: Vec<qz_prof::BenchCase> = rows
-        .iter()
-        .map(|o| qz_prof::BenchCase {
-            name: o.label.to_owned(),
-            values: vec![
-                (
-                    "campaigns".to_owned(),
-                    as_metric(u64::try_from(CAMPAIGNS).unwrap_or(u64::MAX)),
-                ),
-                ("inject_at_s".to_owned(), as_metric(o.inject_at_s)),
-                ("replay_secs".to_owned(), o.replay_secs),
-                ("snapshot_secs".to_owned(), o.snapshot_secs),
-                ("speedup".to_owned(), o.speedup()),
+        let inject_at_s = cfg.injection_at.as_millis() / 1000;
+        println!(
+            "{label:>12}: {CAMPAIGNS} campaigns, inject at {inject_at_s}s | replay {:.3} s | snapshot {:.3} s | {:.1}x",
+            pair.oracle_secs,
+            pair.fast_secs,
+            pair.speedup()
+        );
+        cases.push(case(
+            label,
+            &[
+                ("campaigns", as_metric(CAMPAIGNS)),
+                ("inject_at_s", as_metric(inject_at_s)),
+                ("replay_secs", pair.oracle_secs),
+                ("snapshot_secs", pair.fast_secs),
+                ("speedup", pair.speedup()),
             ],
-        })
-        .collect();
-    let path = repo.join("results/BENCH_fault_campaigns.json");
-    let run =
-        qz_prof::Trajectory::append_run(&path, "fault_campaigns", &qz_prof::git_rev(&repo), cases)
-            .expect("append BENCH_fault_campaigns.json");
-    println!("appended run {run} to {}", path.display());
-}
-
-/// Counter values stored as f64 in the trajectory; the counts here fit
-/// f64's 53-bit mantissa comfortably.
-#[allow(clippy::cast_precision_loss)]
-fn as_metric(v: u64) -> f64 {
-    v as f64
+        ));
+    }
+    append_trajectory("fault_campaigns", cases);
 }

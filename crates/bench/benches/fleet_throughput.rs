@@ -11,49 +11,33 @@
 //!    on a `devices_per_sec` floor). A 10⁶-device smoke runs only when
 //!    `QZ_BENCH_HUGE=1` is set — it needs ~16 GiB and several minutes.
 //!
-//! Like `sim_throughput`, the criterion shim has no measurement API so
-//! this harness times itself (best of `REPS`). Every speedup is backed
-//! by a byte-identity assertion on the full JSON reports, so the number
-//! can never come from divergence.
+//! Every speedup comes from the shared timer (best of `REPS`), which
+//! asserts the two full fleet reports are identical first, so the
+//! number can never come from divergence.
 
-use qz_fleet::{run_fleet, Executor, FleetConfig, FleetSchedulerKind};
+mod common;
+
+use common::{append_trajectory, as_metric, best_of, case, timed_pair};
+use qz_fleet::{run_fleet, Executor, FleetConfig, FleetReport, FleetSchedulerKind};
+use qz_prof::BenchCase;
 use qz_sim::EngineKind;
-use std::hint::black_box;
-use std::time::Instant;
 
 const REPS: usize = 3;
 const SEED: u64 = 0x000F_1EE7_2026;
 const DEVICES: usize = 8;
 const EVENTS: usize = 20;
 
-/// Best-of-`REPS` wall-clock for one engine under the epoch-barrier
-/// scheduler (the Fleet8x20 case measures engines, not schedulers);
-/// returns the report JSON so the caller can assert both engines agree.
-fn time_engine(engine: EngineKind) -> (f64, String) {
-    let mut cfg = FleetConfig {
-        devices: DEVICES,
-        events: EVENTS,
-        fleet_seed: SEED,
-        scheduler: FleetSchedulerKind::EpochBarrier,
-        ..FleetConfig::default()
-    };
-    cfg.tweaks.engine = engine;
-    time_fleet(&cfg, REPS)
+/// One fleet run on two worker threads.
+fn run(cfg: &FleetConfig) -> FleetReport {
+    run_fleet(cfg, Executor::new(2)).expect("fleet runs")
 }
 
-/// Best-of-`reps` wall-clock for one fleet config; returns the report
-/// JSON so callers can assert cross-scheduler identity.
-fn time_fleet(cfg: &FleetConfig, reps: usize) -> (f64, String) {
-    let mut best = f64::INFINITY;
-    let mut json = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let report = run_fleet(cfg, Executor::new(2)).expect("fleet runs");
-        let secs = start.elapsed().as_secs_f64();
-        best = best.min(secs);
-        json = Some(black_box(report.to_json()));
+/// `cfg` with its scheduler swapped.
+fn with_scheduler(cfg: &FleetConfig, scheduler: FleetSchedulerKind) -> FleetConfig {
+    FleetConfig {
+        scheduler,
+        ..cfg.clone()
     }
-    (best, json.expect("reps > 0"))
 }
 
 /// A large-fleet config that passes preflight: sharded gateways keep
@@ -76,95 +60,85 @@ fn scale_cfg(devices: usize, events: usize, gateways: usize) -> FleetConfig {
     cfg
 }
 
-/// Times both schedulers on `cfg`, asserts their reports are
-/// byte-identical, and returns `(eb_secs, eh_secs)`.
-fn time_both_schedulers(cfg: &FleetConfig, reps: usize) -> (f64, f64) {
-    let eb = FleetConfig {
-        scheduler: FleetSchedulerKind::EpochBarrier,
-        ..cfg.clone()
-    };
-    let eh = FleetConfig {
-        scheduler: FleetSchedulerKind::EventHorizon,
-        ..cfg.clone()
-    };
-    let (eb_secs, eb_json) = time_fleet(&eb, reps);
-    let (eh_secs, eh_json) = time_fleet(&eh, reps);
-    assert_eq!(
-        eb_json, eh_json,
-        "schedulers diverged at {} devices — a speedup number would be meaningless",
-        cfg.devices
+/// Epoch-barrier reference versus the event-horizon scheduler on `cfg`.
+fn scheduler_case(name: &str, cfg: &FleetConfig, reps: usize) -> BenchCase {
+    let eb = with_scheduler(cfg, FleetSchedulerKind::EpochBarrier);
+    let eh = with_scheduler(cfg, FleetSchedulerKind::EventHorizon);
+    let (pair, _) = timed_pair(
+        reps,
+        &format!("schedulers at {} devices", cfg.devices),
+        || run(&eb),
+        || run(&eh),
     );
-    (eb_secs, eh_secs)
-}
-
-fn scheduler_case(name: &str, cfg: &FleetConfig, reps: usize) -> qz_prof::BenchCase {
-    let (eb_secs, eh_secs) = time_both_schedulers(cfg, reps);
-    let speedup = eb_secs / eh_secs.max(f64::MIN_POSITIVE);
+    let (eb_secs, eh_secs, speedup) = (pair.oracle_secs, pair.fast_secs, pair.speedup());
     println!(
         "{name}: {} devices | epoch-barrier {eb_secs:.3} s | event-horizon {eh_secs:.3} s | {speedup:.1}x",
         cfg.devices
     );
-    qz_prof::BenchCase {
-        name: name.to_owned(),
-        values: vec![
-            ("devices".to_owned(), as_metric(cfg.devices)),
-            ("gateways".to_owned(), as_metric(cfg.gateways)),
-            ("epoch_barrier_secs".to_owned(), eb_secs),
-            ("event_horizon_secs".to_owned(), eh_secs),
-            ("speedup".to_owned(), speedup),
+    case(
+        name,
+        &[
+            ("devices", as_metric(cfg.devices)),
+            ("gateways", as_metric(cfg.gateways)),
+            ("epoch_barrier_secs", eb_secs),
+            ("event_horizon_secs", eh_secs),
+            ("speedup", speedup),
         ],
-    }
+    )
 }
 
 /// Event-horizon-only scale probe: the epoch-barrier reference is too
 /// slow to time at this size, so the record carries throughput instead
 /// of a speedup.
-fn scale_case(name: &str, cfg: &FleetConfig) -> qz_prof::BenchCase {
-    let (eh_secs, _) = time_fleet(
-        &FleetConfig {
-            scheduler: FleetSchedulerKind::EventHorizon,
-            ..cfg.clone()
-        },
-        1,
-    );
+fn scale_case(name: &str, cfg: &FleetConfig) -> BenchCase {
+    let eh = with_scheduler(cfg, FleetSchedulerKind::EventHorizon);
+    let (eh_secs, _) = best_of(1, || run(&eh));
     let devices_per_sec = as_metric(cfg.devices) / eh_secs.max(f64::MIN_POSITIVE);
     println!(
         "{name}: {} devices | event-horizon {eh_secs:.3} s | {devices_per_sec:.0} devices/s",
         cfg.devices
     );
-    qz_prof::BenchCase {
-        name: name.to_owned(),
-        values: vec![
-            ("devices".to_owned(), as_metric(cfg.devices)),
-            ("gateways".to_owned(), as_metric(cfg.gateways)),
-            ("event_horizon_secs".to_owned(), eh_secs),
-            ("devices_per_sec".to_owned(), devices_per_sec),
+    case(
+        name,
+        &[
+            ("devices", as_metric(cfg.devices)),
+            ("gateways", as_metric(cfg.gateways)),
+            ("event_horizon_secs", eh_secs),
+            ("devices_per_sec", devices_per_sec),
         ],
-    }
+    )
 }
 
 fn main() {
-    let (tick_secs, tick_json) = time_engine(EngineKind::Tick);
-    let (fast_secs, fast_json) = time_engine(EngineKind::FastForward);
-    assert_eq!(
-        tick_json, fast_json,
-        "fleet engines diverged — a speedup number would be meaningless"
-    );
-    let speedup = tick_secs / fast_secs.max(f64::MIN_POSITIVE);
+    // Tick versus fast-forward engines under the epoch-barrier
+    // scheduler: this case measures engines, not schedulers.
+    let [tick, fast] = [EngineKind::Tick, EngineKind::FastForward].map(|engine| {
+        let mut cfg = FleetConfig {
+            devices: DEVICES,
+            events: EVENTS,
+            fleet_seed: SEED,
+            scheduler: FleetSchedulerKind::EpochBarrier,
+            ..FleetConfig::default()
+        };
+        cfg.tweaks.engine = engine;
+        cfg
+    });
+    let (pair, _) = timed_pair(REPS, "fleet engines", || run(&tick), || run(&fast));
+    let (tick_secs, fast_secs, speedup) = (pair.oracle_secs, pair.fast_secs, pair.speedup());
     println!(
         "fleet {DEVICES}x{EVENTS}: tick {tick_secs:.3} s | fast-forward {fast_secs:.3} s | {speedup:.1}x"
     );
 
-    let mut cases = vec![qz_prof::BenchCase {
-        name: format!("Fleet{DEVICES}x{EVENTS}"),
-        values: vec![
-            ("devices".to_owned(), as_metric(DEVICES)),
-            ("events".to_owned(), as_metric(EVENTS)),
-            ("tick_secs".to_owned(), tick_secs),
-            ("fast_forward_secs".to_owned(), fast_secs),
-            ("speedup".to_owned(), speedup),
+    let mut cases = vec![case(
+        &format!("Fleet{DEVICES}x{EVENTS}"),
+        &[
+            ("devices", as_metric(DEVICES)),
+            ("events", as_metric(EVENTS)),
+            ("tick_secs", tick_secs),
+            ("fast_forward_secs", fast_secs),
+            ("speedup", speedup),
         ],
-    }];
+    )];
 
     // Event-horizon vs epoch-barrier. N=64 fits the default channel
     // budget; the larger fleets shard across gateways and stretch the
@@ -181,18 +155,5 @@ fn main() {
     if std::env::var("QZ_BENCH_HUGE").as_deref() == Ok("1") {
         cases.push(scale_case("FleetEH1000000", &scale_cfg(1_000_000, 3, 8192)));
     }
-
-    let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let path = repo.join("results/BENCH_fleet_throughput.json");
-    let run =
-        qz_prof::Trajectory::append_run(&path, "fleet_throughput", &qz_prof::git_rev(&repo), cases)
-            .expect("append BENCH_fleet_throughput.json");
-    println!("appended run {run} to {}", path.display());
-}
-
-/// Counter values stored as f64 in the trajectory; the counts here fit
-/// f64's 53-bit mantissa comfortably.
-#[allow(clippy::cast_precision_loss)]
-fn as_metric(v: usize) -> f64 {
-    v as f64
+    append_trajectory("fleet_throughput", cases);
 }

@@ -2,8 +2,9 @@
 //! Quetzal paper's evaluation.
 //!
 //! Each figure has a runner function in [`figures`] returning structured
-//! rows, a binary in `src/bin/` that prints them as a text table, and
-//! (where meaningful) a Criterion bench in `benches/`. The absolute
+//! rows and a binary in `src/bin/` that prints them as a text table.
+//! The throughput benches in `benches/` time each fast path against its
+//! reference oracle and append to `results/BENCH_*.json`. The absolute
 //! numbers come from the synthetic device profiles in `qz-app`, so the
 //! comparison *shapes* — who wins, by roughly what factor, where the
 //! crossovers fall — are the reproduction target, not the paper's exact

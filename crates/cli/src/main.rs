@@ -437,7 +437,13 @@ fn verify(args: &Args) -> ExitCode {
 
 fn lint_src(args: &Args) -> ExitCode {
     let root = std::path::Path::new(&args.root);
-    let allow = qz_absint::Allowlist::load(&root.join(&args.allow_file));
+    let allow = match qz_absint::Allowlist::load(&root.join(&args.allow_file)) {
+        Ok(allow) => allow,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let findings = qz_absint::scan_workspace(root, &allow);
     if args.json.is_some() {
         let items: Vec<String> = findings

@@ -200,3 +200,24 @@ fn help_lists_every_subcommand_and_unknowns_fail() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
 }
+
+#[test]
+fn lint_src_rejects_an_allowlist_entry_with_an_empty_path() {
+    let allow = tmp("lint-allow.txt");
+    std::fs::write(&allow, "# stray colon\n:HashSet\n").unwrap();
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let out = qz(&[
+        "lint-src",
+        "--root",
+        root,
+        "--allow-file",
+        allow.to_str().unwrap(),
+    ]);
+    std::fs::remove_file(&allow).unwrap();
+    assert!(!out.status.success(), "an empty-path entry was accepted");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("line 2:") && stderr.contains(":HashSet"),
+        "{stderr}"
+    );
+}

@@ -12,7 +12,7 @@
 //! - [`Observer`] — the pluggable hook the runtime and simulator emit
 //!   through. The default [`NoopObserver`] reports itself disabled, so
 //!   emission sites skip event construction entirely: the disabled path
-//!   is one boolean test (see the `observer_overhead` bench).
+//!   is one boolean test, and it is the path every untraced run takes.
 //! - [`ObserverHandle`] — ownership plumbing used by the instrumented
 //!   components: holds the boxed observer, caches its enabled flag, and
 //!   stamps events with the current device time.

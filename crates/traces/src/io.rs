@@ -78,13 +78,13 @@ pub fn write_solar<W: Write>(trace: &SolarTrace, mut w: W) -> Result<(), TraceIo
 /// `seconds,irradiance` CSV with a one-line header).
 ///
 /// Rows must be in order; the `seconds` column is validated to be the
-/// row index. Irradiance values are clamped into `[0, 1]` by
+/// row index. Finite irradiance values are clamped into `[0, 1]` by
 /// [`SolarTrace::from_samples`].
 ///
 /// # Errors
 ///
-/// Returns [`TraceIoError`] on I/O failure, malformed rows, or an empty
-/// file.
+/// Returns [`TraceIoError`] on I/O failure, malformed rows (including
+/// non-finite irradiance such as `nan` or `inf`), or an empty file.
 pub fn read_solar<R: Read>(r: R) -> Result<SolarTrace, TraceIoError> {
     let reader = BufReader::new(r);
     let mut samples = Vec::new();
@@ -103,6 +103,12 @@ pub fn read_solar<R: Read>(r: R) -> Result<SolarTrace, TraceIoError> {
             });
         }
         let irr: f32 = parse_field(&mut parts, row, "irradiance")?;
+        if !irr.is_finite() {
+            return Err(TraceIoError::Parse {
+                line: row + 1,
+                message: format!("irradiance must be finite, found {irr}"),
+            });
+        }
         samples.push(irr);
     }
     if samples.is_empty() {
@@ -134,8 +140,9 @@ pub fn write_events<W: Write>(trace: &EventTrace, mut w: W) -> Result<(), TraceI
 ///
 /// # Errors
 ///
-/// Returns [`TraceIoError`] on I/O failure, malformed rows, out-of-order
-/// or overlapping events, or an empty file. (An empty *trace* is legal in
+/// Returns [`TraceIoError`] on I/O failure, malformed rows, an event
+/// whose end overflows the millisecond clock, out-of-order or
+/// overlapping events, or an empty file. (An empty *trace* is legal in
 /// the API but an empty file is treated as an error to catch path
 /// mix-ups.)
 pub fn read_events<R: Read>(r: R) -> Result<EventTrace, TraceIoError> {
@@ -161,6 +168,12 @@ pub fn read_events<R: Read>(r: R) -> Result<EventTrace, TraceIoError> {
                 })
             }
         };
+        if start_ms.checked_add(duration_ms).is_none() {
+            return Err(TraceIoError::Parse {
+                line: row + 1,
+                message: format!("event end {start_ms} + {duration_ms} ms overflows"),
+            });
+        }
         let event = Event {
             start: SimTime::from_millis(start_ms),
             duration: SimDuration::from_millis(duration_ms),
@@ -202,6 +215,7 @@ mod tests {
     use super::*;
     use crate::events::EventTraceBuilder;
     use crate::solar::SolarTraceBuilder;
+    use proptest::prelude::*;
 
     #[test]
     fn solar_roundtrip() {
@@ -255,6 +269,23 @@ mod tests {
     }
 
     #[test]
+    fn rejects_non_finite_irradiance() {
+        for bad in ["nan", "inf", "-inf", "1e39"] {
+            let err = read_solar(format!("h\n0,0.5\n1,{bad}\n").as_bytes()).unwrap_err();
+            assert!(matches!(err, TraceIoError::Parse { line: 3, .. }), "{err}");
+        }
+    }
+
+    #[test]
+    fn rejects_event_end_overflow() {
+        let err = read_events("h\n18446744073709551615,5,1\n20,0,0\n".as_bytes()).unwrap_err();
+        assert!(matches!(err, TraceIoError::Parse { line: 2, .. }), "{err}");
+        // Ending exactly at the last representable millisecond is fine.
+        let trace = read_events("h\n18446744073709551610,5,1\n".as_bytes()).unwrap();
+        assert_eq!(trace.end().as_millis(), u64::MAX);
+    }
+
+    #[test]
     fn empty_files_are_errors() {
         assert!(matches!(
             read_solar("h\n".as_bytes()),
@@ -264,5 +295,95 @@ mod tests {
             read_events("h\n".as_bytes()),
             Err(TraceIoError::Empty)
         ));
+    }
+
+    /// A real written trace of each kind, for the mutation property.
+    fn written_traces() -> [Vec<u8>; 2] {
+        let mut solar = Vec::new();
+        let trace = SolarTraceBuilder::new()
+            .duration(SimDuration::from_secs(40))
+            .seed(11)
+            .build();
+        write_solar(&trace, &mut solar).unwrap();
+        let mut events = Vec::new();
+        let trace = EventTraceBuilder::new().event_count(20).seed(11).build();
+        write_events(&trace, &mut events).unwrap();
+        [solar, events]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+        #[test]
+        fn random_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
+            // Both raw bytes and text over the format's own alphabet, so
+            // most inputs get past the header and into the row parsers.
+            let alphabet = b"0123456789,\n.-+eEnaifNI";
+            let text: Vec<u8> = bytes
+                .iter()
+                .map(|&b| alphabet[usize::from(b) % alphabet.len()])
+                .collect();
+            for input in [&bytes, &text] {
+                if let Ok(trace) = read_solar(input.as_slice()) {
+                    prop_assert!(trace.samples().iter().all(|s| (0.0..=1.0).contains(s)));
+                }
+                if let Ok(trace) = read_events(input.as_slice()) {
+                    prop_assert!(trace.events().iter().all(|e| e.start <= e.end()));
+                }
+            }
+        }
+
+        #[test]
+        fn single_byte_mutations_never_panic(
+            pick in 0usize..2,
+            at in 0usize..1_000_000,
+            byte in any::<u8>(),
+        ) {
+            let mut bytes = written_traces()[pick].clone();
+            let at = at % bytes.len();
+            bytes[at] = byte;
+            let _ = read_solar(bytes.as_slice());
+            let _ = read_events(bytes.as_slice());
+        }
+
+        #[test]
+        fn solar_write_read_write_is_identity(
+            bits in proptest::collection::vec(any::<u32>(), 1..50)
+        ) {
+            let samples: Vec<f32> = bits
+                .into_iter()
+                .map(f32::from_bits)
+                .filter(|v| v.is_finite())
+                .collect();
+            prop_assume!(!samples.is_empty());
+            let mut first = Vec::new();
+            write_solar(&SolarTrace::from_samples(samples), &mut first).unwrap();
+            let mut second = Vec::new();
+            write_solar(&read_solar(first.as_slice()).unwrap(), &mut second).unwrap();
+            prop_assert_eq!(first, second);
+        }
+
+        #[test]
+        fn events_write_read_write_is_identity(
+            rows in proptest::collection::vec((0u64..1 << 40, 0u64..1 << 40, any::<bool>()), 1..50)
+        ) {
+            let mut start = 0u64;
+            let events: Vec<Event> = rows
+                .into_iter()
+                .map(|(gap, duration, interesting)| {
+                    let event = Event {
+                        start: SimTime::from_millis(start + gap),
+                        duration: SimDuration::from_millis(duration),
+                        interesting,
+                    };
+                    start += gap + duration;
+                    event
+                })
+                .collect();
+            let mut first = Vec::new();
+            write_events(&EventTrace::from_events(events), &mut first).unwrap();
+            let mut second = Vec::new();
+            write_events(&read_events(first.as_slice()).unwrap(), &mut second).unwrap();
+            prop_assert_eq!(first, second);
+        }
     }
 }

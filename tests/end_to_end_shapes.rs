@@ -16,18 +16,21 @@ fn env(kind: EnvironmentKind) -> SensingEnvironment {
 
 #[test]
 fn quetzal_beats_noadapt_in_every_environment() {
+    // Fig. 9a's factor band: the paper reports QZ discarding 2.9x /
+    // 3.5x / 4.2x fewer interesting inputs than NA (MoreCrowded /
+    // Crowded / LessCrowded) and the full-scale scorecard 2.9x / 3.0x /
+    // 1.8x. Under crowding QZ must discard at least 2x fewer; in the
+    // least crowded scene, where NA rarely overflows, merely fewer.
     let p = apollo4();
     let t = SimTweaks::default();
     for kind in EnvironmentKind::APOLLO_SET {
         let e = env(kind);
-        let qz = simulate(BaselineKind::Quetzal, &p, &e, &t);
-        let na = simulate(BaselineKind::NoAdapt, &p, &e, &t);
-        assert!(
-            qz.interesting_discarded() < na.interesting_discarded(),
-            "{kind:?}: QZ {} vs NA {}",
-            qz.interesting_discarded(),
-            na.interesting_discarded()
-        );
+        let qz = simulate(BaselineKind::Quetzal, &p, &e, &t).interesting_discarded();
+        let na = simulate(BaselineKind::NoAdapt, &p, &e, &t).interesting_discarded();
+        assert!(qz < na, "{kind:?}: QZ {qz} vs NA {na}");
+        if kind != EnvironmentKind::LessCrowded {
+            assert!(qz * 2 <= na, "{kind:?}: QZ {qz} not 2x below NA {na}");
+        }
     }
 }
 
@@ -134,10 +137,20 @@ fn ideal_bounds_everyone() {
             BaselineKind::CatNap,
         ] {
             let m = simulate(sys, &p, &e, &t);
+            let (reported, ideal) = (m.interesting_reported(), bound.interesting_reported());
             assert!(
-                m.interesting_reported() <= bound.interesting_reported(),
+                reported <= ideal,
                 "{kind:?}/{sys:?} reported more than Ideal"
             );
+            // Fig. 9b's band: the paper has QZ reporting 92% / 96% / 98%
+            // of the infinite-memory Ideal's interesting inputs; QZ must
+            // reach at least 80% in every Apollo environment.
+            if sys == BaselineKind::Quetzal {
+                assert!(
+                    reported * 5 >= ideal * 4,
+                    "{kind:?}: QZ reports {reported} of Ideal's {ideal} (< 80%)"
+                );
+            }
         }
     }
 }
