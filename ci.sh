@@ -31,7 +31,7 @@ echo "== test-count guard =="
 # The suite must never silently shrink (a deleted [[test]] stanza or a
 # dropped module compiles fine and loses coverage without failing CI).
 # Raise the floor when tests are added; never lower it casually.
-test_floor=954
+test_floor=960
 test_count=$(cargo test -q --workspace -- --list 2>/dev/null | grep -c ': test$')
 echo "   ${test_count} tests (floor ${test_floor})"
 if [ "${test_count}" -lt "${test_floor}" ]; then
@@ -49,6 +49,23 @@ echo "== qz check: preset sweep (deny warnings) =="
 # Every shipped preset on both devices must be error- and warning-free,
 # except the intentional MSP430 QZ011 regime (see EXPERIMENTS.md).
 cargo run -q --bin qz -- check --deny-warnings --allow QZ011
+
+echo "== qz figure: committed figure outputs reproduce byte for byte =="
+# Every results/<name>.txt figure output must come back unchanged from
+# `qz figure --name <name>` at its default scale. The differential
+# suites compare engines with each other, so a change that shifts every
+# engine the same way passes them; it fails here. fleet_speedup.txt is a
+# hand-written timing note, not a figure output.
+cargo build -q --release --bin qz
+qz_release="${CARGO_TARGET_DIR:-target}/release/qz"
+for golden in results/*.txt; do
+    name=$(basename "${golden}" .txt)
+    [ "${name}" = fleet_speedup ] && continue
+    if ! "${qz_release}" figure --name "${name}" | cmp - "${golden}"; then
+        echo "qz figure --name ${name} no longer reproduces ${golden}" >&2
+        exit 1
+    fi
+done
 
 echo "== qz verify: envelope proofs + a caught refutation =="
 # The abstract interpreter must PROVE both properties (no stall, no

@@ -84,16 +84,17 @@ impl Allowlist {
         Ok(Allowlist { entries })
     }
 
-    /// Loads an allowlist file; a missing file is an empty allowlist.
+    /// Loads an allowlist file.
     ///
     /// # Errors
     ///
-    /// Returns the [`Allowlist::parse`] error, prefixed with `path`.
+    /// An unreadable file (a mistyped path, say) or an
+    /// [`Allowlist::parse`] error, prefixed with `path`.
     pub fn load(path: &Path) -> Result<Allowlist, String> {
-        match fs::read_to_string(path) {
-            Ok(text) => Allowlist::parse(&text).map_err(|e| format!("{}: {e}", path.display())),
-            Err(_) => Ok(Allowlist::default()),
-        }
+        fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| Allowlist::parse(&text))
+            .map_err(|e| format!("{}: {e}", path.display()))
     }
 
     /// `true` when the finding is covered by an entry.

@@ -42,6 +42,25 @@ pub enum BaselineKind {
 }
 
 impl BaselineKind {
+    /// The shipped presets: one per evaluated system, with the
+    /// parameter values the figures use. `qz check` and `qz verify`
+    /// sweep these when no `--system` is given.
+    pub const PRESETS: [BaselineKind; 13] = [
+        BaselineKind::Quetzal,
+        BaselineKind::QuetzalHw,
+        BaselineKind::NoAdapt,
+        BaselineKind::AlwaysDegrade,
+        BaselineKind::CatNap,
+        BaselineKind::FixedThreshold(0.25),
+        BaselineKind::FixedThreshold(0.50),
+        BaselineKind::FixedThreshold(0.75),
+        BaselineKind::PowerThreshold(Watts(0.030)),
+        BaselineKind::AvgSe2e,
+        BaselineKind::QuetzalVar(0.9),
+        BaselineKind::FcfsIbo,
+        BaselineKind::LcfsIbo,
+    ];
+
     /// The short label the paper's figures use.
     pub fn label(&self) -> String {
         match self {
@@ -177,20 +196,9 @@ mod tests {
 
     #[test]
     fn every_parseable_kind_round_trips_through_its_token() {
-        let parseable = [
-            BaselineKind::Quetzal,
-            BaselineKind::QuetzalHw,
-            BaselineKind::NoAdapt,
-            BaselineKind::AlwaysDegrade,
-            BaselineKind::CatNap,
-            BaselineKind::FixedThreshold(0.25),
-            BaselineKind::FixedThreshold(0.50),
-            BaselineKind::FixedThreshold(0.75),
-            BaselineKind::PowerThreshold(Watts(0.030)),
-            BaselineKind::AvgSe2e,
-            BaselineKind::FcfsIbo,
-            BaselineKind::LcfsIbo,
-        ];
+        let parseable = BaselineKind::PRESETS
+            .into_iter()
+            .filter(|k| !matches!(k, BaselineKind::QuetzalVar(_)));
         for kind in parseable {
             assert_eq!(BaselineKind::parse(&kind.token()), Some(kind), "{kind}");
         }
@@ -283,19 +291,7 @@ mod tests {
 
     #[test]
     fn all_kinds_build() {
-        for kind in [
-            BaselineKind::Quetzal,
-            BaselineKind::NoAdapt,
-            BaselineKind::AlwaysDegrade,
-            BaselineKind::CatNap,
-            BaselineKind::FixedThreshold(0.25),
-            BaselineKind::PowerThreshold(Watts(0.01)),
-            BaselineKind::AvgSe2e,
-            BaselineKind::QuetzalHw,
-            BaselineKind::QuetzalVar(0.9),
-            BaselineKind::FcfsIbo,
-            BaselineKind::LcfsIbo,
-        ] {
+        for kind in BaselineKind::PRESETS {
             assert!(
                 build_runtime(kind, spec(), QuetzalConfig::default()).is_ok(),
                 "{kind}"

@@ -1,5 +1,6 @@
 //! One runner per paper figure/table; each returns structured rows the
-//! binaries print and the integration tests assert shapes on.
+//! [`FIGURES`](crate::FIGURES) entries print and the integration tests
+//! assert shapes on.
 
 use qz_app::{apollo4, ideal, msp430fr5994, pzi_threshold, pzo_threshold, simulate, SimTweaks};
 use qz_baselines::BaselineKind;
@@ -135,24 +136,7 @@ pub fn fig08_hardware(events: usize) -> Vec<ResultRow> {
 /// **Fig. 9** — QZ vs the non-adaptive extremes (NA, AD) and the
 /// ∞-memory Ideal, across the three sensing environments.
 pub fn fig09_vs_nonadaptive(events: usize) -> Vec<ResultRow> {
-    let t = SimTweaks::default();
-    let mut rows = Vec::new();
-    for kind_env in EnvironmentKind::APOLLO_SET {
-        let e = env(kind_env, events);
-        rows.push(ResultRow::new(
-            "Ideal",
-            e.kind().label(),
-            ideal(&apollo4(), &e, &t),
-        ));
-        for kind in [
-            BaselineKind::NoAdapt,
-            BaselineKind::AlwaysDegrade,
-            BaselineKind::Quetzal,
-        ] {
-            rows.push(run(kind, &e, &t));
-        }
-    }
-    rows
+    fig09_seeded(events, EVENT_SEED)
 }
 
 /// **Fig. 10** — QZ vs prior work: CatNap, PZO (as proposed) and PZI

@@ -88,8 +88,8 @@ impl fmt::Display for Table {
     }
 }
 
-/// Renders the standard per-system results table every figure binary
-/// prints: interesting-input accounting plus the radio-report split.
+/// Renders the standard per-system results table most figures
+/// print: interesting-input accounting plus the radio-report split.
 pub fn standard_table(rows: &[crate::figures::ResultRow]) -> Table {
     let mut t = Table::new(vec![
         "environment",

@@ -4,7 +4,7 @@
 //! The paper reports single runs over 1000 events; this module
 //! strengthens the reproduction's claims by repeating each figure over
 //! several environment seeds and reporting the spread (see the
-//! `fig09_multiseed` binary and EXPERIMENTS.md).
+//! `fig09_multiseed` figure and EXPERIMENTS.md).
 
 use crate::figures::ResultRow;
 

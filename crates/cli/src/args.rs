@@ -9,7 +9,9 @@
 //! defined once and listed in every table that takes them. A single
 //! loop walks argv against the table, so a subcommand rejects every flag
 //! its handler would ignore, and [`help`] renders the usage block from
-//! the same tables.
+//! the same tables. `qz figure` alone has no `--events` default of its
+//! own: the figure its `--name` picks from `qz_bench::FIGURES` supplies
+//! it.
 
 use core::fmt;
 use core::str::FromStr;
@@ -23,6 +25,8 @@ pub enum Command {
     Run(Args),
     /// `qz compare …` — run the standard system set side by side.
     Compare(Args),
+    /// `qz figure …` — print one of the paper's figures or tables.
+    Figure(Args),
     /// `qz export-traces …` — write the environment's solar/event CSVs.
     ExportTraces(Args),
     /// `qz trace …` — record and render the decision-event timeline.
@@ -83,10 +87,13 @@ pub struct Args {
     pub envs: Vec<EnvironmentKind>,
     /// Events in the environment trace.
     pub events: usize,
+    /// The output `qz figure` prints (`--name`); its default `--events`
+    /// applies when the flag is absent.
+    pub figure: Option<&'static qz_bench::Figure>,
     /// Environment/simulation (or master campaign/fleet) seed.
     pub seed: u64,
-    /// Worker threads; 0 = all cores (`QZ_THREADS` applies when absent).
-    pub threads: Option<usize>,
+    /// Worker threads (`fleet`, `fault`); 0 = all cores.
+    pub threads: usize,
     /// JSON output path, `-` for stdout (the `--json` switch of check,
     /// verify and lint-src sets `-`).
     pub json: Option<String>,
@@ -200,8 +207,9 @@ impl Args {
             env: EnvironmentKind::Crowded,
             envs: Vec::new(),
             events: sub.events,
+            figure: None,
             seed: sub.seed,
-            threads: None,
+            threads: 1,
             json: None,
             csv: None,
             telemetry: None,
@@ -433,7 +441,7 @@ const ENV: Flag = flag("--env", "crowded", |a, v| set(&mut a.env, parse_env(v)))
 const EVENTS: Flag = flag("--events", "N", |a, v| set(&mut a.events, positive(v)));
 const SEED: Flag = flag("--seed", "N|0xN", |a, v| set(&mut a.seed, parse_seed(v)));
 const THREADS: Flag = flag("--threads", "N", |a, v| {
-    set(&mut a.threads, num(v, "a non-negative integer").map(Some))
+    set(&mut a.threads, num(v, "a non-negative integer"))
 });
 const PRESET: Flag = flag("--preset", "none|smoke|standard|heavy", |a, v| {
     set(&mut a.preset, parse_preset(v))
@@ -479,6 +487,18 @@ const RUN: &[Flag] = &[
     SNAPSHOT_STRIDE,
 ];
 const COMPARE: &[Flag] = &[ENV, EVENTS, SEED, DEVICE, SOLAR, SOLAR_SEG];
+const FIGURE: &[Flag] = &[
+    flag("--name", "fig09_vs_nonadaptive", |a, v| {
+        let figure = qz_bench::figure(v).ok_or_else(|| {
+            err(format!(
+                "unknown figure `{v}` (try {})",
+                figure_names().join(", ")
+            ))
+        });
+        set(&mut a.figure, figure.map(Some))
+    }),
+    EVENTS,
+];
 const EXPORT_TRACES: &[Flag] = &[
     ENV,
     EVENTS,
@@ -676,6 +696,9 @@ const BENCH: &[Flag] = &[
 
 /// The seed the paper-figure runs use.
 const RUN_SEED: u64 = 20_250_330;
+/// The `--events` default of `qz figure`: none of its own, the named
+/// figure's applies (`--events` itself rejects 0).
+const FIGURE_EVENTS: usize = 0;
 /// The master seed of fault campaigns and bisection.
 const FAULT_SEED: u64 = 0xFA017;
 
@@ -704,6 +727,7 @@ const fn sweep(s: Subcommand) -> Subcommand {
 const SUBCOMMANDS: &[Subcommand] = &[
     sub("run", RUN, 200, RUN_SEED, Command::Run),
     sub("compare", COMPARE, 200, RUN_SEED, Command::Compare),
+    sub("figure", FIGURE, FIGURE_EVENTS, RUN_SEED, Command::Figure),
     sub(
         "export-traces",
         EXPORT_TRACES,
@@ -761,6 +785,17 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
         };
         (flag.set)(&mut args, value).map_err(|e| err(format!("`{} {value}`: {e}", flag.name)))?;
     }
+    if sub.name == "figure" {
+        let figure = args.figure.ok_or_else(|| {
+            err(format!(
+                "`qz figure` needs --name (one of {})",
+                figure_names().join(", ")
+            ))
+        })?;
+        if args.events == FIGURE_EVENTS {
+            args.events = figure.events;
+        }
+    }
     if args.device == Device::All && !sub.sweep {
         return Err(err(format!(
             "`--device all` sweeps only in check and verify, not `qz {name}`"
@@ -774,38 +809,57 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
     Ok((sub.make)(args))
 }
 
+fn figure_names() -> Vec<&'static str> {
+    qz_bench::FIGURES.iter().map(|f| f.name).collect()
+}
+
 /// Renders the help text: the usage block from [`SUBCOMMANDS`], then
 /// the vocabulary and one paragraph per subcommand.
 pub fn help() -> String {
     const WIDTH: usize = 80;
     const INDENT: usize = 20;
-    let mut usage = String::new();
-    for sub in SUBCOMMANDS {
-        let mut line = format!("  qz {:<1$}", sub.name, INDENT - 5);
-        for (i, flag) in sub.flags.iter().enumerate() {
-            let item = if flag.sample.is_empty() {
-                format!("[{}]", flag.name)
-            } else {
-                format!("[{} {}]", flag.name, flag.sample)
-            };
+    /// `line` then `items`, space-separated, breaking before any item
+    /// that would pass `WIDTH` onto a new line indented `indent` columns.
+    fn wrap(mut line: String, items: impl Iterator<Item = String>, indent: usize) -> String {
+        let mut out = String::new();
+        for (i, item) in items.enumerate() {
             if i > 0 && line.len() + 1 + item.len() > WIDTH {
-                usage.push_str(&line);
-                usage.push('\n');
-                line = " ".repeat(INDENT);
+                out.push_str(&line);
+                out.push('\n');
+                line = " ".repeat(indent);
             } else if i > 0 {
                 line.push(' ');
             }
             line.push_str(&item);
         }
-        usage.push_str(&line);
+        out + &line
+    }
+    let mut usage = String::new();
+    for sub in SUBCOMMANDS {
+        let flags = sub.flags.iter().map(|flag| {
+            if flag.sample.is_empty() {
+                format!("[{}]", flag.name)
+            } else {
+                format!("[{} {}]", flag.name, flag.sample)
+            }
+        });
+        let name = format!("  qz {:<1$}", sub.name, INDENT - 5);
+        usage.push_str(&wrap(name, flags, INDENT));
         usage.push('\n');
     }
     let envs: Vec<&str> = EnvironmentKind::ALL.iter().map(|k| k.token()).collect();
+    let names = figure_names();
+    let items = names.iter().enumerate().map(|(i, name)| {
+        let comma = if i + 1 < names.len() { "," } else { "" };
+        format!("{name}{comma}")
+    });
+    let figures = wrap("FIGURES:       ".into(), items, 15);
     format!(
         "qz — Quetzal experiment runner\n\nUSAGE:\n{usage}  qz help\n\n\
          SYSTEMS:       QZ, QZ-HW, NA, AD, CN, TH25, TH50, TH75, PZO, FCFS, LCFS, AvgSe2e\n\
          ENVIRONMENTS:  {}\n\
          DEVICES:       apollo4, msp430; all (both) is the check and verify default\n\
+         {figures}\n\
          {PROSE}",
         envs.join(", ")
     )
@@ -816,6 +870,11 @@ const PROSE: &str = "
 Every subcommand runs the fast-forward engine: it skips quiescent ticks in
 bulk, and its reports are byte-identical to the per-tick reference loop
 (an oracle that only the test suites and benches select).
+
+`qz figure --name NAME` prints one output of the paper's evaluation (a
+figure, a table, an extension, or `diagnose`) as its text table. Without
+--events it runs at the figure's own scale, the one its committed
+results/NAME.txt was made at (400 events for most; the paper uses 1000).
 
 `qz check` statically analyzes the spec + device profile + configs a run
 would use (energy feasibility, Little's-Law arrival pressure, degradation
@@ -844,8 +903,8 @@ and exits nonzero on findings not covered by the allowlist file
 under the path).
 
 `qz fleet` simulates N independently-seeded devices sharing duty-cycled
-uplink channels, in parallel (--threads 0 = all cores; QZ_THREADS also
-works). Reports are byte-identical at any thread count. The event-horizon
+uplink channels, in parallel (--threads 0 = all cores; default 1).
+Reports are byte-identical at any thread count. The event-horizon
 scheduler wakes only due devices; its reports are byte-identical to the
 lockstep epoch-barrier reference the test suites check it against.
 --gateways shards devices across multiple channels deterministically.
@@ -913,6 +972,7 @@ pub(crate) mod tests {
         match command {
             Command::Run(a)
             | Command::Compare(a)
+            | Command::Figure(a)
             | Command::ExportTraces(a)
             | Command::Trace(a)
             | Command::Check(a)
@@ -1160,7 +1220,7 @@ pub(crate) mod tests {
             (f.devices, f.events, f.seed, f.gateways),
             (16, 40, 0xF1EE7, 1)
         );
-        assert!(f.envs.is_empty() && f.threads.is_none() && !f.metrics);
+        assert!(f.envs.is_empty() && f.threads == 1 && !f.metrics);
         let f = ok(
             "fleet --devices 64 --events 20 --seed 7 --system CN --device msp430 \
              --envs more,short --threads 8 --duty-cycle 0.2 --slot-ms 100 \
@@ -1175,7 +1235,7 @@ pub(crate) mod tests {
             f.envs,
             vec![EnvironmentKind::MoreCrowded, EnvironmentKind::Short]
         );
-        assert_eq!(f.threads, Some(8));
+        assert_eq!(f.threads, 8);
         assert_eq!(f.duty_cycle, Some(0.2));
         assert_eq!(f.slot_ms, Some(100));
         assert_eq!(f.json.as_deref(), Some("out.json"));
@@ -1236,7 +1296,7 @@ pub(crate) mod tests {
         assert_eq!(f.campaigns, 1);
         assert_eq!(f.seed, 0xD1FF_0002);
         assert_eq!(f.start, 17);
-        assert_eq!(f.threads, Some(2));
+        assert_eq!(f.threads, 2);
         assert_eq!(f.json.as_deref(), Some("-"));
     }
 
@@ -1431,15 +1491,60 @@ pub(crate) mod tests {
     #[test]
     fn events_zero_is_rejected_everywhere() {
         for sub in SUBCOMMANDS {
+            // `qz figure` needs a figure before it runs at all.
+            let line = match sub.name {
+                "figure" => "figure --name fig03_naive",
+                name => name,
+            };
             if sub.flags.iter().any(|f| f.name == "--events") {
-                assert!(
-                    rejected(&format!("{} --events 0", sub.name)),
-                    "{}",
-                    sub.name
-                );
-                assert_eq!(ok(&format!("{} --events 1", sub.name)).events, 1);
+                assert!(rejected(&format!("{line} --events 0")), "{line}");
+                assert_eq!(ok(&format!("{line} --events 1")).events, 1);
             }
         }
+    }
+
+    #[test]
+    fn figure_defaults_to_the_named_figures_scale() {
+        let f = ok("figure --name fig08_hardware");
+        assert_eq!(f.figure.map(|f| f.name), Some("fig08_hardware"));
+        assert_eq!(f.events, 100);
+        assert_eq!(ok("figure --name fig14_params").events, 300);
+        assert_eq!(ok("figure --name fig03_naive").events, 400);
+        // --events wins, before or after --name.
+        assert_eq!(ok("figure --name fig08_hardware --events 60").events, 60);
+        assert_eq!(ok("figure --events 60 --name fig08_hardware").events, 60);
+    }
+
+    #[test]
+    fn figure_rejects_bad_input() {
+        assert!(rejected("figure"), "no --name");
+        assert!(rejected("figure --events 60"), "no --name");
+        assert!(rejected("figure --name fig99"));
+        assert!(rejected("figure --name"), "missing value");
+        assert!(rejected("figure --name fig03_naive --events nope"));
+        assert!(rejected("figure --name fig03_naive --events 0"));
+        for foreign in ["--quick", "--seed 7", "--threads 2", "--system NA"] {
+            let e = parse(&argv(&format!("figure --name fig03_naive {foreign}"))).unwrap_err();
+            assert!(e.0.contains("unknown flag"), "{foreign}: {e}");
+        }
+    }
+
+    #[test]
+    fn every_figure_name_parses_and_names_are_unique() {
+        for (i, figure) in qz_bench::FIGURES.iter().enumerate() {
+            let f = ok(&format!("figure --name {}", figure.name));
+            assert_eq!(f.figure, Some(figure));
+            assert_eq!(f.events, figure.events);
+            assert!(figure.events > 0, "{}", figure.name);
+            assert!(
+                qz_bench::FIGURES[i + 1..]
+                    .iter()
+                    .all(|g| g.name != figure.name),
+                "{} listed twice",
+                figure.name
+            );
+        }
+        assert!(help().contains(" diagnose\n"), "help lists the figures");
     }
 
     #[test]

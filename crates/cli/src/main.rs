@@ -3,6 +3,7 @@
 //! ```text
 //! qz run --system QZ --env crowded --events 200 --telemetry run.csv
 //! qz compare --env more-crowded
+//! qz figure --name fig09_vs_nonadaptive --events 100
 //! qz export-traces --env crowded --out-dir traces/
 //! qz trace --system QZ --env crowded --events 50 --jsonl run.jsonl
 //! ```
@@ -22,7 +23,7 @@ use qz_baselines::BaselineKind;
 use qz_sim::Metrics;
 use qz_traces::SensingEnvironment;
 use qz_types::json::escape;
-use qz_types::{Farads, Seconds, SimDuration, SimTime, Watts};
+use qz_types::{Farads, Seconds, SimDuration, SimTime};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -41,6 +42,12 @@ fn main() -> ExitCode {
         }
         Command::Run(r) => run_one(&r),
         Command::Compare(r) => compare(&r),
+        Command::Figure(f) => {
+            // The parser only builds a `figure` command with its --name.
+            let figure = f.figure.expect("`qz figure` parses with --name");
+            (figure.run)(f.events);
+            Ok(())
+        }
         Command::ExportTraces(r) => export_traces(&r),
         Command::Trace(r) => trace(&r),
         Command::Check(c) => return check(&c),
@@ -75,12 +82,20 @@ fn device_profile(device: Device) -> DeviceProfile {
 fn sweep(args: &Args) -> (Vec<BaselineKind>, Vec<DeviceProfile>) {
     let systems = args
         .system
-        .map_or_else(|| PRESET_SWEEP.to_vec(), |k| vec![k]);
+        .map_or_else(|| BaselineKind::PRESETS.to_vec(), |k| vec![k]);
     let profiles = match args.device {
         Device::All => vec![apollo4(), msp430fr5994()],
         d => vec![device_profile(d)],
     };
     (systems, profiles)
+}
+
+/// The `--threads` crew of `fleet` and `fault`.
+fn executor(args: &Args) -> qz_fleet::Executor {
+    qz_fleet::Executor::new(match args.threads {
+        0 => qz_fleet::Executor::available(),
+        n => n,
+    })
 }
 
 fn environment(args: &Args) -> SensingEnvironment {
@@ -136,24 +151,6 @@ fn print_metrics(label: &str, m: &Metrics) {
         m.mean_occupancy(),
     );
 }
-
-/// Every preset `qz check` sweeps when no `--system` is given — one per
-/// evaluated system, with the parameter values the figures use.
-const PRESET_SWEEP: [BaselineKind; 13] = [
-    BaselineKind::Quetzal,
-    BaselineKind::QuetzalHw,
-    BaselineKind::NoAdapt,
-    BaselineKind::AlwaysDegrade,
-    BaselineKind::CatNap,
-    BaselineKind::FixedThreshold(0.25),
-    BaselineKind::FixedThreshold(0.50),
-    BaselineKind::FixedThreshold(0.75),
-    BaselineKind::PowerThreshold(Watts(0.030)),
-    BaselineKind::AvgSe2e,
-    BaselineKind::QuetzalVar(0.9),
-    BaselineKind::FcfsIbo,
-    BaselineKind::LcfsIbo,
-];
 
 fn check(args: &Args) -> ExitCode {
     if let Some(code) = args.explain {
@@ -532,14 +529,7 @@ fn fault(args: &Args) -> ExitCode {
             }
         }
     }
-    let exec = match args.threads {
-        Some(n) => qz_fleet::Executor::new(if n == 0 {
-            qz_fleet::Executor::available()
-        } else {
-            n
-        }),
-        None => qz_fleet::Executor::from_env(1),
-    };
+    let exec = executor(args);
     // Surface survivability warnings even when the campaigns proceed;
     // errors come back through run_campaigns as FaultError::Infeasible.
     let preflight = qz_fault::preflight(&cfg);
@@ -882,14 +872,7 @@ fn fleet(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         cfg.tweaks.capture_period = SimDuration::from_seconds_ceil(qz_types::Seconds(period));
     }
     cfg.gateways = args.gateways;
-    let exec = match args.threads {
-        Some(n) => qz_fleet::Executor::new(if n == 0 {
-            qz_fleet::Executor::available()
-        } else {
-            n
-        }),
-        None => qz_fleet::Executor::from_env(1),
-    };
+    let exec = executor(args);
 
     // Surface preflight warnings even when the run proceeds; errors
     // come back through run_fleet as FleetError::Infeasible.
@@ -1094,6 +1077,7 @@ mod tests {
     use super::*;
     use args::tests::options;
     use qz_traces::EnvironmentKind;
+    use qz_types::Watts;
 
     /// Parses a printed `qz …` line back into its options.
     fn parse_line(line: &str) -> Args {

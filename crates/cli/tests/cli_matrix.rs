@@ -151,6 +151,7 @@ fn foreign_flags_are_rejected_per_subcommand() {
         "bisect",
         "profile",
         "bench",
+        "figure",
     ];
     let mut retired: Vec<[&str; 3]> = Vec::new();
     for sub in subcommands {
@@ -220,4 +221,51 @@ fn lint_src_rejects_an_allowlist_entry_with_an_empty_path() {
         stderr.contains("line 2:") && stderr.contains(":HashSet"),
         "{stderr}"
     );
+}
+
+#[test]
+fn lint_src_rejects_a_missing_allowlist_file() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let out = qz(&["lint-src", "--root", root, "--allow-file", "lint-alow.txt"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "a missing allowlist ran the scan");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: ") && stderr.contains("lint-alow.txt"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn figure_rejects_malformed_events_and_retired_flags() {
+    for args in [
+        &["figure", "--name", "fig03_naive", "--events", "nope"][..],
+        &["figure", "--name", "fig03_naive", "--quick"],
+    ] {
+        let out = qz(args);
+        assert_eq!(out.status.code(), Some(1), "`qz {}`", args.join(" "));
+        assert!(out.stdout.is_empty(), "`qz {}` ran", args.join(" "));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with("error: "),
+            "`qz {}`: {stderr}",
+            args.join(" ")
+        );
+    }
+}
+
+#[test]
+fn figure_tables_match_their_committed_results() {
+    // The two tables print constants, so their committed outputs are
+    // cheap to check here; ci.sh checks every figure at full scale.
+    for name in ["table1_config", "table_hw_costs"] {
+        let out = qz(&["figure", "--name", name]);
+        assert!(out.status.success(), "{name}");
+        let path = format!("{}/../../results/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+        let committed = std::fs::read(&path).expect("committed output");
+        assert!(
+            out.stdout == committed,
+            "`qz figure --name {name}` differs from {path}"
+        );
+    }
 }

@@ -18,10 +18,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
-/// Environment variable overriding the thread count for every
-/// [`Executor::from_env`] caller (the CLI's `--threads` flag wins).
-pub const THREADS_ENV: &str = "QZ_THREADS";
-
 /// A fixed-width thread crew. Cheap to construct; threads are spawned
 /// per call and joined before the call returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,21 +30,6 @@ impl Executor {
     pub fn new(threads: usize) -> Executor {
         Executor {
             threads: threads.max(1),
-        }
-    }
-
-    /// A crew sized from the `QZ_THREADS` environment variable,
-    /// falling back to `default` when unset or unparsable. `0` (from
-    /// either source) means "all available cores".
-    pub fn from_env(default: usize) -> Executor {
-        let requested = std::env::var(THREADS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(default);
-        if requested == 0 {
-            Executor::new(Self::available())
-        } else {
-            Executor::new(requested)
         }
     }
 

@@ -14,7 +14,7 @@
 //!
 //! - [`exec`] — a scoped thread crew on `std::thread` + channels; work
 //!   self-schedules over an atomic cursor, results return in input
-//!   order. `QZ_THREADS` overrides the width everywhere.
+//!   order. Callers choose the width (`--threads` on the CLI).
 //! - [`config`] — [`FleetConfig`]: device count, environment mix,
 //!   system preset, channel parameters, epoch cadence, master seed.
 //! - [`channel`] — the gateway-side slot-ordered reduction
@@ -58,7 +58,7 @@ pub mod scheduler;
 
 pub use channel::{ChannelStats, GatewayChannel};
 pub use config::FleetConfig;
-pub use exec::{Executor, THREADS_ENV};
+pub use exec::Executor;
 pub use report::{DeviceReport, FleetAggregates, FleetReport, Percentiles};
 pub use run::{preflight, run_fleet, run_fleet_profiled, FleetError, FleetProfile};
 pub use scheduler::{

@@ -23,24 +23,6 @@ use qz_types::{Farads, SimDuration};
 /// Envelope segment length used throughout (the `qz verify` default).
 const SEGMENT_SECS: u64 = 60;
 
-/// Presets exercised by the proptest corpus (the full sweep is covered
-/// by the deterministic fidelity test below).
-const PRESETS: [BaselineKind; 13] = [
-    BaselineKind::Quetzal,
-    BaselineKind::QuetzalHw,
-    BaselineKind::NoAdapt,
-    BaselineKind::AlwaysDegrade,
-    BaselineKind::CatNap,
-    BaselineKind::FixedThreshold(0.25),
-    BaselineKind::FixedThreshold(0.50),
-    BaselineKind::FixedThreshold(0.75),
-    BaselineKind::PowerThreshold(qz_types::Watts(0.030)),
-    BaselineKind::AvgSe2e,
-    BaselineKind::QuetzalVar(0.9),
-    BaselineKind::FcfsIbo,
-    BaselineKind::LcfsIbo,
-];
-
 const ENVS: [EnvironmentKind; 5] = [
     EnvironmentKind::MoreCrowded,
     EnvironmentKind::Crowded,
@@ -159,7 +141,7 @@ proptest! {
     /// both stepping engines.
     #[test]
     fn concrete_trajectories_stay_inside_the_boxes(
-        preset in 0usize..PRESETS.len(),
+        preset in 0usize..BaselineKind::PRESETS.len(),
         device in 0usize..2,
         env in 0usize..ENVS.len(),
         events in 2usize..8,
@@ -168,14 +150,14 @@ proptest! {
     ) {
         let profile = if device == 0 { apollo4() } else { msp430fr5994() };
         let engine = if fast { EngineKind::FastForward } else { EngineKind::Tick };
-        containment_case(PRESETS[preset], &profile, ENVS[env], events, seed, engine);
+        containment_case(BaselineKind::PRESETS[preset], &profile, ENVS[env], events, seed, engine);
     }
 
     /// Containment must hold for hostile device knobs too: tiny
     /// capacitors, non-JIT checkpointing, small buffers.
     #[test]
     fn containment_survives_hostile_knobs(
-        preset in 0usize..PRESETS.len(),
+        preset in 0usize..BaselineKind::PRESETS.len(),
         cap_mf in 1u32..40,
         buffer in 1usize..6,
         policy in 0usize..3,
@@ -195,10 +177,10 @@ proptest! {
         };
         let profile = apollo4();
         let env = SensingEnvironment::generate(EnvironmentKind::Short, 4, seed);
-        let (_model, envelope, run) = abstract_run(PRESETS[preset], &profile, &env, &tweaks);
+        let (_model, envelope, run) = abstract_run(BaselineKind::PRESETS[preset], &profile, &env, &tweaks);
         for mode in [SolarMode::Trace, SolarMode::Floor, SolarMode::Ceil] {
             assert_contained(
-                PRESETS[preset], &profile, EnvironmentKind::Short, &env, &tweaks,
+                BaselineKind::PRESETS[preset], &profile, EnvironmentKind::Short, &env, &tweaks,
                 &envelope, &run, mode,
             );
         }
@@ -279,7 +261,7 @@ fn verdicts_are_faithful_across_the_preset_sweep() {
         ..SimTweaks::default()
     };
     for profile in [apollo4(), msp430fr5994()] {
-        for kind in PRESETS {
+        for kind in BaselineKind::PRESETS {
             for env_kind in [EnvironmentKind::Quiet, EnvironmentKind::Short] {
                 let (overflow, stall, env, envelope) =
                     verdicts(kind, &profile, env_kind, 4, &tweaks);
@@ -367,7 +349,7 @@ fn jit_presets_prove_no_stall_without_search() {
         drain: SimDuration::from_secs(60),
         ..SimTweaks::default()
     };
-    for kind in PRESETS {
+    for kind in BaselineKind::PRESETS {
         let profile = apollo4();
         let env = SensingEnvironment::generate(EnvironmentKind::Quiet, 3, tweaks.seed);
         let (_model, _envelope, run) = abstract_run(kind, &profile, &env, &tweaks);

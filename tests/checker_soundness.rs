@@ -11,7 +11,7 @@ use qz_baselines::{build_runtime, BaselineKind};
 use qz_check::Code;
 use qz_sim::{CheckpointPolicy, Simulation};
 use qz_traces::{EnvironmentKind, SensingEnvironment};
-use qz_types::{Farads, SimDuration, Watts};
+use qz_types::{Farads, SimDuration};
 
 /// Runs an experiment config through the raw `qz-sim` assembly path,
 /// bypassing `qz-app`'s panic-on-errors front end so deliberately
@@ -29,23 +29,6 @@ fn simulate_unchecked(
         .run()
 }
 
-/// Every preset any figure simulates.
-const PRESETS: [BaselineKind; 13] = [
-    BaselineKind::Quetzal,
-    BaselineKind::QuetzalHw,
-    BaselineKind::NoAdapt,
-    BaselineKind::AlwaysDegrade,
-    BaselineKind::CatNap,
-    BaselineKind::FixedThreshold(0.25),
-    BaselineKind::FixedThreshold(0.50),
-    BaselineKind::FixedThreshold(0.75),
-    BaselineKind::PowerThreshold(Watts(0.030)),
-    BaselineKind::AvgSe2e,
-    BaselineKind::QuetzalVar(0.9),
-    BaselineKind::FcfsIbo,
-    BaselineKind::LcfsIbo,
-];
-
 /// All shipped presets are error-free; the Apollo 4 is fully clean and
 /// the MSP430 warns only `QZ011` (the intentional Fig. 13 regime where
 /// full quality is unsustainable and degradation is the point).
@@ -53,7 +36,7 @@ const PRESETS: [BaselineKind; 13] = [
 fn shipped_presets_are_clean() {
     let tweaks = SimTweaks::default();
     for profile in [apollo4(), msp430fr5994()] {
-        for kind in PRESETS {
+        for kind in BaselineKind::PRESETS {
             let report = check_experiment(kind, &profile, &tweaks);
             assert!(
                 !report.has_errors(),
@@ -164,7 +147,7 @@ proptest! {
     /// profile's `overflow-checks = true` arming every narrowing path.
     #[test]
     fn accepted_configs_simulate_cleanly(
-        kind_idx in 0usize..PRESETS.len(),
+        kind_idx in 0usize..BaselineKind::PRESETS.len(),
         seed in 0u64..1000,
         buffer in 2usize..16,
         capture_period_ms in prop_oneof![Just(500u64), Just(1000), Just(2000), Just(4000)],
@@ -181,7 +164,7 @@ proptest! {
             supercap_capacitance: Some(Farads(cap_mf * 1e-3)),
             ..SimTweaks::default()
         };
-        let kind = PRESETS[kind_idx];
+        let kind = BaselineKind::PRESETS[kind_idx];
         let report = check_experiment(kind, &profile, &tweaks);
         prop_assume!(!report.has_errors());
         // `simulate` re-runs the checker and panics on errors, so a
