@@ -169,6 +169,8 @@ pub struct ProfiledRun {
     pub report: qz_prof::ProfileReport,
     /// Deterministic horizon-cause accounting (why spans collapsed).
     pub horizon: qz_prof::HorizonStats,
+    /// Deterministic energy-kernel work counts.
+    pub kernel: qz_prof::KernelStats,
     /// Total wall-clock nanoseconds for the run.
     pub wall_ns: u64,
     /// Handle onto the in-flight recorder ring when one was installed.
@@ -176,10 +178,11 @@ pub struct ProfiledRun {
 }
 
 /// Like [`simulate`], with the phase profiler enabled and horizon-cause
-/// accounting collected — the engine behind `qz profile`. Pass `flight`
-/// to also install a [`qz_prof::FlightObserver`] ring (note that any
-/// observer turns on periodic `Snapshot` emission, which the horizon
-/// ranking will then faithfully blame).
+/// and energy-kernel accounting collected — the engine behind
+/// `qz profile`. Pass `flight` to also install a
+/// [`qz_prof::FlightObserver`] ring (note that any observer turns on
+/// periodic `Snapshot` emission, which the horizon ranking will then
+/// faithfully blame).
 ///
 /// # Panics
 ///
@@ -205,6 +208,7 @@ pub fn profile_run(
         metrics: sim.metrics().clone(),
         report: sim.profiler().report(),
         horizon: sim.horizon_stats().clone(),
+        kernel: sim.profiler().kernel().copied().unwrap_or_default(),
         wall_ns,
         flight: handle,
     }

@@ -22,10 +22,11 @@ pub struct Figure {
     /// The name `qz figure --name` takes; also the output's file stem
     /// under `results/`.
     pub name: &'static str,
-    /// Events per environment when `--events` is absent. The two tables
-    /// print constants and ignore the count.
-    pub events: usize,
-    /// Prints the output to stdout at the given event count.
+    /// Events per environment when `--events` is absent; `None` for the
+    /// two tables, which print constants and take no event count.
+    pub events: Option<usize>,
+    /// Prints the output to stdout at the given event count (0 for the
+    /// tables).
     pub run: fn(usize),
 }
 
@@ -36,7 +37,19 @@ impl PartialEq for Figure {
 }
 
 const fn entry(name: &'static str, events: usize, run: fn(usize)) -> Figure {
-    Figure { name, events, run }
+    Figure {
+        name,
+        events: Some(events),
+        run,
+    }
+}
+
+const fn table(name: &'static str, run: fn(usize)) -> Figure {
+    Figure {
+        name,
+        events: None,
+        run,
+    }
 }
 
 /// Every figure, table and extension output of the evaluation, in the
@@ -52,8 +65,8 @@ pub const FIGURES: &[Figure] = &[
     entry("fig12_schedulers", 400, fig12_schedulers),
     entry("fig13_msp430", 400, fig13_msp430),
     entry("fig14_params", 300, fig14_params),
-    entry("table1_config", 400, table1_config),
-    entry("table_hw_costs", 400, table_hw_costs),
+    table("table1_config", table1_config),
+    table("table_hw_costs", table_hw_costs),
     entry("ablations", 300, ablations),
     entry("fig09_multiseed", 200, fig09_multiseed),
     entry("diagnose", 200, diagnose),

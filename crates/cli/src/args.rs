@@ -11,7 +11,7 @@
 //! its handler would ignore, and [`help`] renders the usage block from
 //! the same tables. `qz figure` alone has no `--events` default of its
 //! own: the figure its `--name` picks from `qz_bench::FIGURES` supplies
-//! it.
+//! it, and the two constant tables reject it.
 
 use core::fmt;
 use core::str::FromStr;
@@ -792,8 +792,15 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 figure_names().join(", ")
             ))
         })?;
-        if args.events == FIGURE_EVENTS {
-            args.events = figure.events;
+        match figure.events {
+            Some(events) if args.events == FIGURE_EVENTS => args.events = events,
+            None if args.events != FIGURE_EVENTS => {
+                return Err(err(format!(
+                    "`{}` prints constants and takes no --events",
+                    figure.name
+                )));
+            }
+            _ => {}
         }
     }
     if args.device == Device::All && !sub.sweep {
@@ -875,6 +882,8 @@ bulk, and its reports are byte-identical to the per-tick reference loop
 figure, a table, an extension, or `diagnose`) as its text table. Without
 --events it runs at the figure's own scale, the one its committed
 results/NAME.txt was made at (400 events for most; the paper uses 1000).
+The two tables (table1_config, table_hw_costs) print constants and take
+no --events.
 
 `qz check` statically analyzes the spec + device profile + configs a run
 would use (energy feasibility, Little's-Law arrival pressure, degradation
@@ -946,10 +955,11 @@ size) and warn past 256 MiB.
 
 `qz profile` runs one simulation with the engine's phase profiler and
 horizon-cause accounting enabled, then prints a ranked \"why is this run
-slow\" list (which bound capped each quiescent span) and a per-phase
-self/total time table. --json writes the machine-readable report,
---flame writes a collapsed-stack file for flamegraph tooling, and
---flight installs a flight recorder and dumps its ring at exit.
+slow\" list (which bound capped each quiescent span), one line of the
+energy kernel's exact work counts, and a per-phase self/total time
+table. --json writes the machine-readable report, --flame writes a
+collapsed-stack file for flamegraph tooling, and --flight installs a
+flight recorder and dumps its ring at exit.
 Profiling is observation-only: metrics are byte-identical with it on.
 
 `qz bench` prints the committed bench trajectories
@@ -1534,8 +1544,17 @@ pub(crate) mod tests {
         for (i, figure) in qz_bench::FIGURES.iter().enumerate() {
             let f = ok(&format!("figure --name {}", figure.name));
             assert_eq!(f.figure, Some(figure));
-            assert_eq!(f.events, figure.events);
-            assert!(figure.events > 0, "{}", figure.name);
+            match figure.events {
+                Some(events) => {
+                    assert_eq!(f.events, events);
+                    assert!(events > 0, "{}", figure.name);
+                }
+                None => assert!(
+                    rejected(&format!("figure --name {} --events 5", figure.name)),
+                    "{} takes no --events",
+                    figure.name
+                ),
+            }
             assert!(
                 qz_bench::FIGURES[i + 1..]
                     .iter()

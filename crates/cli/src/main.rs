@@ -718,6 +718,7 @@ fn profile(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     }
     let run = qz_app::profile_run(args.system(), &device, &env, &tweaks, flight_meta);
     println!("{}", run.horizon.render_ranking());
+    println!("{}", run.kernel.render_line());
     println!("{}", run.report.render_text());
     #[allow(clippy::cast_precision_loss)] // display only
     let wall_ms = run.wall_ns as f64 / 1e6;

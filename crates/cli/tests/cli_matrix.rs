@@ -255,6 +255,22 @@ fn figure_rejects_malformed_events_and_retired_flags() {
 }
 
 #[test]
+fn figure_tables_reject_an_event_count() {
+    for name in ["table1_config", "table_hw_costs"] {
+        let out = qz(&["figure", "--name", name, "--events", "5"]);
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        assert!(out.stdout.is_empty(), "{name} ran");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with(&format!(
+                "error: `{name}` prints constants and takes no --events"
+            )),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
 fn figure_tables_match_their_committed_results() {
     // The two tables print constants, so their committed outputs are
     // cheap to check here; ci.sh checks every figure at full scale.

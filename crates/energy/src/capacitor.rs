@@ -84,6 +84,9 @@ pub struct Supercap {
     config: SupercapConfig,
     /// Usable energy above `v_off`, in joules.
     energy: Joules,
+    /// The bit pattern of the least non-negative energy at which
+    /// [`Supercap::can_turn_on`] holds; see [`Supercap::turn_on_bits`].
+    turn_on_bits: u64,
 }
 
 impl Supercap {
@@ -120,8 +123,13 @@ impl Supercap {
         let mut cap = Supercap {
             config,
             energy: Joules::ZERO,
+            turn_on_bits: 0,
         };
         cap.energy = cap.energy_between(v_off, v_init);
+        // The closed form lands within a few ulps of the flip; search
+        // outward from it for the exact one.
+        let guess = cap.turn_on_energy().value().to_bits();
+        cap.turn_on_bits = first_true_bits(guess, |bits| cap.turns_on_at(f64::from_bits(bits)));
         Ok(cap)
     }
 
@@ -151,15 +159,34 @@ impl Supercap {
 
     /// Current capacitor voltage, derived from stored energy.
     pub fn voltage(&self) -> Volts {
+        self.voltage_at(self.energy.value())
+    }
+
+    fn voltage_at(&self, energy: f64) -> Volts {
         let v_off = self.config.v_off.value();
         let c = self.config.capacitance.value();
-        Volts((v_off * v_off + 2.0 * self.energy.value() / c).sqrt())
+        Volts((v_off * v_off + 2.0 * energy / c).sqrt())
     }
 
     /// `true` once the capacitor has recharged past the turn-on threshold.
     #[inline]
     pub fn can_turn_on(&self) -> bool {
-        self.voltage() >= self.config.v_on - Volts(1e-9)
+        self.turns_on_at(self.energy.value())
+    }
+
+    /// [`Supercap::can_turn_on`] at stored energy `energy`.
+    pub(crate) fn turns_on_at(&self, energy: f64) -> bool {
+        self.voltage_at(energy) >= self.config.v_on - Volts(1e-9)
+    }
+
+    /// The bit pattern of the least energy in `[+0, +∞]` at which
+    /// [`Supercap::can_turn_on`] holds. Each operation of its test
+    /// rounds monotonically, so on that range (where bit order is value
+    /// order) it holds exactly at the patterns `≥` this one; at `+∞` it
+    /// always holds.
+    #[inline]
+    pub(crate) fn turn_on_bits(&self) -> u64 {
+        self.turn_on_bits
     }
 
     /// `true` when the capacitor has drained to (or below) the brownout
@@ -227,6 +254,46 @@ impl Supercap {
         let c = self.config.capacitance.value();
         Joules(0.5 * c * (v_hi.value() * v_hi.value() - v_lo.value() * v_lo.value()))
     }
+}
+
+/// The bits of `+∞`: the top of the non-negative doubles in bit order.
+pub(crate) const INF_BITS: u64 = 0x7FF0_0000_0000_0000;
+
+/// The least bit pattern in `[0, INF_BITS]` on which `holds` is true,
+/// for a `holds` that is monotone there and true at `INF_BITS`: a
+/// gallop outward from `guess` brackets the flip, a bisection pins it.
+fn first_true_bits(guess: u64, holds: impl Fn(u64) -> bool) -> u64 {
+    // `holds(hi)`, and `!holds(lo)` whenever `lo < hi`.
+    let (mut lo, mut hi) = (guess, guess);
+    let mut step = 1u64;
+    if holds(guess) {
+        while hi > 0 {
+            lo = hi.saturating_sub(step);
+            if !holds(lo) {
+                break;
+            }
+            hi = lo;
+            step = step.saturating_mul(2);
+        }
+    } else {
+        loop {
+            hi = lo.saturating_add(step).min(INF_BITS);
+            if holds(hi) {
+                break;
+            }
+            lo = hi;
+            step = step.saturating_mul(2);
+        }
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if holds(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
 }
 
 #[cfg(test)]
@@ -335,7 +402,79 @@ mod tests {
         assert!((v - expect).abs() < 1e-9);
     }
 
+    /// [`Supercap::can_turn_on`], the float oracle, at stored energy
+    /// bits `bits`.
+    fn turns_on_at_bits(c: &Supercap, bits: u64) -> bool {
+        let mut probe = c.clone();
+        probe.set_energy_raw(Joules(f64::from_bits(bits)));
+        probe.can_turn_on()
+    }
+
+    #[test]
+    fn turn_on_bits_flip_the_oracle_at_the_edges() {
+        // The default window; `v_on == v_off`, where the 1 nV slack
+        // makes an empty capacitor turn on; and a window so wide the
+        // closed form overflows to +∞.
+        for cfg in [
+            SupercapConfig::default(),
+            SupercapConfig {
+                v_on: Volts(1.8),
+                ..SupercapConfig::default()
+            },
+            SupercapConfig {
+                capacitance: Farads(1e300),
+                v_max: Volts(1e200),
+                v_on: Volts(1e200),
+                v_init: Volts(1.8),
+                ..SupercapConfig::default()
+            },
+        ] {
+            let c = Supercap::new(cfg).unwrap();
+            let t = c.turn_on_bits();
+            assert!(turns_on_at_bits(&c, t), "{cfg:?}");
+            assert!(t == 0 || !turns_on_at_bits(&c, t - 1), "{cfg:?}");
+        }
+        let slack = Supercap::new(SupercapConfig {
+            v_on: Volts(1.8),
+            ..SupercapConfig::default()
+        })
+        .unwrap();
+        assert_eq!(slack.turn_on_bits(), 0);
+    }
+
     proptest! {
+        /// The threshold the energy kernel compares bits against agrees
+        /// with the float oracle: false just below it, true from it on.
+        #[test]
+        fn turn_on_bits_are_the_oracles_first_true_pattern(
+            capacitance in 1e-4f64..5.0,
+            v_off in 0.0f64..3.0,
+            on_above in 0.0f64..1.0,
+            tiny_window in any::<bool>(),
+            leak_uw in 0.0f64..50.0,
+            above in 1u64..(1 << 40),
+        ) {
+            let v_on = v_off + if tiny_window { on_above * 1e-8 } else { on_above };
+            let cfg = SupercapConfig {
+                capacitance: Farads(capacitance),
+                v_max: Volts(v_on + 1.0),
+                v_off: Volts(v_off),
+                v_on: Volts(v_on),
+                v_init: Volts(v_off),
+                leakage: qz_types::Watts(leak_uw * 1e-6),
+            };
+            let c = Supercap::new(cfg).unwrap();
+            let t = c.turn_on_bits();
+            prop_assert!(t <= INF_BITS);
+            prop_assert!(turns_on_at_bits(&c, t));
+            if t > 0 {
+                prop_assert!(!turns_on_at_bits(&c, t - 1));
+            }
+            for bits in [t + 1, t.saturating_add(above)].map(|b| b.min(INF_BITS)) {
+                prop_assert!(turns_on_at_bits(&c, bits));
+            }
+        }
+
         #[test]
         fn energy_always_within_bounds(ops in proptest::collection::vec((0.0f64..0.2, any::<bool>()), 1..200)) {
             let mut c = cap();

@@ -1,8 +1,10 @@
 //! Combined power system: harvester charging a supercapacitor under load.
 
+use crate::capacitor::INF_BITS;
 use crate::{Harvester, Supercap};
-use qz_prof::{Phase, PhaseProfiler};
+use qz_prof::{KernelStats, Phase, PhaseProfiler};
 use qz_types::{Joules, SimDuration, Watts};
+use std::cell::Cell;
 
 /// Accounting for one simulation step of the power system.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -156,7 +158,7 @@ impl PowerSystem {
         harvested_acc: &mut Joules,
         wasted_acc: &mut Joules,
     ) -> BulkOutcome {
-        self.advance_inner(
+        self.advance_inner::<false>(
             irradiance,
             load,
             dt,
@@ -171,9 +173,10 @@ impl PowerSystem {
     /// [`PowerSystem::advance`] with phase-profiler spans: `Sprint`
     /// around the whole call and, nested inside it, `Replay` around a
     /// fixed-point jump (which ends the call, so it happens at most
-    /// once). Profiling reads wall-clock time only; the energy
-    /// trajectory and every returned value are bit-identical to the
-    /// unprofiled call.
+    /// once). An enabled profiler also receives the call's
+    /// [`KernelStats`] work counts. Profiling reads wall-clock time and
+    /// counts work only; the energy trajectory and every returned value
+    /// are bit-identical to the unprofiled call.
     #[allow(clippy::too_many_arguments)] // mirrors advance() plus the profiler
     pub fn advance_profiled(
         &mut self,
@@ -186,20 +189,36 @@ impl PowerSystem {
         wasted_acc: &mut Joules,
         prof: &mut PhaseProfiler,
     ) -> BulkOutcome {
-        self.advance_inner(
-            irradiance,
-            load,
-            dt,
-            max_ticks,
-            stop,
-            harvested_acc,
-            wasted_acc,
-            Some(prof),
-        )
+        // Decided once per call, so an untraced run does no counting
+        // work inside the kernel at all.
+        if prof.is_enabled() {
+            self.advance_inner::<true>(
+                irradiance,
+                load,
+                dt,
+                max_ticks,
+                stop,
+                harvested_acc,
+                wasted_acc,
+                Some(prof),
+            )
+        } else {
+            self.advance_inner::<false>(
+                irradiance,
+                load,
+                dt,
+                max_ticks,
+                stop,
+                harvested_acc,
+                wasted_acc,
+                Some(prof),
+            )
+        }
     }
 
+    /// The kernel loop; `COUNT` tallies its work into `prof`.
     #[allow(clippy::too_many_arguments)]
-    fn advance_inner(
+    fn advance_inner<const COUNT: bool>(
         &mut self,
         irradiance: f64,
         load: Watts,
@@ -211,8 +230,8 @@ impl PowerSystem {
         mut prof: Option<&mut PhaseProfiler>,
     ) -> BulkOutcome {
         let t0 = prof.as_ref().and_then(|p| p.begin());
-        let k = Kernel::new(self, irradiance, load, dt, stop);
-        let mut l = Ledgers {
+        let k = Kernel::<COUNT>::new(self, irradiance, load, dt, stop);
+        let mut l = Ledgers::<COUNT> {
             energy: self.capacitor.energy().value(),
             sums: [
                 self.total_harvested,
@@ -224,6 +243,7 @@ impl PowerSystem {
             .map(Joules::value),
             run: [0.0; 3],
             run_ticks: 0,
+            repeat_adds: 0,
         };
         let mut ticks = 0;
         let mut crossed = false;
@@ -253,6 +273,7 @@ impl PowerSystem {
             if left > 1 {
                 let p2 = k.tick(p1.energy);
                 if let Some((n, end)) = k.stride(l.energy, &p1, &p2, left) {
+                    k.count(|w| w.strides += 1);
                     l.commit(&p1, n, end);
                     ticks += n;
                     continue;
@@ -263,6 +284,12 @@ impl PowerSystem {
             ticks += 1;
         }
         l.flush();
+        let work = COUNT.then(|| KernelStats {
+            calls: 1,
+            crossings: u64::from(crossed),
+            repeat_adds: l.repeat_adds,
+            ..k.work.take()
+        });
         self.capacitor.set_energy_raw(Joules(l.energy));
         [
             self.total_harvested,
@@ -273,6 +300,9 @@ impl PowerSystem {
         ] = l.sums.map(Joules);
         if let Some(p) = prof {
             p.end(Phase::Sprint, t0);
+            if let Some(work) = work {
+                p.record_kernel(&work);
+            }
         }
         BulkOutcome { ticks, crossed }
     }
@@ -364,6 +394,15 @@ fn binade(x: f64) -> u64 {
     x.to_bits() >> 52
 }
 
+/// The bits in which `a` and `b` differ: zero iff they are bitwise
+/// equal. OR-ing these for several pairs compares them all in
+/// registers; comparing `[u64; N]` arrays instead stores each `f64` and
+/// reloads the array wide, a store-forwarding stall on every compare.
+#[inline]
+fn differ(a: f64, b: f64) -> u64 {
+    a.to_bits() ^ b.to_bits()
+}
+
 /// A move of `ulps` bit patterns, up or down, inside one binade.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Stride {
@@ -408,18 +447,12 @@ impl Stride {
     #[inline]
     fn reach(self, tick: &Tick) -> u64 {
         let start = tick.start.to_bits();
-        [tick.charged, tick.drained, tick.energy]
-            .map(|x| {
-                let x = x.to_bits();
-                if self.up {
-                    x.saturating_sub(start)
-                } else {
-                    start.saturating_sub(x)
-                }
-            })
-            .into_iter()
-            .max()
-            .unwrap_or(0)
+        let [c, d, e] = [tick.charged, tick.drained, tick.energy].map(f64::to_bits);
+        if self.up {
+            c.max(d).max(e).saturating_sub(start)
+        } else {
+            start.saturating_sub(c.min(d).min(e))
+        }
     }
 
     /// `x` moved by `j` strides, which must keep it inside its binade.
@@ -440,11 +473,12 @@ impl Stride {
 ///
 /// Inside one binade every double is an integer multiple of the same
 /// ulp, so `x + c` lands a fixed number of ulps from `x` unless `c/ulp`
-/// ends in exactly ½; on such a tie the sum rounds to an even mantissa,
-/// after which the parity, and so the step, repeats. Two equal
-/// consecutive steps inside a binade therefore fix the step until the
-/// binade ends, and the whole run there is one multiply. An addition
-/// that leaves `x` unchanged repeats forever.
+/// ends in exactly ½. One add whose rounding error shows it was no such
+/// tie therefore fixes the step until the binade ends. On a tie the sum
+/// rounds to an even mantissa, after which the parity, and so the step,
+/// repeats: two equal consecutive steps fix it. Either way the rest of
+/// the run in that binade is one multiply. An addition that leaves `x`
+/// unchanged repeats forever.
 fn repeat_add(mut x: f64, c: f64, mut n: u64) -> f64 {
     let mut last = None;
     while n > 0 {
@@ -455,11 +489,24 @@ fn repeat_add(mut x: f64, c: f64, mut n: u64) -> f64 {
         }
         let step = Stride::between(x, next);
         let inside = binade(next) == binade(x);
-        let settled = inside && last == Some(step);
+        let settled = inside
+            && (last == Some(step) || {
+                // Fast2Sum: a sum that stays in `x`'s binade has
+                // `|c| ≤ |x|` (or is exact, below the normals), so
+                // `next - x` and `err` are exact and `x + c = next + err`.
+                // Rounding to nearest leaves `|err| < ulp/2` unless the
+                // add was a tie.
+                let err = c - (next - x);
+                let ulp = (x - f64::from_bits(x.to_bits() ^ 1)).abs();
+                2.0 * err.abs() < ulp
+            });
         last = inside.then_some(step);
         x = next;
         if settled {
-            let j = step.fit(x, n, step.ulps);
+            // A step down that lands on the binade's lowest double may
+            // have rounded from just below it, where the ulp is half as
+            // wide: stop the jump one ulp short of that edge.
+            let j = step.fit(x, n, step.ulps + u64::from(!step.up));
             x = step.nth(x, j);
             n -= j;
             last = None;
@@ -469,19 +516,27 @@ fn repeat_add(mut x: f64, c: f64, mut n: u64) -> f64 {
 }
 
 /// The per-call constants of [`PowerSystem::advance`]: one tick of
-/// [`PowerSystem::step`]'s storage arithmetic on raw `f64`s, and the
-/// stop predicate.
-struct Kernel {
+/// [`PowerSystem::step`]'s storage arithmetic on raw `f64`s, the stop
+/// predicate as thresholds on the energy bits, and (when `COUNT`) the
+/// call's work counts.
+struct Kernel<'a, const COUNT: bool> {
     offered: f64,
     leak: f64,
     demand: f64,
     capacity: f64,
+    // For a post-tick energy in `[+0, +∞]`, where bit order is value
+    // order, the stop predicate's energy test is
+    // `bits < below || bits >= at_or_above`; 0 and `u64::MAX` never
+    // fire.
+    below: u64,
+    at_or_above: u64,
+    /// Whether an underserved demand also stops (`Depleted`). Along a
+    /// stride the flows, and so this term, are constant.
+    brownout: bool,
+    /// The float predicate, for energies outside `[+0, +∞]`.
     stop: StopCondition,
-    // can_turn_on()'s comparison, with its constant operands hoisted:
-    // `sqrt(v_off² + 2·E/C) ≥ v_on − 1 nV`.
-    v_off_sq: f64,
-    capacitance: f64,
-    v_on_slack: f64,
+    cap: &'a Supercap,
+    work: Cell<KernelStats>,
 }
 
 /// One tick's outcome, with the intermediate roundings the stride
@@ -502,43 +557,71 @@ struct Tick {
 }
 
 impl Tick {
-    /// The tick's flows, bitwise. Two ticks with equal flows add the
-    /// same three constants to their start energy.
+    /// Whether `other` has the same flows, bitwise. Two ticks with equal
+    /// flows add the same three constants to their start energy.
     #[inline]
-    fn flows(&self) -> [u64; 4] {
-        [self.harvested, self.wasted, self.leaked, self.supplied].map(f64::to_bits)
+    fn same_flows(&self, other: &Tick) -> bool {
+        (differ(self.harvested, other.harvested)
+            | differ(self.wasted, other.wasted)
+            | differ(self.leaked, other.leaked)
+            | differ(self.supplied, other.supplied))
+            == 0
     }
 
     /// Whether the start, both intermediates and the end all lie in
     /// binade `b`.
     #[inline]
     fn within(&self, b: u64) -> bool {
-        [self.start, self.charged, self.drained, self.energy]
-            .into_iter()
-            .all(|x| binade(x) == b)
+        ((binade(self.start) ^ b)
+            | (binade(self.charged) ^ b)
+            | (binade(self.drained) ^ b)
+            | (binade(self.energy) ^ b))
+            == 0
     }
 }
 
-impl Kernel {
+impl<'a, const COUNT: bool> Kernel<'a, COUNT> {
     fn new(
-        sys: &PowerSystem,
+        sys: &'a PowerSystem,
         irradiance: f64,
         load: Watts,
         dt: SimDuration,
         stop: StopCondition,
-    ) -> Kernel {
+    ) -> Self {
         let secs = dt.as_seconds();
-        let cfg = sys.capacitor.config();
-        let v_off = cfg.v_off.value();
+        let cap = &sys.capacitor;
+        let (below, at_or_above) = match stop {
+            StopCondition::None => (0, u64::MAX),
+            // `e <= r` for `e ≥ +0`: `bits(e) ≤ bits(|r|)` when `r ≥ −0`
+            // (a `−0.0` reserve stops at zero only); a negative or NaN
+            // reserve never stops.
+            StopCondition::Depleted(reserve) => {
+                let r = reserve.value();
+                (if r >= 0.0 { r.abs().to_bits() + 1 } else { 0 }, u64::MAX)
+            }
+            StopCondition::CanTurnOn => (0, cap.turn_on_bits()),
+        };
         Kernel {
             offered: (sys.harvester.output(irradiance) * secs).value(),
-            leak: (cfg.leakage * secs).value(),
+            leak: (cap.config().leakage * secs).value(),
             demand: (load * secs).value(),
-            capacity: sys.capacitor.capacity().value(),
+            capacity: cap.capacity().value(),
+            below,
+            at_or_above,
+            brownout: matches!(stop, StopCondition::Depleted(_)),
             stop,
-            v_off_sq: v_off * v_off,
-            capacitance: cfg.capacitance.value(),
-            v_on_slack: (cfg.v_on - qz_types::Volts(1e-9)).value(),
+            cap,
+            work: Cell::default(),
+        }
+    }
+
+    /// Applies `f` to the call's work counts; free unless `COUNT`.
+    #[inline]
+    fn count(&self, f: impl FnOnce(&mut KernelStats)) {
+        if COUNT {
+            let mut work = self.work.get();
+            f(&mut work);
+            self.work.set(work);
         }
     }
 
@@ -547,6 +630,7 @@ impl Kernel {
     /// every clamp included.
     #[inline]
     fn tick(&self, energy: f64) -> Tick {
+        self.count(|w| w.ticks += 1);
         let start = energy;
         let harvested = self.offered.min((self.capacity - energy).max(0.0));
         let mut energy = energy + harvested;
@@ -578,18 +662,48 @@ impl Kernel {
     }
 
     /// Whether `stop` holds after `tick`, as the reference loop checks
-    /// it (`energy() <= reserve || brownout`, or `can_turn_on()`).
+    /// it (`energy() <= reserve || brownout`, or `can_turn_on()`). The
+    /// energy test is an integer compare of the energy bits with the
+    /// thresholds; only an energy outside `[+0, +∞]` takes the float
+    /// predicate.
     #[inline]
     fn stops(&self, tick: &Tick) -> bool {
-        match self.stop {
-            StopCondition::None => false,
-            StopCondition::Depleted(reserve) => {
-                tick.energy <= reserve.value() || tick.supplied + 1e-18 < self.demand
+        let bits = tick.energy.to_bits();
+        let reached = if bits <= INF_BITS {
+            bits < self.below || bits >= self.at_or_above
+        } else {
+            match self.stop {
+                StopCondition::None => false,
+                StopCondition::Depleted(reserve) => tick.energy <= reserve.value(),
+                StopCondition::CanTurnOn => self.cap.turns_on_at(tick.energy),
             }
-            StopCondition::CanTurnOn => {
-                (self.v_off_sq + 2.0 * tick.energy / self.capacitance).sqrt() >= self.v_on_slack
-            }
+        };
+        reached || (self.brownout && tick.supplied + 1e-18 < self.demand)
+    }
+
+    /// `n` ticks of the stride `step` from `energy`, cut to end before
+    /// the first tick whose end, `bits(energy) ± j·ulps`, meets a stop
+    /// threshold. The ends move monotonically and `p1` did not stop, so
+    /// tick `n` meets a threshold iff some tick up to it does; only then
+    /// is the first one's index divided out. `n` must keep the stride
+    /// inside the binade; outside `[+0, +∞]` the thresholds do not
+    /// apply and `n` stands.
+    #[inline]
+    fn before_crossing(&self, energy: f64, step: Stride, n: u64) -> u64 {
+        let b = energy.to_bits();
+        let end = step.nth(energy, n).to_bits();
+        if b > INF_BITS || (self.below..self.at_or_above).contains(&end) {
+            return n;
         }
+        let distance = if step.up {
+            // b + j·K ≥ at_or_above  ⟺  j·K > at_or_above − b − 1
+            self.at_or_above.saturating_sub(b).saturating_sub(1)
+        } else {
+            // b − j·K < below  ⟺  j·K > b − below
+            b.saturating_sub(self.below)
+        };
+        // The crossing is tick `distance / ulps + 1`.
+        distance / step.ulps
     }
 
     /// Given the next two ticks `p1`, `p2` from `energy`, the longest
@@ -600,42 +714,51 @@ impl Kernel {
     /// flows and move the energy by the same stride: then every later
     /// tick in that binade with those flows is the same three rounded
     /// additions and moves by that stride too. The jump runs to the
-    /// binade's end, and its last tick alone is checked (in the binade,
-    /// same flows, landing on the predicted bits, stop predicate false).
-    /// The flows, the intermediates and the stop predicate are all
-    /// monotone in the start energy along a constant segment, so a
-    /// passing last tick vouches for every tick before it; a failing
-    /// one is bisected.
+    /// binade's end or to the tick before the stop threshold's crossing,
+    /// whichever comes first, and its last tick alone is checked (in the
+    /// binade, same flows, landing on the predicted bits, stop predicate
+    /// false). The flows, the intermediates and the stop predicate are
+    /// all monotone in the start energy along a constant segment, so a
+    /// passing last tick vouches for every tick before it; a failing one
+    /// is bisected.
     fn stride(&self, energy: f64, p1: &Tick, p2: &Tick, left: u64) -> Option<(u64, f64)> {
         let b = binade(energy);
-        let flows = p1.flows();
-        if p2.flows() != flows || !p1.within(b) || !p2.within(b) {
+        if !p1.same_flows(p2) || !p1.within(b) || !p2.within(b) {
             return None;
         }
         let step = Stride::between(energy, p1.energy);
         if Stride::between(p1.energy, p2.energy) != step {
             return None;
         }
-        // `p1` was stop-checked by the caller; `p1` and `p2` inside the
-        // binade make the first fit at least 1.
-        let holds = |j: u64| {
-            j == 1 || {
-                let last = self.tick(step.nth(energy, j - 1));
-                last.energy.to_bits() == step.nth(energy, j).to_bits()
-                    && last.flows() == flows
-                    && last.within(b)
-                    && !self.stops(&last)
+        // Whether a jump of `j` ticks lands as predicted, and whether its
+        // last tick stops. `p1` was stop-checked by the caller.
+        let check = |j: u64| {
+            if j == 1 {
+                return (true, false);
             }
+            let last = self.tick(step.nth(energy, j - 1));
+            let lands = last.energy.to_bits() == step.nth(energy, j).to_bits()
+                && last.same_flows(p1)
+                && last.within(b);
+            (lands, self.stops(&last))
         };
         // Each tick's reach depends only on its start's parity, which
         // along the stride takes at most the two values of p1 and p2.
-        let mut n = step.fit(energy, left, step.reach(p1).max(step.reach(p2)));
-        if !holds(n) {
+        // `p1` and `p2` inside the binade make the fit at least 1, and
+        // `p1` not stopping puts the crossing at tick 2 or later.
+        let fit = step.fit(energy, left, step.reach(p1).max(step.reach(p2)));
+        let mut n = self.before_crossing(energy, step, fit);
+        let (lands, stops) = check(n);
+        if !lands || stops {
+            self.count(|w| {
+                w.bisections += 1;
+                w.stop_only_bisections += u64::from(lands);
+            });
             let mut fails = n;
             n = 1;
             while fails - n > 1 {
                 let mid = n + (fails - n) / 2;
-                if holds(mid) {
+                if check(mid) == (true, false) {
                     n = mid;
                 } else {
                     fails = mid;
@@ -652,7 +775,7 @@ impl Kernel {
 /// five energy ledgers. Consecutive commits with equal flows pool into
 /// one run, so each ledger adds a run's identical increments with a
 /// single [`repeat_add`] however many jumps the run took.
-struct Ledgers {
+struct Ledgers<const COUNT: bool> {
     energy: f64,
     /// Lifetime harvested, wasted and supplied, then the caller's
     /// harvested and wasted span ledgers.
@@ -660,26 +783,35 @@ struct Ledgers {
     /// The pending run's per-tick harvested, wasted and supplied energy.
     run: [f64; 3],
     run_ticks: u64,
+    /// [`repeat_add`] calls made, counted only when `COUNT`.
+    repeat_adds: u64,
 }
 
-impl Ledgers {
+impl<const COUNT: bool> Ledgers<COUNT> {
     /// Commits `n` ticks with `tick`'s flows that end at `energy`.
     #[inline]
     fn commit(&mut self, tick: &Tick, n: u64, energy: f64) {
         self.energy = energy;
-        let flows = [tick.harvested, tick.wasted, tick.supplied];
-        if flows.map(f64::to_bits) != self.run.map(f64::to_bits) {
+        let [h, w, s] = self.run;
+        if (differ(h, tick.harvested) | differ(w, tick.wasted) | differ(s, tick.supplied)) != 0 {
             self.flush();
-            self.run = flows;
+            self.run = [tick.harvested, tick.wasted, tick.supplied];
         }
         self.run_ticks += n;
     }
 
-    /// Adds the pending run into the ledgers.
+    /// Adds the pending run into the ledgers. An empty run, such as the
+    /// one every call starts with, adds nothing.
     fn flush(&mut self) {
+        if self.run_ticks == 0 {
+            return;
+        }
         let [h, w, s] = self.run;
         for (sum, c) in self.sums.iter_mut().zip([h, w, s, h, w]) {
             *sum = repeat_add(*sum, c, self.run_ticks);
+        }
+        if COUNT {
+            self.repeat_adds += 5;
         }
         self.run_ticks = 0;
     }
@@ -1104,6 +1236,17 @@ mod tests {
             repeat_add(1.0, ulp / 4.0, u64::MAX).to_bits(),
             1.0f64.to_bits()
         );
+        // Exact integer counting up to 2^53, where `+1` becomes a tie
+        // that rounds back to even: absorbed from then on, however
+        // large the count.
+        let two_53 = 2f64.powi(53);
+        for (x, n, sum) in [
+            (0.0, (1 << 53) - 7, two_53 - 7.0),
+            (0.0, u64::MAX, two_53),
+            (two_53 - 8.0, 1 << 60, two_53),
+        ] {
+            assert_eq!(repeat_add(x, 1.0, n).to_bits(), sum.to_bits());
+        }
     }
 
     #[test]
@@ -1116,6 +1259,14 @@ mod tests {
         assert_repeat_add(1.0, -1e-3, 3_000);
         // Several binades of a ledger-like run.
         assert_repeat_add(0.5, 4.8e-5, 300_000);
+        // Steps down onto a binade's lowest double: 1 + 3u − 3.3u is
+        // just below 1.0, where the ulp is u/2, so it rounds to 1 − u/2
+        // and not to the 1.0 the binade's constant step predicts.
+        let u = 2f64.powi(-52);
+        for n in 1..6 {
+            assert_repeat_add(1.0 + 9.0 * u, -3.3 * u, n);
+            assert_repeat_add(-1.0 - 9.0 * u, 3.3 * u, n);
+        }
     }
 
     /// A capacitor whose harvest offer and leak are `offered` and
@@ -1186,7 +1337,10 @@ mod tests {
 
     /// Runs `advance` and [`manual_advance`] on two copies of `sys`,
     /// both span ledgers starting at `acc`, and checks that outcome,
-    /// ledgers, stored energy and lifetime totals agree bit for bit.
+    /// ledgers, stored energy and lifetime totals agree bit for bit. A
+    /// third copy runs the counting kernel under an enabled profiler: it
+    /// must agree too, and no stride may have been bisected for its stop
+    /// predicate alone.
     #[allow(clippy::too_many_arguments)] // mirrors advance()'s signature
     fn advance_vs_stepping(
         sys: &PowerSystem,
@@ -1197,8 +1351,8 @@ mod tests {
         stop: StopCondition,
         acc: Joules,
     ) -> Result<BulkOutcome, TestCaseError> {
-        let (mut fast, mut slow) = (sys.clone(), sys.clone());
-        let (mut fh, mut fw, mut sh, mut sw) = (acc, acc, acc, acc);
+        let (mut fast, mut slow, mut counted) = (sys.clone(), sys.clone(), sys.clone());
+        let (mut fh, mut fw, mut sh, mut sw, mut ch, mut cw) = (acc, acc, acc, acc, acc, acc);
         let out = fast.advance(irr, load, dt, max_ticks, stop, &mut fh, &mut fw);
         let reference = manual_advance(&mut slow, irr, load, dt, max_ticks, stop, &mut sh, &mut sw);
         prop_assert_eq!(out, reference);
@@ -1207,6 +1361,18 @@ mod tests {
             [sh, sw].map(|j| j.value().to_bits())
         );
         prop_assert_eq!(state_bits(&fast), state_bits(&slow));
+        let mut prof = PhaseProfiler::enabled();
+        let counted_out =
+            counted.advance_profiled(irr, load, dt, max_ticks, stop, &mut ch, &mut cw, &mut prof);
+        prop_assert_eq!(counted_out, out);
+        prop_assert_eq!(
+            [ch, cw].map(|j| j.value().to_bits()),
+            [fh, fw].map(|j| j.value().to_bits())
+        );
+        prop_assert_eq!(state_bits(&counted), state_bits(&fast));
+        let work = *prof.kernel().unwrap();
+        prop_assert_eq!((work.calls, work.crossings), (1, u64::from(out.crossed)));
+        prop_assert_eq!(work.stop_only_bisections, 0);
         Ok(out)
     }
 
@@ -1237,6 +1403,46 @@ mod tests {
             #[allow(clippy::cast_precision_loss)]
             let c = (k as f64 + 0.5) * ulp;
             prop_assert_eq!(repeat_add(x, c, n).to_bits(), naive_add(x, c, n).to_bits());
+        }
+
+        #[test]
+        fn repeat_add_matches_on_near_tie_increments(
+            exp in -60i32..4,
+            mantissa in 0u64..(1 << 52),
+            k in 0u64..1_000,
+            above in any::<bool>(),
+            negative_c in any::<bool>(),
+            n in 0u64..50_000,
+        ) {
+            // c one of its own ulps off (k + ½)·ulp(x): no in-binade add
+            // ties, yet each rounds off by almost half an ulp.
+            let x = f64::from_bits(1.0f64.to_bits() | mantissa) * 2f64.powi(exp);
+            let ulp = 2f64.powi(exp - 52);
+            #[allow(clippy::cast_precision_loss)]
+            let tie = (k as f64 + 0.5) * ulp;
+            let c = f64::from_bits(if above { tie.to_bits() + 1 } else { tie.to_bits() - 1 });
+            let c = if negative_c { -c } else { c };
+            prop_assert_eq!(repeat_add(x, c, n).to_bits(), naive_add(x, c, n).to_bits());
+        }
+
+        /// Counts far past any naive loop: the run split anywhere sums
+        /// to the same bits.
+        #[test]
+        fn repeat_add_splits_at_any_count(
+            exp in -40i32..8,
+            mantissa in 0u64..(1 << 52),
+            c in 1e-9f64..1e-2,
+            negative_c in any::<bool>(),
+            a in any::<u64>(),
+            b in any::<u64>(),
+        ) {
+            let x = f64::from_bits(1.0f64.to_bits() | mantissa) * 2f64.powi(exp);
+            let c = if negative_c { -c } else { c };
+            let (a, b) = (a >> 1, b >> 1);
+            prop_assert_eq!(
+                repeat_add(x, c, a + b).to_bits(),
+                repeat_add(repeat_add(x, c, a), c, b).to_bits()
+            );
         }
 
         #[test]
@@ -1346,6 +1552,118 @@ mod tests {
                 stop,
                 Joules::ZERO,
             )?;
+        }
+
+        /// Starts a few ticks short of a stop threshold, where the kernel
+        /// caps each stride at the crossing index it divides out of the
+        /// threshold bits: the turn-on threshold while charging, and
+        /// while draining, reserves on a binade edge and one ulp below
+        /// it, at `0.0`, at `−0.0` and below zero (where only the
+        /// brownout stops). `short` counts whole ticks; `scale` moves
+        /// the start up to ~10⁴ ticks away so strides cap mid-binade, and
+        /// `jitter` shifts it by a few ulps.
+        #[test]
+        fn advance_matches_stepping_near_stop_thresholds(
+            leaky in any::<bool>(),
+            which in 0u8..6,
+            short in 0u8..4,
+            scale in 0u8..3,
+            frac in 0.0f64..1.0,
+            jitter in 0u64..8,
+            jitter_up in any::<bool>(),
+            irr in 0.0f64..0.5,
+            load_mw in 0.01f64..20.0,
+            max_ticks in 1u64..30_000,
+        ) {
+            let cfg = SupercapConfig {
+                leakage: Watts(if leaky { 25e-6 } else { 0.0 }),
+                ..SupercapConfig::default()
+            };
+            let mut sys = PowerSystem::new(
+                Supercap::new(cfg).unwrap(),
+                Harvester::new(6, Watts(0.010), 0.80).unwrap(),
+            );
+            let capacity = sys.capacitor().capacity().value();
+            // A binade edge inside the window (capacity ≈ 0.126 J).
+            let edge = 2f64.powi(-7);
+            let (stop, threshold) = match which {
+                0 => {
+                    let t = f64::from_bits(sys.capacitor().turn_on_bits());
+                    (StopCondition::CanTurnOn, t)
+                }
+                1 => (StopCondition::Depleted(Joules(edge)), edge),
+                2 => {
+                    let below_edge = f64::from_bits(edge.to_bits() - 1);
+                    (StopCondition::Depleted(Joules(below_edge)), below_edge)
+                }
+                3 => (StopCondition::Depleted(Joules(0.0)), 0.0),
+                4 => (StopCondition::Depleted(Joules(-0.0)), 0.0),
+                _ => (StopCondition::Depleted(Joules(-1e-3)), 0.0),
+            };
+            let charging = which == 0;
+            let (irr, load) = if charging {
+                (0.02 + irr, Watts::ZERO)
+            } else {
+                (irr * 0.05, Watts(load_mw * 1e-3))
+            };
+            // One tick's move, measured where it is nonzero.
+            let probe = if charging { threshold } else { threshold.max(1e-3) };
+            sys.restore_state(&PowerSystemState {
+                stored: Joules(probe),
+                total_harvested: Joules(1.0),
+                total_wasted: Joules(0.5),
+                total_supplied: Joules(0.75),
+            });
+            let tick = (sys.peek_step(irr, load, SimDuration::TICK).value() - probe).abs();
+            let ticks_away = f64::from(short) * [1.0, 97.0, 10_007.0][usize::from(scale)] + frac;
+            let start = if charging {
+                threshold - ticks_away * tick
+            } else {
+                threshold + ticks_away * tick
+            }
+            .clamp(0.0, capacity);
+            let bits = if jitter_up {
+                start.to_bits() + jitter
+            } else {
+                start.to_bits().saturating_sub(jitter)
+            };
+            let mut state = sys.save_state();
+            state.stored = Joules(f64::from_bits(bits));
+            sys.restore_state(&state);
+            advance_vs_stepping(&sys, irr, load, SimDuration::TICK, max_ticks, stop, Joules::ZERO)?;
+        }
+
+        /// A stride is cut before its first tick whose end bits meet a
+        /// threshold, against a tick-by-tick walk in bit space.
+        #[test]
+        fn strides_end_before_their_crossing_tick(
+            start in 1u64..(1 << 62),
+            ulps in 1u64..100,
+            up in any::<bool>(),
+            distance in 0u64..5_000,
+            beyond in any::<bool>(),
+            ticks in 1u64..20_000,
+        ) {
+            let sys = sys();
+            let stop = if up { StopCondition::CanTurnOn } else { StopCondition::Depleted(Joules(0.0)) };
+            let mut k = Kernel::<false>::new(&sys, 0.0, Watts::ZERO, SimDuration::TICK, stop);
+            // A threshold `distance` patterns ahead of the start (or
+            // behind it, already passed).
+            let threshold = if up == beyond { start.saturating_sub(distance) } else { start + distance };
+            if up {
+                k.at_or_above = threshold;
+            } else {
+                k.below = threshold;
+            }
+            // A jump that stays among the non-negative doubles.
+            let n = if up { ticks } else { ticks.min(start / ulps) };
+            prop_assume!(n > 0);
+            let met = |bits: u64| bits < k.below || bits >= k.at_or_above;
+            let first = (1..=n).find(|&j| met(if up { start + j * ulps } else { start - j * ulps }));
+            prop_assert_eq!(
+                k.before_crossing(f64::from_bits(start), Stride { up, ulps }, n),
+                first.map_or(n, |j| j - 1)
+            );
         }
     }
 

@@ -532,7 +532,7 @@ pub fn run_campaigns_with(
 /// — the fault-free reference, the always-on oracle and every faulted
 /// fork — returning their merged accounting alongside the report. The
 /// report is byte-identical to the unprofiled run: profiling reads
-/// wall-clock time only.
+/// wall-clock time and counts work only.
 ///
 /// # Errors
 ///

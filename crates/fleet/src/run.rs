@@ -97,8 +97,8 @@ pub fn run_fleet(cfg: &FleetConfig, exec: Executor) -> Result<FleetReport, Fleet
 /// `fleet_shard_reduce` under the event horizon).
 #[derive(Debug)]
 pub struct FleetProfile {
-    /// Merged phase profiler (per-device engine spans + coordinator
-    /// spans).
+    /// Merged phase profiler (per-device engine spans and energy-kernel
+    /// work counts + coordinator spans).
     pub profiler: PhaseProfiler,
     /// Merged deterministic horizon-cause accounting across devices.
     pub horizon: HorizonStats,
@@ -106,8 +106,8 @@ pub struct FleetProfile {
 
 /// [`run_fleet`] with profiling enabled on every device and on the
 /// coordinator. The [`FleetReport`] is byte-identical to the unprofiled
-/// run — profiling reads wall-clock time only (pinned by the
-/// `profiler_invisibility` suite).
+/// run — profiling reads wall-clock time and counts work only (pinned by
+/// the `profiler_invisibility` suite).
 ///
 /// # Errors
 ///

@@ -22,6 +22,9 @@
 //!   decision ([`HorizonCause`]) and the span-length distribution, so
 //!   `qz profile` can print "why your Crowded run is slow" as a ranked
 //!   list.
+//! - [`KernelStats`] — deterministic work counts of the energy kernel
+//!   (calls, tick evaluations, strides, bisections, crossings, ledger
+//!   sums), carried by an enabled [`PhaseProfiler`].
 //! - [`FlightRecorder`] — a bounded ring of recent `qz-obs` events plus
 //!   periodic state digests, dumped as a self-describing JSON
 //!   postmortem carrying the exact single-line repro command; an armed
@@ -35,6 +38,7 @@
 
 pub mod flight;
 pub mod horizon;
+pub mod kernel;
 pub mod profiler;
 pub mod report;
 pub mod trajectory;
@@ -44,6 +48,7 @@ pub use flight::{
     FlightRecorder, StateDigest, DEFAULT_RING_CAPACITY, FLIGHT_SCHEMA,
 };
 pub use horizon::{CauseStat, HorizonCause, HorizonStats};
+pub use kernel::KernelStats;
 pub use profiler::{Phase, PhaseProfiler, PhaseStat};
 pub use report::{PhaseReport, ProfileReport};
 pub use trajectory::{

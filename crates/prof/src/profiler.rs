@@ -1,14 +1,17 @@
 //! The phase profiler: scoped wall-clock spans over the engine hot
-//! paths, aggregated per [`Phase`].
+//! paths, aggregated per [`Phase`], and the energy kernel's
+//! [`KernelStats`] work counts.
 //!
 //! The profiler follows `qz-obs`'s observer discipline: a disabled
 //! profiler holds no storage at all, [`PhaseProfiler::begin`] is a
 //! single `Option` test, and no simulator-visible state is ever read
-//! or written — wall-clock time flows *out* of the engine only. The
+//! or written — wall-clock time and work counts flow *out* of the
+//! engine only. The
 //! `profiler_invisibility` differential suite pins the contract that
 //! enabling profiling changes no deterministic output byte.
 
 use crate::report::{PhaseReport, ProfileReport};
+use crate::KernelStats;
 use qz_obs::Log2Histogram;
 use std::time::Instant;
 
@@ -181,7 +184,8 @@ impl PhaseStat {
     }
 }
 
-/// Scoped-span aggregator over the [`Phase`] taxonomy.
+/// Scoped-span aggregator over the [`Phase`] taxonomy, plus the energy
+/// kernel's [`KernelStats`] work counts.
 ///
 /// Disabled ([`PhaseProfiler::disabled`], the default) it holds no
 /// storage and every call site costs one `Option::is_some` test.
@@ -201,7 +205,23 @@ impl PhaseStat {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PhaseProfiler {
-    stats: Option<Box<[PhaseStat; Phase::COUNT]>>,
+    stats: Option<Box<Stats>>,
+}
+
+/// An enabled profiler's storage.
+#[derive(Debug, Clone)]
+struct Stats {
+    phases: [PhaseStat; Phase::COUNT],
+    kernel: KernelStats,
+}
+
+impl Stats {
+    fn new() -> Box<Stats> {
+        Box::new(Stats {
+            phases: std::array::from_fn(|_| PhaseStat::new()),
+            kernel: KernelStats::default(),
+        })
+    }
 }
 
 impl PhaseProfiler {
@@ -213,7 +233,7 @@ impl PhaseProfiler {
     /// A collecting profiler.
     pub fn enabled() -> PhaseProfiler {
         PhaseProfiler {
-            stats: Some(Box::new(std::array::from_fn(|_| PhaseStat::new()))),
+            stats: Some(Stats::new()),
         }
     }
 
@@ -247,7 +267,7 @@ impl PhaseProfiler {
     /// Records one pre-measured span duration.
     pub fn record(&mut self, phase: Phase, ns: u64) {
         if let Some(stats) = self.stats.as_mut() {
-            let s = &mut stats[phase.index()];
+            let s = &mut stats.phases[phase.index()];
             s.count += 1;
             s.total_ns = s.total_ns.saturating_add(ns);
             s.hist.record(ns);
@@ -256,7 +276,20 @@ impl PhaseProfiler {
 
     /// Aggregated samples for one phase; `None` while disabled.
     pub fn stat(&self, phase: Phase) -> Option<&PhaseStat> {
-        self.stats.as_ref().map(|s| &s[phase.index()])
+        self.stats.as_ref().map(|s| &s.phases[phase.index()])
+    }
+
+    /// Adds one energy-kernel call's work counts; a no-op while
+    /// disabled.
+    pub fn record_kernel(&mut self, work: &KernelStats) {
+        if let Some(stats) = self.stats.as_mut() {
+            stats.kernel.merge(work);
+        }
+    }
+
+    /// The energy kernel's summed work counts; `None` while disabled.
+    pub fn kernel(&self) -> Option<&KernelStats> {
+        self.stats.as_ref().map(|s| &s.kernel)
     }
 
     /// Folds another profiler's samples into this one (e.g. per-device
@@ -266,12 +299,11 @@ impl PhaseProfiler {
         let Some(theirs) = other.stats.as_ref() else {
             return;
         };
-        let mine = self
-            .stats
-            .get_or_insert_with(|| Box::new(std::array::from_fn(|_| PhaseStat::new())));
-        for (m, t) in mine.iter_mut().zip(theirs.iter()) {
+        let mine = self.stats.get_or_insert_with(Stats::new);
+        for (m, t) in mine.phases.iter_mut().zip(theirs.phases.iter()) {
             m.merge(t);
         }
+        mine.kernel.merge(&theirs.kernel);
     }
 
     /// Snapshots the aggregate into a renderable [`ProfileReport`].
@@ -283,14 +315,14 @@ impl PhaseProfiler {
             return ProfileReport { phases };
         };
         for phase in Phase::ALL {
-            let s = &stats[phase.index()];
+            let s = &stats.phases[phase.index()];
             if s.count == 0 {
                 continue;
             }
             let child_total: u64 = Phase::ALL
                 .iter()
                 .filter(|c| c.parent() == Some(phase))
-                .map(|c| stats[c.index()].total_ns)
+                .map(|c| stats.phases[c.index()].total_ns)
                 .sum();
             phases.push(PhaseReport {
                 phase,
@@ -364,6 +396,25 @@ mod tests {
         let before = a.stat(Phase::Sprint).unwrap().count;
         a.merge(&PhaseProfiler::disabled());
         assert_eq!(a.stat(Phase::Sprint).unwrap().count, before);
+    }
+
+    #[test]
+    fn kernel_counts_record_only_when_enabled_and_merge() {
+        let work = KernelStats {
+            calls: 1,
+            ticks: 9,
+            ..KernelStats::default()
+        };
+        let mut off = PhaseProfiler::disabled();
+        off.record_kernel(&work);
+        assert!(off.kernel().is_none());
+        let mut on = PhaseProfiler::enabled();
+        on.record_kernel(&work);
+        on.record_kernel(&work);
+        let mut merged = PhaseProfiler::disabled();
+        merged.merge(&on);
+        merged.merge(&on);
+        assert_eq!(merged.kernel().map(|k| (k.calls, k.ticks)), Some((4, 36)));
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! Profiling must be provably invisible: arming the `qz-prof` phase
-//! profiler, the horizon-cause accounting, or a flight-recorder ring
-//! must not change a single simulated bit. Each test runs the same
-//! seeded configuration with observability on and off and demands
-//! byte-for-byte identical outputs — metrics on the single-device
-//! engines, the full JSON report on the fleet coordinator.
+//! profiler (and with it the energy kernel's work counters), the
+//! horizon-cause accounting, or a flight-recorder ring must not change
+//! a single simulated bit. Each test runs the same seeded configuration
+//! with observability on and off and demands byte-for-byte identical
+//! outputs — metrics and the event stream on the single-device engines,
+//! the full JSON report on the fleet coordinator.
 //!
 //! A failure here means an instrumentation path leaked into simulation
 //! state (e.g. a profiler span that skips work when disabled, or an
 //! observer that mutates what it observes). That is always a bug, never
 //! a re-baseline.
 
-use qz_app::{apollo4, msp430fr5994, profile_run, simulate, SimTweaks};
+use qz_app::{
+    apollo4, build_simulation, msp430fr5994, profile_run, simulate, simulate_traced, SimTweaks,
+};
 use qz_baselines::BaselineKind;
 use qz_fleet::{run_fleet, run_fleet_profiled, Executor, FleetConfig};
 use qz_sim::EngineKind;
@@ -48,6 +51,53 @@ fn profiled_run_metrics_match_plain_run() {
             );
         }
     }
+}
+
+/// The energy kernel counts its work only under an armed profiler, and
+/// counting changes neither the metrics nor one byte of the recorded
+/// event stream.
+#[test]
+fn kernel_counting_leaves_metrics_and_event_bytes_alone() {
+    let profile = apollo4();
+    let env = SensingEnvironment::generate(EnvironmentKind::MoreCrowded, 20, SEED);
+    let tw = tweaks(EngineKind::FastForward);
+    let (plain_metrics, plain_events) = simulate_traced(BaselineKind::Quetzal, &profile, &env, &tw);
+    let mut sim = build_simulation(BaselineKind::Quetzal, &profile, &env, &tw);
+    sim.set_observer(Box::new(qz_obs::RecordingObserver::new()));
+    sim.enable_profiling();
+    while sim.step() {}
+    let kernel = *sim.profiler().kernel().expect("armed profiler");
+    assert!(
+        kernel.calls > 0 && kernel.ticks > 0,
+        "kernel counted nothing: {kernel:?}"
+    );
+    let (counted_metrics, mut observer) = sim.run_traced();
+    let counted_events =
+        qz_obs::take_recorded(observer.as_mut()).expect("recording sink installed");
+    assert_eq!(plain_metrics, counted_metrics, "counting changed metrics");
+    let jsonl = |events: &[qz_obs::Event]| {
+        let mut bytes = Vec::new();
+        qz_obs::export::write_jsonl(&mut bytes, events).expect("in-memory write");
+        bytes
+    };
+    assert!(
+        jsonl(&plain_events) == jsonl(&counted_events),
+        "counting changed the event stream"
+    );
+}
+
+/// The kernel's work counts are exact: a pinned run repeats them to the
+/// unit, and no stride is ever bisected because of its stop predicate
+/// (the kernel divides the crossing tick out of the threshold bits).
+#[test]
+fn kernel_counts_repeat_exactly_with_no_stop_only_bisections() {
+    let env = SensingEnvironment::generate(EnvironmentKind::MoreCrowded, 30, SEED);
+    let tw = tweaks(EngineKind::FastForward);
+    let run = || profile_run(BaselineKind::Quetzal, &apollo4(), &env, &tw, None).kernel;
+    let (first, second) = (run(), run());
+    assert_eq!(first, second, "kernel counts differ between identical runs");
+    assert!(first.crossings > 0 && first.strides > 0, "{first:?}");
+    assert_eq!(first.stop_only_bisections, 0, "{first:?}");
 }
 
 /// Installing the flight-recorder ring (which also turns on periodic
@@ -112,6 +162,12 @@ fn fleet_profiled_report_is_byte_identical() {
         !profile.horizon.is_empty(),
         "fleet horizon accounting came back empty"
     );
+    // Per-device kernel counts merge in the profiler like the horizon
+    // accounting, to the same sums at any thread count.
+    let (_, serial) = run_fleet_profiled(&cfg, Executor::new(1)).expect("fleet runs");
+    let kernel = profile.profiler.kernel().copied();
+    assert!(kernel.is_some_and(|k| k.calls > 0), "{kernel:?}");
+    assert_eq!(kernel, serial.profiler.kernel().copied());
 }
 
 /// The disabled profiler (the default) reports nothing: the compiled-in
