@@ -6,7 +6,7 @@
 //! catalog lives in DESIGN.md ("Diagnostics catalog"); each code's
 //! one-line summary here must stay in sync with it.
 
-use qz_types::json::escape_into;
+use qz_types::json::{WriteJson, Writer};
 use std::fmt;
 
 /// A stable diagnostic code.
@@ -834,59 +834,41 @@ impl Report {
         ));
         out
     }
+}
 
-    /// Renders the report as a single JSON object (hand-rolled, like
-    /// `qz-obs`: the workspace deliberately carries no serde).
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"tool\":\"qz-check\",\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"code\":\"");
-            out.push_str(d.code.as_str());
-            out.push_str("\",\"severity\":\"");
-            out.push_str(d.severity.as_str());
-            out.push_str("\",\"span\":{");
-            let mut first = true;
-            for (key, value) in [
-                ("job", &d.span.job),
-                ("task", &d.span.task),
-                ("option", &d.span.option),
-                ("field", &d.span.field),
-            ] {
-                if let Some(value) = value {
-                    if !first {
-                        out.push(',');
-                    }
-                    first = false;
-                    out.push('"');
-                    out.push_str(key);
-                    out.push_str("\":\"");
-                    escape_into(&mut out, value);
-                    out.push('"');
+/// The report as one JSON object: the diagnostics in order, then the
+/// error, warning and note counts.
+impl WriteJson for Report {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.obj(|w| {
+            w.field("tool", "qz-check").key("diagnostics").arr(|w| {
+                for d in &self.diagnostics {
+                    w.obj(|w| {
+                        w.field("code", d.code.as_str())
+                            .field("severity", d.severity.as_str())
+                            .key("span")
+                            .obj(|w| {
+                                for (key, value) in [
+                                    ("job", &d.span.job),
+                                    ("task", &d.span.task),
+                                    ("option", &d.span.option),
+                                    ("field", &d.span.field),
+                                ] {
+                                    if let Some(value) = value {
+                                        w.field(key, value);
+                                    }
+                                }
+                            })
+                            .field("message", &d.message)
+                            .key("sources")
+                            .items(&d.sources);
+                    });
                 }
-            }
-            out.push_str("},\"message\":\"");
-            escape_into(&mut out, &d.message);
-            out.push_str("\",\"sources\":[");
-            for (j, s) in d.sources.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                escape_into(&mut out, s);
-                out.push('"');
-            }
-            out.push_str("]}");
-        }
-        out.push_str(&format!(
-            "],\"errors\":{},\"warnings\":{},\"notes\":{}}}",
-            self.errors(),
-            self.warnings(),
-            self.notes()
-        ));
-        out
+            });
+            w.field("errors", self.errors())
+                .field("warnings", self.warnings())
+                .field("notes", self.notes());
+        });
     }
 }
 
@@ -960,7 +942,7 @@ mod tests {
             Span::field("device.\"odd\""),
             "line1\nline2".into(),
         );
-        let json = r.render_json();
+        let json = qz_types::json::to_string(&r);
         assert!(json.contains("\\\"odd\\\""));
         assert!(json.contains("line1\\nline2"));
         assert!(json.contains("\"errors\":1"));
@@ -1006,12 +988,12 @@ mod tests {
         r.tag_source("sweep");
         let text = r.render_text();
         assert!(text.contains("warning[QZ011]: config: w [sweep]"), "{text}");
-        let json = r.render_json();
+        let json = qz_types::json::to_string(&r);
         assert!(json.contains("\"sources\":[\"sweep\"]"), "{json}");
         // Untagged diagnostics carry an empty array, not a missing key.
         let mut plain = Report::new();
         plain.push(Code::QZ013, Severity::Note, Span::default(), "n".into());
-        assert!(plain.render_json().contains("\"sources\":[]"));
+        assert!(qz_types::json::to_string(&plain).contains("\"sources\":[]"));
         assert!(
             plain.render_text().contains("note[QZ013]: config: n\n"),
             "no suffix when untagged"

@@ -957,7 +957,8 @@ size) and warn past 256 MiB.
 horizon-cause accounting enabled, then prints a ranked \"why is this run
 slow\" list (which bound capped each quiescent span), one line of the
 energy kernel's exact work counts, and a per-phase self/total time
-table. --json writes the machine-readable report, --flame writes a
+table. --json writes the machine-readable report (phases, horizon
+causes and the kernel counts), --flame writes a
 collapsed-stack file for flamegraph tooling, and --flight installs a
 flight recorder and dumps its ring at exit.
 Profiling is observation-only: metrics are byte-identical with it on.

@@ -22,7 +22,7 @@ use qz_app::{
 use qz_baselines::BaselineKind;
 use qz_sim::Metrics;
 use qz_traces::SensingEnvironment;
-use qz_types::json::escape;
+use qz_types::json::Writer;
 use qz_types::{Farads, Seconds, SimDuration, SimTime};
 use std::process::ExitCode;
 
@@ -193,12 +193,7 @@ fn check(args: &Args) -> ExitCode {
             report.tag_source("sweep");
             failed |= report.fails(args.deny_warnings);
             if args.json.is_some() {
-                json_entries.push(format!(
-                    "{{\"system\":\"{}\",\"device\":\"{}\",\"report\":{}}}",
-                    kind.label(),
-                    profile.name,
-                    report.render_json()
-                ));
+                json_entries.push((kind, profile.name, report));
             } else {
                 println!("{} on {}:", kind.label(), profile.name);
                 for line in report.render_text().lines() {
@@ -209,7 +204,17 @@ fn check(args: &Args) -> ExitCode {
         }
     }
     if args.json.is_some() {
-        println!("[{}]", json_entries.join(","));
+        let mut out = String::new();
+        Writer::new(&mut out).arr(|w| {
+            for (kind, device, report) in &json_entries {
+                w.obj(|w| {
+                    w.field("system", kind.label())
+                        .field("device", device)
+                        .field("report", report);
+                });
+            }
+        });
+        println!("{out}");
     } else if failed {
         println!(
             "FAILED{}",
@@ -229,19 +234,20 @@ fn check(args: &Args) -> ExitCode {
     }
 }
 
-fn verdict_json(v: &Verdict, repro: &dyn Fn(SolarMode) -> String) -> String {
-    match v {
-        Verdict::Proven => String::from("{\"verdict\":\"PROVEN\"}"),
-        Verdict::Refuted { mode } => format!(
-            "{{\"verdict\":\"REFUTED\",\"mode\":\"{}\",\"repro\":\"{}\"}}",
-            mode.token(),
-            escape(&repro(*mode))
-        ),
-        Verdict::Unknown { blocking } => format!(
-            "{{\"verdict\":\"UNKNOWN\",\"blocking\":\"{}\"}}",
-            escape(blocking)
-        ),
-    }
+fn verdict_json(w: &mut Writer<'_>, v: &Verdict, repro: &dyn Fn(SolarMode) -> String) {
+    w.obj(|w| match v {
+        Verdict::Proven => {
+            w.field("verdict", "PROVEN");
+        }
+        Verdict::Refuted { mode } => {
+            w.field("verdict", "REFUTED")
+                .field("mode", mode.token())
+                .field("repro", repro(*mode));
+        }
+        Verdict::Unknown { blocking } => {
+            w.field("verdict", "UNKNOWN").field("blocking", blocking);
+        }
+    });
 }
 
 fn verdict_text(v: &Verdict, repro: &dyn Fn(SolarMode) -> String) -> String {
@@ -381,20 +387,7 @@ fn verify(args: &Args) -> ExitCode {
             }
 
             if args.json.is_some() {
-                json_entries.push(format!(
-                    "{{\"system\":\"{}\",\"device\":\"{}\",\"env\":\"{}\",\"events\":{},\
-                     \"seed\":{},\"segment_secs\":{},\"verdicts\":{{\"overflow\":{},\
-                     \"stall\":{}}},\"report\":{}}}",
-                    kind.label(),
-                    profile.name,
-                    args.env.token(),
-                    args.events,
-                    args.seed,
-                    args.segment,
-                    verdict_json(&no_overflow, &repro),
-                    verdict_json(&no_stall, &repro),
-                    report.render_json(),
-                ));
+                json_entries.push((kind, profile, no_overflow, no_stall, report));
             } else {
                 println!("{} on {}:", kind.label(), profile.name);
                 println!("  no-overflow: {}", verdict_text(&no_overflow, &repro));
@@ -409,10 +402,29 @@ fn verify(args: &Args) -> ExitCode {
         }
     }
     if args.json.is_some() {
-        println!(
-            "{{\"tool\":\"qz-verify\",\"configs\":[{}]}}",
-            json_entries.join(",")
-        );
+        let mut out = String::new();
+        Writer::new(&mut out).obj(|w| {
+            w.field("tool", "qz-verify").key("configs").arr(|w| {
+                for (kind, profile, no_overflow, no_stall, report) in &json_entries {
+                    let repro = |mode: SolarMode| verify_repro(args, *kind, profile, mode);
+                    w.obj(|w| {
+                        w.field("system", kind.label())
+                            .field("device", profile.name)
+                            .field("env", args.env.token())
+                            .field("events", args.events)
+                            .field("seed", args.seed)
+                            .field("segment_secs", args.segment)
+                            .key("verdicts")
+                            .obj(|w| {
+                                verdict_json(w.key("overflow"), no_overflow, &repro);
+                                verdict_json(w.key("stall"), no_stall, &repro);
+                            })
+                            .field("report", report);
+                    });
+                }
+            });
+        });
+        println!("{out}");
     } else if failed {
         println!(
             "FAILED{}",
@@ -443,23 +455,23 @@ fn lint_src(args: &Args) -> ExitCode {
     };
     let findings = qz_absint::scan_workspace(root, &allow);
     if args.json.is_some() {
-        let items: Vec<String> = findings
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"path\":\"{}\",\"line\":{},\"pattern\":\"{}\",\"rationale\":\"{}\"}}",
-                    escape(&f.path),
-                    f.line,
-                    f.pattern,
-                    f.rationale
-                )
-            })
-            .collect();
-        println!(
-            "{{\"tool\":\"qz-lint-src\",\"allowlist_entries\":{},\"findings\":[{}]}}",
-            allow.len(),
-            items.join(",")
-        );
+        let mut out = String::new();
+        Writer::new(&mut out).obj(|w| {
+            w.field("tool", "qz-lint-src")
+                .field("allowlist_entries", allow.len())
+                .key("findings")
+                .arr(|w| {
+                    for f in &findings {
+                        w.obj(|w| {
+                            w.field("path", &f.path)
+                                .field("line", f.line)
+                                .field("pattern", f.pattern)
+                                .field("rationale", f.rationale);
+                        });
+                    }
+                });
+        });
+        println!("{out}");
     } else {
         for f in &findings {
             println!("{}:{}: `{}` — {}", f.path, f.line, f.pattern, f.rationale);
@@ -726,14 +738,15 @@ fn profile(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     println!();
     print_metrics(&args.system().label(), &run.metrics);
     if let Some(path) = &args.json {
-        let doc = format!(
-            "{{\"tool\":\"qz-prof\",\"repro\":\"{}\",\"wall_ns\":{},\"profile\":{},\
-             \"horizon\":{}}}",
-            repro,
-            run.wall_ns,
-            run.report.to_json(),
-            run.horizon.to_json(),
-        );
+        let mut doc = String::new();
+        Writer::new(&mut doc).obj(|w| {
+            w.field("tool", "qz-prof")
+                .field("repro", &repro)
+                .field("wall_ns", run.wall_ns)
+                .field("profile", &run.report)
+                .field("horizon", &run.horizon)
+                .field("kernel", run.kernel);
+        });
         if path == "-" {
             print!("{doc}");
         } else {
@@ -747,7 +760,7 @@ fn profile(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     }
     if let Some(path) = &args.flight {
         if let Some(handle) = &run.flight {
-            std::fs::write(path, handle.dump_json())?;
+            std::fs::write(path, handle.dump_json(None))?;
             println!("flight-recorder dump written to {path}");
         }
         qz_prof::disarm_panic_dump();

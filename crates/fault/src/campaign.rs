@@ -23,7 +23,7 @@ use qz_obs::Event;
 use qz_prof::{HorizonStats, PhaseProfiler};
 use qz_sim::SimState;
 use qz_traces::{EnvironmentKind, SensingEnvironment};
-use qz_types::json::escape;
+use qz_types::json::Writer;
 use qz_types::{SimDuration, SimTime, SplitMix64};
 use std::fmt::Write as _;
 
@@ -236,12 +236,6 @@ pub fn cli_device_token(profile_name: &str) -> &'static str {
     }
 }
 
-/// Formats a float for the report: fixed six decimals, so output is
-/// reproducible and diff-friendly.
-fn num(v: f64) -> String {
-    format!("{v:.6}")
-}
-
 impl FaultReport {
     /// Total invariant violations across every campaign.
     pub fn total_violations(&self) -> usize {
@@ -278,43 +272,39 @@ impl FaultReport {
     /// counts by construction.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"system\": \"{}\",", self.system);
-        let _ = writeln!(s, "  \"preset\": \"{}\",", self.preset);
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"events\": {},", self.events);
-        let _ = writeln!(s, "  \"campaigns\": {},", self.rows.len());
-        let _ = writeln!(s, "  \"clean_frames\": {},", self.clean_frames);
-        let _ = writeln!(s, "  \"oracle_frames\": {},", self.oracle_frames);
-        let _ = writeln!(s, "  \"faults_injected\": {},", self.total_faults());
-        let _ = writeln!(s, "  \"violations\": {},", self.total_violations());
-        s.push_str("  \"per_campaign\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let comma = if i + 1 < self.rows.len() { "," } else { "" };
-            let mut viol = String::new();
-            for (j, v) in r.violations.iter().enumerate() {
-                let vcomma = if j + 1 < r.violations.len() { ", " } else { "" };
-                let _ = write!(
-                    viol,
-                    "{{\"invariant\": \"{}\", \"detail\": \"{}\"}}{vcomma}",
-                    v.invariant,
-                    escape(&v.detail)
-                );
-            }
-            let _ = writeln!(
-                s,
-                "    {{\"campaign\": {}, \"fault_seed\": {}, \"faults\": {}, \
-                 \"faults_power\": {}, \"faults_checkpoint\": {}, \"min_stored_j\": {}, \
-                 \"violations\": [{viol}]}}{comma}",
-                r.campaign,
-                r.fault_seed,
-                r.faults,
-                r.faults_power,
-                r.faults_checkpoint,
-                num(r.min_stored_j),
-            );
-        }
-        s.push_str("  ]\n}\n");
+        Writer::report(&mut s).obj(|w| {
+            w.field("system", &self.system)
+                .field("preset", &self.preset)
+                .field("seed", self.seed)
+                .field("events", self.events)
+                .field("campaigns", self.rows.len())
+                .field("clean_frames", self.clean_frames)
+                .field("oracle_frames", self.oracle_frames)
+                .field("faults_injected", self.total_faults())
+                .field("violations", self.total_violations());
+            w.key("per_campaign").arr(|w| {
+                for r in &self.rows {
+                    w.obj(|w| {
+                        w.field("campaign", r.campaign)
+                            .field("fault_seed", r.fault_seed)
+                            .field("faults", r.faults)
+                            .field("faults_power", r.faults_power)
+                            .field("faults_checkpoint", r.faults_checkpoint)
+                            .field("min_stored_j", r.min_stored_j)
+                            .key("violations")
+                            .arr(|w| {
+                                for v in &r.violations {
+                                    w.obj(|w| {
+                                        w.field("invariant", v.invariant)
+                                            .field("detail", &v.detail);
+                                    });
+                                }
+                            });
+                    });
+                }
+            });
+        });
+        s.push('\n');
         s
     }
 
@@ -343,12 +333,8 @@ impl FaultReport {
             };
             let _ = writeln!(
                 s,
-                "  campaign {:>4}: {:>5} faults ({} power, {} corrupt), floor {} J — {verdict}",
-                r.campaign,
-                r.faults,
-                r.faults_power,
-                r.faults_checkpoint,
-                num(r.min_stored_j),
+                "  campaign {:>4}: {:>5} faults ({} power, {} corrupt), floor {:.6} J — {verdict}",
+                r.campaign, r.faults, r.faults_power, r.faults_checkpoint, r.min_stored_j,
             );
             for v in &r.violations {
                 let _ = writeln!(s, "    [{}] {}", v.invariant, v.detail);

@@ -1,8 +1,8 @@
 //! Fleet run reports: per-device rows, channel accounting, and
 //! cross-fleet percentile aggregates, with JSON/CSV/text renderers.
 //!
-//! Renderers are hand-rolled (the workspace carries no serde) and
-//! deliberately exclude anything non-deterministic — wall-clock time,
+//! The JSON renderer streams through `qz_types::json::Writer`. All three
+//! renderers exclude anything non-deterministic — wall-clock time,
 //! thread count, hostnames — so a report is byte-identical for a given
 //! `(FleetConfig)` at any `--threads` value. That property is what the
 //! determinism test in `tests/fleet_determinism.rs` pins down.
@@ -10,6 +10,7 @@
 use crate::channel::ChannelStats;
 use qz_obs::MetricsRegistry;
 use qz_sim::Metrics;
+use qz_types::json::Writer;
 use std::fmt::Write as _;
 
 /// One device's outcome within a fleet run.
@@ -128,12 +129,6 @@ pub struct FleetReport {
     pub aggregates: FleetAggregates,
 }
 
-/// Formats a float for the report: fixed six decimals, so output is
-/// reproducible and diff-friendly.
-fn num(v: f64) -> String {
-    format!("{v:.6}")
-}
-
 impl FleetReport {
     /// Computes the cross-fleet aggregates from the device rows.
     /// Called by the runner once the rows are final.
@@ -148,99 +143,91 @@ impl FleetReport {
         };
     }
 
-    /// The report as a JSON document. Keys are emitted in a fixed
-    /// order; floats use six decimals — byte-identical across thread
-    /// counts by construction.
+    /// The report as a JSON document in the [`Writer::report`] layout.
+    /// Keys are emitted in a fixed order; floats use six decimals —
+    /// byte-identical across thread counts by construction.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"system\": \"{}\",", self.system);
-        let _ = writeln!(s, "  \"fleet_seed\": {},", self.fleet_seed);
-        let _ = writeln!(s, "  \"devices\": {},", self.devices.len());
-        s.push_str("  \"channel\": {\n");
-        let c = &self.channel;
-        let _ = writeln!(s, "    \"slot_ms\": {},", c.slot_ms);
-        let _ = writeln!(s, "    \"horizon_slots\": {},", c.horizon_slots);
-        let _ = writeln!(s, "    \"clean_slots\": {},", c.clean_slots);
-        let _ = writeln!(s, "    \"collision_slots\": {},", c.collision_slots);
-        let _ = writeln!(s, "    \"idle_slots\": {},", c.idle_slots());
-        let _ = writeln!(s, "    \"total_tx\": {},", c.total_tx);
-        let _ = writeln!(s, "    \"collided_tx\": {},", c.collided_tx);
-        let _ = writeln!(s, "    \"airtime_slots\": {},", c.airtime_slots);
-        let _ = writeln!(s, "    \"utilization\": {},", num(c.utilization()));
-        let _ = writeln!(s, "    \"collision_rate\": {}", num(c.collision_rate()));
-        s.push_str("  },\n");
-        // Shard detail only matters (and only appears) with multiple
-        // gateways, keeping single-gateway reports byte-stable across
-        // releases.
-        if self.gateways > 1 {
-            let _ = writeln!(s, "  \"gateways\": {},", self.gateways);
-            s.push_str("  \"shards\": [\n");
-            for (i, c) in self.shards.iter().enumerate() {
-                let comma = if i + 1 < self.shards.len() { "," } else { "" };
-                let _ = writeln!(
-                    s,
-                    "    {{\"shard\": {i}, \"clean_slots\": {}, \"collision_slots\": {}, \
-                     \"total_tx\": {}, \"collided_tx\": {}, \"airtime_slots\": {}}}{comma}",
-                    c.clean_slots, c.collision_slots, c.total_tx, c.collided_tx, c.airtime_slots,
-                );
+        Writer::report(&mut s).obj(|w| {
+            w.field("system", &self.system)
+                .field("fleet_seed", self.fleet_seed)
+                .field("devices", self.devices.len());
+            let c = &self.channel;
+            w.key("channel").obj(|w| {
+                w.field("slot_ms", c.slot_ms)
+                    .field("horizon_slots", c.horizon_slots)
+                    .field("clean_slots", c.clean_slots)
+                    .field("collision_slots", c.collision_slots)
+                    .field("idle_slots", c.idle_slots())
+                    .field("total_tx", c.total_tx)
+                    .field("collided_tx", c.collided_tx)
+                    .field("airtime_slots", c.airtime_slots)
+                    .field("utilization", c.utilization())
+                    .field("collision_rate", c.collision_rate());
+            });
+            // Shard detail only matters (and only appears) with multiple
+            // gateways, keeping single-gateway reports byte-stable across
+            // releases.
+            if self.gateways > 1 {
+                w.field("gateways", self.gateways).key("shards").arr(|w| {
+                    for (i, c) in self.shards.iter().enumerate() {
+                        w.obj(|w| {
+                            w.field("shard", i)
+                                .field("clean_slots", c.clean_slots)
+                                .field("collision_slots", c.collision_slots)
+                                .field("total_tx", c.total_tx)
+                                .field("collided_tx", c.collided_tx)
+                                .field("airtime_slots", c.airtime_slots);
+                        });
+                    }
+                });
             }
-            s.push_str("  ],\n");
-        }
-        s.push_str("  \"aggregates\": {\n");
-        let agg = [
-            ("capture_rate", &self.aggregates.capture_rate),
-            ("ibo_discards", &self.aggregates.ibo_discards),
-            ("delivery_latency_s", &self.aggregates.delivery_latency_s),
-            ("airtime_fraction", &self.aggregates.airtime_fraction),
-        ];
-        for (i, (name, p)) in agg.iter().enumerate() {
-            let comma = if i + 1 < agg.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    \"{name}\": {{\"min\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \
-                 \"max\": {}, \"mean\": {}}}{comma}",
-                num(p.min),
-                num(p.p50),
-                num(p.p90),
-                num(p.p99),
-                num(p.max),
-                num(p.mean),
-            );
-        }
-        s.push_str("  },\n");
-        s.push_str("  \"per_device\": [\n");
-        for (i, d) in self.devices.iter().enumerate() {
-            let comma = if i + 1 < self.devices.len() { "," } else { "" };
-            let m = &d.metrics;
-            let _ = writeln!(
-                s,
-                "    {{\"device\": {}, \"env\": \"{}\", \"capture_rate\": {}, \
-                 \"interesting_total\": {}, \"interesting_reported\": {}, \
-                 \"ibo_discards\": {}, \"reports\": {}, \"tx_grants\": {}, \
-                 \"tx_busy_backoffs\": {}, \"tx_duty_deferrals\": {}, \
-                 \"backoff_wait_ms\": {}, \"airtime_ms\": {}, \
-                 \"delivery_latency_mean_s\": {}, \"delivery_latency_max_s\": {}, \
-                 \"power_failures\": {}, \"off_fraction\": {}}}{comma}",
-                d.device,
-                d.env,
-                num(d.capture_rate()),
-                m.interesting_total,
-                m.interesting_reported(),
-                m.ibo_discards,
-                m.total_reports(),
-                m.tx_grants,
-                m.tx_busy_backoffs,
-                m.tx_duty_deferrals,
-                m.tx_backoff_wait.as_millis(),
-                m.tx_airtime.as_millis(),
-                num(m.mean_delivery_latency_s()),
-                num(m.delivery_latency_max.as_seconds().0),
-                m.power_failures,
-                num(m.off_fraction()),
-            );
-        }
-        s.push_str("  ]\n}\n");
+            let a = &self.aggregates;
+            w.key("aggregates").obj(|w| {
+                for (name, p) in [
+                    ("capture_rate", &a.capture_rate),
+                    ("ibo_discards", &a.ibo_discards),
+                    ("delivery_latency_s", &a.delivery_latency_s),
+                    ("airtime_fraction", &a.airtime_fraction),
+                ] {
+                    w.key(name).obj(|w| {
+                        w.field("min", p.min)
+                            .field("p50", p.p50)
+                            .field("p90", p.p90)
+                            .field("p99", p.p99)
+                            .field("max", p.max)
+                            .field("mean", p.mean);
+                    });
+                }
+            });
+            w.key("per_device").arr(|w| {
+                for d in &self.devices {
+                    let m = &d.metrics;
+                    w.obj(|w| {
+                        w.field("device", d.device)
+                            .field("env", &d.env)
+                            .field("capture_rate", d.capture_rate())
+                            .field("interesting_total", m.interesting_total)
+                            .field("interesting_reported", m.interesting_reported())
+                            .field("ibo_discards", m.ibo_discards)
+                            .field("reports", m.total_reports())
+                            .field("tx_grants", m.tx_grants)
+                            .field("tx_busy_backoffs", m.tx_busy_backoffs)
+                            .field("tx_duty_deferrals", m.tx_duty_deferrals)
+                            .field("backoff_wait_ms", m.tx_backoff_wait.as_millis())
+                            .field("airtime_ms", m.tx_airtime.as_millis())
+                            .field("delivery_latency_mean_s", m.mean_delivery_latency_s())
+                            .field(
+                                "delivery_latency_max_s",
+                                m.delivery_latency_max.as_seconds().0,
+                            )
+                            .field("power_failures", m.power_failures)
+                            .field("off_fraction", m.off_fraction());
+                    });
+                }
+            });
+        });
+        s.push('\n');
         s
     }
 
@@ -255,10 +242,10 @@ impl FleetReport {
             let m = &d.metrics;
             let _ = writeln!(
                 s,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+                "{},{},{:.6},{},{},{},{},{},{},{},{},{},{:.6},{:.6},{},{:.6}",
                 d.device,
                 d.env,
-                num(d.capture_rate()),
+                d.capture_rate(),
                 m.interesting_total,
                 m.interesting_reported(),
                 m.ibo_discards,
@@ -268,10 +255,10 @@ impl FleetReport {
                 m.tx_duty_deferrals,
                 m.tx_backoff_wait.as_millis(),
                 m.tx_airtime.as_millis(),
-                num(m.mean_delivery_latency_s()),
-                num(m.delivery_latency_max.as_seconds().0),
+                m.mean_delivery_latency_s(),
+                m.delivery_latency_max.as_seconds().0,
                 m.power_failures,
-                num(m.off_fraction()),
+                m.off_fraction(),
             );
         }
         s

@@ -1,8 +1,8 @@
-//! Hand-rolled JSONL and CSV exporters for event logs (`std` only).
+//! JSONL and CSV exporters for event logs (`std` only).
 //!
-//! The workspace is dependency-free by design, so serialization is
-//! written out by hand: JSONL gives one self-describing object per
-//! event (nested candidate/option arrays included); CSV flattens to a
+//! JSONL gives one self-describing object per event (nested
+//! candidate/option arrays included), written through the workspace's
+//! one JSON writer ([`qz_types::json::Writer`]); CSV flattens to a
 //! fixed column set shared by all event kinds, leaving unused columns
 //! empty — convenient for spreadsheet and pandas post-processing.
 
@@ -10,193 +10,150 @@ use std::fmt::Write as _;
 use std::io::{self, Write};
 
 use crate::event::{Event, EventKind};
+use qz_types::json::{WriteJson, Writer};
 
 /// Number of event lines the emission arena accumulates before the
 /// formatted bytes flush to the writer in one `write_all`; the bytes on
 /// the wire are exactly the per-event bytes, just batched.
 const EMIT_BLOCK_EVENTS: usize = 64;
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        String::from("null")
-    }
-}
-
-fn json_opt(v: Option<usize>) -> String {
-    match v {
-        Some(x) => format!("{x}"),
-        None => String::from("null"),
-    }
-}
-
-/// Serializes one event as a single-line JSON object.
-pub fn event_to_json(event: &Event) -> String {
-    let mut s = String::new();
-    event_to_json_into(&mut s, event);
-    s
-}
-
-/// Appends one event's single-line JSON object (no trailing newline)
-/// to `s`. This is the arena form behind [`event_to_json`] and
-/// [`write_jsonl`]: batched callers reuse one buffer across a block of
-/// events instead of allocating a string per event.
-pub fn event_to_json_into(s: &mut String, event: &Event) {
-    let _ = write!(
-        s,
-        "{{\"t_ms\":{},\"kind\":\"{}\"",
-        event.t_ms,
-        event.kind.name()
-    );
-    match &event.kind {
-        EventKind::SchedulerPick {
-            job,
-            expected_service_s,
-            correction_s,
-            p_in_w,
-            candidates,
-        } => {
-            s.push_str(&format!(
-                ",\"job\":{job},\"expected_service_s\":{},\"correction_s\":{},\"p_in_w\":{}",
-                json_f64(*expected_service_s),
-                json_f64(*correction_s),
-                json_f64(*p_in_w)
-            ));
-            s.push_str(",\"candidates\":[");
-            for (i, c) in candidates.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
+/// One event as a JSON object: `t_ms`, `kind`, then the kind's fields
+/// (non-finite floats as `null`, absent options as `null`).
+impl WriteJson for Event {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.obj(|w| {
+            w.field("t_ms", self.t_ms).field("kind", self.kind.name());
+            match &self.kind {
+                EventKind::SchedulerPick {
+                    job,
+                    expected_service_s,
+                    correction_s,
+                    p_in_w,
+                    candidates,
+                } => {
+                    w.field("job", job)
+                        .field("expected_service_s", expected_service_s)
+                        .field("correction_s", correction_s)
+                        .field("p_in_w", p_in_w)
+                        .key("candidates")
+                        .arr(|w| {
+                            for c in candidates {
+                                w.obj(|w| {
+                                    w.field("job", c.job)
+                                        .field("expected_service_s", c.expected_service_s)
+                                        .field("oldest_input_age_s", c.oldest_input_age_s)
+                                        .field("selected", c.selected);
+                                });
+                            }
+                        });
                 }
-                s.push_str(&format!(
-                    "{{\"job\":{},\"expected_service_s\":{},\"oldest_input_age_s\":{},\"selected\":{}}}",
-                    c.job,
-                    json_f64(c.expected_service_s),
-                    json_f64(c.oldest_input_age_s),
-                    c.selected
-                ));
-            }
-            s.push(']');
-        }
-        EventKind::IboDecision {
-            job,
-            lambda,
-            occupancy,
-            capacity,
-            expected_service_s,
-            predicted_arrivals,
-            ibo_predicted,
-            unavoidable,
-            chosen_option,
-            options,
-        } => {
-            s.push_str(&format!(
-                ",\"job\":{job},\"lambda\":{},\"occupancy\":{occupancy},\"capacity\":{capacity},\
-                 \"expected_service_s\":{},\"predicted_arrivals\":{},\"ibo_predicted\":{ibo_predicted},\
-                 \"unavoidable\":{unavoidable},\"chosen_option\":{chosen_option}",
-                json_f64(*lambda),
-                json_f64(*expected_service_s),
-                json_f64(*predicted_arrivals)
-            ));
-            s.push_str(",\"options\":[");
-            for (i, o) in options.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
+                EventKind::IboDecision {
+                    job,
+                    lambda,
+                    occupancy,
+                    capacity,
+                    expected_service_s,
+                    predicted_arrivals,
+                    ibo_predicted,
+                    unavoidable,
+                    chosen_option,
+                    options,
+                } => {
+                    w.field("job", job)
+                        .field("lambda", lambda)
+                        .field("occupancy", occupancy)
+                        .field("capacity", capacity)
+                        .field("expected_service_s", expected_service_s)
+                        .field("predicted_arrivals", predicted_arrivals)
+                        .field("ibo_predicted", ibo_predicted)
+                        .field("unavoidable", unavoidable)
+                        .field("chosen_option", chosen_option)
+                        .key("options")
+                        .arr(|w| {
+                            for o in options {
+                                w.obj(|w| {
+                                    w.field("option", o.option)
+                                        .field("expected_service_s", o.expected_service_s)
+                                        .field("predicts_overflow", o.predicts_overflow);
+                                });
+                            }
+                        });
                 }
-                s.push_str(&format!(
-                    "{{\"option\":{},\"expected_service_s\":{},\"predicts_overflow\":{}}}",
-                    o.option,
-                    json_f64(o.expected_service_s),
-                    o.predicts_overflow
-                ));
+                EventKind::PidUpdate {
+                    job,
+                    predicted_s,
+                    observed_s,
+                    error_s,
+                    correction_s,
+                } => {
+                    w.field("job", job)
+                        .field("predicted_s", predicted_s)
+                        .field("observed_s", observed_s)
+                        .field("error_s", error_s)
+                        .field("correction_s", correction_s);
+                }
+                EventKind::JobComplete { job, observed_s } => {
+                    w.field("job", job).field("observed_s", observed_s);
+                }
+                EventKind::JobStart {
+                    job,
+                    option,
+                    occupancy,
+                } => {
+                    w.field("job", job)
+                        .field("option", option)
+                        .field("occupancy", occupancy);
+                }
+                EventKind::BufferAdmit {
+                    job,
+                    occupancy,
+                    interesting,
+                } => {
+                    w.field("job", job)
+                        .field("occupancy", occupancy)
+                        .field("interesting", interesting);
+                }
+                EventKind::IboDiscard {
+                    occupancy,
+                    interesting,
+                    device_on,
+                    active_option,
+                } => {
+                    w.field("occupancy", occupancy)
+                        .field("interesting", interesting)
+                        .field("device_on", device_on)
+                        .field("active_option", active_option);
+                }
+                EventKind::PowerFailure { checkpointed } => {
+                    w.field("checkpointed", checkpointed);
+                }
+                EventKind::Checkpoint => {}
+                EventKind::Restore { off_ms } => {
+                    w.field("off_ms", off_ms);
+                }
+                EventKind::TxBackoff {
+                    wait_ms,
+                    duty_capped,
+                } => {
+                    w.field("wait_ms", wait_ms)
+                        .field("duty_capped", duty_capped);
+                }
+                EventKind::Snapshot(snap) => {
+                    w.field("irradiance", snap.irradiance)
+                        .field("stored_j", snap.stored_j)
+                        .field("on", snap.on)
+                        .field("occupancy", snap.occupancy)
+                        .field("lambda", snap.lambda)
+                        .field("correction_s", snap.correction_s)
+                        .field("active_option", snap.active_option)
+                        .field("ibo_discards", snap.ibo_discards);
+                }
+                EventKind::FaultInjected { fault } => {
+                    w.field("fault", fault);
+                }
             }
-            s.push(']');
-        }
-        EventKind::PidUpdate {
-            job,
-            predicted_s,
-            observed_s,
-            error_s,
-            correction_s,
-        } => {
-            s.push_str(&format!(
-                ",\"job\":{job},\"predicted_s\":{},\"observed_s\":{},\"error_s\":{},\"correction_s\":{}",
-                json_f64(*predicted_s),
-                json_f64(*observed_s),
-                json_f64(*error_s),
-                json_f64(*correction_s)
-            ));
-        }
-        EventKind::JobComplete { job, observed_s } => {
-            s.push_str(&format!(
-                ",\"job\":{job},\"observed_s\":{}",
-                json_f64(*observed_s)
-            ));
-        }
-        EventKind::JobStart {
-            job,
-            option,
-            occupancy,
-        } => {
-            s.push_str(&format!(
-                ",\"job\":{job},\"option\":{option},\"occupancy\":{occupancy}"
-            ));
-        }
-        EventKind::BufferAdmit {
-            job,
-            occupancy,
-            interesting,
-        } => {
-            s.push_str(&format!(
-                ",\"job\":{job},\"occupancy\":{occupancy},\"interesting\":{interesting}"
-            ));
-        }
-        EventKind::IboDiscard {
-            occupancy,
-            interesting,
-            device_on,
-            active_option,
-        } => {
-            s.push_str(&format!(
-                ",\"occupancy\":{occupancy},\"interesting\":{interesting},\"device_on\":{device_on},\
-                 \"active_option\":{}",
-                json_opt(*active_option)
-            ));
-        }
-        EventKind::PowerFailure { checkpointed } => {
-            s.push_str(&format!(",\"checkpointed\":{checkpointed}"));
-        }
-        EventKind::Checkpoint => {}
-        EventKind::Restore { off_ms } => {
-            s.push_str(&format!(",\"off_ms\":{off_ms}"));
-        }
-        EventKind::TxBackoff {
-            wait_ms,
-            duty_capped,
-        } => {
-            s.push_str(&format!(
-                ",\"wait_ms\":{wait_ms},\"duty_capped\":{duty_capped}"
-            ));
-        }
-        EventKind::Snapshot(snap) => {
-            s.push_str(&format!(
-                ",\"irradiance\":{},\"stored_j\":{},\"on\":{},\"occupancy\":{},\"lambda\":{},\
-                 \"correction_s\":{},\"active_option\":{},\"ibo_discards\":{}",
-                json_f64(snap.irradiance),
-                json_f64(snap.stored_j),
-                snap.on,
-                snap.occupancy,
-                json_f64(snap.lambda),
-                json_f64(snap.correction_s),
-                json_opt(snap.active_option),
-                snap.ibo_discards
-            ));
-        }
-        EventKind::FaultInjected { fault } => {
-            s.push_str(&format!(",\"fault\":\"{fault}\""));
-        }
+        });
     }
-    s.push('}');
 }
 
 /// Writes the event log as JSON Lines: one object per event. Lines are
@@ -206,7 +163,7 @@ pub fn event_to_json_into(s: &mut String, event: &Event) {
 pub fn write_jsonl<W: Write>(mut w: W, events: &[Event]) -> io::Result<()> {
     let mut arena = String::new();
     for (i, event) in events.iter().enumerate() {
-        event_to_json_into(&mut arena, event);
+        Writer::new(&mut arena).value(event);
         arena.push('\n');
         if (i + 1) % EMIT_BLOCK_EVENTS == 0 {
             w.write_all(arena.as_bytes())?;
@@ -469,7 +426,7 @@ mod tests {
                 correction_s: 0.0,
             },
         };
-        let json = event_to_json(&e);
+        let json = qz_types::json::to_string(&e);
         assert!(json.contains("\"predicted_s\":null"));
         assert!(json.contains("\"error_s\":null"));
     }

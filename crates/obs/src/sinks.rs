@@ -42,7 +42,7 @@ impl Observer for RecordingObserver {
 /// Keeps only the most recent `capacity` events, overwriting the
 /// oldest — the shape a firmware port with a fixed trace arena would
 /// use. Tracks how many events were dropped.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RingBufferObserver {
     buf: Vec<Event>,
     capacity: usize,
@@ -78,11 +78,8 @@ impl RingBufferObserver {
     }
 
     /// The retained events, oldest first.
-    pub fn to_vec(&self) -> Vec<Event> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
+    pub fn iter(&self) -> impl Iterator<Item = &Event> {
+        self.buf[self.head..].iter().chain(&self.buf[..self.head])
     }
 }
 
@@ -133,7 +130,7 @@ mod tests {
         }
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.dropped(), 2);
-        let kept: Vec<u64> = ring.to_vec().iter().map(|e| e.t_ms).collect();
+        let kept: Vec<u64> = ring.iter().map(|e| e.t_ms).collect();
         assert_eq!(kept, [3, 4, 5]);
     }
 
@@ -144,7 +141,7 @@ mod tests {
         ring.on_event(&ev(2));
         assert!(!ring.is_empty());
         assert_eq!(ring.dropped(), 0);
-        let kept: Vec<u64> = ring.to_vec().iter().map(|e| e.t_ms).collect();
+        let kept: Vec<u64> = ring.iter().map(|e| e.t_ms).collect();
         assert_eq!(kept, [1, 2]);
     }
 }

@@ -14,12 +14,11 @@
 //!   moment an invariant `panic!`s, so crashes ship their own
 //!   evidence.
 
-use qz_obs::export::event_to_json;
-use qz_obs::{Event, EventKind, Observer};
-use qz_types::json::escape_into;
+use qz_obs::{Event, EventKind, Observer, RingBufferObserver};
+use qz_types::json::Writer;
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Schema tag stamped into every dump.
 pub const FLIGHT_SCHEMA: &str = "qz-flight/v1";
@@ -84,9 +83,7 @@ pub fn policy_hash(lambda: f64, correction_s: f64, active_option: Option<usize>)
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     meta: FlightMeta,
-    capacity: usize,
-    ring: VecDeque<Event>,
-    dropped: u64,
+    ring: RingBufferObserver,
     digests: VecDeque<StateDigest>,
     digests_dropped: u64,
 }
@@ -96,9 +93,7 @@ impl FlightRecorder {
     pub fn new(meta: FlightMeta, capacity: usize) -> FlightRecorder {
         FlightRecorder {
             meta,
-            capacity: capacity.max(1),
-            ring: VecDeque::new(),
-            dropped: 0,
+            ring: RingBufferObserver::new(capacity),
             digests: VecDeque::new(),
             digests_dropped: 0,
         }
@@ -116,11 +111,7 @@ impl FlightRecorder {
 
     /// Records one event; `Snapshot`s also produce a state digest.
     pub fn record(&mut self, event: &Event) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(event.clone());
+        self.ring.on_event(event);
         if let EventKind::Snapshot(s) = &event.kind {
             if self.digests.len() == DIGEST_CAPACITY {
                 self.digests.pop_front();
@@ -143,7 +134,7 @@ impl FlightRecorder {
 
     /// Events evicted from the ring so far.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.ring.dropped()
     }
 
     /// State digests currently held, oldest first.
@@ -157,70 +148,47 @@ impl FlightRecorder {
     }
 
     /// Renders the postmortem: schema, source, repro, an optional
-    /// crash annotation, the digest log, and the event ring (each
-    /// event in `qz-obs`'s JSONL object form).
-    pub fn to_json_with_panic(&self, panic_note: Option<&str>) -> String {
-        self.to_json_with(panic_note, None)
-    }
-
-    /// Renders the postmortem with an optional crash annotation and an
-    /// optional embedded `resume` field. `resume` must be a
-    /// pre-serialized JSON value (e.g. a `qz-snap/v1` snapshot); it is
-    /// spliced in verbatim so time-travel tooling can resume the run
-    /// straight from the dump.
+    /// crash annotation, an optional embedded `resume` field, the digest
+    /// log, and the event ring (each event in `qz-obs`'s JSONL object
+    /// form). `resume` must be a pre-serialized JSON value (e.g. a
+    /// `qz-snap/v1` snapshot); it is spliced in verbatim so time-travel
+    /// tooling can resume the run straight from the dump.
     pub fn to_json_with(&self, panic_note: Option<&str>, resume: Option<&str>) -> String {
-        let mut out = String::from("{\"schema\":\"");
-        out.push_str(FLIGHT_SCHEMA);
-        out.push_str("\",\"source\":\"");
-        escape_into(&mut out, &self.meta.source);
-        out.push_str("\",\"repro\":\"");
-        escape_into(&mut out, &self.meta.repro);
-        out.push('"');
-        if let Some(note) = panic_note {
-            out.push_str(",\"panic\":\"");
-            escape_into(&mut out, note);
-            out.push('"');
-        }
-        if let Some(snapshot) = resume {
-            out.push_str(",\"resume\":");
-            out.push_str(snapshot);
-        }
-        out.push_str(&format!(
-            ",\"ring_dropped\":{},\"digests_dropped\":{},\"digests\":[",
-            self.dropped, self.digests_dropped
-        ));
-        for (i, d) in self.digests.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let mut out = String::new();
+        Writer::new(&mut out).obj(|w| {
+            w.field("schema", FLIGHT_SCHEMA)
+                .field("source", &self.meta.source)
+                .field("repro", &self.meta.repro);
+            if let Some(note) = panic_note {
+                w.field("panic", note);
             }
-            out.push_str(&format!(
-                "{{\"t_ms\":{},\"stored_j\":{},\"on\":{},\"occupancy\":{},\
-                 \"policy_hash\":\"{:#018x}\"}}",
-                d.t_ms,
-                if d.stored_j.is_finite() {
-                    format!("{}", d.stored_j)
-                } else {
-                    String::from("null")
-                },
-                d.on,
-                d.occupancy,
-                d.policy_hash,
-            ));
-        }
-        out.push_str("],\"ring\":[");
-        for (i, e) in self.ring.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+            if let Some(snapshot) = resume {
+                w.key("resume").raw(snapshot);
             }
-            out.push_str(&event_to_json(e));
-        }
-        out.push_str("]}");
+            w.field("ring_dropped", self.dropped())
+                .field("digests_dropped", self.digests_dropped)
+                .key("digests")
+                .arr(|w| {
+                    for d in &self.digests {
+                        w.obj(|w| {
+                            w.field("t_ms", d.t_ms)
+                                .field("stored_j", d.stored_j)
+                                .field("on", d.on)
+                                .field("occupancy", d.occupancy)
+                                .key("policy_hash")
+                                .str_fmt(format_args!("{:#018x}", d.policy_hash));
+                        });
+                    }
+                })
+                .key("ring")
+                .items(self.ring.iter());
+        });
         out
     }
 
-    /// Renders the postmortem without a crash annotation.
+    /// Renders the postmortem without a crash annotation or resume point.
     pub fn to_json(&self) -> String {
-        self.to_json_with_panic(None)
+        self.to_json_with(None, None)
     }
 }
 
@@ -260,20 +228,11 @@ impl Observer for FlightObserver {
 }
 
 impl FlightHandle {
-    /// Snapshot of the current postmortem JSON.
-    pub fn dump_json(&self) -> String {
-        match self.inner.lock() {
-            Ok(rec) => rec.to_json(),
-            Err(poisoned) => poisoned.into_inner().to_json(),
-        }
-    }
-
-    /// Snapshot with a crash annotation attached.
-    pub fn dump_json_with_panic(&self, note: &str) -> String {
-        match self.inner.lock() {
-            Ok(rec) => rec.to_json_with_panic(Some(note)),
-            Err(poisoned) => poisoned.into_inner().to_json_with_panic(Some(note)),
-        }
+    /// Snapshot of the current postmortem JSON, with an optional crash
+    /// annotation.
+    pub fn dump_json(&self, panic_note: Option<&str>) -> String {
+        let rec = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        rec.to_json_with(panic_note, None)
     }
 }
 
@@ -310,9 +269,9 @@ fn install_hook_once() {
             let armed = armed_slot().lock().ok().and_then(|mut slot| slot.take());
             if let Some(armed) = armed {
                 let json = match &armed.handle {
-                    Some(handle) => handle.dump_json_with_panic(&note),
+                    Some(handle) => handle.dump_json(Some(&note)),
                     None => {
-                        FlightRecorder::new(armed.meta.clone(), 1).to_json_with_panic(Some(&note))
+                        FlightRecorder::new(armed.meta.clone(), 1).to_json_with(Some(&note), None)
                     }
                 };
                 // Best-effort: a failing write must not re-panic the hook.
@@ -425,7 +384,7 @@ mod tests {
         assert!(a.contains("\"kind\":\"restore\""));
         assert!(!a.contains("\"panic\""));
         let with_panic = FlightRecorder::from_events(FlightMeta::default(), &events, 4)
-            .to_json_with_panic(Some("boom at engine.rs:1"));
+            .to_json_with(Some("boom at engine.rs:1"), None);
         assert!(with_panic.contains("\"panic\":\"boom at engine.rs:1\""));
     }
 
@@ -448,7 +407,7 @@ mod tests {
         let (mut obs, handle) = FlightObserver::new(FlightMeta::default(), 4);
         obs.on_event(&snapshot_event(100, 1));
         obs.on_event(&restore_event(200));
-        let json = handle.dump_json();
+        let json = handle.dump_json(None);
         assert!(json.contains("\"t_ms\":200"));
         assert!(json.contains("\"digests\":[{\"t_ms\":100"));
     }

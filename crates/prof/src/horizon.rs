@@ -13,6 +13,7 @@
 //! pinned contract, and the tick engine plans no horizons.
 
 use qz_obs::Log2Histogram;
+use qz_types::json::{WriteJson, Writer};
 
 /// The bound that decided a horizon planning call. Mirrors the
 /// min-reduction in `Simulation::quiescent_span`; `BusyScheduler`
@@ -303,38 +304,31 @@ impl HorizonStats {
         }
         out
     }
+}
 
-    /// One self-describing JSON object, causes in catalog order.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"tool\":\"qz-prof\",\"horizon_causes\":[");
-        let mut first = true;
-        for cause in HorizonCause::ALL {
-            let s = self.cause(cause);
-            if s.spans == 0 && s.ref_ticks == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"cause\":\"{}\",\"ref_ticks\":{},\"spans\":{},\"skipped_ticks\":{},\
-                 \"median_span\":{}}}",
-                cause.label(),
-                s.ref_ticks,
-                s.spans,
-                s.skipped_ticks,
-                s.span_hist.quantile(0.5),
-            ));
-        }
-        out.push_str(&format!(
-            "],\"total_ref_ticks\":{},\"total_skipped_ticks\":{},\
-             \"busy_tail_ticks\":{}}}",
-            self.total_ref_ticks(),
-            self.total_skipped_ticks(),
-            self.busy_tail_ticks,
-        ));
-        out
+/// One self-describing JSON object, active causes in catalog order.
+impl WriteJson for HorizonStats {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.obj(|w| {
+            w.field("tool", "qz-prof").key("horizon_causes").arr(|w| {
+                for cause in HorizonCause::ALL {
+                    let s = self.cause(cause);
+                    if s.spans == 0 && s.ref_ticks == 0 {
+                        continue;
+                    }
+                    w.obj(|w| {
+                        w.field("cause", cause.label())
+                            .field("ref_ticks", s.ref_ticks)
+                            .field("spans", s.spans)
+                            .field("skipped_ticks", s.skipped_ticks)
+                            .field("median_span", s.span_hist.quantile(0.5));
+                    });
+                }
+            });
+            w.field("total_ref_ticks", self.total_ref_ticks())
+                .field("total_skipped_ticks", self.total_skipped_ticks())
+                .field("busy_tail_ticks", self.busy_tail_ticks);
+        });
     }
 }
 
@@ -371,7 +365,7 @@ mod tests {
         assert!(h
             .render_ranking()
             .contains("no fast-forward horizon decisions"));
-        assert!(h.to_json().contains("\"total_ref_ticks\":0"));
+        assert!(qz_types::json::to_string(&h).contains("\"total_ref_ticks\":0"));
     }
 
     #[test]
@@ -391,7 +385,7 @@ mod tests {
     fn json_lists_only_active_causes() {
         let mut h = HorizonStats::new();
         h.record_span(HorizonCause::EventsEnd, 4);
-        let json = h.to_json();
+        let json = qz_types::json::to_string(&h);
         assert!(json.contains("\"cause\":\"events-end\""));
         assert!(!json.contains("snapshot-due"));
     }
@@ -416,7 +410,7 @@ mod tests {
         );
         let text = h.render_ranking();
         assert!(text.contains("busy kernel: 3 busy tick(s)\n"), "{text}");
-        let json = h.to_json();
+        let json = qz_types::json::to_string(&h);
         assert!(json.contains("\"busy_tail_ticks\":3"), "{json}");
         assert!(!json.contains("busy_block"), "{json}");
         let mut other = HorizonStats::new();

@@ -7,6 +7,8 @@
 //! time is noisy. The kernel counts only into an enabled
 //! [`PhaseProfiler`](crate::PhaseProfiler), which carries them.
 
+use qz_types::json::{WriteJson, Writer};
+
 /// Work counts of the energy kernel, summed over `advance` calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
@@ -54,6 +56,21 @@ impl KernelStats {
             self.crossings,
             self.repeat_adds,
         )
+    }
+}
+
+/// The seven counts as one JSON object, keyed by field name.
+impl WriteJson for KernelStats {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.obj(|w| {
+            w.field("calls", self.calls)
+                .field("ticks", self.ticks)
+                .field("strides", self.strides)
+                .field("bisections", self.bisections)
+                .field("stop_only_bisections", self.stop_only_bisections)
+                .field("crossings", self.crossings)
+                .field("repeat_adds", self.repeat_adds);
+        });
     }
 }
 

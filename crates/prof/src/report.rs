@@ -1,6 +1,7 @@
 //! Rendering a profiled run: text table, JSON, and collapsed stacks.
 
 use crate::profiler::Phase;
+use qz_types::json::{WriteJson, Writer};
 
 /// One phase's aggregate in a [`ProfileReport`].
 #[derive(Debug, Clone, PartialEq)]
@@ -92,30 +93,6 @@ impl ProfileReport {
         out
     }
 
-    /// One self-describing JSON object (hand-rolled: the workspace
-    /// carries no serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"tool\":\"qz-prof\",\"phases\":[");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"phase\":\"{}\",\"count\":{},\"total_ns\":{},\"self_ns\":{},\
-                 \"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
-                p.phase.label(),
-                p.count,
-                p.total_ns,
-                p.self_ns,
-                p.p50_ns,
-                p.p99_ns,
-                p.max_ns,
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-
     /// Collapsed-stack ("folded") lines for flamegraph tooling: each
     /// phase contributes `qz;<parent chain>;<phase> <self_ns>`.
     pub fn render_folded(&self) -> String {
@@ -136,6 +113,27 @@ impl ProfileReport {
             out.push_str(&format!(" {}\n", p.self_ns));
         }
         out
+    }
+}
+
+/// One self-describing JSON object, phases in report order.
+impl WriteJson for ProfileReport {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.obj(|w| {
+            w.field("tool", "qz-prof").key("phases").arr(|w| {
+                for p in &self.phases {
+                    w.obj(|w| {
+                        w.field("phase", p.phase.label())
+                            .field("count", p.count)
+                            .field("total_ns", p.total_ns)
+                            .field("self_ns", p.self_ns)
+                            .field("p50_ns", p.p50_ns)
+                            .field("p99_ns", p.p99_ns)
+                            .field("max_ns", p.max_ns);
+                    });
+                }
+            });
+        });
     }
 }
 
@@ -164,7 +162,7 @@ mod tests {
 
     #[test]
     fn json_has_stable_shape() {
-        let json = sample().to_json();
+        let json = qz_types::json::to_string(sample());
         assert!(json.starts_with("{\"tool\":\"qz-prof\""));
         assert!(json.contains("\"phase\":\"span_advance\""));
         assert!(json.contains("\"self_ns\":"));
@@ -187,7 +185,10 @@ mod tests {
         assert!(r.is_empty());
         assert!(r.render_text().contains("no spans recorded"));
         assert_eq!(r.render_folded(), "");
-        assert_eq!(r.to_json(), "{\"tool\":\"qz-prof\",\"phases\":[]}");
+        assert_eq!(
+            qz_types::json::to_string(&r),
+            "{\"tool\":\"qz-prof\",\"phases\":[]}"
+        );
     }
 
     #[test]

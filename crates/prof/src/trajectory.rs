@@ -9,12 +9,12 @@
 //! them within a tolerance — nonzero exit on regression is the CI
 //! gate.
 //!
-//! Files are read through the workspace's one JSON reader,
-//! [`qz_types::json::Json`]. The legacy single-record `sim_throughput`
+//! Files are read and written through the workspace's one JSON codec,
+//! [`qz_types::json`]. The legacy single-record `sim_throughput`
 //! shape parses too and is converted to run 0 (`git_rev`
 //! `"pre-trajectory"`).
 
-use qz_types::json::Json;
+use qz_types::json::{Json, Writer};
 use std::path::Path;
 
 /// Schema tag of a trajectory file.
@@ -165,33 +165,35 @@ impl Trajectory {
         })
     }
 
-    /// Renders the full file, schema tag first, stable field order.
+    /// Renders the full file: schema tag first, one record per line.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"schema\":\"{TRAJECTORY_SCHEMA}\",\"bench\":\"{}\",\"records\":[",
-            self.bench
-        );
-        for (i, rec) in self.records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n  {{\"run\":{},\"git_rev\":\"{}\",\"cases\":[",
-                rec.run, rec.git_rev
-            ));
-            for (j, case) in rec.cases.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{{\"case\":\"{}\"", case.name));
-                for (k, v) in &case.values {
-                    out.push_str(&format!(",\"{k}\":{}", fmt_f64(*v)));
-                }
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
-        out.push_str("\n]}\n");
+        let mut out = String::new();
+        Writer::new(&mut out).obj(|w| {
+            w.field("schema", TRAJECTORY_SCHEMA)
+                .field("bench", &self.bench)
+                .key("records")
+                .arr(|w| {
+                    for rec in &self.records {
+                        w.line_break(2).obj(|w| {
+                            w.field("run", rec.run)
+                                .field("git_rev", &rec.git_rev)
+                                .key("cases")
+                                .arr(|w| {
+                                    for case in &rec.cases {
+                                        w.obj(|w| {
+                                            w.field("case", &case.name);
+                                            for (k, v) in &case.values {
+                                                w.key(k).raw(&fmt_f64(*v));
+                                            }
+                                        });
+                                    }
+                                });
+                        });
+                    }
+                    w.line_break(0);
+                });
+        });
+        out.push('\n');
         out
     }
 
@@ -489,6 +491,58 @@ mod tests {
         )
         .unwrap();
         assert_eq!(run, 2);
+    }
+
+    #[test]
+    fn committed_trajectories_re_render_byte_identically() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let mut paths: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| {
+                let name = p.file_name().unwrap().to_string_lossy();
+                name.starts_with("BENCH_")
+                    && name.ends_with(".json")
+                    && name != "BENCH_baseline.json"
+            })
+            .collect();
+        paths.sort();
+        assert!(paths.len() >= 3, "trajectories found: {paths:?}");
+        for path in paths {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let t = Trajectory::parse(&text).unwrap();
+            assert!(
+                t.to_json() == text,
+                "{} re-renders differently",
+                path.display()
+            );
+        }
+    }
+
+    #[test]
+    fn names_and_revisions_are_escaped_and_round_trip() {
+        let t = Trajectory {
+            bench: String::from("be\\nch"),
+            records: vec![TrajectoryRecord {
+                run: 3,
+                git_rev: String::from("a\"b"),
+                cases: vec![BenchCase {
+                    name: String::from("Cr\"owded"),
+                    values: vec![(String::from("x\"y"), 1.5)],
+                }],
+            }],
+        };
+        let text = t.to_json();
+        assert!(text.contains(r#""git_rev":"a\"b""#), "{text}");
+        assert_eq!(Trajectory::parse(&text).unwrap(), t);
+
+        // The file an append writes must load for the next append.
+        let path = std::env::temp_dir().join("qz_prof_trajectory_escape_test.json");
+        let _ = std::fs::remove_file(&path);
+        for want in 0..2 {
+            let run = Trajectory::append_run(&path, "sim_throughput", "a\"b", Vec::new());
+            assert_eq!(run, Ok(want));
+        }
     }
 
     fn baseline() -> Baseline {

@@ -15,7 +15,6 @@
 
 use qz_app::{DeviceProfile, SimTweaks};
 use qz_baselines::BaselineKind;
-use qz_obs::export::event_to_json;
 use qz_obs::Event;
 use qz_sim::Metrics;
 use qz_traces::SensingEnvironment;
@@ -95,8 +94,8 @@ pub fn first_divergence(base: &[Event], fork: &[Event]) -> Option<Divergence> {
         (b, f) => Some(Divergence {
             index: i,
             t_ms: b.or(f).map_or(0, |e| e.t_ms),
-            base: b.map(event_to_json),
-            fork: f.map(event_to_json),
+            base: b.map(qz_types::json::to_string),
+            fork: f.map(qz_types::json::to_string),
         }),
     })
 }

@@ -27,9 +27,8 @@ use qz_sim::{
     ActiveJobState, InjectorState, InputBufferState, Metrics, ProgressKeeperState, SimState,
     TelemetrySample, UplinkState,
 };
-use qz_types::json::Json;
+use qz_types::json::{Json, WriteJson, Writer};
 use qz_types::{Joules, Seconds, SimDuration, SimTime, Watts};
-use std::fmt::Write as _;
 
 /// Schema tag every `qz-snap/v1` document opens with.
 pub const SCHEMA: &str = "qz-snap/v1";
@@ -40,395 +39,310 @@ pub const SCHEMA: &str = "qz-snap/v1";
 
 /// A `u64` as a decimal JSON string (bit-exact through the f64-based
 /// reader).
-fn u(out: &mut String, v: u64) {
-    let _ = write!(out, "\"{v}\"");
+#[derive(Clone, Copy)]
+struct U(u64);
+
+impl WriteJson for U {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.str_fmt(format_args!("{}", self.0));
+    }
 }
 
 /// An `f64` as the decimal rendering of its bit pattern.
-fn f(out: &mut String, v: f64) {
-    u(out, v.to_bits());
+fn f(v: f64) -> U {
+    U(v.to_bits())
 }
 
-fn opt<T>(out: &mut String, v: Option<&T>, enc: impl FnOnce(&mut String, &T)) {
-    match v {
-        None => out.push_str("null"),
-        Some(inner) => enc(out, inner),
-    }
+fn window(w: &mut Writer<'_>, s: &BitWindowState) {
+    w.obj(|w| {
+        w.field("capacity", s.capacity)
+            .key("blocks")
+            .items(s.blocks.iter().map(|&b| U(b)))
+            .field("head", s.head)
+            .field("filled", s.filled)
+            .field("ones", s.ones);
+    });
 }
 
-fn window(out: &mut String, w: &BitWindowState) {
-    let _ = write!(out, "{{\"capacity\":{},\"blocks\":[", w.capacity);
-    for (i, b) in w.blocks.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+fn quantile(w: &mut Writer<'_>, q: &P2QuantileState) {
+    w.obj(|w| {
+        w.key("heights").items(q.heights.map(f));
+        w.key("positions").items(q.positions.map(f));
+        w.key("desired").items(q.desired.map(f));
+        w.field("count", q.count);
+    });
+}
+
+fn estimator(w: &mut Writer<'_>, e: &EstimatorState) {
+    w.obj(|w| match e {
+        EstimatorState::Stateless => {
+            w.field("kind", "stateless");
         }
-        u(out, *b);
-    }
-    let _ = write!(
-        out,
-        "],\"head\":{},\"filled\":{},\"ones\":{}}}",
-        w.head, w.filled, w.ones
-    );
-}
-
-fn quantile(out: &mut String, q: &P2QuantileState) {
-    for (key, arr) in [
-        ("heights", &q.heights),
-        ("positions", &q.positions),
-        ("desired", &q.desired),
-    ] {
-        let _ = write!(
-            out,
-            "{}\"{key}\":[",
-            if key == "heights" { "{" } else { "," }
-        );
-        for (i, v) in arr.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            f(out, *v);
-        }
-        out.push(']');
-    }
-    let _ = write!(out, ",\"count\":{}}}", q.count);
-}
-
-fn estimator(out: &mut String, e: &EstimatorState) {
-    match e {
-        EstimatorState::Stateless => out.push_str("{\"kind\":\"stateless\"}"),
         EstimatorState::AvgObserved(entries) => {
-            out.push_str("{\"kind\":\"avg_observed\",\"entries\":[");
-            for (i, (key, sum, count)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+            w.field("kind", "avg_observed").key("entries").arr(|w| {
+                for (key, sum, count) in entries {
+                    w.arr(|w| {
+                        w.value(key.task.index())
+                            .value(key.option)
+                            .value(f(*sum))
+                            .value(U(*count));
+                    });
                 }
-                let _ = write!(out, "[{},{},", key.task.index(), key.option);
-                f(out, *sum);
-                out.push(',');
-                u(out, *count);
-                out.push(']');
-            }
-            out.push_str("]}");
+            });
         }
         EstimatorState::VariableCost(entries) => {
-            out.push_str("{\"kind\":\"variable_cost\",\"entries\":[");
-            for (i, (key, q, base)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+            w.field("kind", "variable_cost").key("entries").arr(|w| {
+                for (key, q, base) in entries {
+                    w.arr(|w| {
+                        w.value(key.task.index()).value(key.option);
+                        quantile(w, q);
+                        w.value(f(*base));
+                    });
                 }
-                let _ = write!(out, "[{},{},", key.task.index(), key.option);
-                quantile(out, q);
-                out.push(',');
-                f(out, *base);
-                out.push(']');
-            }
-            out.push_str("]}");
+            });
         }
-    }
-}
-
-fn predictor(out: &mut String, p: &PredictorState) {
-    match p {
-        PredictorState::Stateless => out.push_str("{\"kind\":\"stateless\"}"),
-        PredictorState::Ewma(v) => {
-            out.push_str("{\"kind\":\"ewma\",\"value\":");
-            opt(out, v.as_ref(), |o, w| f(o, w.0));
-            out.push('}');
-        }
-    }
-}
-
-fn runtime(out: &mut String, r: &RuntimeState) {
-    out.push_str("{\"exec\":[");
-    for (i, w) in r.exec.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        window(out, w);
-    }
-    out.push_str("],\"arrivals\":");
-    window(out, &r.arrivals);
-    out.push_str(",\"pid\":{\"integrator\":");
-    f(out, r.pid.integrator);
-    out.push_str(",\"differentiator\":");
-    f(out, r.pid.differentiator);
-    out.push_str(",\"prev_error\":");
-    f(out, r.pid.prev_error);
-    out.push_str(",\"output\":");
-    f(out, r.pid.output);
-    out.push_str("},\"estimator\":");
-    estimator(out, &r.estimator);
-    out.push_str(",\"predictor\":");
-    predictor(out, &r.predictor);
-    out.push_str(",\"last_prediction\":");
-    opt(out, r.last_prediction.as_ref(), |o, (job, s)| {
-        let _ = write!(o, "[{job},");
-        f(o, s.0);
-        o.push(']');
     });
-    out.push_str(",\"current_options\":[");
-    for (i, o) in r.current_options.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{o}");
-    }
-    out.push_str("]}");
 }
 
-fn entry(out: &mut String, e: &BufferEntry) {
-    out.push_str("{\"captured_at\":");
-    u(out, e.captured_at.as_millis());
-    let _ = write!(out, ",\"interesting\":{}}}", e.interesting);
-}
-
-fn buffer(out: &mut String, b: &InputBufferState) {
-    let _ = write!(out, "{{\"in_flight\":{},\"queues\":[", b.in_flight);
-    for (i, q) in b.queues.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        for (j, e) in q.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
+fn runtime(w: &mut Writer<'_>, r: &RuntimeState) {
+    w.obj(|w| {
+        w.key("exec").arr(|w| {
+            for s in &r.exec {
+                window(w, s);
             }
-            entry(out, e);
-        }
-        out.push(']');
-    }
-    out.push_str("]}");
+        });
+        window(w.key("arrivals"), &r.arrivals);
+        w.key("pid").obj(|w| {
+            w.field("integrator", f(r.pid.integrator))
+                .field("differentiator", f(r.pid.differentiator))
+                .field("prev_error", f(r.pid.prev_error))
+                .field("output", f(r.pid.output));
+        });
+        estimator(w.key("estimator"), &r.estimator);
+        w.key("predictor").obj(|w| match &r.predictor {
+            PredictorState::Stateless => {
+                w.field("kind", "stateless");
+            }
+            PredictorState::Ewma(v) => {
+                w.field("kind", "ewma").field("value", v.map(|p| f(p.0)));
+            }
+        });
+        opt(
+            w.key("last_prediction"),
+            r.last_prediction.as_ref(),
+            |w, (job, s)| {
+                w.arr(|w| {
+                    w.value(job).value(f(s.0));
+                });
+            },
+        );
+        w.key("current_options").items(&r.current_options);
+    });
 }
 
-fn keeper(out: &mut String, k: &ProgressKeeperState) {
-    out.push_str("{\"snapshot\":");
-    u(out, k.snapshot.as_millis());
-    out.push_str(",\"since_checkpoint\":");
-    u(out, k.since_checkpoint.as_millis());
-    out.push('}');
+fn entry(w: &mut Writer<'_>, e: &BufferEntry) {
+    w.obj(|w| {
+        w.field("captured_at", U(e.captured_at.as_millis()))
+            .field("interesting", e.interesting);
+    });
 }
 
-fn job(out: &mut String, j: &ActiveJobState) {
-    let _ = write!(
-        out,
-        "{{\"job\":{},\"option\":{},\"entry\":",
-        j.job, j.option
-    );
-    entry(out, &j.entry);
-    out.push_str(",\"task_index\":");
-    match j.task_index {
-        None => out.push_str("null"),
-        Some(i) => {
-            let _ = write!(out, "{i}");
-        }
-    }
-    out.push_str(",\"remaining\":");
-    u(out, j.remaining.as_millis());
-    out.push_str(",\"full_latency\":");
-    u(out, j.full_latency.as_millis());
-    out.push_str(",\"keeper\":");
-    keeper(out, &j.keeper);
-    out.push_str(",\"executed\":[");
-    for (i, ran) in j.executed.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{ran}");
-    }
-    out.push_str("],\"started_at\":");
-    u(out, j.started_at.as_millis());
-    out.push_str(",\"task_started_at\":");
-    u(out, j.task_started_at.as_millis());
-    let _ = write!(out, ",\"tx_wait\":{}}}", j.tx_wait);
+fn job(w: &mut Writer<'_>, j: &ActiveJobState) {
+    w.obj(|w| {
+        w.field("job", j.job).field("option", j.option);
+        entry(w.key("entry"), &j.entry);
+        w.field("task_index", j.task_index)
+            .field("remaining", U(j.remaining.as_millis()))
+            .field("full_latency", U(j.full_latency.as_millis()))
+            .key("keeper")
+            .obj(|w| {
+                w.field("snapshot", U(j.keeper.snapshot.as_millis()))
+                    .field("since_checkpoint", U(j.keeper.since_checkpoint.as_millis()));
+            })
+            .key("executed")
+            .items(&j.executed)
+            .field("started_at", U(j.started_at.as_millis()))
+            .field("task_started_at", U(j.task_started_at.as_millis()))
+            .field("tx_wait", j.tx_wait);
+    });
 }
 
-fn power(out: &mut String, p: &PowerSystemState) {
-    out.push_str("{\"stored\":");
-    f(out, p.stored.value());
-    out.push_str(",\"total_harvested\":");
-    f(out, p.total_harvested.value());
-    out.push_str(",\"total_wasted\":");
-    f(out, p.total_wasted.value());
-    out.push_str(",\"total_supplied\":");
-    f(out, p.total_supplied.value());
-    out.push('}');
-}
+/// Named slots of one field type.
+type Slots<'m, T, const N: usize> = [(&'static str, &'m mut T); N];
 
-fn metrics(out: &mut String, m: &Metrics) {
-    out.push('{');
-    let counters: [(&str, u64); 33] = [
-        ("frames_total", m.frames_total),
-        ("interesting_total", m.interesting_total),
-        ("frames_missed_off", m.frames_missed_off),
-        ("interesting_missed_off", m.interesting_missed_off),
-        ("frames_filtered", m.frames_filtered),
-        ("arrivals", m.arrivals),
-        ("stored", m.stored),
-        ("ibo_discards", m.ibo_discards),
-        ("ibo_interesting", m.ibo_interesting),
-        ("ibo_while_off", m.ibo_while_off),
-        ("ibo_during_full_job", m.ibo_during_full_job),
-        ("ibo_during_degraded_job", m.ibo_during_degraded_job),
-        ("false_negatives", m.false_negatives),
-        ("true_negatives", m.true_negatives),
-        ("reports_interesting_high", m.reports_interesting_high),
-        ("reports_interesting_low", m.reports_interesting_low),
-        ("reports_uninteresting_high", m.reports_uninteresting_high),
-        ("reports_uninteresting_low", m.reports_uninteresting_low),
-        ("tx_grants", m.tx_grants),
-        ("tx_busy_backoffs", m.tx_busy_backoffs),
-        ("tx_duty_deferrals", m.tx_duty_deferrals),
-        ("ibo_predictions", m.ibo_predictions),
-        ("checkpoints", m.checkpoints),
-        ("power_failures", m.power_failures),
-        ("restores", m.restores),
-        ("occupancy_ms", m.occupancy_ms),
-        ("faults_power", m.faults_power),
-        ("faults_checkpoint", m.faults_checkpoint),
-        ("faults_adc", m.faults_adc),
-        ("faults_clock", m.faults_clock),
-        ("faults_burst", m.faults_burst),
-        ("faults_jam", m.faults_jam),
-        ("pending", m.pending),
+/// The `u64` counters and the durations of [`Metrics`] in wire order,
+/// one table for the encoder and the decoder. The remaining fields
+/// (`jobs_by_option`, the two energies, `pending_interesting`) follow
+/// them on the wire.
+fn metric_fields(m: &mut Metrics) -> (Slots<'_, u64, 33>, Slots<'_, SimDuration, 8>) {
+    let counters = [
+        ("frames_total", &mut m.frames_total),
+        ("interesting_total", &mut m.interesting_total),
+        ("frames_missed_off", &mut m.frames_missed_off),
+        ("interesting_missed_off", &mut m.interesting_missed_off),
+        ("frames_filtered", &mut m.frames_filtered),
+        ("arrivals", &mut m.arrivals),
+        ("stored", &mut m.stored),
+        ("ibo_discards", &mut m.ibo_discards),
+        ("ibo_interesting", &mut m.ibo_interesting),
+        ("ibo_while_off", &mut m.ibo_while_off),
+        ("ibo_during_full_job", &mut m.ibo_during_full_job),
+        ("ibo_during_degraded_job", &mut m.ibo_during_degraded_job),
+        ("false_negatives", &mut m.false_negatives),
+        ("true_negatives", &mut m.true_negatives),
+        ("reports_interesting_high", &mut m.reports_interesting_high),
+        ("reports_interesting_low", &mut m.reports_interesting_low),
+        (
+            "reports_uninteresting_high",
+            &mut m.reports_uninteresting_high,
+        ),
+        (
+            "reports_uninteresting_low",
+            &mut m.reports_uninteresting_low,
+        ),
+        ("tx_grants", &mut m.tx_grants),
+        ("tx_busy_backoffs", &mut m.tx_busy_backoffs),
+        ("tx_duty_deferrals", &mut m.tx_duty_deferrals),
+        ("ibo_predictions", &mut m.ibo_predictions),
+        ("checkpoints", &mut m.checkpoints),
+        ("power_failures", &mut m.power_failures),
+        ("restores", &mut m.restores),
+        ("occupancy_ms", &mut m.occupancy_ms),
+        ("faults_power", &mut m.faults_power),
+        ("faults_checkpoint", &mut m.faults_checkpoint),
+        ("faults_adc", &mut m.faults_adc),
+        ("faults_clock", &mut m.faults_clock),
+        ("faults_burst", &mut m.faults_burst),
+        ("faults_jam", &mut m.faults_jam),
+        ("pending", &mut m.pending),
     ];
-    for (key, v) in counters {
-        let _ = write!(out, "\"{key}\":");
-        u(out, v);
-        out.push(',');
-    }
-    let durations: [(&str, SimDuration); 8] = [
-        ("tx_backoff_wait", m.tx_backoff_wait),
-        ("tx_airtime", m.tx_airtime),
-        ("delivery_latency_total", m.delivery_latency_total),
-        ("delivery_latency_max", m.delivery_latency_max),
-        ("reexecuted", m.reexecuted),
-        ("time_on", m.time_on),
-        ("time_off", m.time_off),
-        ("sim_time", m.sim_time),
+    let durations = [
+        ("tx_backoff_wait", &mut m.tx_backoff_wait),
+        ("tx_airtime", &mut m.tx_airtime),
+        ("delivery_latency_total", &mut m.delivery_latency_total),
+        ("delivery_latency_max", &mut m.delivery_latency_max),
+        ("reexecuted", &mut m.reexecuted),
+        ("time_on", &mut m.time_on),
+        ("time_off", &mut m.time_off),
+        ("sim_time", &mut m.sim_time),
     ];
-    for (key, v) in durations {
-        let _ = write!(out, "\"{key}\":");
-        u(out, v.as_millis());
-        out.push(',');
-    }
-    out.push_str("\"jobs_by_option\":[");
-    for (i, v) in m.jobs_by_option.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        u(out, *v);
-    }
-    out.push_str("],\"energy_harvested\":");
-    f(out, m.energy_harvested.value());
-    out.push_str(",\"energy_wasted\":");
-    f(out, m.energy_wasted.value());
-    out.push_str(",\"pending_interesting\":");
-    u(out, m.pending_interesting);
-    out.push('}');
+    (counters, durations)
 }
 
-fn sample(out: &mut String, s: &TelemetrySample) {
-    out.push_str("{\"t\":");
-    u(out, s.t.as_millis());
-    out.push_str(",\"irradiance\":");
-    f(out, s.irradiance);
-    out.push_str(",\"stored\":");
-    f(out, s.stored.value());
-    let _ = write!(
-        out,
-        ",\"on\":{},\"occupancy\":{},\"lambda\":",
-        s.on, s.occupancy
-    );
-    f(out, s.lambda);
-    out.push_str(",\"correction\":");
-    f(out, s.correction);
-    out.push_str(",\"active_option\":");
-    match s.active_option {
-        None => out.push_str("null"),
-        Some(o) => {
-            let _ = write!(out, "{o}");
+fn metrics(w: &mut Writer<'_>, m: &Metrics) {
+    let mut copy = m.clone();
+    let (counters, durations) = metric_fields(&mut copy);
+    w.obj(|w| {
+        for (key, v) in counters {
+            w.field(key, U(*v));
         }
-    }
-    out.push_str(",\"ibo_discards\":");
-    u(out, s.ibo_discards);
-    out.push('}');
+        for (key, v) in durations {
+            w.field(key, U(v.as_millis()));
+        }
+        w.key("jobs_by_option")
+            .items(m.jobs_by_option.iter().map(|&v| U(v)))
+            .field("energy_harvested", f(m.energy_harvested.value()))
+            .field("energy_wasted", f(m.energy_wasted.value()))
+            .field("pending_interesting", U(m.pending_interesting));
+    });
 }
 
-fn uplink(out: &mut String, s: &UplinkState) {
-    out.push_str("{\"rng\":");
-    u(out, s.rng);
-    out.push_str(",\"p_busy\":");
-    f(out, s.p_busy);
-    let _ = write!(out, ",\"attempts\":{},\"window_index\":", s.attempts);
-    u(out, s.window_index);
-    out.push_str(",\"window_used\":");
-    u(out, s.window_used);
-    out.push_str(",\"log\":[");
-    for (i, rec) in s.log.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        u(out, rec.start_slot);
-        out.push(',');
-        u(out, rec.slots);
-        out.push(']');
+fn sample(w: &mut Writer<'_>, s: &TelemetrySample) {
+    w.obj(|w| {
+        w.field("t", U(s.t.as_millis()))
+            .field("irradiance", f(s.irradiance))
+            .field("stored", f(s.stored.value()))
+            .field("on", s.on)
+            .field("occupancy", s.occupancy)
+            .field("lambda", f(s.lambda))
+            .field("correction", f(s.correction))
+            .field("active_option", s.active_option)
+            .field("ibo_discards", U(s.ibo_discards));
+    });
+}
+
+fn uplink(w: &mut Writer<'_>, s: &UplinkState) {
+    w.obj(|w| {
+        w.field("rng", U(s.rng))
+            .field("p_busy", f(s.p_busy))
+            .field("attempts", s.attempts)
+            .field("window_index", U(s.window_index))
+            .field("window_used", U(s.window_used))
+            .key("log")
+            .arr(|w| {
+                for rec in &s.log {
+                    w.items([U(rec.start_slot), U(rec.slots)]);
+                }
+            })
+            .field("total_airtime", U(s.total_airtime.as_millis()));
+    });
+}
+
+/// `null`, or `v` written by `enc`.
+fn opt<T>(w: &mut Writer<'_>, v: Option<&T>, enc: impl FnOnce(&mut Writer<'_>, &T)) {
+    if let Some(inner) = v {
+        enc(w, inner);
+    } else {
+        w.null();
     }
-    out.push_str("],\"total_airtime\":");
-    u(out, s.total_airtime.as_millis());
-    out.push('}');
 }
 
 /// Serializes a [`SimState`] as a single-line `qz-snap/v1` JSON object.
 pub fn to_json(state: &SimState) -> String {
     let mut out = String::with_capacity(4096);
-    let _ = write!(out, "{{\"schema\":\"{SCHEMA}\",\"now\":");
-    u(&mut out, state.now.as_millis());
-    let _ = write!(out, ",\"on\":{},\"power\":", state.on);
-    power(&mut out, &state.power);
-    out.push_str(",\"runtime\":");
-    runtime(&mut out, &state.runtime);
-    out.push_str(",\"buffer\":");
-    buffer(&mut out, &state.buffer);
-    out.push_str(",\"job\":");
-    opt(&mut out, state.job.as_ref(), job);
-    out.push_str(",\"rng\":");
-    u(&mut out, state.rng);
-    out.push_str(",\"metrics\":");
-    metrics(&mut out, &state.metrics);
-    out.push_str(",\"telemetry\":");
-    opt(&mut out, state.telemetry.as_ref(), |o, samples| {
-        o.push('[');
-        for (i, s) in samples.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            sample(o, s);
-        }
-        o.push(']');
+    Writer::new(&mut out).obj(|w| {
+        w.field("schema", SCHEMA)
+            .field("now", U(state.now.as_millis()))
+            .field("on", state.on)
+            .key("power")
+            .obj(|w| {
+                let p = &state.power;
+                w.field("stored", f(p.stored.value()))
+                    .field("total_harvested", f(p.total_harvested.value()))
+                    .field("total_wasted", f(p.total_wasted.value()))
+                    .field("total_supplied", f(p.total_supplied.value()));
+            });
+        runtime(w.key("runtime"), &state.runtime);
+        w.key("buffer").obj(|w| {
+            w.field("in_flight", state.buffer.in_flight)
+                .key("queues")
+                .arr(|w| {
+                    for q in &state.buffer.queues {
+                        w.arr(|w| {
+                            for e in q {
+                                entry(w, e);
+                            }
+                        });
+                    }
+                });
+        });
+        opt(w.key("job"), state.job.as_ref(), job);
+        w.field("rng", U(state.rng));
+        metrics(w.key("metrics"), &state.metrics);
+        opt(
+            w.key("telemetry"),
+            state.telemetry.as_ref(),
+            |w, samples| {
+                w.arr(|w| {
+                    for s in samples {
+                        sample(w, s);
+                    }
+                });
+            },
+        );
+        opt(w.key("uplink"), state.uplink.as_ref(), uplink);
+        opt(w.key("injector"), state.injector.as_ref(), |w, inj| {
+            w.obj(|w| {
+                w.key("words").items(inj.words.iter().map(|&v| U(v)));
+            });
+        });
+        w.field("off_since", state.off_since.map(|t| U(t.as_millis())))
+            .field(
+                "last_checkpoint_at",
+                state.last_checkpoint_at.map(|t| U(t.as_millis())),
+            )
+            .field("done", state.done);
     });
-    out.push_str(",\"uplink\":");
-    opt(&mut out, state.uplink.as_ref(), uplink);
-    out.push_str(",\"injector\":");
-    opt(&mut out, state.injector.as_ref(), |o, inj| {
-        o.push_str("{\"words\":[");
-        for (i, w) in inj.words.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            u(o, *w);
-        }
-        o.push_str("]}");
-    });
-    out.push_str(",\"off_since\":");
-    opt(&mut out, state.off_since.as_ref(), |o, t| {
-        u(o, t.as_millis())
-    });
-    out.push_str(",\"last_checkpoint_at\":");
-    opt(&mut out, state.last_checkpoint_at.as_ref(), |o, t| {
-        u(o, t.as_millis());
-    });
-    let _ = write!(out, ",\"done\":{}}}", state.done);
     out
 }
 
@@ -440,27 +354,6 @@ fn field<'a>(j: &'a Json, key: &str) -> Result<&'a Json, String> {
     j.get(key).ok_or_else(|| format!("missing field `{key}`"))
 }
 
-fn d_u64(j: &Json, key: &str) -> Result<u64, String> {
-    field(j, key)?
-        .as_str()
-        .ok_or_else(|| format!("`{key}` must be a decimal string"))?
-        .parse::<u64>()
-        .map_err(|e| format!("`{key}`: {e}"))
-}
-
-fn d_f64(j: &Json, key: &str) -> Result<f64, String> {
-    Ok(f64::from_bits(d_u64(j, key)?))
-}
-
-fn d_f64_item(j: &Json, what: &str) -> Result<f64, String> {
-    Ok(f64::from_bits(
-        j.as_str()
-            .ok_or_else(|| format!("{what} must be a bit-pattern string"))?
-            .parse::<u64>()
-            .map_err(|e| format!("{what}: {e}"))?,
-    ))
-}
-
 fn d_u64_item(j: &Json, what: &str) -> Result<u64, String> {
     j.as_str()
         .ok_or_else(|| format!("{what} must be a decimal string"))?
@@ -468,21 +361,20 @@ fn d_u64_item(j: &Json, what: &str) -> Result<u64, String> {
         .map_err(|e| format!("{what}: {e}"))
 }
 
+fn d_f64_item(j: &Json, what: &str) -> Result<f64, String> {
+    d_u64_item(j, what).map(f64::from_bits)
+}
+
+fn d_u64(j: &Json, key: &str) -> Result<u64, String> {
+    d_u64_item(field(j, key)?, key)
+}
+
+fn d_f64(j: &Json, key: &str) -> Result<f64, String> {
+    d_u64(j, key).map(f64::from_bits)
+}
+
 fn d_usize(j: &Json, key: &str) -> Result<usize, String> {
-    let v = field(j, key)?
-        .as_f64()
-        .ok_or_else(|| format!("`{key}` must be a number"))?;
-    // Shape fields are small exact integers; reject anything else.
-    #[allow(
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss,
-        clippy::float_cmp
-    )]
-    if v >= 0.0 && v.fract() == 0.0 && v <= 2f64.powi(32) {
-        Ok(v as usize)
-    } else {
-        Err(format!("`{key}` out of range: {v}"))
-    }
+    d_usize_item(field(j, key)?, key)
 }
 
 fn d_bool(j: &Json, key: &str) -> Result<bool, String> {
@@ -730,61 +622,25 @@ fn d_power(j: &Json) -> Result<PowerSystemState, String> {
 }
 
 fn d_metrics(j: &Json) -> Result<Metrics, String> {
+    let mut m = Metrics::default();
+    let (counters, durations) = metric_fields(&mut m);
+    for (key, v) in counters {
+        *v = d_u64(j, key)?;
+    }
+    for (key, v) in durations {
+        *v = d_duration(j, key)?;
+    }
     let jobs = d_arr(j, "jobs_by_option")?;
     if jobs.len() != 4 {
         return Err(String::from("`jobs_by_option` must have 4 entries"));
     }
-    let mut jobs_by_option = [0u64; 4];
-    for (slot, v) in jobs_by_option.iter_mut().zip(jobs) {
+    for (slot, v) in m.jobs_by_option.iter_mut().zip(jobs) {
         *slot = d_u64_item(v, "jobs_by_option")?;
     }
-    Ok(Metrics {
-        frames_total: d_u64(j, "frames_total")?,
-        interesting_total: d_u64(j, "interesting_total")?,
-        frames_missed_off: d_u64(j, "frames_missed_off")?,
-        interesting_missed_off: d_u64(j, "interesting_missed_off")?,
-        frames_filtered: d_u64(j, "frames_filtered")?,
-        arrivals: d_u64(j, "arrivals")?,
-        stored: d_u64(j, "stored")?,
-        ibo_discards: d_u64(j, "ibo_discards")?,
-        ibo_interesting: d_u64(j, "ibo_interesting")?,
-        ibo_while_off: d_u64(j, "ibo_while_off")?,
-        ibo_during_full_job: d_u64(j, "ibo_during_full_job")?,
-        ibo_during_degraded_job: d_u64(j, "ibo_during_degraded_job")?,
-        false_negatives: d_u64(j, "false_negatives")?,
-        true_negatives: d_u64(j, "true_negatives")?,
-        reports_interesting_high: d_u64(j, "reports_interesting_high")?,
-        reports_interesting_low: d_u64(j, "reports_interesting_low")?,
-        reports_uninteresting_high: d_u64(j, "reports_uninteresting_high")?,
-        reports_uninteresting_low: d_u64(j, "reports_uninteresting_low")?,
-        tx_grants: d_u64(j, "tx_grants")?,
-        tx_busy_backoffs: d_u64(j, "tx_busy_backoffs")?,
-        tx_duty_deferrals: d_u64(j, "tx_duty_deferrals")?,
-        tx_backoff_wait: d_duration(j, "tx_backoff_wait")?,
-        tx_airtime: d_duration(j, "tx_airtime")?,
-        delivery_latency_total: d_duration(j, "delivery_latency_total")?,
-        delivery_latency_max: d_duration(j, "delivery_latency_max")?,
-        jobs_by_option,
-        ibo_predictions: d_u64(j, "ibo_predictions")?,
-        checkpoints: d_u64(j, "checkpoints")?,
-        power_failures: d_u64(j, "power_failures")?,
-        restores: d_u64(j, "restores")?,
-        reexecuted: d_duration(j, "reexecuted")?,
-        time_on: d_duration(j, "time_on")?,
-        time_off: d_duration(j, "time_off")?,
-        sim_time: d_duration(j, "sim_time")?,
-        occupancy_ms: d_u64(j, "occupancy_ms")?,
-        energy_harvested: Joules(d_f64(j, "energy_harvested")?),
-        energy_wasted: Joules(d_f64(j, "energy_wasted")?),
-        faults_power: d_u64(j, "faults_power")?,
-        faults_checkpoint: d_u64(j, "faults_checkpoint")?,
-        faults_adc: d_u64(j, "faults_adc")?,
-        faults_clock: d_u64(j, "faults_clock")?,
-        faults_burst: d_u64(j, "faults_burst")?,
-        faults_jam: d_u64(j, "faults_jam")?,
-        pending: d_u64(j, "pending")?,
-        pending_interesting: d_u64(j, "pending_interesting")?,
-    })
+    m.energy_harvested = Joules(d_f64(j, "energy_harvested")?);
+    m.energy_wasted = Joules(d_f64(j, "energy_wasted")?);
+    m.pending_interesting = d_u64(j, "pending_interesting")?;
+    Ok(m)
 }
 
 fn d_sample(j: &Json) -> Result<TelemetrySample, String> {

@@ -14,8 +14,8 @@
 //! - [`rng`] — a small deterministic [`SplitMix64`] generator used where the
 //!   simulator needs cheap reproducible randomness without pulling in a
 //!   full RNG crate.
-//! - [`json`] (with `std`) — the workspace's one JSON string escaper and
-//!   reader; every hand-written emitter and every parser uses it.
+//! - [`json`] (with `std`) — the workspace's one JSON codec: a streaming
+//!   writer every emitter uses and a reader every parser uses.
 //!
 //! The crate is `no_std`-capable (disable the default `std` feature):
 //! every type here is usable on the microcontrollers the Quetzal runtime

@@ -120,3 +120,106 @@ fn refutation_repro_line_round_trips() {
         .expect("metrics line reports IBO discards");
     assert!(ibo > 0, "repro run showed no overflow: {out}");
 }
+
+/// `qz profile --json` carries the energy kernel's seven work counts
+/// next to the phase table and the horizon ranking.
+#[test]
+fn profile_json_carries_the_kernel_counts() {
+    let (out, ok) = run_qz(&["profile", "--events", "5", "--json", "-"]);
+    assert!(ok, "qz profile failed: {out}");
+    let doc = out
+        .lines()
+        .find(|l| l.starts_with("{\"tool\":\"qz-prof\""))
+        .expect("profile JSON on stdout");
+    let doc = qz_types::json::Json::parse(doc).expect("profile JSON parses");
+    let keys: Vec<&str> = doc
+        .as_obj()
+        .unwrap()
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .collect();
+    assert_eq!(
+        keys,
+        ["tool", "repro", "wall_ns", "profile", "horizon", "kernel"]
+    );
+    let kernel = doc.get("kernel").unwrap();
+    let kernel_keys: Vec<&str> = kernel
+        .as_obj()
+        .unwrap()
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .collect();
+    assert_eq!(
+        kernel_keys,
+        [
+            "calls",
+            "ticks",
+            "strides",
+            "bisections",
+            "stop_only_bisections",
+            "crossings",
+            "repeat_adds"
+        ]
+    );
+    assert!(kernel.get("calls").and_then(qz_types::json::Json::as_f64) > Some(0.0));
+}
+
+/// Every JSON document the CLI writes is well formed: the check, verify
+/// and lint reports on stdout, and the fleet, fault, profile, flight
+/// and event-log files.
+#[test]
+fn every_json_output_parses() {
+    use qz_types::json::Json;
+    let parses = |what: &str, text: &str| {
+        if let Err(e) = Json::parse(text) {
+            panic!("{what} is not JSON ({e}):\n{text}");
+        }
+    };
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    for args in [
+        CHECK_ARGS,
+        VERIFY_REFUTED_ARGS,
+        &["lint-src", "--root", root, "--json"],
+    ] {
+        parses(args[0], &run_qz(args).0);
+    }
+    let dir = std::env::temp_dir().join(format!("qz_cli_json_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (fleet, fault, profile, flight, events) = (
+        file("fleet.json"),
+        file("fault.json"),
+        file("profile.json"),
+        file("flight.json"),
+        file("events.jsonl"),
+    );
+    for args in [
+        &["fleet", "--devices", "3", "--events", "4", "--json", &fleet][..],
+        &[
+            "fault",
+            "--preset",
+            "smoke",
+            "--events",
+            "4",
+            "--campaigns",
+            "2",
+            "--json",
+            &fault,
+        ],
+        &[
+            "profile", "--events", "5", "--json", &profile, "--flight", &flight,
+        ],
+        &["trace", "--events", "8", "--snapshots", "--jsonl", &events],
+    ] {
+        assert!(run_qz(args).1, "qz {args:?} failed");
+    }
+    for path in [&fleet, &fault, &profile, &flight] {
+        parses(path, &std::fs::read_to_string(path).unwrap());
+    }
+    let lines = std::fs::read_to_string(&events).unwrap();
+    assert!(lines.lines().count() > 10);
+    for line in lines.lines() {
+        parses("an event line", line);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

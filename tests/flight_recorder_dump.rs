@@ -79,7 +79,7 @@ fn panic_note_renders_in_dump() {
         repro: "qz profile --events 1".into(),
     };
     let rec = FlightRecorder::new(meta, 4);
-    let dump = rec.to_json_with_panic(Some("index out of bounds: 99"));
+    let dump = rec.to_json_with(Some("index out of bounds: 99"), None);
     assert!(
         dump.contains("\"panic\":\"index out of bounds: 99\""),
         "panic note missing from dump: {dump}"

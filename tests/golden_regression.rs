@@ -166,3 +166,101 @@ fn fleet_small_json_snapshot_event_horizon() {
         "event-horizon run diverged from the epoch-barrier golden:\n{got}"
     );
 }
+
+/// The `qz-snap/v1` wire format, byte for byte: fixed-seed Crowded runs
+/// with every optional section live (telemetry, uplink, an armed fault
+/// injector, the EWMA power predictor), saved at a fixed tick. The
+/// golden is an array holding one snapshot per line, one per estimator
+/// with state: Quetzal's variable-cost quantiles and the AvgSe2e running
+/// averages. The round-trip tests in qz-snap compare parsed states, so
+/// they would miss a byte-level change to the frozen format; this pins
+/// it.
+#[test]
+fn snap_small_json_snapshot() {
+    let env = SensingEnvironment::generate(EnvironmentKind::Crowded, 12, SEED);
+    let tweaks = SimTweaks {
+        seed: SEED,
+        power_ewma_alpha: Some(0.3),
+        ..SimTweaks::default()
+    };
+    let mut snapshots = Vec::new();
+    for kind in [BaselineKind::QuetzalVar(0.9), BaselineKind::AvgSe2e] {
+        let mut sim = qz_app::build_simulation(kind, &apollo4(), &env, &tweaks);
+        sim.record_telemetry(qz_types::SimDuration::from_secs(5));
+        sim.set_uplink(qz_sim::uplink::UplinkPort::new(
+            qz_sim::uplink::UplinkConfig::default(),
+            SEED,
+        ));
+        sim.set_fault_injector(Box::new(qz_fault::AdversarialInjector::new(
+            qz_fault::FaultPlan::smoke(),
+            SEED,
+        )));
+        sim.step_until(qz_types::SimTime::from_millis(123_457));
+        let state = sim.save_state().expect("snapshot saves");
+        let line = qz_snap::to_json(&state);
+        let parsed = qz_snap::from_json(&line, sim.runtime().spec()).expect("snapshot parses");
+        assert_eq!(parsed, state, "{kind:?}");
+        snapshots.push(line);
+    }
+    let mut got = String::new();
+    qz_types::json::Writer::new(&mut got).arr(|w| {
+        for line in &snapshots {
+            w.line_break(0).raw(line);
+        }
+        w.line_break(0);
+    });
+    got.push('\n');
+    let want = include_str!("golden/snap_small.json");
+    assert_eq!(
+        got, want,
+        "qz-snap/v1 bytes drifted — the format is frozen; bump SCHEMA for a new shape:\n{got}"
+    );
+}
+
+/// A small `qz fault --json` report, byte for byte (the CLI's defaults:
+/// Quetzal on Apollo4 in Crowded, faults from the first tick).
+/// Regenerate after an intentional behaviour change:
+/// `qz fault --preset smoke --events 4 --campaigns 4 --seed 0xC1C1 --json tests/golden/fault_small.json`
+#[test]
+fn fault_small_json_snapshot() {
+    let cfg = qz_fault::CampaignConfig {
+        system: BaselineKind::Quetzal,
+        profile: apollo4(),
+        env: EnvironmentKind::Crowded,
+        events: 4,
+        campaigns: 4,
+        start: 0,
+        seed: 0xC1C1,
+        plan: qz_fault::FaultPlan::smoke(),
+        injection_at: qz_types::SimDuration::ZERO,
+        tweaks: SimTweaks::default(),
+    };
+    let report = qz_fault::run_campaigns(&cfg, qz_fleet::Executor::new(2)).expect("campaigns run");
+    let got = report.to_json();
+    let want = include_str!("golden/fault_small.json");
+    assert_eq!(
+        got, want,
+        "fault JSON drifted — re-baseline tests/golden/fault_small.json if intentional:\n{got}"
+    );
+
+    // No campaign above violates, so pin the nested violation layout
+    // (and the escaping of its free-text detail) on a doctored row.
+    let mut report = report;
+    report.rows[1].violations = vec![
+        qz_fault::Violation {
+            invariant: "buffer_conservation",
+            detail: String::from("kept \"3\" of 4\n\tframes"),
+        },
+        qz_fault::Violation {
+            invariant: "energy_accounting",
+            detail: String::from("ok"),
+        },
+    ];
+    let json = report.to_json();
+    assert_eq!(
+        json.lines().nth(12),
+        Some(
+            "    {\"campaign\": 1, \"fault_seed\": 10849700181116242069, \"faults\": 24, \"faults_power\": 12, \"faults_checkpoint\": 7, \"min_stored_j\": 0.000003, \"violations\": [{\"invariant\": \"buffer_conservation\", \"detail\": \"kept \\\"3\\\" of 4\\n\\tframes\"}, {\"invariant\": \"energy_accounting\", \"detail\": \"ok\"}]},"
+        )
+    );
+}

@@ -129,7 +129,7 @@ fn flight_recorder_does_not_change_metrics() {
         let handle = flown.flight.expect("flight handle returned");
         assert!(
             handle
-                .dump_json()
+                .dump_json(None)
                 .starts_with("{\"schema\":\"qz-flight/v1\""),
             "flight dump lost its schema header"
         );
