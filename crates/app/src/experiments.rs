@@ -169,6 +169,8 @@ pub struct ProfiledRun {
     pub report: qz_prof::ProfileReport,
     /// Deterministic horizon-cause accounting (why spans collapsed).
     pub horizon: qz_prof::HorizonStats,
+    /// Bulk span lengths per horizon cause, from the profiler.
+    pub spans: qz_prof::SpanLengths,
     /// Deterministic energy-kernel work counts.
     pub kernel: qz_prof::KernelStats,
     /// Total wall-clock nanoseconds for the run.
@@ -208,6 +210,7 @@ pub fn profile_run(
         metrics: sim.metrics().clone(),
         report: sim.profiler().report(),
         horizon: sim.horizon_stats().clone(),
+        spans: sim.profiler().span_lengths().cloned().unwrap_or_default(),
         kernel: sim.profiler().kernel().copied().unwrap_or_default(),
         wall_ns,
         flight: handle,
@@ -310,6 +313,16 @@ pub fn check_experiment(
     tweaks: &SimTweaks,
 ) -> qz_check::Report {
     let (app, qcfg, cfg) = experiment_configs(kind, profile, tweaks);
+    check_configs(kind, &app, qcfg, cfg, tweaks)
+}
+
+fn check_configs(
+    kind: BaselineKind,
+    app: &AppModel,
+    qcfg: QuetzalConfig,
+    cfg: SimConfig,
+    tweaks: &SimTweaks,
+) -> qz_check::Report {
     let mut input = qz_check::CheckInput::new(&app.spec);
     input.device = cfg.device;
     input.power = cfg.power;
@@ -320,36 +333,89 @@ pub fn check_experiment(
     qz_check::check(&input)
 }
 
-/// Assembles the simulation every `simulate*` entry point runs, after
-/// front-ending it with the `qz-check` analyzer: errors panic with the
-/// rendered report (an infeasible config would produce garbage
-/// metrics), warnings print once per (diagnostic, config) to stderr.
+/// One experiment configuration, checked by `qz-check` and assembled
+/// once, from which any number of simulations that differ only in
+/// their simulator seed are built: `qz-fleet` checks its experiment
+/// once per fleet, not once per device. [`build_simulation`] is the
+/// one-simulation case.
+#[derive(Debug, Clone)]
+pub struct Experiment {
+    kind: BaselineKind,
+    app: AppModel,
+    qcfg: QuetzalConfig,
+    cfg: SimConfig,
+}
+
+impl Experiment {
+    /// Assembles the configs of `(kind, profile, tweaks)` and front-ends
+    /// them with the `qz-check` analyzer: errors panic with the rendered
+    /// report (an infeasible config would produce garbage metrics),
+    /// warnings print once per (diagnostic, config) to stderr.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `qz-check` rejects the configuration.
+    pub fn checked(kind: BaselineKind, profile: &DeviceProfile, tweaks: &SimTweaks) -> Experiment {
+        let (app, qcfg, cfg) = experiment_configs(kind, profile, tweaks);
+        let report = check_configs(kind, &app, qcfg.clone(), cfg.clone(), tweaks);
+        assert!(
+            !report.has_errors(),
+            "qz-check rejected the {kind:?}/{} experiment config:\n{}",
+            profile.name,
+            report.render_text()
+        );
+        qz_check::report_to_stderr_once(&format!("{kind:?}/{}", profile.name), &report);
+        Experiment {
+            kind,
+            app,
+            qcfg,
+            cfg,
+        }
+    }
+
+    /// A fresh simulation of `env` under simulator seed `seed`, every
+    /// other setting as checked.
+    ///
+    /// # Panics
+    ///
+    /// Panics on runtime or pipeline assembly failures, which indicate
+    /// a bug in the profile definitions.
+    pub fn simulation<'a>(&self, env: &'a SensingEnvironment, seed: u64) -> Simulation<'a> {
+        let runtime = build_runtime(self.kind, self.app.spec.clone(), self.qcfg.clone())
+            .expect("valid runtime");
+        let cfg = SimConfig {
+            seed,
+            ..self.cfg.clone()
+        };
+        Simulation::new(
+            cfg,
+            env,
+            runtime,
+            self.app.entry,
+            self.app.behaviors.clone(),
+            self.app.routes.clone(),
+        )
+        .expect("valid pipeline binding")
+    }
+}
+
+/// Assembles the simulation every `simulate*` entry point runs: an
+/// [`Experiment::checked`] instantiated once, under `tweaks.seed`.
 ///
-/// Public so `qz-fleet` can assemble per-device simulations it then
-/// drives epoch by epoch instead of running to completion.
+/// Public so `qz-snap`, `qz-fault` and the benches can drive a
+/// simulation step by step instead of running it to completion.
 ///
 /// # Panics
 ///
-/// Panics when `qz-check` rejects the configuration (see above).
+/// Panics when `qz-check` rejects the configuration (see
+/// [`Experiment::checked`]).
 pub fn build_simulation<'a>(
     kind: BaselineKind,
     profile: &DeviceProfile,
     env: &'a SensingEnvironment,
     tweaks: &SimTweaks,
 ) -> Simulation<'a> {
-    let report = check_experiment(kind, profile, tweaks);
-    assert!(
-        !report.has_errors(),
-        "qz-check rejected the {kind:?}/{} experiment config:\n{}",
-        profile.name,
-        report.render_text()
-    );
-    qz_check::report_to_stderr_once(&format!("{kind:?}/{}", profile.name), &report);
-
-    let (app, qcfg, cfg) = experiment_configs(kind, profile, tweaks);
-    let runtime = build_runtime(kind, app.spec.clone(), qcfg).expect("valid runtime");
-    Simulation::new(cfg, env, runtime, app.entry, app.behaviors, app.routes)
-        .expect("valid pipeline binding")
+    Experiment::checked(kind, profile, tweaks).simulation(env, tweaks.seed)
 }
 
 /// The analytic ∞-memory Ideal reference for this profile and
@@ -423,6 +489,24 @@ mod tests {
         );
         assert_eq!(m.reports_interesting_low, 0);
         assert_eq!(m.reports_uninteresting_low, 0);
+    }
+
+    #[test]
+    fn one_checked_experiment_builds_every_seed() {
+        let e = env();
+        let tweaks = SimTweaks::default();
+        let experiment = Experiment::checked(BaselineKind::Quetzal, &apollo4(), &tweaks);
+        for seed in [1, 0xFEED] {
+            let mut shared = experiment.simulation(&e, seed);
+            let seeded = SimTweaks {
+                seed,
+                ..tweaks.clone()
+            };
+            let mut own = build_simulation(BaselineKind::Quetzal, &apollo4(), &e, &seeded);
+            while shared.step() {}
+            while own.step() {}
+            assert_eq!(shared.metrics(), own.metrics(), "seed {seed}");
+        }
     }
 
     #[test]

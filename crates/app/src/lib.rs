@@ -29,7 +29,7 @@ pub mod model;
 pub use devices::{apollo4, msp430fr5994, DeviceProfile};
 pub use experiments::{
     build_simulation, check_experiment, experiment_configs, ideal, profile_run, pzi_threshold,
-    pzo_threshold, simulate, simulate_traced, simulate_with_telemetry, timeline_names, ProfiledRun,
-    SimTweaks,
+    pzo_threshold, simulate, simulate_traced, simulate_with_telemetry, timeline_names, Experiment,
+    ProfiledRun, SimTweaks,
 };
 pub use model::AppModel;

@@ -729,7 +729,8 @@ fn profile(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         qz_prof::arm_panic_dump(path.into(), meta.clone(), None);
     }
     let run = qz_app::profile_run(args.system(), &device, &env, &tweaks, flight_meta);
-    println!("{}", run.horizon.render_ranking());
+    let ranking = run.horizon.ranking(Some(&run.spans));
+    println!("{}", ranking.render());
     println!("{}", run.kernel.render_line());
     println!("{}", run.report.render_text());
     #[allow(clippy::cast_precision_loss)] // display only
@@ -744,7 +745,7 @@ fn profile(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                 .field("repro", &repro)
                 .field("wall_ns", run.wall_ns)
                 .field("profile", &run.report)
-                .field("horizon", &run.horizon)
+                .field("horizon", ranking)
                 .field("kernel", run.kernel);
         });
         if path == "-" {

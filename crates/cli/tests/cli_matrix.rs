@@ -285,3 +285,22 @@ fn figure_tables_match_their_committed_results() {
         );
     }
 }
+
+/// `qz trace --csv` bytes for a fixed seed, pinned by length and
+/// FNV-1a-64 hash (2.6 MB of rows: every kind a single-device trace
+/// emits, IBO walks and discards included).
+#[test]
+fn trace_csv_bytes_are_pinned() {
+    let path = tmp("trace.csv");
+    let path_str = path.to_str().expect("utf-8 temp path");
+    let out = qz(&[
+        "trace", "--env", "more", "--events", "12", "--seed", "7", "--csv", path_str,
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let bytes = std::fs::read(&path).expect("csv written");
+    let _ = std::fs::remove_file(&path);
+    let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!((bytes.len(), fnv), (2_616_407, 0x902e_9667_255e_9577));
+}

@@ -23,7 +23,7 @@ use qz_obs::Event;
 use qz_prof::{HorizonStats, PhaseProfiler};
 use qz_sim::SimState;
 use qz_traces::{EnvironmentKind, SensingEnvironment};
-use qz_types::json::Writer;
+use qz_types::json::{DecimalU64, Writer};
 use qz_types::{SimDuration, SimTime, SplitMix64};
 use std::fmt::Write as _;
 
@@ -275,7 +275,7 @@ impl FaultReport {
         Writer::report(&mut s).obj(|w| {
             w.field("system", &self.system)
                 .field("preset", &self.preset)
-                .field("seed", self.seed)
+                .field("seed", DecimalU64(self.seed))
                 .field("events", self.events)
                 .field("campaigns", self.rows.len())
                 .field("clean_frames", self.clean_frames)
@@ -286,7 +286,7 @@ impl FaultReport {
                 for r in &self.rows {
                     w.obj(|w| {
                         w.field("campaign", r.campaign)
-                            .field("fault_seed", r.fault_seed)
+                            .field("fault_seed", DecimalU64(r.fault_seed))
                             .field("faults", r.faults)
                             .field("faults_power", r.faults_power)
                             .field("faults_checkpoint", r.faults_checkpoint)
@@ -841,7 +841,7 @@ mod tests {
         assert!(
             h.cause(qz_prof::HorizonCause::FaultCollapse).ref_ticks > 0,
             "{}",
-            h.render_ranking()
+            h.ranking(profile.profiler.span_lengths()).render()
         );
         assert!(profile.profiler.is_enabled());
         let spans = profile
@@ -849,6 +849,16 @@ mod tests {
             .stat(qz_prof::Phase::SpanAdvance)
             .expect("enabled profiler");
         assert!(spans.count > 0);
+        // The span-length distributions merge beside the counters: one
+        // recorded length per counted span, cause by cause.
+        let lengths = profile.profiler.span_lengths().expect("enabled profiler");
+        for cause in qz_prof::HorizonCause::ALL {
+            assert_eq!(
+                lengths.hist(cause).count(),
+                h.cause(cause).spans,
+                "{cause:?}"
+            );
+        }
     }
 
     #[test]

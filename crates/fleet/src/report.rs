@@ -10,7 +10,7 @@
 use crate::channel::ChannelStats;
 use qz_obs::MetricsRegistry;
 use qz_sim::Metrics;
-use qz_types::json::Writer;
+use qz_types::json::{DecimalU64, Writer};
 use std::fmt::Write as _;
 
 /// One device's outcome within a fleet run.
@@ -150,7 +150,7 @@ impl FleetReport {
         let mut s = String::new();
         Writer::report(&mut s).obj(|w| {
             w.field("system", &self.system)
-                .field("fleet_seed", self.fleet_seed)
+                .field("fleet_seed", DecimalU64(self.fleet_seed))
                 .field("devices", self.devices.len());
             let c = &self.channel;
             w.key("channel").obj(|w| {

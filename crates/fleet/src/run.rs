@@ -26,7 +26,7 @@ use crate::config::FleetConfig;
 use crate::exec::Executor;
 use crate::report::{DeviceReport, FleetAggregates, FleetReport};
 use crate::scheduler::{EventHorizonScheduler, FleetSchedulerKind, ShardMap};
-use qz_app::build_simulation;
+use qz_app::Experiment;
 use qz_prof::{HorizonStats, Phase, PhaseProfiler};
 use qz_sim::{Simulation, TxRecord, UplinkPort};
 use qz_traces::SensingEnvironment;
@@ -84,8 +84,8 @@ struct DeviceRun<'a> {
 ///
 /// # Panics
 ///
-/// Panics if a device's experiment config fails validation (the same
-/// contract as [`qz_app::build_simulation`]).
+/// Panics if the experiment config fails validation (the same contract
+/// as [`qz_app::Experiment::checked`]).
 pub fn run_fleet(cfg: &FleetConfig, exec: Executor) -> Result<FleetReport, FleetError> {
     run_fleet_inner(cfg, exec, false).map(|(report, _)| report)
 }
@@ -155,15 +155,15 @@ fn run_fleet_inner(
         SensingEnvironment::generate(cfg.env_for(device), cfg.events, cfg.env_seed(device as u64))
     });
 
-    // Assemble per-device simulations, each with its own seed streams
-    // and an uplink gate on its shard's channel.
+    // Check and assemble the experiment once (devices differ only in
+    // their seeds), then build per-device simulations, each with its
+    // own seed streams and an uplink gate on its shard's channel.
+    let experiment = Experiment::checked(cfg.system, &cfg.profile, &cfg.tweaks);
     let mut runs: Vec<DeviceRun<'_>> = envs
         .iter()
         .enumerate()
         .map(|(device, env)| {
-            let mut tweaks = cfg.tweaks.clone();
-            tweaks.seed = cfg.sim_seed(device as u64);
-            let mut sim = build_simulation(cfg.system, &cfg.profile, env, &tweaks);
+            let mut sim = experiment.simulation(env, cfg.sim_seed(device as u64));
             sim.set_uplink(UplinkPort::new(
                 cfg.uplink.clone(),
                 cfg.uplink_seed(device as u64),

@@ -6,7 +6,7 @@
 //! fixed column set shared by all event kinds, leaving unused columns
 //! empty — convenient for spreadsheet and pandas post-processing.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 
 use crate::event::{Event, EventKind};
@@ -180,143 +180,180 @@ pub const CSV_HEADER: &str =
      error_s,correction_s,predicted_arrivals,ibo_predicted,unavoidable,interesting,\
      device_on,checkpointed,off_ms,stored_j,irradiance,on";
 
-/// Writes the event log as flat CSV; columns an event kind does not
-/// define are left empty. Rows accumulate in a reusable arena and
-/// flush every [`EMIT_BLOCK_EVENTS`] events, byte-identical to
-/// row-at-a-time writes.
-pub fn write_csv<W: Write>(mut w: W, events: &[Event]) -> io::Result<()> {
-    let mut arena = String::new();
-    let _ = writeln!(arena, "{CSV_HEADER}");
-    for (idx, e) in events.iter().enumerate() {
-        // Column slots, defaulted empty, filled per kind.
-        let mut job = String::new();
-        let mut option = String::new();
-        let mut occupancy = String::new();
-        let mut capacity = String::new();
-        let mut lambda = String::new();
-        let mut expected = String::new();
-        let mut observed = String::new();
-        let mut error = String::new();
-        let mut correction = String::new();
-        let mut predicted_arrivals = String::new();
-        let mut ibo_predicted = String::new();
-        let mut unavoidable = String::new();
-        let mut interesting = String::new();
-        let mut device_on = String::new();
-        let mut checkpointed = String::new();
-        let mut off_ms = String::new();
-        let mut stored_j = String::new();
-        let mut irradiance = String::new();
-        let mut on = String::new();
+/// One CSV row's kind-specific columns, in [`CSV_HEADER`] order after
+/// `t_ms,kind`, each borrowed from the event; `None` leaves a column
+/// empty.
+#[derive(Default)]
+struct CsvRow<'e> {
+    job: Cell<'e>,
+    option: Cell<'e>,
+    occupancy: Cell<'e>,
+    capacity: Cell<'e>,
+    lambda: Cell<'e>,
+    expected: Cell<'e>,
+    observed: Cell<'e>,
+    error: Cell<'e>,
+    correction: Cell<'e>,
+    predicted_arrivals: Cell<'e>,
+    ibo_predicted: Cell<'e>,
+    unavoidable: Cell<'e>,
+    interesting: Cell<'e>,
+    device_on: Cell<'e>,
+    checkpointed: Cell<'e>,
+    off_ms: Cell<'e>,
+    stored_j: Cell<'e>,
+    irradiance: Cell<'e>,
+    on: Cell<'e>,
+}
+
+type Cell<'e> = Option<&'e dyn fmt::Display>;
+
+impl<'e> CsvRow<'e> {
+    /// The columns `e`'s kind defines.
+    fn of(e: &'e Event) -> CsvRow<'e> {
+        let mut r = CsvRow::default();
         match &e.kind {
             EventKind::SchedulerPick {
-                job: j,
+                job,
                 expected_service_s,
                 correction_s,
                 ..
             } => {
-                job = j.to_string();
-                expected = expected_service_s.to_string();
-                correction = correction_s.to_string();
+                r.job = Some(job);
+                r.expected = Some(expected_service_s);
+                r.correction = Some(correction_s);
             }
             EventKind::IboDecision {
-                job: j,
-                lambda: l,
-                occupancy: occ,
-                capacity: cap,
+                job,
+                lambda,
+                occupancy,
+                capacity,
                 expected_service_s,
-                predicted_arrivals: pa,
-                ibo_predicted: ip,
-                unavoidable: ua,
+                predicted_arrivals,
+                ibo_predicted,
+                unavoidable,
                 chosen_option,
                 ..
             } => {
-                job = j.to_string();
-                lambda = l.to_string();
-                occupancy = occ.to_string();
-                capacity = cap.to_string();
-                expected = expected_service_s.to_string();
-                predicted_arrivals = pa.to_string();
-                ibo_predicted = ip.to_string();
-                unavoidable = ua.to_string();
-                option = chosen_option.to_string();
+                r.job = Some(job);
+                r.lambda = Some(lambda);
+                r.occupancy = Some(occupancy);
+                r.capacity = Some(capacity);
+                r.expected = Some(expected_service_s);
+                r.predicted_arrivals = Some(predicted_arrivals);
+                r.ibo_predicted = Some(ibo_predicted);
+                r.unavoidable = Some(unavoidable);
+                r.option = Some(chosen_option);
             }
             EventKind::PidUpdate {
-                job: j,
+                job,
                 predicted_s,
                 observed_s,
                 error_s,
                 correction_s,
             } => {
-                job = j.to_string();
-                expected = predicted_s.to_string();
-                observed = observed_s.to_string();
-                error = error_s.to_string();
-                correction = correction_s.to_string();
+                r.job = Some(job);
+                r.expected = Some(predicted_s);
+                r.observed = Some(observed_s);
+                r.error = Some(error_s);
+                r.correction = Some(correction_s);
             }
-            EventKind::JobComplete { job: j, observed_s } => {
-                job = j.to_string();
-                observed = observed_s.to_string();
+            EventKind::JobComplete { job, observed_s } => {
+                r.job = Some(job);
+                r.observed = Some(observed_s);
             }
             EventKind::JobStart {
-                job: j,
-                option: o,
-                occupancy: occ,
+                job,
+                option,
+                occupancy,
             } => {
-                job = j.to_string();
-                option = o.to_string();
-                occupancy = occ.to_string();
+                r.job = Some(job);
+                r.option = Some(option);
+                r.occupancy = Some(occupancy);
             }
             EventKind::BufferAdmit {
-                job: j,
-                occupancy: occ,
-                interesting: i,
+                job,
+                occupancy,
+                interesting,
             } => {
-                job = j.to_string();
-                occupancy = occ.to_string();
-                interesting = i.to_string();
+                r.job = Some(job);
+                r.occupancy = Some(occupancy);
+                r.interesting = Some(interesting);
             }
             EventKind::IboDiscard {
-                occupancy: occ,
-                interesting: i,
-                device_on: d,
+                occupancy,
+                interesting,
+                device_on,
                 active_option,
             } => {
-                occupancy = occ.to_string();
-                interesting = i.to_string();
-                device_on = d.to_string();
-                if let Some(o) = active_option {
-                    option = o.to_string();
-                }
+                r.occupancy = Some(occupancy);
+                r.interesting = Some(interesting);
+                r.device_on = Some(device_on);
+                r.option = active_option.as_ref().map(|o| o as &dyn fmt::Display);
             }
-            EventKind::PowerFailure { checkpointed: c } => checkpointed = c.to_string(),
+            EventKind::PowerFailure { checkpointed } => r.checkpointed = Some(checkpointed),
             EventKind::Checkpoint => {}
-            EventKind::Restore { off_ms: o } => off_ms = o.to_string(),
+            EventKind::Restore { off_ms } => r.off_ms = Some(off_ms),
             // Backoff waits reuse the generic off_ms duration column.
-            EventKind::TxBackoff { wait_ms, .. } => off_ms = wait_ms.to_string(),
+            EventKind::TxBackoff { wait_ms, .. } => r.off_ms = Some(wait_ms),
             EventKind::Snapshot(snap) => {
-                occupancy = snap.occupancy.to_string();
-                lambda = snap.lambda.to_string();
-                correction = snap.correction_s.to_string();
-                stored_j = snap.stored_j.to_string();
-                irradiance = snap.irradiance.to_string();
-                on = snap.on.to_string();
-                if let Some(o) = snap.active_option {
-                    option = o.to_string();
-                }
+                r.occupancy = Some(&snap.occupancy);
+                r.lambda = Some(&snap.lambda);
+                r.correction = Some(&snap.correction_s);
+                r.stored_j = Some(&snap.stored_j);
+                r.irradiance = Some(&snap.irradiance);
+                r.on = Some(&snap.on);
+                r.option = snap.active_option.as_ref().map(|o| o as &dyn fmt::Display);
             }
             // The fault class is visible through the kind column only;
             // fault events carry no numeric payload.
             EventKind::FaultInjected { .. } => {}
         }
-        let _ = writeln!(
-            arena,
-            "{},{},{job},{option},{occupancy},{capacity},{lambda},{expected},{observed},\
-             {error},{correction},{predicted_arrivals},{ibo_predicted},{unavoidable},\
-             {interesting},{device_on},{checkpointed},{off_ms},{stored_j},{irradiance},{on}",
-            e.t_ms,
-            e.kind.name()
-        );
+        r
+    }
+
+    /// Appends `,cell` per column and the line end.
+    fn write(&self, out: &mut String) {
+        for cell in [
+            self.job,
+            self.option,
+            self.occupancy,
+            self.capacity,
+            self.lambda,
+            self.expected,
+            self.observed,
+            self.error,
+            self.correction,
+            self.predicted_arrivals,
+            self.ibo_predicted,
+            self.unavoidable,
+            self.interesting,
+            self.device_on,
+            self.checkpointed,
+            self.off_ms,
+            self.stored_j,
+            self.irradiance,
+            self.on,
+        ] {
+            out.push(',');
+            if let Some(v) = cell {
+                let _ = write!(out, "{v}");
+            }
+        }
+        out.push('\n');
+    }
+}
+
+/// Writes the event log as flat CSV; columns an event kind does not
+/// define are left empty. Rows are formatted straight into a reusable
+/// arena, which flushes every [`EMIT_BLOCK_EVENTS`] events,
+/// byte-identical to row-at-a-time writes.
+pub fn write_csv<W: Write>(mut w: W, events: &[Event]) -> io::Result<()> {
+    let mut arena = String::new();
+    let _ = writeln!(arena, "{CSV_HEADER}");
+    for (idx, e) in events.iter().enumerate() {
+        let _ = write!(arena, "{},{}", e.t_ms, e.kind.name());
+        CsvRow::of(e).write(&mut arena);
         if (idx + 1) % EMIT_BLOCK_EVENTS == 0 {
             w.write_all(arena.as_bytes())?;
             arena.clear();
@@ -412,6 +449,89 @@ mod tests {
             assert_eq!(line.split(',').count(), cols, "ragged row: {line}");
         }
         assert!(lines[3].contains("ibo_discard"));
+    }
+
+    /// Every event kind's row, byte for byte: which columns it fills
+    /// and how each value prints.
+    #[test]
+    fn csv_rows_are_pinned_for_every_kind() {
+        let mut events = sample_events();
+        events.extend(
+            [
+                EventKind::PidUpdate {
+                    job: 0,
+                    predicted_s: 1.5,
+                    observed_s: 1.75,
+                    error_s: 0.25,
+                    correction_s: -0.125,
+                },
+                EventKind::JobComplete {
+                    job: 0,
+                    observed_s: 1.75,
+                },
+                EventKind::JobStart {
+                    job: 1,
+                    option: 1,
+                    occupancy: 4,
+                },
+                EventKind::BufferAdmit {
+                    job: 0,
+                    occupancy: 5,
+                    interesting: false,
+                },
+                EventKind::IboDiscard {
+                    occupancy: 10,
+                    interesting: false,
+                    device_on: true,
+                    active_option: Some(1),
+                },
+                EventKind::PowerFailure { checkpointed: true },
+                EventKind::Restore { off_ms: 1234 },
+                EventKind::TxBackoff {
+                    wait_ms: 250,
+                    duty_capped: true,
+                },
+                EventKind::Snapshot(crate::event::Snapshot {
+                    irradiance: 0.5,
+                    stored_j: 0.001,
+                    on: true,
+                    occupancy: 2,
+                    lambda: 0.2,
+                    correction_s: 0.0,
+                    active_option: Some(0),
+                    ibo_discards: 3,
+                }),
+                EventKind::FaultInjected {
+                    fault: "adc_misread",
+                },
+            ]
+            .into_iter()
+            .zip(14..)
+            .map(|(kind, t_ms)| Event { t_ms, kind }),
+        );
+        let mut buf = Vec::new();
+        write_csv(&mut buf, &events).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let rows: Vec<&str> = text.lines().skip(1).collect();
+        assert_eq!(
+            rows,
+            [
+                "10,scheduler_pick,1,,,,,2.5,,,0.1,,,,,,,,,,",
+                "11,ibo_decision,1,0,3,10,0.5,2.5,,,,1.25,false,false,,,,,,,",
+                "12,ibo_discard,,,10,,,,,,,,,,true,false,,,,,",
+                "13,checkpoint,,,,,,,,,,,,,,,,,,,",
+                "14,pid_update,0,,,,,1.5,1.75,0.25,-0.125,,,,,,,,,,",
+                "15,job_complete,0,,,,,,1.75,,,,,,,,,,,,",
+                "16,job_start,1,1,4,,,,,,,,,,,,,,,,",
+                "17,buffer_admit,0,,5,,,,,,,,,,false,,,,,,",
+                "18,ibo_discard,,1,10,,,,,,,,,,false,true,,,,,",
+                "19,power_failure,,,,,,,,,,,,,,,true,,,,",
+                "20,restore,,,,,,,,,,,,,,,,1234,,,",
+                "21,tx_backoff,,,,,,,,,,,,,,,,250,,,",
+                "22,snapshot,,0,2,,0.2,,,,0,,,,,,,,0.001,0.5,true",
+                "23,fault_injected,,,,,,,,,,,,,,,,,,,",
+            ]
+        );
     }
 
     #[test]

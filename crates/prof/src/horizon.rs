@@ -11,6 +11,12 @@
 //! The stats live *beside* the simulator's `Metrics`, never inside:
 //! `Metrics` equality between the tick and fast-forward engines is a
 //! pinned contract, and the tick engine plans no horizons.
+//!
+//! [`HorizonStats`] holds exact counters only and is always on. The
+//! distribution of span lengths per cause ([`SpanLengths`]) is
+//! profiling data: an enabled [`PhaseProfiler`](crate::PhaseProfiler)
+//! carries it, so an unprofiled run neither stores nor records it.
+//! [`HorizonRanking`] joins the two for `qz profile`.
 
 use qz_obs::Log2Histogram;
 use qz_types::json::{WriteJson, Writer};
@@ -121,7 +127,7 @@ impl HorizonCause {
 }
 
 /// Per-cause tallies.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CauseStat {
     /// Bulk spans this bound terminated.
     pub spans: u64,
@@ -129,8 +135,6 @@ pub struct CauseStat {
     pub skipped_ticks: u64,
     /// Reference ticks this bound forced (span collapsed to zero).
     pub ref_ticks: u64,
-    /// Distribution of bulk span lengths, ticks.
-    pub span_hist: Log2Histogram,
 }
 
 /// Deterministic horizon accounting for one fast-forward run.
@@ -152,12 +156,7 @@ impl HorizonStats {
     /// Empty accounting.
     pub fn new() -> HorizonStats {
         HorizonStats {
-            cells: std::array::from_fn(|_| CauseStat {
-                spans: 0,
-                skipped_ticks: 0,
-                ref_ticks: 0,
-                span_hist: Log2Histogram::new(),
-            }),
+            cells: [CauseStat::default(); HorizonCause::COUNT],
             busy_tail_ticks: 0,
         }
     }
@@ -195,7 +194,6 @@ impl HorizonStats {
         let c = &mut self.cells[cause.index()];
         c.spans += 1;
         c.skipped_ticks += ticks;
-        c.span_hist.record(ticks);
     }
 
     /// Records one forced reference tick attributed to `cause`.
@@ -229,25 +227,82 @@ impl HorizonStats {
             m.spans += t.spans;
             m.skipped_ticks += t.skipped_ticks;
             m.ref_ticks += t.ref_ticks;
-            m.span_hist.merge(&t.span_hist);
         }
         self.busy_tail_ticks += other.busy_tail_ticks;
+    }
+
+    /// Joins these counters with the span-length distributions of the
+    /// run's profiler (`None` when it ran unprofiled) for rendering.
+    pub fn ranking<'a>(&'a self, spans: Option<&'a SpanLengths>) -> HorizonRanking<'a> {
+        HorizonRanking { stats: self, spans }
+    }
+}
+
+/// Bulk span lengths per [`HorizonCause`], in ticks: the distributions
+/// behind `qz profile`'s median-span column. Profiling data, carried by
+/// an enabled [`PhaseProfiler`](crate::PhaseProfiler).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SpanLengths {
+    hists: [Log2Histogram; HorizonCause::COUNT],
+}
+
+impl SpanLengths {
+    /// Empty distributions.
+    pub fn new() -> SpanLengths {
+        SpanLengths::default()
+    }
+
+    /// Records one bulk-advanced span of `ticks` ended by `cause`.
+    pub fn record(&mut self, cause: HorizonCause, ticks: u64) {
+        self.hists[cause.index()].record(ticks);
+    }
+
+    /// The span-length distribution of one cause.
+    pub fn hist(&self, cause: HorizonCause) -> &Log2Histogram {
+        &self.hists[cause.index()]
+    }
+
+    /// Folds another run's distributions into these (fleet merges).
+    pub fn merge(&mut self, other: &SpanLengths) {
+        for (m, t) in self.hists.iter_mut().zip(other.hists.iter()) {
+            m.merge(t);
+        }
+    }
+}
+
+/// [`HorizonStats`] joined with the profiler's [`SpanLengths`]: the
+/// ranked text behind `qz profile` and its `horizon` JSON object. Without
+/// span lengths the median-span column reads `-` and the JSON omits
+/// `median_span`.
+#[derive(Debug, Clone, Copy)]
+pub struct HorizonRanking<'a> {
+    stats: &'a HorizonStats,
+    spans: Option<&'a SpanLengths>,
+}
+
+impl HorizonRanking<'_> {
+    /// Median span length of `cause`, when it ended any span and the
+    /// distributions were recorded.
+    fn median_span(&self, cause: HorizonCause) -> Option<u64> {
+        let spans = self.spans?;
+        (self.stats.cause(cause).spans > 0).then(|| spans.hist(cause).quantile(0.5))
     }
 
     /// "Why is this run slow": causes ranked by the reference ticks
     /// they forced (the quantity that costs wall-clock), with span
     /// counts, skipped ticks, and median span length alongside.
-    pub fn render_ranking(&self) -> String {
-        if self.is_empty() {
+    pub fn render(&self) -> String {
+        let stats = self.stats;
+        if stats.is_empty() {
             return String::from(
                 "horizon-cause ranking: no fast-forward horizon decisions recorded \
                  (tick engine?)\n",
             );
         }
-        let total_ref = self.total_ref_ticks();
+        let total_ref = stats.total_ref_ticks();
         let mut ranked: Vec<(HorizonCause, &CauseStat)> = HorizonCause::ALL
             .iter()
-            .map(|&c| (c, self.cause(c)))
+            .map(|&c| (c, stats.cause(c)))
             .filter(|(_, s)| s.spans > 0 || s.ref_ticks > 0)
             .collect();
         ranked.sort_by_key(|&(_, s)| std::cmp::Reverse((s.ref_ticks, s.spans)));
@@ -272,11 +327,8 @@ impl HorizonStats {
                 pct,
                 s.spans,
                 s.skipped_ticks,
-                if s.spans == 0 {
-                    String::from("-")
-                } else {
-                    s.span_hist.quantile(0.5).to_string()
-                },
+                self.median_span(*cause)
+                    .map_or_else(|| String::from("-"), |m| m.to_string()),
             ));
             // Hint on the causes that matter: the top forced-tick
             // contributor plus anything over 10% of forced ticks.
@@ -291,12 +343,12 @@ impl HorizonStats {
         out.push_str(&format!(
             "total: {} reference tick(s), {} skipped in bulk\n",
             total_ref,
-            self.total_skipped_ticks(),
+            stats.total_skipped_ticks(),
         ));
-        if self.busy_tail_ticks > 0 {
+        if stats.busy_tail_ticks > 0 {
             out.push_str(&format!(
                 "busy kernel: {} busy tick(s)\n",
-                self.busy_tail_ticks
+                stats.busy_tail_ticks
             ));
         }
         for hint in hints {
@@ -307,12 +359,13 @@ impl HorizonStats {
 }
 
 /// One self-describing JSON object, active causes in catalog order.
-impl WriteJson for HorizonStats {
+impl WriteJson for HorizonRanking<'_> {
     fn write_json(&self, w: &mut Writer<'_>) {
+        let stats = self.stats;
         w.obj(|w| {
             w.field("tool", "qz-prof").key("horizon_causes").arr(|w| {
                 for cause in HorizonCause::ALL {
-                    let s = self.cause(cause);
+                    let s = stats.cause(cause);
                     if s.spans == 0 && s.ref_ticks == 0 {
                         continue;
                     }
@@ -320,14 +373,16 @@ impl WriteJson for HorizonStats {
                         w.field("cause", cause.label())
                             .field("ref_ticks", s.ref_ticks)
                             .field("spans", s.spans)
-                            .field("skipped_ticks", s.skipped_ticks)
-                            .field("median_span", s.span_hist.quantile(0.5));
+                            .field("skipped_ticks", s.skipped_ticks);
+                        if let Some(spans) = self.spans {
+                            w.field("median_span", spans.hist(cause).quantile(0.5));
+                        }
                     });
                 }
             });
-            w.field("total_ref_ticks", self.total_ref_ticks())
-                .field("total_skipped_ticks", self.total_skipped_ticks())
-                .field("busy_tail_ticks", self.busy_tail_ticks);
+            w.field("total_ref_ticks", stats.total_ref_ticks())
+                .field("total_skipped_ticks", stats.total_skipped_ticks())
+                .field("busy_tail_ticks", stats.busy_tail_ticks);
         });
     }
 }
@@ -346,7 +401,7 @@ mod tests {
             h.record_ref_tick(HorizonCause::CaptureBoundary);
         }
         h.record_span(HorizonCause::CaptureBoundary, 999);
-        let text = h.render_ranking();
+        let text = h.ranking(None).render();
         let busy = text.find("busy-scheduler").unwrap();
         let capture = text.find("capture-boundary").unwrap();
         assert!(busy < capture, "{text}");
@@ -363,9 +418,10 @@ mod tests {
         let h = HorizonStats::new();
         assert!(h.is_empty());
         assert!(h
-            .render_ranking()
+            .ranking(None)
+            .render()
             .contains("no fast-forward horizon decisions"));
-        assert!(qz_types::json::to_string(&h).contains("\"total_ref_ticks\":0"));
+        assert!(qz_types::json::to_string(h.ranking(None)).contains("\"total_ref_ticks\":0"));
     }
 
     #[test]
@@ -385,7 +441,7 @@ mod tests {
     fn json_lists_only_active_causes() {
         let mut h = HorizonStats::new();
         h.record_span(HorizonCause::EventsEnd, 4);
-        let json = qz_types::json::to_string(&h);
+        let json = qz_types::json::to_string(h.ranking(None));
         assert!(json.contains("\"cause\":\"events-end\""));
         assert!(!json.contains("snapshot-due"));
     }
@@ -408,15 +464,59 @@ mod tests {
             (0, 0, 0),
             "the retired block counters read zero"
         );
-        let text = h.render_ranking();
+        let text = h.ranking(None).render();
         assert!(text.contains("busy kernel: 3 busy tick(s)\n"), "{text}");
-        let json = qz_types::json::to_string(&h);
+        let json = qz_types::json::to_string(h.ranking(None));
         assert!(json.contains("\"busy_tail_ticks\":3"), "{json}");
         assert!(!json.contains("busy_block"), "{json}");
         let mut other = HorizonStats::new();
         other.record_busy_tail(HorizonCause::FaultCollapse);
         other.merge(&h);
         assert_eq!(other.busy_tail_ticks(), 4);
+    }
+
+    #[test]
+    fn median_span_comes_from_the_profiler_distributions() {
+        let mut h = HorizonStats::new();
+        let mut spans = SpanLengths::new();
+        for ticks in [10, 30, 999] {
+            h.record_span(HorizonCause::JobCountdown, ticks);
+            spans.record(HorizonCause::JobCountdown, ticks);
+        }
+        h.record_ref_tick(HorizonCause::BusyScheduler);
+        let row = |text: &str, label: &str| {
+            let line = text.lines().find(|l| l.contains(label)).unwrap();
+            line.split_whitespace().last().unwrap().to_string()
+        };
+        let median = spans.hist(HorizonCause::JobCountdown).quantile(0.5);
+        assert!(median > 0);
+        let text = h.ranking(Some(&spans)).render();
+        assert_eq!(row(&text, "job-countdown"), median.to_string(), "{text}");
+        assert_eq!(row(&text, "busy-scheduler"), "-", "{text}");
+        let json = qz_types::json::to_string(h.ranking(Some(&spans)));
+        assert!(
+            json.contains(&format!("\"median_span\":{median}")),
+            "{json}"
+        );
+        // Unprofiled: the counters render, the distribution does not.
+        let text = h.ranking(None).render();
+        assert_eq!(row(&text, "job-countdown"), "-", "{text}");
+        let json = qz_types::json::to_string(h.ranking(None));
+        assert!(!json.contains("median_span"), "{json}");
+        assert!(json.contains("\"skipped_ticks\":1039"), "{json}");
+    }
+
+    #[test]
+    fn span_lengths_merge() {
+        let mut a = SpanLengths::new();
+        let mut b = SpanLengths::new();
+        a.record(HorizonCause::EventsEnd, 4);
+        b.record(HorizonCause::EventsEnd, 4);
+        b.record(HorizonCause::HorizonEnd, 1);
+        a.merge(&b);
+        assert_eq!(a.hist(HorizonCause::EventsEnd).count(), 2);
+        assert_eq!(a.hist(HorizonCause::HorizonEnd).count(), 1);
+        assert_ne!(a, SpanLengths::new());
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //!   collapsed-stack file standard flamegraph tooling consumes.
 //! - [`HorizonStats`] — *deterministic* counters (simulated-time land,
 //!   no clocks) recording which bound won every fast-forward horizon
-//!   decision ([`HorizonCause`]) and the span-length distribution, so
-//!   `qz profile` can print "why your Crowded run is slow" as a ranked
-//!   list.
+//!   decision ([`HorizonCause`]), cheap enough to stay on in every
+//!   run. An enabled [`PhaseProfiler`] adds the span-length
+//!   distributions ([`SpanLengths`]), and [`HorizonRanking`] joins the
+//!   two so `qz profile` can print "why your Crowded run is slow" as a
+//!   ranked list.
 //! - [`KernelStats`] — deterministic work counts of the energy kernel
 //!   (calls, tick evaluations, strides, bisections, crossings, ledger
 //!   sums), carried by an enabled [`PhaseProfiler`].
@@ -47,7 +49,7 @@ pub use flight::{
     arm_panic_dump, disarm_panic_dump, policy_hash, FlightHandle, FlightMeta, FlightObserver,
     FlightRecorder, StateDigest, DEFAULT_RING_CAPACITY, FLIGHT_SCHEMA,
 };
-pub use horizon::{CauseStat, HorizonCause, HorizonStats};
+pub use horizon::{CauseStat, HorizonCause, HorizonRanking, HorizonStats, SpanLengths};
 pub use kernel::KernelStats;
 pub use profiler::{Phase, PhaseProfiler, PhaseStat};
 pub use report::{PhaseReport, ProfileReport};

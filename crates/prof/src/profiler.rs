@@ -1,6 +1,7 @@
 //! The phase profiler: scoped wall-clock spans over the engine hot
-//! paths, aggregated per [`Phase`], and the energy kernel's
-//! [`KernelStats`] work counts.
+//! paths, aggregated per [`Phase`], the energy kernel's
+//! [`KernelStats`] work counts, and the fast-forward engine's
+//! [`SpanLengths`] per horizon cause.
 //!
 //! The profiler follows `qz-obs`'s observer discipline: a disabled
 //! profiler holds no storage at all, [`PhaseProfiler::begin`] is a
@@ -11,7 +12,7 @@
 //! enabling profiling changes no deterministic output byte.
 
 use crate::report::{PhaseReport, ProfileReport};
-use crate::KernelStats;
+use crate::{HorizonCause, KernelStats, SpanLengths};
 use qz_obs::Log2Histogram;
 use std::time::Instant;
 
@@ -185,7 +186,9 @@ impl PhaseStat {
 }
 
 /// Scoped-span aggregator over the [`Phase`] taxonomy, plus the energy
-/// kernel's [`KernelStats`] work counts.
+/// kernel's [`KernelStats`] work counts and the engine's
+/// [`SpanLengths`]: everything that is worth its cost only while
+/// profiling.
 ///
 /// Disabled ([`PhaseProfiler::disabled`], the default) it holds no
 /// storage and every call site costs one `Option::is_some` test.
@@ -213,6 +216,7 @@ pub struct PhaseProfiler {
 struct Stats {
     phases: [PhaseStat; Phase::COUNT],
     kernel: KernelStats,
+    spans: SpanLengths,
 }
 
 impl Stats {
@@ -220,6 +224,7 @@ impl Stats {
         Box::new(Stats {
             phases: std::array::from_fn(|_| PhaseStat::new()),
             kernel: KernelStats::default(),
+            spans: SpanLengths::new(),
         })
     }
 }
@@ -292,6 +297,21 @@ impl PhaseProfiler {
         self.stats.as_ref().map(|s| &s.kernel)
     }
 
+    /// Records the length of one bulk-advanced span ended by `cause`;
+    /// a no-op while disabled.
+    #[inline]
+    pub fn record_span_length(&mut self, cause: HorizonCause, ticks: u64) {
+        if let Some(stats) = self.stats.as_mut() {
+            stats.spans.record(cause, ticks);
+        }
+    }
+
+    /// The span-length distributions per horizon cause; `None` while
+    /// disabled.
+    pub fn span_lengths(&self) -> Option<&SpanLengths> {
+        self.stats.as_ref().map(|s| &s.spans)
+    }
+
     /// Folds another profiler's samples into this one (e.g. per-device
     /// fleet profilers into the coordinator's). Merging an enabled
     /// profiler into a disabled one enables it.
@@ -304,6 +324,7 @@ impl PhaseProfiler {
             m.merge(t);
         }
         mine.kernel.merge(&theirs.kernel);
+        mine.spans.merge(&theirs.spans);
     }
 
     /// Snapshots the aggregate into a renderable [`ProfileReport`].
@@ -415,6 +436,21 @@ mod tests {
         merged.merge(&on);
         merged.merge(&on);
         assert_eq!(merged.kernel().map(|k| (k.calls, k.ticks)), Some((4, 36)));
+    }
+
+    #[test]
+    fn span_lengths_record_only_when_enabled_and_merge() {
+        let mut off = PhaseProfiler::disabled();
+        off.record_span_length(HorizonCause::JobCountdown, 40);
+        assert!(off.span_lengths().is_none());
+        let mut on = PhaseProfiler::enabled();
+        on.record_span_length(HorizonCause::JobCountdown, 40);
+        let mut merged = PhaseProfiler::disabled();
+        merged.merge(&on);
+        merged.merge(&on);
+        let spans = merged.span_lengths().expect("merging enables");
+        assert_eq!(spans.hist(HorizonCause::JobCountdown).count(), 2);
+        assert_eq!(spans.hist(HorizonCause::EventsEnd).count(), 0);
     }
 
     #[test]

@@ -27,7 +27,9 @@ use qz_sim::{
     ActiveJobState, InjectorState, InputBufferState, Metrics, ProgressKeeperState, SimState,
     TelemetrySample, UplinkState,
 };
-use qz_types::json::{Json, WriteJson, Writer};
+// Every `u64` goes out as a decimal string, bit-exact through the
+// f64-based reader.
+use qz_types::json::{DecimalU64 as U, Json, Writer};
 use qz_types::{Joules, Seconds, SimDuration, SimTime, Watts};
 
 /// Schema tag every `qz-snap/v1` document opens with.
@@ -36,17 +38,6 @@ pub const SCHEMA: &str = "qz-snap/v1";
 // ---------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------
-
-/// A `u64` as a decimal JSON string (bit-exact through the f64-based
-/// reader).
-#[derive(Clone, Copy)]
-struct U(u64);
-
-impl WriteJson for U {
-    fn write_json(&self, w: &mut Writer<'_>) {
-        w.str_fmt(format_args!("{}", self.0));
-    }
-}
 
 /// An `f64` as the decimal rendering of its bit pattern.
 fn f(v: f64) -> U {

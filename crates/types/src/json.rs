@@ -19,7 +19,8 @@
 //!   are rejected.
 //!
 //! Numbers are read as `f64`, so integers above 2^53 round. Formats
-//! that need exact 64-bit integers (`qz-snap/v1`) carry them as strings.
+//! that need exact 64-bit integers (`qz-snap/v1`, and the seeds of the
+//! fleet and fault reports) carry them as strings ([`DecimalU64`]).
 
 use core::fmt::Write as _;
 use std::string::String;
@@ -279,6 +280,17 @@ impl WriteJson for str {
 impl WriteJson for String {
     fn write_json(&self, w: &mut Writer<'_>) {
         self.as_str().write_json(w);
+    }
+}
+
+/// A `u64` written as a decimal JSON string, so it reads back exactly
+/// through any `f64`-based reader, [`Json`] included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DecimalU64(pub u64);
+
+impl WriteJson for DecimalU64 {
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.str_fmt(format_args!("{}", self.0));
     }
 }
 

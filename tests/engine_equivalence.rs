@@ -392,9 +392,10 @@ fn telemetry_csv_bytes_match_across_engines() {
 
 /// An armed injector that can never fire must leave the fast-forward
 /// engine's horizon accounting exactly as it is without an injector:
-/// every span and busy tick the same. In particular a
+/// every span, busy tick and span length the same. In particular a
 /// scheduler-every-tick run of busy ticks ends when that regime ends,
-/// armed adversary or not.
+/// armed adversary or not. Both runs are profiled, so the span-length
+/// distributions (profiler data) are compared beside the counters.
 #[test]
 fn armed_none_plan_matches_the_uninjected_horizon_exactly() {
     let mut rng = SplitMix64::new(SUITE_SEED ^ 0x0E0E);
@@ -405,6 +406,8 @@ fn armed_none_plan_matches_the_uninjected_horizon_exactly() {
         let mut clean = build_simulation(case.kind, &case.profile, &case.env, &tweaks);
         let mut armed = build_simulation(case.kind, &case.profile, &case.env, &tweaks);
         armed.set_fault_injector(Box::new(AdversarialInjector::new(FaultPlan::none(), index)));
+        clean.enable_profiling();
+        armed.enable_profiling();
         while clean.step() {}
         while armed.step() {}
         assert_eq!(clean.metrics(), armed.metrics(), "{}", case.describe());
@@ -412,13 +415,30 @@ fn armed_none_plan_matches_the_uninjected_horizon_exactly() {
             .horizon_stats()
             .cause(HorizonCause::BusyScheduler)
             .ref_ticks;
+        let (clean_spans, armed_spans) = (
+            clean.profiler().span_lengths().expect("profiled"),
+            armed.profiler().span_lengths().expect("profiled"),
+        );
+        let ranking = |sim: &qz_sim::Simulation<'_>| {
+            sim.horizon_stats()
+                .ranking(sim.profiler().span_lengths())
+                .render()
+        };
         assert_eq!(
             clean.horizon_stats(),
             armed.horizon_stats(),
             "{}:\nclean {}\narmed {}",
             case.describe(),
-            clean.horizon_stats().render_ranking(),
-            armed.horizon_stats().render_ranking()
+            ranking(&clean),
+            ranking(&armed)
+        );
+        assert_eq!(
+            clean_spans,
+            armed_spans,
+            "{}: span lengths differ:\nclean {}\narmed {}",
+            case.describe(),
+            ranking(&clean),
+            ranking(&armed)
         );
     }
     assert!(

@@ -217,6 +217,54 @@ fn snap_small_json_snapshot() {
     );
 }
 
+/// Seeds in the fleet and fault reports are decimal strings, so they
+/// read back exactly through the workspace's `f64`-based JSON reader
+/// (a bare number above 2^53 would round: campaign 0's fault seed below
+/// would read back as …048).
+#[test]
+fn report_seeds_read_back_exactly() {
+    use qz_types::json::Json;
+    let seed_of = |doc: &Json, key: &str| -> u64 {
+        doc.get(key)
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| panic!("{key} is a string"))
+            .parse()
+            .expect("decimal u64")
+    };
+    let fault = Json::parse(include_str!("golden/fault_small.json")).expect("golden parses");
+    let cfg = qz_fault::CampaignConfig {
+        seed: 0xC1C1,
+        ..qz_fault::CampaignConfig::default()
+    };
+    assert_eq!(seed_of(&fault, "seed"), cfg.seed);
+    let rows = fault
+        .get("per_campaign")
+        .and_then(Json::as_arr)
+        .expect("rows");
+    assert_eq!(rows.len(), 4);
+    for (c, row) in rows.iter().enumerate() {
+        assert_eq!(
+            seed_of(row, "fault_seed"),
+            cfg.fault_seed(c),
+            "campaign {c}"
+        );
+    }
+    assert!(
+        cfg.fault_seed(0) > 1 << 53,
+        "the pin needs a seed f64 cannot hold"
+    );
+
+    let cfg = qz_fleet::FleetConfig {
+        devices: 1,
+        events: 2,
+        fleet_seed: u64::MAX - 1,
+        ..qz_fleet::FleetConfig::default()
+    };
+    let report = qz_fleet::run_fleet(&cfg, qz_fleet::Executor::new(1)).expect("fleet runs");
+    let fleet = Json::parse(&report.to_json()).expect("report parses");
+    assert_eq!(seed_of(&fleet, "fleet_seed"), u64::MAX - 1);
+}
+
 /// A small `qz fault --json` report, byte for byte (the CLI's defaults:
 /// Quetzal on Apollo4 in Crowded, faults from the first tick).
 /// Regenerate after an intentional behaviour change:
@@ -260,7 +308,7 @@ fn fault_small_json_snapshot() {
     assert_eq!(
         json.lines().nth(12),
         Some(
-            "    {\"campaign\": 1, \"fault_seed\": 10849700181116242069, \"faults\": 24, \"faults_power\": 12, \"faults_checkpoint\": 7, \"min_stored_j\": 0.000003, \"violations\": [{\"invariant\": \"buffer_conservation\", \"detail\": \"kept \\\"3\\\" of 4\\n\\tframes\"}, {\"invariant\": \"energy_accounting\", \"detail\": \"ok\"}]},"
+            "    {\"campaign\": 1, \"fault_seed\": \"10849700181116242069\", \"faults\": 24, \"faults_power\": 12, \"faults_checkpoint\": 7, \"min_stored_j\": 0.000003, \"violations\": [{\"invariant\": \"buffer_conservation\", \"detail\": \"kept \\\"3\\\" of 4\\n\\tframes\"}, {\"invariant\": \"energy_accounting\", \"detail\": \"ok\"}]},"
         )
     );
 }

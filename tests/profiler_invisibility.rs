@@ -170,6 +170,61 @@ fn fleet_profiled_report_is_byte_identical() {
     assert_eq!(kernel, serial.profiler.kernel().copied());
 }
 
+/// Arming the profiler leaves the always-on horizon counters alone: a
+/// profiled and an unprofiled run count the same spans, skipped ticks,
+/// reference ticks and busy ticks on both engines, and the profiler's
+/// span lengths account for every counted span. A profiled fleet merges
+/// the same counters and distributions at one thread as at two.
+#[test]
+fn profiling_leaves_the_horizon_counters_alone() {
+    let profile = apollo4();
+    let env = SensingEnvironment::generate(EnvironmentKind::Crowded, 30, SEED);
+    for engine in [EngineKind::Tick, EngineKind::FastForward] {
+        let tw = tweaks(engine);
+        let mut plain = build_simulation(BaselineKind::Quetzal, &profile, &env, &tw);
+        let mut profiled = build_simulation(BaselineKind::Quetzal, &profile, &env, &tw);
+        profiled.enable_profiling();
+        while plain.step() {}
+        while profiled.step() {}
+        let counters = profiled.horizon_stats();
+        assert_eq!(
+            plain.horizon_stats(),
+            counters,
+            "profiling changed the horizon counters under the {} engine",
+            engine.label()
+        );
+        assert!(plain.profiler().span_lengths().is_none());
+        let spans = profiled.profiler().span_lengths().expect("armed profiler");
+        for cause in qz_prof::HorizonCause::ALL {
+            assert_eq!(
+                spans.hist(cause).count(),
+                counters.cause(cause).spans,
+                "{cause:?} under the {} engine",
+                engine.label()
+            );
+        }
+        assert_eq!(
+            counters.is_empty(),
+            engine == EngineKind::Tick,
+            "only the fast-forward engine plans horizons"
+        );
+    }
+    let cfg = FleetConfig {
+        devices: 5,
+        events: 12,
+        fleet_seed: SEED,
+        ..FleetConfig::default()
+    };
+    let (_, serial) = run_fleet_profiled(&cfg, Executor::new(1)).expect("fleet runs");
+    let (_, parallel) = run_fleet_profiled(&cfg, Executor::new(2)).expect("fleet runs");
+    assert!(!serial.horizon.is_empty());
+    assert_eq!(serial.horizon, parallel.horizon);
+    assert_eq!(
+        serial.profiler.span_lengths(),
+        parallel.profiler.span_lengths()
+    );
+}
+
 /// The disabled profiler (the default) reports nothing: the compiled-in
 /// spans must stay no-ops unless explicitly armed.
 #[test]
