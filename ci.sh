@@ -38,7 +38,7 @@ echo "== test-count guard =="
 # The suite must never silently shrink (a deleted [[test]] stanza or a
 # dropped module compiles fine and loses coverage without failing CI).
 # Raise the floor when tests are added; never lower it casually.
-test_floor=989
+test_floor=979
 test_count=$(cargo test -q --workspace -- --list 2>/dev/null | grep -c ': test$')
 echo "   ${test_count} tests (floor ${test_floor})"
 if [ "${test_count}" -lt "${test_floor}" ]; then
@@ -202,19 +202,18 @@ branch_out=$(cargo run -q --bin qz -- branch --events 10 --at 60)
 grep -q "identity fork (self-check)" <<< "${branch_out}"
 grep -q "no divergence" <<< "${branch_out}"
 
-echo "== qz run: snapshot ring is invisible and deterministic =="
-# Driving a run through the rollback-history ring must not perturb the
-# simulation (same metrics as a plain run of the same seeds) and must
-# be byte-identical across reruns.
+echo "== qz run: telemetry is invisible and deterministic =="
+# Recording the periodic state sample must not perturb the simulation
+# (same metrics as a plain run of the same seeds) and its CSV must be
+# byte-identical across reruns.
 cargo run -q --bin qz -- run --events 10 > "${fleet_dir}/plain.txt"
-cargo run -q --bin qz -- run --events 10 --snapshot-ring 8 --snapshot-stride 30 \
-    > "${fleet_dir}/ring1.txt" 2> /dev/null
-cargo run -q --bin qz -- run --events 10 --snapshot-ring 8 --snapshot-stride 30 \
-    > "${fleet_dir}/ring2.txt" 2> /dev/null
-cmp "${fleet_dir}/ring1.txt" "${fleet_dir}/ring2.txt"
-grep -q "rollback point(s) held" "${fleet_dir}/ring1.txt"
+cargo run -q --bin qz -- run --events 10 --telemetry "${fleet_dir}/tel1.csv" \
+    > "${fleet_dir}/tel1.txt"
+cargo run -q --bin qz -- run --events 10 --telemetry "${fleet_dir}/tel2.csv" \
+    > /dev/null
+cmp "${fleet_dir}/tel1.csv" "${fleet_dir}/tel2.csv"
 diff <(grep -E "interesting:|reports:|device:" "${fleet_dir}/plain.txt") \
-     <(grep -E "interesting:|reports:|device:" "${fleet_dir}/ring1.txt")
+     <(grep -E "interesting:|reports:|device:" "${fleet_dir}/tel1.txt")
 
 echo "== qz bisect: exact first-divergence + runnable repro =="
 # Binary-searching a heavy campaign against its fault-free twin must

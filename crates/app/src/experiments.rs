@@ -46,14 +46,6 @@ pub struct SimTweaks {
     /// reference oracle tests and benches select). Both engines produce
     /// byte-identical results.
     pub engine: qz_sim::EngineKind,
-    /// Telemetry-recorder sample period the run will install, if any —
-    /// declared here so `qz-check`'s QZ071 horizon lint can see it
-    /// before the run (the `simulate*` entry points do not install a
-    /// recorder themselves).
-    pub telemetry_period: Option<SimDuration>,
-    /// Observer snapshot period the run will use, if any (QZ071
-    /// likewise).
-    pub snapshot_period: Option<SimDuration>,
 }
 
 impl Default for SimTweaks {
@@ -73,8 +65,6 @@ impl Default for SimTweaks {
             power_ewma_alpha: None,
             supercap_capacitance: None,
             engine: qz_sim::EngineKind::default(),
-            telemetry_period: None,
-            snapshot_period: None,
         }
     }
 }
@@ -114,11 +104,11 @@ pub fn simulate(
     env: &SensingEnvironment,
     tweaks: &SimTweaks,
 ) -> Metrics {
-    simulate_with_telemetry(kind, profile, env, tweaks, None).0
+    build_simulation(kind, profile, env, tweaks).run()
 }
 
-/// Like [`simulate`], optionally recording periodic telemetry at the
-/// given interval.
+/// Like [`simulate`], recording the periodic device-state telemetry
+/// (one sample per simulated second).
 ///
 /// # Panics
 ///
@@ -128,12 +118,9 @@ pub fn simulate_with_telemetry(
     profile: &DeviceProfile,
     env: &SensingEnvironment,
     tweaks: &SimTweaks,
-    telemetry_interval: Option<qz_types::SimDuration>,
 ) -> (Metrics, qz_sim::Telemetry) {
     let mut sim = build_simulation(kind, profile, env, tweaks);
-    if let Some(interval) = telemetry_interval {
-        sim.record_telemetry(interval);
-    }
+    sim.record_telemetry();
     sim.run_with_telemetry()
 }
 
@@ -313,7 +300,7 @@ pub fn check_experiment(
     tweaks: &SimTweaks,
 ) -> qz_check::Report {
     let (app, qcfg, cfg) = experiment_configs(kind, profile, tweaks);
-    check_configs(kind, &app, qcfg, cfg, tweaks)
+    check_configs(kind, &app, qcfg, cfg)
 }
 
 fn check_configs(
@@ -321,15 +308,12 @@ fn check_configs(
     app: &AppModel,
     qcfg: QuetzalConfig,
     cfg: SimConfig,
-    tweaks: &SimTweaks,
 ) -> qz_check::Report {
     let mut input = qz_check::CheckInput::new(&app.spec);
     input.device = cfg.device;
     input.power = cfg.power;
     input.runtime = qcfg;
     input.hw_estimator = matches!(kind, BaselineKind::QuetzalHw);
-    input.telemetry_period = tweaks.telemetry_period.map(|p| p.as_millis());
-    input.snapshot_period = tweaks.snapshot_period.map(|p| p.as_millis());
     qz_check::check(&input)
 }
 
@@ -357,7 +341,7 @@ impl Experiment {
     /// Panics when `qz-check` rejects the configuration.
     pub fn checked(kind: BaselineKind, profile: &DeviceProfile, tweaks: &SimTweaks) -> Experiment {
         let (app, qcfg, cfg) = experiment_configs(kind, profile, tweaks);
-        let report = check_configs(kind, &app, qcfg.clone(), cfg.clone(), tweaks);
+        let report = check_configs(kind, &app, qcfg.clone(), cfg.clone());
         assert!(
             !report.has_errors(),
             "qz-check rejected the {kind:?}/{} experiment config:\n{}",

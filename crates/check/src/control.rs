@@ -1,5 +1,5 @@
 //! Control and window sanity (`QZ040`–`QZ043`) and fast-forward
-//! horizon hygiene (`QZ070`/`QZ071`).
+//! horizon hygiene (`QZ070`).
 //!
 //! The PID error-mitigation loop (paper §5.3) and the windowed
 //! estimators are the only feedback paths in the runtime; a bad gain
@@ -25,42 +25,13 @@ const MAX_CLAMP_SECONDS: f64 = 30.0;
 /// Shipped presets capture at 1 FPS (1000 ticks), far above this.
 const HORIZON_COLLAPSE_TICKS: u64 = 10;
 
-/// Resident-memory budget for a snapshot ring before `QZ073` fires.
-pub const SNAPSHOT_RING_BUDGET_BYTES: u64 = 256 * 1024 * 1024;
-
 pub(crate) fn run(input: &CheckInput<'_>, report: &mut Report) {
     pid(input, report);
     windows(input, report);
     horizon(input, report);
 }
 
-/// `QZ073` on its own scalars: would a ring of `capacity` snapshots at
-/// `bytes_per_snapshot` bytes each outgrow the memory budget?
-/// Standalone (plain numbers) so the CLI can evaluate it against a
-/// *measured* snapshot size without this crate depending on `qz-snap`.
-pub fn check_snapshot_ring(bytes_per_snapshot: u64, capacity: u64) -> Report {
-    let mut report = Report::new();
-    let total = bytes_per_snapshot.saturating_mul(capacity);
-    if total > SNAPSHOT_RING_BUDGET_BYTES {
-        report.push(
-            Code::QZ073,
-            Severity::Warning,
-            Span::field("snapshot_ring"),
-            format!(
-                "a ring of {capacity} snapshots at ~{bytes_per_snapshot} bytes each holds \
-                 ~{} MiB of serialized state, past the {} MiB budget; shrink the ring or \
-                 lengthen the stride",
-                total / (1024 * 1024),
-                SNAPSHOT_RING_BUDGET_BYTES / (1024 * 1024),
-            ),
-        );
-    }
-    report.sort();
-    report
-}
-
-/// QZ070: the capture period forces a horizon collapse. QZ071: the
-/// instrumentation (telemetry recorder or snapshot observer) does.
+/// QZ070: the capture period forces a horizon collapse.
 fn horizon(input: &CheckInput<'_>, report: &mut Report) {
     let period = input.device.capture_period.as_millis();
     if period > 0 && period <= HORIZON_COLLAPSE_TICKS {
@@ -75,32 +46,6 @@ fn horizon(input: &CheckInput<'_>, report: &mut Report) {
                  tick-engine speed rather than quiet-regime speed",
             ),
         );
-    }
-    for (period, field, what) in [
-        (
-            input.telemetry_period,
-            "telemetry_period",
-            "telemetry-recorder sample",
-        ),
-        (
-            input.snapshot_period,
-            "snapshot_period",
-            "observer snapshot",
-        ),
-    ] {
-        let Some(period) = period else { continue };
-        if period > 0 && period <= HORIZON_COLLAPSE_TICKS {
-            report.push(
-                Code::QZ071,
-                Severity::Warning,
-                Span::field(field),
-                format!(
-                    "{what} period of {period} tick(s) puts an observation boundary on (almost) \
-                     every tick; the instrumentation itself collapses the fast-forward event \
-                     horizon (`qz profile` will rank it under telemetry-due/snapshot-due)",
-                ),
-            );
-        }
     }
 }
 
@@ -397,51 +342,6 @@ mod tests {
             .diagnostics()
             .iter()
             .all(|d| d.code != Code::QZ070));
-    }
-
-    #[test]
-    fn tiny_observation_periods_collapse_the_horizon() {
-        let spec = two_option_spec((0.5, 0.005), (0.05, 0.004), None);
-        let mut i = input(&spec);
-        i.telemetry_period = Some(1);
-        i.snapshot_period = Some(HORIZON_COLLAPSE_TICKS);
-        let report = crate::check(&i);
-        let qz071: Vec<_> = report
-            .diagnostics()
-            .iter()
-            .filter(|d| d.code == Code::QZ071)
-            .collect();
-        assert_eq!(qz071.len(), 2, "{}", report.render_text());
-        assert!(qz071.iter().all(|d| d.severity == Severity::Warning));
-
-        // Sane periods (and absent instrumentation) stay clean.
-        let mut i = input(&spec);
-        i.telemetry_period = Some(1000);
-        i.snapshot_period = None;
-        assert!(crate::check(&i)
-            .diagnostics()
-            .iter()
-            .all(|d| d.code != Code::QZ071));
-    }
-
-    #[test]
-    fn snapshot_ring_budget_warns_past_the_line() {
-        // 1 MiB snapshots × 64 slots = 64 MiB: fine.
-        assert!(check_snapshot_ring(1024 * 1024, 64)
-            .diagnostics()
-            .is_empty());
-        // 8 MiB snapshots × 64 slots = 512 MiB: QZ073.
-        let report = check_snapshot_ring(8 * 1024 * 1024, 64);
-        let d = &report.diagnostics()[0];
-        assert_eq!(d.code, Code::QZ073);
-        assert_eq!(d.severity, Severity::Warning);
-        assert!(d.message.contains("512 MiB"), "{}", d.message);
-        assert!(d.message.contains("256 MiB budget"), "{}", d.message);
-        // Overflow-proof.
-        assert_eq!(
-            check_snapshot_ring(u64::MAX, u64::MAX).diagnostics()[0].code,
-            Code::QZ073
-        );
     }
 
     #[test]

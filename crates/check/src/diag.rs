@@ -18,6 +18,7 @@ use std::fmt;
 /// fault-campaign survivability, `QZ07x` simulation-performance
 /// hygiene (fast-forward horizon collapse), `QZ08x` fleet-scale
 /// resource preflight (per-gateway shard saturation, host memory).
+/// Retired codes keep their numbers out of use (see DESIGN.md).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(clippy::doc_markdown)]
 pub enum Code {
@@ -102,14 +103,6 @@ pub enum Code {
     /// (almost) every tick: the fast-forward engine's event horizon
     /// collapses and the simulation degenerates to per-tick stepping.
     QZ070,
-    /// A telemetry-recorder or observer-snapshot period is so short that
-    /// an observation boundary lands on (almost) every tick: the
-    /// instrumentation itself collapses the fast-forward event horizon.
-    QZ071,
-    /// The requested snapshot ring would hold more serialized state
-    /// than the memory budget allows: ring capacity times the
-    /// estimated per-snapshot size exceeds the budget.
-    QZ073,
     /// The most-loaded gateway shard's aggregate airtime demand
     /// saturates that gateway's channel: even fully degraded, its
     /// member devices offer ≥ 100% of one gateway's capacity, so the
@@ -123,7 +116,7 @@ pub enum Code {
 
 impl Code {
     /// Every code, in catalog order.
-    pub const ALL: [Code; 30] = [
+    pub const ALL: [Code; 28] = [
         Code::QZ001,
         Code::QZ002,
         Code::QZ003,
@@ -150,8 +143,6 @@ impl Code {
         Code::QZ061,
         Code::QZ062,
         Code::QZ070,
-        Code::QZ071,
-        Code::QZ073,
         Code::QZ080,
         Code::QZ081,
     ];
@@ -185,8 +176,6 @@ impl Code {
             Code::QZ061 => "QZ061",
             Code::QZ062 => "QZ062",
             Code::QZ070 => "QZ070",
-            Code::QZ071 => "QZ071",
-            Code::QZ073 => "QZ073",
             Code::QZ080 => "QZ080",
             Code::QZ081 => "QZ081",
         }
@@ -223,8 +212,6 @@ impl Code {
             Code::QZ061 => "failure period shorter than reserve recharge + restore (thrash)",
             Code::QZ062 => "expected replay per failure ≥ failure period (livelock)",
             Code::QZ070 => "capture period collapses the fast-forward event horizon",
-            Code::QZ071 => "telemetry/snapshot period collapses the fast-forward event horizon",
-            Code::QZ073 => "snapshot ring exceeds the memory budget",
             Code::QZ080 => "most-loaded gateway shard saturates its channel (per-shard QZ050)",
             Code::QZ081 => "fleet working set exceeds the host memory budget",
         }
@@ -266,8 +253,6 @@ impl Code {
             | Code::QZ061
             | Code::QZ062
             | Code::QZ070
-            | Code::QZ071
-            | Code::QZ073
             | Code::QZ081 => "warning",
             Code::QZ013 | Code::QZ023 => "note",
             Code::QZ030 | Code::QZ033 => "note (warning with the hardware estimator)",
@@ -414,18 +399,6 @@ impl Code {
                  fault-free. A short capture period therefore costs real speed: the run \
                  steps tick by tick for as long as the period stays that short."
             }
-            Code::QZ071 => {
-                "Telemetry or snapshot periods near one tick put an observation boundary \
-                 on every tick, so the instrumentation itself collapses the fast-forward \
-                 event horizon."
-            }
-            Code::QZ073 => {
-                "Every held snapshot is a full serialized engine state; a ring of N of \
-                 them costs N times the per-snapshot size in resident memory. Past the \
-                 budget the time-travel machinery starts displacing the simulation it \
-                 instruments (page-cache pressure, allocator churn), and on small hosts \
-                 it simply OOMs."
-            }
             Code::QZ080 => {
                 "Sharding splits the fleet across gateways, but Little's Law still holds \
                  at each gateway: if the most-loaded shard's members offer airtime at or \
@@ -519,12 +492,6 @@ impl Code {
             Code::QZ070 => {
                 "Lengthen capture_period, or accept per-tick reference speed (no \
                  quiet-regime bulk skipping)."
-            }
-            Code::QZ071 => "Lengthen the telemetry/snapshot period, or drop the instrumentation.",
-            Code::QZ073 => {
-                "Shrink --snapshot-ring, lengthen --snapshot-stride (fewer live snapshots \
-                 needed for the same timeline reach), or trim telemetry so each snapshot \
-                 serializes smaller."
             }
             Code::QZ080 => {
                 "Add gateways (more shards), shed devices, lengthen the report interval, \

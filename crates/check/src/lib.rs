@@ -65,7 +65,6 @@ use quetzal::model::{AppSpec, TaskCost, TaskKind, TaskSpec};
 use quetzal::QuetzalConfig;
 use qz_sim::{DeviceConfig, PowerConfig};
 
-pub use control::{check_snapshot_ring, SNAPSHOT_RING_BUDGET_BYTES};
 pub use diag::{Code, Diagnostic, Report, Severity, Span};
 pub use faults::{check_faults, FaultCheckInput};
 pub use fleet::{check_fleet, FleetCheckInput};
@@ -90,13 +89,6 @@ pub struct CheckInput<'a> {
     /// use: fixed-point/ADC range findings become warnings instead of
     /// notes.
     pub hw_estimator: bool,
-    /// Telemetry-recorder sample period in ticks, when the run will
-    /// install a recorder (`None` = no telemetry). Tiny periods trip
-    /// the QZ071 horizon-collapse lint.
-    pub telemetry_period: Option<u64>,
-    /// Observer snapshot period in ticks, when the run will emit
-    /// periodic snapshots (`None` = no snapshots). Likewise QZ071.
-    pub snapshot_period: Option<u64>,
 }
 
 impl<'a> CheckInput<'a> {
@@ -108,8 +100,6 @@ impl<'a> CheckInput<'a> {
             power: PowerConfig::default(),
             runtime: QuetzalConfig::default(),
             hw_estimator: false,
-            telemetry_period: None,
-            snapshot_period: None,
         }
     }
 }

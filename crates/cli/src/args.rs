@@ -5,8 +5,8 @@
 //! [`Flag`]: the name, a usage sample (empty for a switch) and a setter
 //! that parses the value into [`Args`], the one struct every handler
 //! reads. Shared flags (`--system`, `--device`, `--env`, `--events`,
-//! `--seed`, `--threads`, `--preset`, the snapshot-ring pair) are
-//! defined once and listed in every table that takes them. A single
+//! `--seed`, `--threads`, `--preset`, `--json`) are defined once and
+//! listed in every table that takes them. A single
 //! loop walks argv against the table, so a subcommand rejects every flag
 //! its handler would ignore, and [`help`] renders the usage block from
 //! the same tables. `qz figure` alone has no `--events` default of its
@@ -116,10 +116,6 @@ pub struct Args {
     pub solar: qz_absint::SolarMode,
     /// Envelope segment length for `--solar floor|ceil`, seconds.
     pub solar_seg: u64,
-    /// Snapshot ring capacity (`run` keeps one; `fault` preflights it).
-    pub snapshot_ring: Option<usize>,
-    /// Snapshot ring capture stride, seconds.
-    pub snapshot_stride: Option<u64>,
     /// Exit nonzero on warnings as well as errors (`check`).
     pub deny_warnings: bool,
     /// Diagnostic codes downgraded to notes (repeatable `--allow`).
@@ -134,10 +130,6 @@ pub struct Args {
     pub buffer: Option<usize>,
     /// Capture period override, seconds (`check`, `fleet`).
     pub capture_period: Option<f64>,
-    /// Declared telemetry-recorder sample period, seconds (`check`).
-    pub telemetry_period: Option<f64>,
-    /// Declared observer snapshot period, seconds (`check`).
-    pub snapshot_period: Option<f64>,
     /// Print the catalog entry for one diagnostic code and exit (`check`).
     pub explain: Option<qz_check::Code>,
     /// Envelope segment length, seconds (`verify`).
@@ -220,8 +212,6 @@ impl Args {
             snapshots: false,
             solar: qz_absint::SolarMode::Trace,
             solar_seg: 60,
-            snapshot_ring: None,
-            snapshot_stride: None,
             deny_warnings: false,
             allow: Vec::new(),
             cap_mf: None,
@@ -229,8 +219,6 @@ impl Args {
             cells: None,
             buffer: None,
             capture_period: None,
-            telemetry_period: None,
-            snapshot_period: None,
             explain: None,
             segment: 60,
             deny_unproven: false,
@@ -446,12 +434,6 @@ const THREADS: Flag = flag("--threads", "N", |a, v| {
 const PRESET: Flag = flag("--preset", "none|smoke|standard|heavy", |a, v| {
     set(&mut a.preset, parse_preset(v))
 });
-const SNAPSHOT_RING: Flag = flag("--snapshot-ring", "64", |a, v| {
-    set(&mut a.snapshot_ring, positive(v).map(Some))
-});
-const SNAPSHOT_STRIDE: Flag = flag("--snapshot-stride", "10", |a, v| {
-    set(&mut a.snapshot_stride, positive(v).map(Some))
-});
 const JSON_SWITCH: Flag = flag("--json", "", |a, _| set(&mut a.json, path("-")));
 const JSON_PATH: Flag = flag("--json", "out.json|-", |a, v| set(&mut a.json, path(v)));
 const CSV: Flag = flag("--csv", "out.csv", |a, v| set(&mut a.csv, path(v)));
@@ -483,8 +465,6 @@ const RUN: &[Flag] = &[
     flag("--plot", "", |a, _| set(&mut a.plot, Ok(true))),
     SOLAR,
     SOLAR_SEG,
-    SNAPSHOT_RING,
-    SNAPSHOT_STRIDE,
 ];
 const COMPARE: &[Flag] = &[ENV, EVENTS, SEED, DEVICE, SOLAR, SOLAR_SEG];
 const FIGURE: &[Flag] = &[
@@ -550,12 +530,6 @@ const CHECK: &[Flag] = &[
     }),
     flag("--capture-period", "1", |a, v| {
         set(&mut a.capture_period, num(v, "a number").map(Some))
-    }),
-    flag("--telemetry-period", "1", |a, v| {
-        set(&mut a.telemetry_period, positive_f64(v).map(Some))
-    }),
-    flag("--snapshot-period", "1", |a, v| {
-        set(&mut a.snapshot_period, positive_f64(v).map(Some))
     }),
     flag("--explain", "QZ010", |a, v| {
         set(&mut a.explain, code(v).map(Some))
@@ -633,8 +607,6 @@ const FAULT: &[Flag] = &[
     flag("--postmortem", "DIR", |a, v| {
         set(&mut a.postmortem, path(v))
     }),
-    SNAPSHOT_RING,
-    SNAPSHOT_STRIDE,
 ];
 
 const BRANCH: &[Flag] = &[
@@ -876,7 +848,10 @@ pub fn help() -> String {
 const PROSE: &str = "
 Every subcommand runs the fast-forward engine: it skips quiescent ticks in
 bulk, and its reports are byte-identical to the per-tick reference loop
-(an oracle that only the test suites and benches select).
+(an oracle that only the test suites and benches select). `qz run
+--telemetry/--plot`, `qz trace --snapshots` and flight-recorder digests
+all read one periodic device-state sample, taken once per simulated
+second.
 
 `qz figure --name NAME` prints one output of the paper's evaluation (a
 figure, a table, an extension, or `diagnose`) as its text table. Without
@@ -943,15 +918,9 @@ self-check: the fork must reproduce the base stream exactly.
 fault --start N --campaigns 1`) and binary-searches snapshot rings of
 the faulted run and its fault-free twin for the exact first simulated
 instant their engine states diverge, printing the tick, the coarse
-bracket, the probe count, and a single-line `qz fault` repro. Exits
+bracket, the probe count, and a single-line `qz fault` repro. --stride
+sets the coarse snapshot cadence and --ring the ring's capacity. Exits
 nonzero when no consequential fault ever fired.
-
-With --snapshot-ring/--snapshot-stride, `qz run` keeps a rolling ring of
-bit-exact engine snapshots while it runs (the material rollback and
-branch studies start from) and prints the held capture instants; `qz
-fault` uses the declared ring to preflight snapshot memory. Both
-evaluate the QZ073 budget check (ring capacity × measured snapshot
-size) and warn past 256 MiB.
 
 `qz profile` runs one simulation with the engine's phase profiler and
 horizon-cause accounting enabled, then prints a ranked \"why is this run
@@ -1005,6 +974,14 @@ pub(crate) mod tests {
 
     fn rejected(line: &str) -> bool {
         parse(&argv(line)).is_err()
+    }
+
+    /// Every line fails with the parser's unknown-flag error.
+    fn assert_unknown(lines: &[&str]) {
+        for line in lines {
+            let e = parse(&argv(line)).unwrap_err();
+            assert!(e.0.contains("unknown flag"), "`{line}`: {e}");
+        }
     }
 
     #[test]
@@ -1081,7 +1058,6 @@ pub(crate) mod tests {
             "export-traces --limit 3",
             "trace --plot",
             "trace --telemetry t.csv",
-            "trace --snapshot-ring 4",
             "run --jsonl e.jsonl",
             "run --out-dir x",
         ] {
@@ -1146,8 +1122,6 @@ pub(crate) mod tests {
         assert!(rejected("check --allow QZ999"));
         assert!(rejected("check --device z80"));
         assert!(rejected("check --events 5"), "run-only flag");
-        assert!(rejected("check --telemetry-period 0"));
-        assert!(rejected("check --snapshot-period -2"));
     }
 
     #[test]
@@ -1219,9 +1193,9 @@ pub(crate) mod tests {
 
     #[test]
     fn check_observation_period_flags() {
-        let c = ok("check --telemetry-period 0.001 --snapshot-period 1");
-        assert_eq!(c.telemetry_period, Some(0.001));
-        assert_eq!(c.snapshot_period, Some(1.0));
+        // The state sample has one fixed 1 s cadence: there is no
+        // period to declare to the checker.
+        assert_unknown(&["check --telemetry-period 1", "check --snapshot-period 1"]);
     }
 
     #[test]
@@ -1294,7 +1268,7 @@ pub(crate) mod tests {
             (f.events, f.campaigns, f.start, f.seed),
             (12, 8, 0, FAULT_SEED)
         );
-        assert!(f.json.is_none() && f.postmortem.is_none() && f.snapshot_ring.is_none());
+        assert!(f.json.is_none() && f.postmortem.is_none());
         let f = ok(
             "fault --preset heavy --system QZ-HW --device msp430 --env more-crowded \
              --events 4 --campaigns 1 --seed 0xD1FF0002 --start 17 --threads 2 --json -",
@@ -1351,24 +1325,15 @@ pub(crate) mod tests {
         );
         assert_eq!(f.inject_at, 15);
         assert_eq!(f.start, 1);
-        let f = ok("fault --snapshot-ring 8 --snapshot-stride 30");
-        assert_eq!(f.snapshot_ring, Some(8));
-        assert_eq!(f.snapshot_stride, Some(30));
-        assert!(rejected("fault --snapshot-ring 0"));
-        assert!(rejected("fault --snapshot-stride 0"));
+        assert_unknown(&["fault --snapshot-ring 8", "fault --snapshot-stride 30"]);
         assert!(rejected("fault --inject-at soon"));
     }
 
     #[test]
     fn run_snapshot_ring_flags() {
-        let r = ok("run");
-        assert_eq!(r.snapshot_ring, None);
-        assert_eq!(r.snapshot_stride, None);
-        let r = ok("run --snapshot-ring 16 --snapshot-stride 5");
-        assert_eq!(r.snapshot_ring, Some(16));
-        assert_eq!(r.snapshot_stride, Some(5));
-        assert!(rejected("run --snapshot-ring 0"));
-        assert!(rejected("run --snapshot-stride 0"));
+        // Rollback rings belong to `qz bisect --stride/--ring`; `qz run`
+        // keeps none.
+        assert_unknown(&["run --snapshot-ring 16", "run --snapshot-stride 5"]);
     }
 
     #[test]

@@ -16,13 +16,13 @@ use qz_absint::{
     decide, interpret, AbsModel, ConcreteObservation, HarvestEnvelope, Property, SolarMode, Verdict,
 };
 use qz_app::{
-    apollo4, build_simulation, check_experiment, experiment_configs, ideal, msp430fr5994, simulate,
-    simulate_traced, simulate_with_telemetry, timeline_names, AppModel, DeviceProfile, SimTweaks,
+    apollo4, check_experiment, experiment_configs, ideal, msp430fr5994, simulate, simulate_traced,
+    simulate_with_telemetry, timeline_names, AppModel, DeviceProfile, SimTweaks,
 };
 use qz_baselines::BaselineKind;
 use qz_sim::Metrics;
 use qz_traces::SensingEnvironment;
-use qz_types::json::Writer;
+use qz_types::json::{DecimalU64, Writer};
 use qz_types::{Farads, Seconds, SimDuration, SimTime};
 use std::process::ExitCode;
 
@@ -176,12 +176,6 @@ fn check(args: &Args) -> ExitCode {
     }
     if let Some(secs) = args.capture_period {
         tweaks.capture_period = SimDuration::from_seconds_ceil(Seconds(secs));
-    }
-    if let Some(secs) = args.telemetry_period {
-        tweaks.telemetry_period = Some(SimDuration::from_seconds_ceil(Seconds(secs)));
-    }
-    if let Some(secs) = args.snapshot_period {
-        tweaks.snapshot_period = Some(SimDuration::from_seconds_ceil(Seconds(secs)));
     }
 
     let mut failed = false;
@@ -412,7 +406,7 @@ fn verify(args: &Args) -> ExitCode {
                             .field("device", profile.name)
                             .field("env", args.env.token())
                             .field("events", args.events)
-                            .field("seed", args.seed)
+                            .field("seed", DecimalU64(args.seed))
                             .field("segment_secs", args.segment)
                             .key("verdicts")
                             .obj(|w| {
@@ -515,32 +509,6 @@ fn fault(args: &Args) -> ExitCode {
         injection_at: SimDuration::from_secs(args.inject_at),
         tweaks: SimTweaks::default(),
     };
-    if args.snapshot_ring.is_some() || args.snapshot_stride.is_some() {
-        let ring = args.snapshot_ring.unwrap_or(64);
-        let stride = args.snapshot_stride.unwrap_or(10);
-        let env = SensingEnvironment::generate(cfg.env, cfg.events, cfg.seed);
-        let mut sim = build_simulation(cfg.system, &cfg.profile, &env, &cfg.tweaks);
-        match qz_snap::estimated_snapshot_bytes(&mut sim) {
-            Ok(bytes) => {
-                eprintln!(
-                    "snapshot preflight: ~{} KiB per snapshot × {ring} ring slot(s), \
-                     stride {stride}s",
-                    bytes.div_ceil(1024)
-                );
-                let report = qz_check::check_snapshot_ring(
-                    u64::try_from(bytes).unwrap_or(u64::MAX),
-                    u64::try_from(ring).unwrap_or(u64::MAX),
-                );
-                if !report.is_empty() {
-                    eprintln!("{}", report.render_text());
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     let exec = executor(args);
     // Surface survivability warnings even when the campaigns proceed;
     // errors come back through run_campaigns as FaultError::Infeasible.
@@ -943,17 +911,8 @@ fn run_one(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         args.events,
         args.seed
     );
-    if args.snapshot_ring.is_some() || args.snapshot_stride.is_some() {
-        return run_with_ring(args, &profile, &env, &tweaks);
-    }
     if args.telemetry.is_some() || args.plot {
-        let (m, telemetry) = simulate_with_telemetry(
-            args.system(),
-            &profile,
-            &env,
-            &tweaks,
-            Some(SimDuration::from_secs(1)),
-        );
+        let (m, telemetry) = simulate_with_telemetry(args.system(), &profile, &env, &tweaks);
         print_metrics(&args.system().label(), &m);
         if args.plot {
             println!("\n{}", plot::telemetry_panel(&telemetry, 72));
@@ -967,42 +926,6 @@ fn run_one(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         let m = simulate(args.system(), &profile, &env, &tweaks);
         print_metrics(&args.system().label(), &m);
     }
-    Ok(())
-}
-
-/// `qz run --snapshot-ring/--snapshot-stride`: drive the run through a
-/// qz-snap [`qz_snap::History`] ring, report the held rollback points,
-/// and evaluate the QZ073 ring-memory budget against a measured
-/// snapshot size.
-fn run_with_ring(
-    args: &Args,
-    profile: &DeviceProfile,
-    env: &SensingEnvironment,
-    tweaks: &SimTweaks,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let capacity = args.snapshot_ring.unwrap_or(64);
-    let stride = args.snapshot_stride.unwrap_or(10);
-    let mut sim = build_simulation(args.system(), profile, env, tweaks);
-    let bytes = qz_snap::estimated_snapshot_bytes(&mut sim)?;
-    let report = qz_check::check_snapshot_ring(
-        u64::try_from(bytes).unwrap_or(u64::MAX),
-        u64::try_from(capacity).unwrap_or(u64::MAX),
-    );
-    if !report.is_empty() {
-        eprintln!("{}", report.render_text());
-    }
-    let mut history = qz_snap::History::new(SimDuration::from_secs(stride), capacity);
-    history.run_to_completion(&mut sim)?;
-    print_metrics(&args.system().label(), sim.metrics());
-    let times = history.times();
-    println!(
-        "\nsnapshot ring: {} rollback point(s) held (stride {stride}s, ~{} KiB per \
-         snapshot), spanning t={}s..t={}s",
-        times.len(),
-        bytes.div_ceil(1024),
-        times.first().map_or(0, |t| t.as_millis() / 1000),
-        times.last().map_or(0, |t| t.as_millis() / 1000),
-    );
     Ok(())
 }
 

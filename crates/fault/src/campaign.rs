@@ -201,10 +201,8 @@ pub struct CampaignRow {
 pub struct FaultReport {
     /// System label (e.g. `QZ`).
     pub system: String,
-    /// CLI tokens that reproduce this family (system/device/env).
+    /// The `qz fault` vocabulary that reproduces this family.
     repro: ReproTokens,
-    /// Injection gate in whole seconds (0 = faults from the first tick).
-    inject_at_s: u64,
     /// Events in the shared environment.
     pub events: usize,
     /// Plan preset label.
@@ -223,8 +221,41 @@ pub struct FaultReport {
 #[derive(Debug, Clone, PartialEq)]
 struct ReproTokens {
     system: String,
-    device: String,
-    env: String,
+    device: &'static str,
+    env: &'static str,
+    events: usize,
+    preset: &'static str,
+    seed: u64,
+    /// Injection gate in whole seconds (0 = faults from the first tick).
+    inject_at_s: u64,
+}
+
+impl ReproTokens {
+    fn of(cfg: &CampaignConfig) -> ReproTokens {
+        ReproTokens {
+            system: cfg.system.token(),
+            device: cli_device_token(cfg.profile.name),
+            env: cfg.env.token(),
+            events: cfg.events,
+            preset: cfg.plan.label,
+            seed: cfg.seed,
+            inject_at_s: cfg.injection_at.as_millis() / 1000,
+        }
+    }
+
+    /// The one repro format: global campaign `campaign` on its own.
+    fn line(&self, campaign: usize) -> String {
+        let inject = if self.inject_at_s == 0 {
+            String::new()
+        } else {
+            format!(" --inject-at {}", self.inject_at_s)
+        };
+        format!(
+            "qz fault --system {} --device {} --env {} --events {} --preset {} \
+             --seed {:#x} --start {campaign} --campaigns 1{inject}",
+            self.system, self.device, self.env, self.events, self.preset, self.seed,
+        )
+    }
 }
 
 /// The `--device` token for a profile (by its platform name).
@@ -249,22 +280,7 @@ impl FaultReport {
 
     /// The single-line command that reproduces campaign `row` alone.
     pub fn repro_line(&self, row: &CampaignRow) -> String {
-        let inject = if self.inject_at_s == 0 {
-            String::new()
-        } else {
-            format!(" --inject-at {}", self.inject_at_s)
-        };
-        format!(
-            "qz fault --system {} --device {} --env {} --events {} --preset {} \
-             --seed {:#x} --start {} --campaigns 1{inject}",
-            self.repro.system,
-            self.repro.device,
-            self.repro.env,
-            self.events,
-            self.preset,
-            self.seed,
-            row.campaign
-        )
+        self.repro.line(row.campaign)
     }
 
     /// The report as a JSON document. Keys are emitted in a fixed
@@ -357,23 +373,7 @@ impl FaultReport {
 /// `campaign` of `cfg` on its own — the same line a [`FaultReport`]
 /// prints for a violating row.
 pub fn repro_line_for(cfg: &CampaignConfig, campaign: usize) -> String {
-    let inject_s = cfg.injection_at.as_millis() / 1000;
-    let inject = if inject_s == 0 {
-        String::new()
-    } else {
-        format!(" --inject-at {inject_s}")
-    };
-    format!(
-        "qz fault --system {} --device {} --env {} --events {} --preset {} \
-         --seed {:#x} --start {} --campaigns 1{inject}",
-        cfg.system.token(),
-        cli_device_token(cfg.profile.name),
-        cfg.env.token(),
-        cfg.events,
-        cfg.plan.label,
-        cfg.seed,
-        campaign
-    )
+    ReproTokens::of(cfg).line(campaign)
 }
 
 /// The injection gate as an absolute simulation instant.
@@ -654,12 +654,7 @@ fn run_family(
     });
     let report = FaultReport {
         system: cfg.system.label(),
-        repro: ReproTokens {
-            system: cfg.system.token(),
-            device: cli_device_token(cfg.profile.name).to_string(),
-            env: cfg.env.token().to_string(),
-        },
-        inject_at_s: cfg.injection_at.as_millis() / 1000,
+        repro: ReproTokens::of(cfg),
         events: cfg.events,
         preset: cfg.plan.label.to_string(),
         seed: cfg.seed,

@@ -61,6 +61,4 @@ pub use config::FleetConfig;
 pub use exec::Executor;
 pub use report::{DeviceReport, FleetAggregates, FleetReport, Percentiles};
 pub use run::{preflight, run_fleet, run_fleet_profiled, FleetError, FleetProfile};
-pub use scheduler::{
-    EventHorizonScheduler, EventHorizonSchedulerState, FleetHotState, FleetSchedulerKind, ShardMap,
-};
+pub use scheduler::{EventHorizonScheduler, FleetHotState, FleetSchedulerKind, ShardMap};

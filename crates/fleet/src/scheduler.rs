@@ -138,21 +138,6 @@ impl FleetHotState {
     }
 }
 
-/// Snapshot of the coordinator's evolving state, for mid-run
-/// save/restore round-trips (the paired device `SimState`s come from
-/// [`qz_sim::Simulation::save_state`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventHorizonSchedulerState {
-    /// Queue contents as sorted `(epoch, device)` pairs.
-    pub queue: Vec<(u64, usize)>,
-    /// Per-device next-due epochs.
-    pub hot: FleetHotState,
-    /// Per-device epoch whose reduction last set `p_busy`.
-    pub last_loaded: Vec<Option<u64>>,
-    /// Per-shard most recent reduced epoch and its total airtime.
-    pub shard_prev: Vec<Option<(u64, u64)>>,
-}
-
 /// The event-horizon coordinator: a min-heap of `(due epoch, device)`
 /// plus the lazy-load bookkeeping that keeps wakes byte-identical to
 /// the epoch-barrier reference.
@@ -264,43 +249,6 @@ impl EventHorizonScheduler {
     pub fn hot(&self) -> &FleetHotState {
         &self.hot
     }
-
-    /// Captures the coordinator for a mid-run snapshot.
-    pub fn save_state(&self) -> EventHorizonSchedulerState {
-        let mut queue: Vec<(u64, usize)> = self.heap.iter().map(|&Reverse(e)| e).collect();
-        queue.sort_unstable();
-        EventHorizonSchedulerState {
-            queue,
-            hot: self.hot.clone(),
-            last_loaded: self.last_loaded.clone(),
-            shard_prev: self.shard_prev.clone(),
-        }
-    }
-
-    /// Restores state captured by
-    /// [`save_state`](EventHorizonScheduler::save_state) into a
-    /// coordinator built with the same dimensions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's dimensions do not match this
-    /// coordinator's.
-    pub fn restore_state(&mut self, state: &EventHorizonSchedulerState) {
-        assert_eq!(
-            state.hot.next_due.len(),
-            self.hot.next_due.len(),
-            "snapshot device count mismatch"
-        );
-        assert_eq!(
-            state.shard_prev.len(),
-            self.shard_prev.len(),
-            "snapshot gateway count mismatch"
-        );
-        self.heap = state.queue.iter().map(|&e| Reverse(e)).collect();
-        self.hot = state.hot.clone();
-        self.last_loaded = state.last_loaded.clone();
-        self.shard_prev = state.shard_prev.clone();
-    }
 }
 
 #[cfg(test)]
@@ -367,32 +315,6 @@ mod tests {
         assert_eq!(s.wake_load(9, 0, 0), Some(0.0));
         // Other shards' reductions are invisible.
         assert_eq!(s.wake_load(5, 2, 1), Some(0.0));
-    }
-
-    #[test]
-    fn save_restore_round_trips_the_coordinator() {
-        let mut s = EventHorizonScheduler::new(4, 2, 1000, 100);
-        s.park(0, 1500);
-        s.park(1, 500);
-        s.park(2, 9000);
-        s.retire(3);
-        s.note_shard_reduced(1, 3, 12);
-        s.mark_loaded(2, 3);
-        let state = s.save_state();
-
-        let mut r = EventHorizonScheduler::new(4, 2, 1000, 100);
-        r.restore_state(&state);
-        assert_eq!(r.save_state(), state, "snapshot is a fixed point");
-        // The restored coordinator drains identically.
-        loop {
-            let (a, b) = (s.pop_batch(), r.pop_batch());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        assert_eq!(r.wake_load(4, 0, 1), s.wake_load(4, 0, 1));
-        assert_eq!(r.wake_load(4, 2, 1), s.wake_load(4, 2, 1));
     }
 
     #[test]

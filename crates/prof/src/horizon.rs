@@ -39,10 +39,8 @@ pub enum HorizonCause {
     /// The next capture boundary (`device.capture_period` multiple).
     /// Periods ≤ the QZ070 threshold collapse the horizon outright.
     CaptureBoundary,
-    /// The next telemetry-recorder sample multiple (QZ071 warns when
-    /// this period is tiny).
-    TelemetryDue,
-    /// The next observer snapshot multiple (QZ071 likewise).
+    /// The next periodic state sample (one per simulated second while
+    /// telemetry is recorded or an observer is installed).
     SnapshotDue,
     /// The active job's countdown (task, overhead, or tx backoff)
     /// expires.
@@ -57,14 +55,13 @@ pub enum HorizonCause {
 
 impl HorizonCause {
     /// Number of causes (array sizing).
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 8;
 
     /// Every cause, in catalog order.
     pub const ALL: [HorizonCause; HorizonCause::COUNT] = [
         HorizonCause::FaultCollapse,
         HorizonCause::BusyScheduler,
         HorizonCause::CaptureBoundary,
-        HorizonCause::TelemetryDue,
         HorizonCause::SnapshotDue,
         HorizonCause::JobCountdown,
         HorizonCause::CheckpointDue,
@@ -78,7 +75,6 @@ impl HorizonCause {
             HorizonCause::FaultCollapse => "fault-collapse",
             HorizonCause::BusyScheduler => "busy-scheduler",
             HorizonCause::CaptureBoundary => "capture-boundary",
-            HorizonCause::TelemetryDue => "telemetry-due",
             HorizonCause::SnapshotDue => "snapshot-due",
             HorizonCause::JobCountdown => "job-countdown",
             HorizonCause::CheckpointDue => "checkpoint-due",
@@ -104,9 +100,10 @@ impl HorizonCause {
             HorizonCause::CaptureBoundary => {
                 Some("tiny capture periods collapse the horizon — see qz-check QZ070")
             }
-            HorizonCause::TelemetryDue | HorizonCause::SnapshotDue => {
-                Some("tiny telemetry/snapshot periods collapse the horizon — see qz-check QZ071")
-            }
+            HorizonCause::SnapshotDue => Some(
+                "the periodic state sample (telemetry or an installed observer) runs the \
+                 reference path once per simulated second; an unobserved run skips it",
+            ),
             _ => None,
         }
     }
@@ -116,12 +113,11 @@ impl HorizonCause {
             HorizonCause::FaultCollapse => 0,
             HorizonCause::BusyScheduler => 1,
             HorizonCause::CaptureBoundary => 2,
-            HorizonCause::TelemetryDue => 3,
-            HorizonCause::SnapshotDue => 4,
-            HorizonCause::JobCountdown => 5,
-            HorizonCause::CheckpointDue => 6,
-            HorizonCause::EventsEnd => 7,
-            HorizonCause::HorizonEnd => 8,
+            HorizonCause::SnapshotDue => 3,
+            HorizonCause::JobCountdown => 4,
+            HorizonCause::CheckpointDue => 5,
+            HorizonCause::EventsEnd => 6,
+            HorizonCause::HorizonEnd => 7,
         }
     }
 }
@@ -374,8 +370,8 @@ impl WriteJson for HorizonRanking<'_> {
                             .field("ref_ticks", s.ref_ticks)
                             .field("spans", s.spans)
                             .field("skipped_ticks", s.skipped_ticks);
-                        if let Some(spans) = self.spans {
-                            w.field("median_span", spans.hist(cause).quantile(0.5));
+                        if let Some(median) = self.median_span(cause) {
+                            w.field("median_span", median);
                         }
                     });
                 }
@@ -496,6 +492,13 @@ mod tests {
         let json = qz_types::json::to_string(h.ranking(Some(&spans)));
         assert!(
             json.contains(&format!("\"median_span\":{median}")),
+            "{json}"
+        );
+        // A cause that ended no span has no median, as in the text.
+        assert!(
+            json.contains(
+                "{\"cause\":\"busy-scheduler\",\"ref_ticks\":1,\"spans\":0,\"skipped_ticks\":0}"
+            ),
             "{json}"
         );
         // Unprofiled: the counters render, the distribution does not.

@@ -10,7 +10,7 @@ use crate::fault::{
 use crate::intermittent::{CheckpointPolicy, ProgressKeeper, ProgressKeeperState};
 use crate::metrics::Metrics;
 use crate::pipeline::{PipelineError, PipelineSpec, Route, TaskBehavior};
-use crate::telemetry::{Recorder, Telemetry, TelemetrySample};
+use crate::telemetry::{Telemetry, TelemetrySample};
 use crate::uplink::{TxDecision, TxRecord, UplinkPort, UplinkState};
 use core::fmt;
 use quetzal::model::{JobId, TaskCost, TaskId, TaskKey};
@@ -51,6 +51,10 @@ impl From<PipelineError> for SimError {
         SimError::Pipeline(e)
     }
 }
+
+/// Cadence of the periodic device-state sample: one sample feeds both
+/// the telemetry log and the observer's `Snapshot` events.
+const SAMPLE_PERIOD: SimDuration = SimDuration(1000);
 
 /// On/off state of the intermittently powered device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,14 +115,14 @@ pub struct Simulation<'a> {
     horizon: SimTime,
     metrics: Metrics,
     rng: SplitMix64,
-    recorder: Option<Recorder>,
+    /// Periodic state samples, when [`Simulation::record_telemetry`]
+    /// installed the log.
+    telemetry: Option<Telemetry>,
     /// Gate onto a shared uplink channel; `None` (the default) leaves
     /// radio tasks completely ungated.
     uplink: Option<UplinkPort>,
     /// When the device last powered down (for `Restore` off-time events).
     off_since: Option<SimTime>,
-    /// Cadence of `Snapshot` events while an observer is installed.
-    snapshot_every: SimDuration,
     /// Seeded adversary consulted while stepping; `None` (the default)
     /// leaves the engine's behaviour bit-identical to a fault-free build.
     fault: Option<Box<dyn FaultInjector>>,
@@ -280,10 +284,9 @@ impl<'a> Simulation<'a> {
             horizon,
             metrics: Metrics::default(),
             rng,
-            recorder: None,
+            telemetry: None,
             uplink: None,
             off_since: None,
-            snapshot_every: SimDuration::from_secs(1),
             fault: None,
             last_checkpoint_at: None,
             done: false,
@@ -317,11 +320,6 @@ impl<'a> Simulation<'a> {
     /// Stored usable energy right now — diagnostic.
     pub fn stored_energy(&self) -> qz_types::Joules {
         self.power.capacitor().energy()
-    }
-
-    /// `true` while the device is powered on — diagnostic.
-    pub fn is_on(&self) -> bool {
-        self.state == DeviceState::On
     }
 
     /// The degradation option of the currently executing job, if any —
@@ -475,21 +473,17 @@ impl<'a> Simulation<'a> {
         None
     }
 
-    /// Enables periodic telemetry recording at the given interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn record_telemetry(&mut self, interval: SimDuration) {
-        let mut recorder = Recorder::new(interval);
-        // Size the sample log up front (horizon / interval, plus the
-        // t=0 sample) so steady-state recording never reallocates.
-        let expected = self.horizon.as_millis() / interval.as_millis();
+    /// Enables telemetry recording: the periodic state sample (one per
+    /// simulated second) is kept in a log as well as emitted to an
+    /// installed observer.
+    pub fn record_telemetry(&mut self) {
+        let mut telemetry = Telemetry::default();
+        // Size the sample log up front (horizon / period, plus the t=0
+        // sample) so steady-state recording never reallocates.
+        let expected = self.horizon.as_millis() / SAMPLE_PERIOD.as_millis();
         #[allow(clippy::cast_possible_truncation)]
-        recorder
-            .telemetry
-            .reserve((expected.saturating_add(1)).min(1 << 24) as usize);
-        self.recorder = Some(recorder);
+        telemetry.reserve((expected.saturating_add(1)).min(1 << 24) as usize);
+        self.telemetry = Some(telemetry);
     }
 
     /// Installs a decision-tracing observer on the runtime; the
@@ -507,20 +501,10 @@ impl<'a> Simulation<'a> {
         self.runtime.take_observer()
     }
 
-    /// Changes the cadence of `Snapshot` events (default 1 s).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn snapshot_interval(&mut self, interval: SimDuration) {
-        assert!(!interval.is_zero(), "snapshot interval must be positive");
-        self.snapshot_every = interval;
-    }
-
     /// The recorded telemetry so far (empty unless
     /// [`Simulation::record_telemetry`] was called).
     pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.recorder.as_ref().map(|r| &r.telemetry)
+        self.telemetry.as_ref()
     }
 
     /// Turns on wall-clock phase profiling (see [`qz_prof`]). Profiling
@@ -528,11 +512,6 @@ impl<'a> Simulation<'a> {
     /// telemetry, events, energy trajectory — stays byte-identical.
     pub fn enable_profiling(&mut self) {
         self.prof = PhaseProfiler::enabled();
-    }
-
-    /// Installs a specific profiler (e.g. one pre-seeded by a harness).
-    pub fn set_profiler(&mut self, prof: PhaseProfiler) {
-        self.prof = prof;
     }
 
     /// The phase profiler's current aggregate.
@@ -592,10 +571,7 @@ impl<'a> Simulation<'a> {
             job,
             rng: self.rng.state(),
             metrics: self.metrics.clone(),
-            telemetry: self
-                .recorder
-                .as_ref()
-                .map(|r| r.telemetry.samples().to_vec()),
+            telemetry: self.telemetry.as_ref().map(|t| t.samples().to_vec()),
             uplink: self.uplink.as_ref().map(UplinkPort::save_state),
             injector,
             off_since: self.off_since,
@@ -670,9 +646,9 @@ impl<'a> Simulation<'a> {
                 })
             }
         };
-        match (self.recorder.as_mut(), &state.telemetry) {
-            (Some(rec), Some(samples)) => {
-                rec.telemetry = Telemetry::from_samples(samples.clone());
+        match (self.telemetry.as_mut(), &state.telemetry) {
+            (Some(log), Some(samples)) => {
+                *log = Telemetry::from_samples(samples.clone());
             }
             (None, None) => {}
             (Some(_), None) => {
@@ -740,12 +716,7 @@ impl<'a> Simulation<'a> {
     /// recorded telemetry.
     pub fn run_with_telemetry(mut self) -> (Metrics, Telemetry) {
         while self.step() {}
-        let telemetry = self
-            .recorder
-            .take()
-            .map(|r| r.telemetry)
-            .unwrap_or_default();
-        (self.metrics, telemetry)
+        (self.metrics, self.telemetry.take().unwrap_or_default())
     }
 
     /// Advances the simulation. Under [`EngineKind::Tick`] this is
@@ -800,8 +771,14 @@ impl<'a> Simulation<'a> {
         alive
     }
 
+    /// Whether the periodic state sample has a consumer: the telemetry
+    /// log or an installed observer.
+    fn sampling(&self) -> bool {
+        self.telemetry.is_some() || self.runtime.observing()
+    }
+
     /// How many ticks from `now` are provably *quiescent*: no capture
-    /// boundary, telemetry sample, snapshot, scheduler invocation, job
+    /// boundary, state sample, scheduler invocation, job
     /// countdown expiry, due periodic checkpoint, fault, or termination
     /// check can fire inside the span — only energy flow and time
     /// accounting happen. Such ticks can be advanced in bulk by
@@ -852,19 +829,11 @@ impl<'a> Simulation<'a> {
                 );
             }
         }
-        if let Some(rec) = &self.recorder {
+        if self.sampling() {
             pull(
                 &mut next_event,
                 &mut cause,
-                self.now.next_multiple_of(rec.interval).as_millis(),
-                HorizonCause::TelemetryDue,
-            );
-        }
-        if self.runtime.observing() {
-            pull(
-                &mut next_event,
-                &mut cause,
-                self.now.next_multiple_of(self.snapshot_every).as_millis(),
+                self.now.next_multiple_of(SAMPLE_PERIOD).as_millis(),
                 HorizonCause::SnapshotDue,
             );
         }
@@ -1089,14 +1058,9 @@ impl<'a> Simulation<'a> {
         }
         self.metrics.occupancy_ms += self.buffer.occupancy() as u64;
 
-        // One sample serves both telemetry consumers: the legacy
-        // recorder and the observer's Snapshot events.
-        let recorder_due = self
-            .recorder
-            .as_ref()
-            .is_some_and(|rec| (t % rec.interval).is_zero());
-        let snapshot_due = self.runtime.observing() && (t % self.snapshot_every).is_zero();
-        if recorder_due || snapshot_due {
+        // One sample serves both telemetry consumers: the telemetry log
+        // and the observer's Snapshot events.
+        if (t % SAMPLE_PERIOD).is_zero() && self.sampling() {
             let t_obs = self.prof.begin();
             let sample = TelemetrySample {
                 t,
@@ -1109,16 +1073,12 @@ impl<'a> Simulation<'a> {
                 active_option: self.job.as_ref().map(|j| j.option),
                 ibo_discards: self.metrics.ibo_discards,
             };
-            if snapshot_due {
+            if self.runtime.observing() {
                 self.runtime
                     .emit_event(EventKind::Snapshot(sample.to_snapshot()));
             }
-            if recorder_due {
-                self.recorder
-                    .as_mut()
-                    .expect("recorder_due implies recorder")
-                    .telemetry
-                    .push(sample);
+            if let Some(log) = self.telemetry.as_mut() {
+                log.push(sample);
             }
             self.prof.end(Phase::ObsEmit, t_obs);
         }
@@ -1991,7 +1951,7 @@ mod tests {
     fn telemetry_records_at_interval() {
         let env = SensingEnvironment::generate(EnvironmentKind::LessCrowded, 5, 8);
         let mut s = sim(&env, 0.05);
-        s.record_telemetry(SimDuration::from_secs(1));
+        s.record_telemetry();
         for _ in 0..5_000 {
             if !s.step() {
                 break;
@@ -2100,8 +2060,8 @@ mod tests {
             let env = SensingEnvironment::generate(kind, events, seed);
             let mut fast = sim_with_engine(&env, EngineKind::FastForward);
             let mut tick = sim_with_engine(&env, EngineKind::Tick);
-            fast.record_telemetry(SimDuration::from_secs(1));
-            tick.record_telemetry(SimDuration::from_secs(1));
+            fast.record_telemetry();
+            tick.record_telemetry();
             let (mf, tf) = fast.run_with_telemetry();
             let (mt, tt) = tick.run_with_telemetry();
             assert_eq!(mf, mt, "{kind:?} metrics diverge");
@@ -2155,12 +2115,12 @@ mod tests {
         for engine in [EngineKind::Tick, EngineKind::FastForward] {
             // Straight-through reference run.
             let mut straight = sim_with_engine(&env, engine);
-            straight.record_telemetry(SimDuration::from_secs(1));
+            straight.record_telemetry();
             let (m_ref, t_ref) = straight.run_with_telemetry();
 
             // Run to an arbitrary mid point, snapshot, resume in place.
             let mut a = sim_with_engine(&env, engine);
-            a.record_telemetry(SimDuration::from_secs(1));
+            a.record_telemetry();
             a.step_until(SimTime::from_millis(31_337));
             let snap = a.save_state().unwrap();
             let (m_a, t_a) = a.run_with_telemetry();
@@ -2169,7 +2129,7 @@ mod tests {
 
             // Restore into a freshly built twin and run the suffix.
             let mut b = sim_with_engine(&env, engine);
-            b.record_telemetry(SimDuration::from_secs(1));
+            b.record_telemetry();
             b.restore_state(&snap).unwrap();
             assert_eq!(b.time(), SimTime::from_millis(31_337));
             let (m_b, t_b) = b.run_with_telemetry();

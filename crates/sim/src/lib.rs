@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod buffer;
-pub mod builder;
 pub mod config;
 pub mod engine;
 pub mod fault;
@@ -46,7 +45,6 @@ pub mod telemetry;
 pub mod uplink;
 
 pub use buffer::{BufferEntry, InputBuffer, InputBufferState};
-pub use builder::{SimApp, SimAppBuilder};
 pub use config::{DeviceConfig, EngineKind, PowerConfig, SimConfig};
 pub use engine::{ActiveJobState, SimError, SimState, Simulation};
 pub use fault::{task_progress, FaultContext, FaultInjector, FaultPhase, InjectorState, QuietSpan};

@@ -6,7 +6,8 @@
 //! produced and how scheduling pathologies are diagnosed (the tuning
 //! notes in `DESIGN.md` all came from these traces). Enable with
 //! [`Simulation::record_telemetry`](crate::Simulation::record_telemetry)
-//! and export with [`Telemetry::write_csv`].
+//! (one sample per simulated second) and export with
+//! [`Telemetry::write_csv`].
 //!
 //! Telemetry rides the same observer hook as decision tracing: each
 //! sample doubles as a [`qz_obs::Snapshot`] event, and a [`Telemetry`]
@@ -15,7 +16,7 @@
 
 use core::fmt;
 use qz_obs::{Event, EventKind, Snapshot};
-use qz_types::{Joules, SimDuration, SimTime};
+use qz_types::{Joules, SimTime};
 use std::io::Write;
 
 /// One periodic snapshot of device state.
@@ -128,7 +129,7 @@ impl Telemetry {
 
     /// Pre-reserves room for `n` further samples so the steady-state
     /// recording path never reallocates mid-run (the engine sizes this
-    /// from horizon / interval when the recorder is installed).
+    /// from horizon / sample period when the log is installed).
     pub(crate) fn reserve(&mut self, n: usize) {
         self.samples.reserve(n);
     }
@@ -194,23 +195,6 @@ impl fmt::Display for Telemetry {
             self.on_fraction() * 100.0,
             self.peak_occupancy()
         )
-    }
-}
-
-/// Recording configuration held by the engine.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Recorder {
-    pub interval: SimDuration,
-    pub telemetry: Telemetry,
-}
-
-impl Recorder {
-    pub fn new(interval: SimDuration) -> Recorder {
-        assert!(!interval.is_zero(), "telemetry interval must be positive");
-        Recorder {
-            interval,
-            telemetry: Telemetry::default(),
-        }
     }
 }
 
@@ -280,11 +264,5 @@ mod tests {
         ]);
         assert_eq!(rebuilt.len(), 1);
         assert_eq!(rebuilt.samples()[0], s);
-    }
-
-    #[test]
-    #[should_panic(expected = "interval")]
-    fn recorder_rejects_zero_interval() {
-        Recorder::new(SimDuration::ZERO);
     }
 }

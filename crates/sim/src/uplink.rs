@@ -186,11 +186,6 @@ impl UplinkPort {
         self.p_busy = p.clamp(0.0, 0.98);
     }
 
-    /// Current busy probability (diagnostic).
-    pub fn busy_probability(&self) -> f64 {
-        self.p_busy
-    }
-
     /// Total slot-rounded time-on-air granted so far.
     pub fn total_airtime(&self) -> SimDuration {
         self.total_airtime

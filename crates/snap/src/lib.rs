@@ -32,28 +32,14 @@ pub use branch::{branch, branch_self_check, first_divergence, Divergence, Diverg
 pub use format::{from_json, to_json, SCHEMA};
 pub use history::History;
 
-use qz_sim::Simulation;
-
-/// Serialized size of one snapshot of `sim`, in bytes — the estimate
-/// behind the QZ073 ring-memory-budget diagnostic. Captures a real
-/// snapshot at the simulation's current time and measures its
-/// `qz-snap/v1` rendering, so the figure reflects the actual window,
-/// buffer, and telemetry shapes in play.
-///
-/// # Errors
-///
-/// Propagates [`save_state`](Simulation::save_state) failures.
-pub fn estimated_snapshot_bytes(sim: &mut Simulation<'_>) -> Result<usize, String> {
-    Ok(to_json(&sim.save_state()?).len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qz_app::{apollo4, SimTweaks};
     use qz_baselines::BaselineKind;
+    use qz_sim::Simulation;
     use qz_traces::{EnvironmentKind, SensingEnvironment};
-    use qz_types::{SimDuration, SimTime};
+    use qz_types::SimTime;
 
     fn env() -> SensingEnvironment {
         SensingEnvironment::generate(EnvironmentKind::Crowded, 20, 3)
@@ -76,7 +62,7 @@ mod tests {
         for engine in [qz_sim::EngineKind::Tick, qz_sim::EngineKind::FastForward] {
             let tw = tweaks(engine);
             let mut sim = build(&env, &tw);
-            sim.record_telemetry(SimDuration::from_secs(5));
+            sim.record_telemetry();
             sim.step_until(SimTime::from_millis(123_457));
             let state = sim.save_state().unwrap();
             let text = to_json(&state);
@@ -87,7 +73,7 @@ mod tests {
             // And the parsed state actually resumes: restore into a
             // twin and finish both runs.
             let mut twin = build(&env, &tw);
-            twin.record_telemetry(SimDuration::from_secs(5));
+            twin.record_telemetry();
             twin.restore_state(&parsed).unwrap();
             let (m_twin, t_twin) = twin.run_with_telemetry();
             let (m_orig, t_orig) = sim.run_with_telemetry();
@@ -135,7 +121,7 @@ mod tests {
             let env = env();
             let tw = tweaks(qz_sim::EngineKind::FastForward);
             let mut sim = build(&env, &tw);
-            sim.record_telemetry(SimDuration::from_secs(5));
+            sim.record_telemetry();
             sim.step_until(SimTime::from_millis(60_000));
             let mut bytes = to_json(&sim.save_state().unwrap()).into_bytes();
             let spec = sim.runtime().spec();
@@ -147,16 +133,5 @@ mod tests {
             let _ = from_json(&String::from_utf8_lossy(&bytes[..cut % bytes.len()]), spec);
             let _ = from_json(&String::from_utf8_lossy(&junk), spec);
         }
-    }
-
-    #[test]
-    fn estimated_size_is_positive_and_stable() {
-        let env = env();
-        let tw = tweaks(qz_sim::EngineKind::FastForward);
-        let mut sim = build(&env, &tw);
-        let a = estimated_snapshot_bytes(&mut sim).unwrap();
-        let b = estimated_snapshot_bytes(&mut sim).unwrap();
-        assert!(a > 512, "a full snapshot is never trivially small: {a}");
-        assert_eq!(a, b, "size probe must not perturb the simulation");
     }
 }

@@ -164,6 +164,69 @@ fn profile_json_carries_the_kernel_counts() {
     assert!(kernel.get("calls").and_then(qz_types::json::Json::as_f64) > Some(0.0));
 }
 
+/// `qz verify --json` quotes its seed, so a seed above 2^53 reads back
+/// exactly through an `f64`-based reader such as `qz_types::json`.
+#[test]
+fn verify_seed_reads_back_exactly() {
+    use qz_types::json::Json;
+    let (out, _) = run_qz(&[
+        "verify",
+        "--system",
+        "QZ",
+        "--device",
+        "apollo4",
+        "--env",
+        "quiet",
+        "--events",
+        "4",
+        "--seed",
+        "0xFFFFFFFFFFFFFFF1",
+        "--json",
+    ]);
+    let doc = Json::parse(&out).expect("verify JSON parses");
+    let seed = doc
+        .get("configs")
+        .and_then(Json::as_arr)
+        .and_then(|configs| configs.first())
+        .and_then(|config| config.get("seed"))
+        .and_then(Json::as_str);
+    assert_eq!(seed, Some("18446744073709551601"), "{out}");
+}
+
+/// A horizon cause that ended no bulk span has no median span: the
+/// ranking prints `-` for it and the JSON omits `median_span`. On a
+/// crowded scene the busy scheduler only ever forces reference ticks.
+#[test]
+fn profile_json_omits_the_median_of_causes_without_spans() {
+    use qz_types::json::Json;
+    let (out, ok) = run_qz(&[
+        "profile", "--env", "crowded", "--events", "40", "--json", "-",
+    ]);
+    assert!(ok, "qz profile failed: {out}");
+    let doc = out
+        .lines()
+        .find(|l| l.starts_with("{\"tool\":\"qz-prof\""))
+        .expect("profile JSON on stdout");
+    let doc = Json::parse(doc).expect("profile JSON parses");
+    let causes = doc
+        .get("horizon")
+        .and_then(|h| h.get("horizon_causes"))
+        .and_then(Json::as_arr)
+        .expect("horizon causes");
+    let mut busy_seen = false;
+    for cause in causes {
+        let label = cause.get("cause").and_then(Json::as_str).unwrap();
+        let spans = cause.get("spans").and_then(Json::as_f64).unwrap();
+        busy_seen |= label == "busy-scheduler";
+        assert_eq!(
+            cause.get("median_span").is_some(),
+            spans > 0.0,
+            "{label}: median_span must appear exactly when spans ended"
+        );
+    }
+    assert!(busy_seen, "no busy-scheduler row: {out}");
+}
+
 /// Every JSON document the CLI writes is well formed: the check, verify
 /// and lint reports on stdout, and the fleet, fault, profile, flight
 /// and event-log files.

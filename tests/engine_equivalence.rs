@@ -354,21 +354,18 @@ fn telemetry_csv_bytes_match_across_engines() {
     let mut rng = SplitMix64::new(SUITE_SEED ^ 0x7E1E_3E7E);
     for index in 0..30u64 {
         let case = draw_case(&mut rng, index);
-        let interval = SimDuration::from_millis(250 + 250 * rng.next_below(5));
 
         let (tick_metrics, tick_tel) = simulate_with_telemetry(
             case.kind,
             &case.profile,
             &case.env,
             &case.tweaks_for(EngineKind::Tick),
-            Some(interval),
         );
         let (fast_metrics, fast_tel) = simulate_with_telemetry(
             case.kind,
             &case.profile,
             &case.env,
             &case.tweaks_for(EngineKind::FastForward),
-            Some(interval),
         );
 
         assert_eq!(
@@ -384,7 +381,7 @@ fn telemetry_csv_bytes_match_across_engines() {
         assert_eq!(
             tick_csv,
             fast_csv,
-            "telemetry CSV bytes diverge: {} (interval {interval:?})",
+            "telemetry CSV bytes diverge: {}",
             case.describe()
         );
     }

@@ -1,7 +1,6 @@
-//! Property tests for the event-horizon fleet scheduler (ISSUE
-//! satellite): the coordinator's queue discipline, the park invariant
-//! the run loop leans on, airtime conservation under shard hashing,
-//! and mid-run save/restore round-trips.
+//! Property tests for the event-horizon fleet scheduler: the
+//! coordinator's queue discipline, the park invariant the run loop
+//! leans on, and airtime conservation under shard hashing.
 
 use proptest::prelude::*;
 use qz_app::{apollo4, build_simulation, SimTweaks};
@@ -120,47 +119,5 @@ proptest! {
             .map(|d| d.metrics.tx_airtime.as_millis() / report.channel.slot_ms)
             .sum();
         prop_assert_eq!(report.channel.airtime_slots, per_device);
-    }
-
-    /// Mid-run save/restore: cut the coordinator at a random point in a
-    /// park/pop/reduce interleaving; the restored copy's entire future
-    /// matches the original's, batch for batch and load for load.
-    #[test]
-    fn save_restore_round_trips_mid_run(
-        dues in proptest::collection::vec(0u64..10_000, 4..32),
-        pops_before in 0usize..4,
-        airtime in 0u64..100,
-    ) {
-        let n = dues.len();
-        let mut s = EventHorizonScheduler::new(n, 2, 1000, 100);
-        for (d, &due) in dues.iter().enumerate() {
-            if d % 5 == 4 {
-                s.retire(d);
-            } else {
-                s.park(d, due);
-            }
-        }
-        for _ in 0..pops_before {
-            if let Some((epoch, batch)) = s.pop_batch() {
-                s.note_shard_reduced(0, epoch, airtime);
-                for d in batch {
-                    s.mark_loaded(d, epoch);
-                    s.park(d, (epoch + 1) * 1000 + 1);
-                }
-            }
-        }
-        let snap = s.save_state();
-        let mut r = EventHorizonScheduler::new(n, 2, 1000, 100);
-        r.restore_state(&snap);
-        prop_assert_eq!(&r.save_state(), &snap, "restore then save is the identity");
-        loop {
-            let (a, b) = (s.pop_batch(), r.pop_batch());
-            prop_assert_eq!(&a, &b, "restored future diverged");
-            let Some((epoch, batch)) = a else { break };
-            for &d in &batch {
-                prop_assert_eq!(s.wake_load(epoch, d, 0), r.wake_load(epoch, d, 0));
-                prop_assert_eq!(s.wake_load(epoch, d, 1), r.wake_load(epoch, d, 1));
-            }
-        }
     }
 }

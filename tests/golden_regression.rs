@@ -186,7 +186,7 @@ fn snap_small_json_snapshot() {
     let mut snapshots = Vec::new();
     for kind in [BaselineKind::QuetzalVar(0.9), BaselineKind::AvgSe2e] {
         let mut sim = qz_app::build_simulation(kind, &apollo4(), &env, &tweaks);
-        sim.record_telemetry(qz_types::SimDuration::from_secs(5));
+        sim.record_telemetry();
         sim.set_uplink(qz_sim::uplink::UplinkPort::new(
             qz_sim::uplink::UplinkConfig::default(),
             SEED,

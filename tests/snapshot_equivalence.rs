@@ -145,7 +145,6 @@ proptest! {
         engine in any_engine(),
         env_kind in any_env_kind(),
         seed in 0u64..1000,
-        interval_s in 1u64..8,
         cut_ms in 1_000u64..180_000,
     ) {
         let env = SensingEnvironment::generate(env_kind, 6, seed);
@@ -154,14 +153,14 @@ proptest! {
 
         let mut reference =
             qz_app::build_simulation(BaselineKind::Quetzal, &profile, &env, &tw);
-        reference.record_telemetry(SimDuration::from_secs(interval_s));
+        reference.record_telemetry();
         reference.step_until(SimTime::from_millis(cut_ms));
         let state = reference.save_state().map_err(TestCaseError::fail)?;
         let (ref_metrics, ref_telemetry) = reference.run_with_telemetry();
 
         let mut resumed =
             qz_app::build_simulation(BaselineKind::Quetzal, &profile, &env, &tw);
-        resumed.record_telemetry(SimDuration::from_secs(interval_s));
+        resumed.record_telemetry();
         resumed.restore_state(&state).map_err(TestCaseError::fail)?;
         let (res_metrics, res_telemetry) = resumed.run_with_telemetry();
 
