@@ -20,7 +20,8 @@ echo "== cargo test: release-checked (optimized + overflow checks) =="
 # The energy kernel strides over f64 bit patterns with integer
 # arithmetic, which release builds wrap silently: run its crate, the
 # simulator and the engine-equivalence suite optimized with overflow
-# checks on as well. The fleet crate's suites (including
+# checks on as well, and the trace crate, whose solar cursor does u64
+# second-index and millisecond arithmetic on every read. The fleet crate's suites (including
 # fleet_determinism and fleet_scheduler_props) run under it too, since
 # the 10^4 and 10^5 fleets only ever run optimized, and so do the fault
 # harness and qz-types, whose quiet-horizon search (`run_at_least`,
@@ -28,7 +29,7 @@ echo "== cargo test: release-checked (optimized + overflow checks) =="
 # edges. The crates whose emitters stream through qz-types' JSON writer
 # (snapshots, event lines, profiler and flight-recorder reports) run
 # optimized too, since perfbench encodes snapshots that way.
-cargo test -q --profile release-checked -p qz-energy -p qz-sim
+cargo test -q --profile release-checked -p qz-energy -p qz-sim -p qz-traces
 cargo test -q --profile release-checked -p qz-bench --test engine_equivalence
 cargo test -q --profile release-checked -p qz-fleet
 cargo test -q --profile release-checked -p qz-fault -p qz-types
@@ -38,7 +39,7 @@ echo "== test-count guard =="
 # The suite must never silently shrink (a deleted [[test]] stanza or a
 # dropped module compiles fine and loses coverage without failing CI).
 # Raise the floor when tests are added; never lower it casually.
-test_floor=979
+test_floor=986
 test_count=$(cargo test -q --workspace -- --list 2>/dev/null | grep -c ': test$')
 echo "   ${test_count} tests (floor ${test_floor})"
 if [ "${test_count}" -lt "${test_floor}" ]; then

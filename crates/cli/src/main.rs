@@ -1003,7 +1003,7 @@ fn export_traces(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "wrote {} ({} samples) and {} ({} events)",
         solar_path.display(),
-        env.solar().samples().len(),
+        env.solar().duration().as_millis() / 1000,
         events_path.display(),
         env.events().len()
     );

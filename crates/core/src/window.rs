@@ -142,8 +142,12 @@ impl BitWindow {
     /// # Errors
     ///
     /// Rejects a state whose shape does not match this window (different
-    /// capacity) or whose cursors are internally inconsistent, so a
-    /// snapshot can never silently corrupt the running counters.
+    /// capacity) or that no sequence of pushes produces: cursors out of
+    /// range, a head that is not at the fill mark of a filling window,
+    /// set bits outside the filled positions, or a 1-counter that is not
+    /// the popcount of the filled positions. A snapshot can therefore
+    /// never silently corrupt the running counter (an overcounted bit
+    /// would underflow it on eviction).
     pub fn restore_state(&mut self, state: &BitWindowState) -> Result<(), String> {
         if state.capacity != self.capacity {
             return Err(format!(
@@ -151,12 +155,30 @@ impl BitWindow {
                 state.capacity, self.capacity
             ));
         }
+        let inconsistent = || String::from("bit-window state is internally inconsistent");
         if state.blocks.len() != self.blocks.len()
             || state.head >= state.capacity
             || state.filled > state.capacity
-            || state.ones > state.filled
+            || (state.filled < state.capacity && state.head != state.filled)
         {
-            return Err(String::from("bit-window state is internally inconsistent"));
+            return Err(inconsistent());
+        }
+        // Positions `[0, filled)` hold bits; every other bit is zero.
+        let mut ones = 0;
+        for (i, &block) in state.blocks.iter().enumerate() {
+            let valid = state.filled.saturating_sub(i * 64).min(64);
+            let mask = if valid == 64 {
+                u64::MAX
+            } else {
+                (1 << valid) - 1
+            };
+            if block & !mask != 0 {
+                return Err(inconsistent());
+            }
+            ones += block.count_ones() as usize;
+        }
+        if ones != state.ones {
+            return Err(inconsistent());
         }
         self.blocks.copy_from_slice(&state.blocks);
         self.head = state.head;
@@ -284,6 +306,45 @@ mod tests {
         state.ones = 3; // more ones than filled bits
         let mut b = BitWindow::new(8);
         assert!(b.restore_state(&state).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_states_no_push_sequence_produces() {
+        let mut partial = BitWindow::new(100);
+        for bit in [true, false, true] {
+            partial.push(bit);
+        }
+        let mut full = BitWindow::new(70);
+        for i in 0..75 {
+            full.push(i % 3 == 0);
+        }
+        for w in [&partial, &full] {
+            let good = w.save_state();
+            let mut b = BitWindow::new(w.capacity());
+            b.restore_state(&good).unwrap();
+            assert_eq!(&b, w);
+
+            // One extra set bit, inside and outside the filled positions:
+            // the counter no longer matches the bits (the inside case used
+            // to be accepted and underflowed `ones` on its eviction).
+            let zero = (0..w.filled()).find(|&i| good.blocks[i / 64] & (1 << (i % 64)) == 0);
+            let mut extra = good.clone();
+            let i = zero.unwrap();
+            extra.blocks[i / 64] |= 1 << (i % 64);
+            assert!(b.restore_state(&extra).is_err(), "extra bit at {i}");
+            let mut stray = good.clone();
+            *stray.blocks.last_mut().unwrap() |= 1 << 63;
+            stray.ones += 1;
+            assert!(b.restore_state(&stray).is_err(), "stray bit");
+        }
+        // A filling window writes at its fill mark.
+        let mut moved = partial.save_state();
+        moved.head = 7;
+        assert!(BitWindow::new(100).restore_state(&moved).is_err());
+        // A full window's head may sit anywhere.
+        let mut rotated = full.save_state();
+        rotated.head = 69;
+        assert!(BitWindow::new(70).restore_state(&rotated).is_ok());
     }
 
     #[test]

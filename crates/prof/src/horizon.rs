@@ -343,7 +343,7 @@ impl HorizonRanking<'_> {
         ));
         if stats.busy_tail_ticks > 0 {
             out.push_str(&format!(
-                "busy kernel: {} busy tick(s)\n",
+                "busy reference ticks: {}\n",
                 stats.busy_tail_ticks
             ));
         }
@@ -461,7 +461,7 @@ mod tests {
             "the retired block counters read zero"
         );
         let text = h.ranking(None).render();
-        assert!(text.contains("busy kernel: 3 busy tick(s)\n"), "{text}");
+        assert!(text.contains("busy reference ticks: 3\n"), "{text}");
         let json = qz_types::json::to_string(h.ranking(None));
         assert!(json.contains("\"busy_tail_ticks\":3"), "{json}");
         assert!(!json.contains("busy_block"), "{json}");

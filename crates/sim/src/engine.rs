@@ -19,7 +19,7 @@ use quetzal::Quetzal;
 use qz_energy::{PowerSystem, PowerSystemState, StopCondition};
 use qz_obs::{EventKind, Observer};
 use qz_prof::{HorizonCause, HorizonStats, Phase, PhaseProfiler};
-use qz_traces::SensingEnvironment;
+use qz_traces::{SensingEnvironment, SolarCursor};
 use qz_types::{Joules, Seconds, SimDuration, SimTime, SplitMix64, Watts};
 
 /// Errors from assembling a [`Simulation`].
@@ -104,6 +104,10 @@ struct ActiveJob {
 pub struct Simulation<'a> {
     cfg: SimConfig,
     env: &'a SensingEnvironment,
+    /// Reader of `env`'s solar trace, caching the constant-irradiance
+    /// run around `now`. A cache of `now`, not state: snapshots leave it
+    /// out and a restored simulation re-reads the trace where it lands.
+    solar: SolarCursor<'a>,
     runtime: Quetzal,
     pipeline: PipelineSpec,
     power: PowerSystem,
@@ -273,6 +277,7 @@ impl<'a> Simulation<'a> {
         Ok(Simulation {
             cfg,
             env,
+            solar: SolarCursor::new(env.solar()),
             runtime,
             pipeline,
             power,
@@ -755,12 +760,14 @@ impl<'a> Simulation<'a> {
             let (raw, cause) = self.quiescent_span();
             let span = raw.min(max_ticks);
             if span > 0 {
-                self.horizon_stats.record_span(cause, span);
-                self.prof.record_span_length(cause, span);
                 let t0 = self.prof.begin();
-                let alive = self.advance_span(span);
+                // A threshold crossing can end the span early; the ticks
+                // after it are planned (and counted) again.
+                let ticks = self.advance_span(span);
                 self.prof.end(Phase::SpanAdvance, t0);
-                return alive;
+                self.horizon_stats.record_span(cause, ticks);
+                self.prof.record_span_length(cause, ticks);
+                return !self.done;
             }
             self.horizon_stats.record_busy_tail(cause);
             Phase::BusyTail
@@ -889,8 +896,11 @@ impl<'a> Simulation<'a> {
     /// and the periodic-checkpoint clock advance arithmetically. An
     /// installed fault injector receives the span as one [`QuietSpan`].
     /// A capacitor threshold crossing inside the span runs the very same
-    /// transition the reference loop would, on the same tick.
-    fn advance_span(&mut self, span: u64) -> bool {
+    /// transition the reference loop would, on the same tick, and ends
+    /// the span there. Returns the ticks actually advanced: `span`, or
+    /// fewer when a crossing cut it short.
+    fn advance_span(&mut self, span: u64) -> u64 {
+        let start = self.now;
         let occupancy = self.buffer.occupancy() as u64;
         let on = self.state == DeviceState::On;
         let (load, stop) = if on {
@@ -914,7 +924,7 @@ impl<'a> Simulation<'a> {
         let mut crossing = None;
         while left > 0 && crossing.is_none() {
             let t = self.now;
-            let (irr, segment) = self.env.solar().constant_until(t);
+            let (irr, segment) = self.solar.constant_until(t);
             let ticks = left.min(segment.max(1));
             let first_stored = quiet
                 .is_some()
@@ -1015,15 +1025,14 @@ impl<'a> Simulation<'a> {
         let drained = self.now >= self.events_end && self.job.is_none() && self.buffer.is_idle();
         if self.now >= self.horizon || drained {
             self.finalize();
-            return false;
         }
-        true
+        self.now.since(start).as_millis()
     }
 
     /// Advances one 1 ms tick of the reference loop.
     fn step_tick(&mut self) -> bool {
         let t = self.now;
-        let irr = self.env.solar().irradiance(t);
+        let irr = self.solar.irradiance(t);
         // Stamp every event emitted this tick (runtime- and sim-side)
         // with the current device time.
         self.runtime.set_time_ms(t.as_millis());
@@ -2078,6 +2087,43 @@ mod tests {
         let mt = sim_with_engine(&env, EngineKind::Tick).run();
         assert!(mf.restores > 0, "darkness must force power cycles");
         assert_eq!(mf, mt);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+        /// Every simulated tick is counted once in the horizon
+        /// accounting: as a tick of a bulk span or as a reference tick,
+        /// including spans a threshold crossing cut short.
+        #[test]
+        fn span_and_reference_ticks_sum_to_sim_time(
+            kind in 0usize..EnvironmentKind::ALL.len(),
+            events in 3usize..10,
+            seed in 0u64..1_000,
+            solar in 0u8..3,
+        ) {
+            let mut env = SensingEnvironment::generate(EnvironmentKind::ALL[kind], events, seed);
+            if solar > 0 {
+                // Darkness, or light flickering every few seconds: both
+                // drive the capacitor across its thresholds mid-span.
+                let flicker = (0..60).map(|s| if s % 7 < 3 { 0.0 } else { 0.4 }).collect();
+                let trace = if solar == 1 {
+                    qz_traces::SolarTrace::constant(0.02)
+                } else {
+                    qz_traces::SolarTrace::from_samples(flicker)
+                };
+                env = override_solar(env, trace);
+            }
+            let mut fast = sim_with_engine(&env, EngineKind::FastForward);
+            let mut tick = sim_with_engine(&env, EngineKind::Tick);
+            while fast.step() {}
+            while tick.step() {}
+            proptest::prop_assert_eq!(fast.metrics(), tick.metrics());
+            let h = fast.horizon_stats();
+            let counted = h.total_skipped_ticks() + h.total_ref_ticks();
+            proptest::prop_assert_eq!(counted, fast.metrics().sim_time.as_millis());
+            proptest::prop_assert_eq!(counted, tick.metrics().sim_time.as_millis());
+            proptest::prop_assert!(tick.horizon_stats().is_empty());
+        }
     }
 
     #[test]

@@ -138,7 +138,9 @@ impl SensingEnvironment {
     /// Generates the environment with `event_count` events from the given
     /// seed. The solar trace covers the full event horizon (plus a drain
     /// margin) and is derived from the same seed so experiments are fully
-    /// reproducible from `(kind, event_count, seed)`.
+    /// reproducible from `(kind, event_count, seed)`. The trace is
+    /// generated, not sampled here: its samples are drawn as a
+    /// [`SolarCursor`](crate::SolarCursor) reads them.
     pub fn generate(kind: EnvironmentKind, event_count: usize, seed: u64) -> SensingEnvironment {
         let events = EventTraceBuilder::new()
             .event_count(event_count)

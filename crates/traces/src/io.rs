@@ -68,7 +68,7 @@ impl From<std::io::Error> for TraceIoError {
 /// Propagates I/O errors from the writer.
 pub fn write_solar<W: Write>(trace: &SolarTrace, mut w: W) -> Result<(), TraceIoError> {
     writeln!(w, "seconds,irradiance")?;
-    for (s, irr) in trace.samples().iter().enumerate() {
+    for (s, irr) in trace.iter().enumerate() {
         writeln!(w, "{s},{irr}")?;
     }
     Ok(())
@@ -227,7 +227,7 @@ mod tests {
         write_solar(&trace, &mut buf).unwrap();
         let back = read_solar(buf.as_slice()).unwrap();
         assert_eq!(back.samples().len(), trace.samples().len());
-        for (a, b) in back.samples().iter().zip(trace.samples()) {
+        for (a, b) in back.iter().zip(trace.iter()) {
             assert!((a - b).abs() < 1e-6);
         }
     }

@@ -33,5 +33,5 @@ pub mod stats;
 pub use environment::{EnvironmentKind, SensingEnvironment};
 pub use events::{ActivityCursor, Event, EventTrace, EventTraceBuilder};
 pub use io::{read_events, read_solar, write_events, write_solar, TraceIoError};
-pub use solar::{SolarTrace, SolarTraceBuilder};
+pub use solar::{SolarCursor, SolarTrace, SolarTraceBuilder};
 pub use stats::{event_stats, solar_stats, EventStats, SolarStats};

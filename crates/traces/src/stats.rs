@@ -92,7 +92,7 @@ pub struct SolarStats {
 
 /// Computes [`SolarStats`] for a trace.
 pub fn solar_stats(trace: &SolarTrace) -> SolarStats {
-    let mut sorted: Vec<f32> = trace.samples().to_vec();
+    let mut sorted: Vec<f32> = trace.samples().into_owned();
     sorted.sort_unstable_by(|a, b| a.total_cmp(b));
     let q = |p: f64| -> f64 {
         // p in [0, 1] and len >= 1, so the rounded index is a small
@@ -103,12 +103,8 @@ pub fn solar_stats(trace: &SolarTrace) -> SolarStats {
     };
     let max = trace.observed_max();
     let deep = max * 0.1;
-    let deep_low_fraction = trace
-        .samples()
-        .iter()
-        .filter(|&&s| (s as f64) < deep)
-        .count() as f64
-        / trace.samples().len() as f64;
+    let deep_low_fraction =
+        sorted.iter().filter(|&&s| (s as f64) < deep).count() as f64 / sorted.len() as f64;
     SolarStats {
         duration: trace.duration(),
         mean: trace.mean(),
