@@ -39,7 +39,7 @@ echo "== test-count guard =="
 # The suite must never silently shrink (a deleted [[test]] stanza or a
 # dropped module compiles fine and loses coverage without failing CI).
 # Raise the floor when tests are added; never lower it casually.
-test_floor=986
+test_floor=992
 test_count=$(cargo test -q --workspace -- --list 2>/dev/null | grep -c ': test$')
 echo "   ${test_count} tests (floor ${test_floor})"
 if [ "${test_count}" -lt "${test_floor}" ]; then
@@ -204,9 +204,9 @@ grep -q "identity fork (self-check)" <<< "${branch_out}"
 grep -q "no divergence" <<< "${branch_out}"
 
 echo "== qz run: telemetry is invisible and deterministic =="
-# Recording the periodic state sample must not perturb the simulation
-# (same metrics as a plain run of the same seeds) and its CSV must be
-# byte-identical across reruns.
+# Telemetry is an observer of the periodic state sample: installing it
+# must not perturb the simulation (same metrics as a plain run of the
+# same seeds) and its CSV must be byte-identical across reruns.
 cargo run -q --bin qz -- run --events 10 > "${fleet_dir}/plain.txt"
 cargo run -q --bin qz -- run --events 10 --telemetry "${fleet_dir}/tel1.csv" \
     > "${fleet_dir}/tel1.txt"

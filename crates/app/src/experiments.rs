@@ -108,7 +108,8 @@ pub fn simulate(
 }
 
 /// Like [`simulate`], recording the periodic device-state telemetry
-/// (one sample per simulated second).
+/// (one sample per simulated second) through a
+/// [`Telemetry`](qz_sim::Telemetry) observer.
 ///
 /// # Panics
 ///
@@ -120,8 +121,11 @@ pub fn simulate_with_telemetry(
     tweaks: &SimTweaks,
 ) -> (Metrics, qz_sim::Telemetry) {
     let mut sim = build_simulation(kind, profile, env, tweaks);
-    sim.record_telemetry();
-    sim.run_with_telemetry()
+    sim.set_observer(Box::new(qz_sim::Telemetry::default()));
+    let (metrics, mut observer) = sim.run_traced();
+    let telemetry =
+        qz_sim::Telemetry::take_from(observer.as_mut()).expect("telemetry observer installed");
+    (metrics, telemetry)
 }
 
 /// Like [`simulate`], recording the full decision-event stream: every

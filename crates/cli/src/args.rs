@@ -94,8 +94,7 @@ pub struct Args {
     pub seed: u64,
     /// Worker threads (`fleet`, `fault`); 0 = all cores.
     pub threads: usize,
-    /// JSON output path, `-` for stdout (the `--json` switch of check,
-    /// verify and lint-src sets `-`).
+    /// JSON output path, `-` for stdout.
     pub json: Option<String>,
     /// CSV output path (`-` for stdout in `fleet`).
     pub csv: Option<String>,
@@ -434,8 +433,7 @@ const THREADS: Flag = flag("--threads", "N", |a, v| {
 const PRESET: Flag = flag("--preset", "none|smoke|standard|heavy", |a, v| {
     set(&mut a.preset, parse_preset(v))
 });
-const JSON_SWITCH: Flag = flag("--json", "", |a, _| set(&mut a.json, path("-")));
-const JSON_PATH: Flag = flag("--json", "out.json|-", |a, v| set(&mut a.json, path(v)));
+const JSON: Flag = flag("--json", "out.json|-", |a, v| set(&mut a.json, path(v)));
 const CSV: Flag = flag("--csv", "out.csv", |a, v| set(&mut a.csv, path(v)));
 const SOLAR: Flag = flag("--solar", "trace|floor|ceil", |a, v| {
     let mode = qz_absint::SolarMode::parse(&v.to_ascii_lowercase());
@@ -508,7 +506,7 @@ const TRACE: &[Flag] = &[
 const CHECK: &[Flag] = &[
     SYSTEM,
     DEVICE,
-    JSON_SWITCH,
+    JSON,
     flag("--deny-warnings", "", |a, _| {
         set(&mut a.deny_warnings, Ok(true))
     }),
@@ -543,7 +541,7 @@ const VERIFY: &[Flag] = &[
     EVENTS,
     SEED,
     flag("--segment", "60", |a, v| set(&mut a.segment, positive(v))),
-    JSON_SWITCH,
+    JSON,
     flag("--deny-unproven", "", |a, _| {
         set(&mut a.deny_unproven, Ok(true))
     }),
@@ -554,7 +552,7 @@ const LINT_SRC: &[Flag] = &[
     flag("--allow-file", "lint-allow.txt", |a, v| {
         set(&mut a.allow_file, Ok(v.into()))
     }),
-    JSON_SWITCH,
+    JSON,
 ];
 
 const FLEET: &[Flag] = &[
@@ -581,7 +579,7 @@ const FLEET: &[Flag] = &[
     flag("--slot-ms", "50", |a, v| {
         set(&mut a.slot_ms, positive(v).map(Some))
     }),
-    JSON_PATH,
+    JSON,
     CSV,
     flag("--metrics", "", |a, _| set(&mut a.metrics, Ok(true))),
     flag("--gateways", "1", |a, v| set(&mut a.gateways, positive(v))),
@@ -603,7 +601,7 @@ const FAULT: &[Flag] = &[
     START,
     INJECT_AT,
     THREADS,
-    JSON_PATH,
+    JSON,
     flag("--postmortem", "DIR", |a, v| {
         set(&mut a.postmortem, path(v))
     }),
@@ -653,7 +651,7 @@ const PROFILE: &[Flag] = &[
     EVENTS,
     SEED,
     DEVICE,
-    JSON_PATH,
+    JSON,
     flag("--flame", "out.folded", |a, v| set(&mut a.flame, path(v))),
     flag("--flight", "dump.json", |a, v| set(&mut a.flight, path(v))),
 ];
@@ -851,7 +849,7 @@ bulk, and its reports are byte-identical to the per-tick reference loop
 (an oracle that only the test suites and benches select). `qz run
 --telemetry/--plot`, `qz trace --snapshots` and flight-recorder digests
 all read one periodic device-state sample, taken once per simulated
-second.
+second. Every --json takes a path, `-` for stdout.
 
 `qz figure --name NAME` prints one output of the paper's evaluation (a
 figure, a table, an extension, or `diagnose`) as its text table. Without
@@ -908,7 +906,7 @@ survivability preflight (QZ060-QZ062) rejects saturating plans. With
 crash dump (event ring + state digests + repro line) into DIR.
 
 `qz branch` answers what-if questions in O(suffix): it runs the base
-configuration to --at seconds, captures a `qz-snap/v1` snapshot, resumes
+configuration to --at seconds, captures a `qz-snap/v2` snapshot, resumes
 it under the forked tweaks (--fork-no-pid, --fork-no-sticky,
 --fork-checkpoint, --fork-capture-period), and diffs the two decision
 streams into a first-divergence report. With no fork flag it is a
@@ -1085,12 +1083,12 @@ pub(crate) mod tests {
         assert_eq!(c.json, None);
         assert!(c.allow.is_empty() && c.explain.is_none() && c.cap_mf.is_none());
         let c = ok(
-            "check --system QZ --device msp430 --json --deny-warnings --allow QZ011 \
+            "check --system QZ --device msp430 --json - --deny-warnings --allow QZ011 \
              --cap-mf 0.05 --checkpoint task-boundary --buffer 4 --capture-period 0.5",
         );
         assert_eq!(c.system, Some(BaselineKind::Quetzal));
         assert_eq!(c.device, Device::Msp430);
-        assert!(c.json.is_some() && c.deny_warnings);
+        assert!(c.json.as_deref() == Some("-") && c.deny_warnings);
         assert_eq!(c.allow, vec![qz_check::Code::QZ011]);
         assert_eq!(c.cap_mf, Some(0.05));
         assert_eq!(c.checkpoint, Some(qz_sim::CheckpointPolicy::TaskBoundary));
@@ -1143,7 +1141,7 @@ pub(crate) mod tests {
         assert!(v.json.is_none() && !v.deny_unproven);
         let v = ok(
             "verify --system QZ --device msp430 --env quiet --events 12 --seed 0xBEEF \
-             --segment 30 --json --deny-unproven",
+             --segment 30 --json v.json --deny-unproven",
         );
         assert_eq!(v.system, Some(BaselineKind::Quetzal));
         assert_eq!(v.device, Device::Msp430);
@@ -1151,7 +1149,7 @@ pub(crate) mod tests {
         assert_eq!(v.events, 12);
         assert_eq!(v.seed, 0xBEEF);
         assert_eq!(v.segment, 30);
-        assert!(v.json.is_some() && v.deny_unproven);
+        assert!(v.json.as_deref() == Some("v.json") && v.deny_unproven);
     }
 
     #[test]
@@ -1164,14 +1162,24 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn json_takes_a_path_on_every_subcommand() {
+        for sub in ["check", "verify", "lint-src", "fleet", "fault", "profile"] {
+            let a = ok(&format!("{sub} --json out.json"));
+            assert_eq!(a.json.as_deref(), Some("out.json"), "{sub}");
+            assert_eq!(ok(&format!("{sub} --json -")).json.as_deref(), Some("-"));
+            assert!(rejected(&format!("{sub} --json")), "{sub}: bare --json");
+        }
+    }
+
+    #[test]
     fn lint_src_defaults_and_flags() {
         let l = ok("lint-src");
         assert_eq!((l.root.as_str(), l.json.as_deref()), (".", None));
         assert_eq!(l.allow_file, "lint-allow.txt");
-        let l = ok("lint-src --root /tmp/ws --allow-file allow.txt --json");
+        let l = ok("lint-src --root /tmp/ws --allow-file allow.txt --json -");
         assert_eq!(l.root, "/tmp/ws");
         assert_eq!(l.allow_file, "allow.txt");
-        assert!(l.json.is_some());
+        assert_eq!(l.json.as_deref(), Some("-"));
         assert!(rejected("lint-src --system QZ"), "foreign flag");
     }
 

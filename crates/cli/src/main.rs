@@ -152,6 +152,17 @@ fn print_metrics(label: &str, m: &Metrics) {
     );
 }
 
+/// Writes a `--json` document to `path`, or to stdout for `-`.
+fn write_json(path: &str, doc: &str, what: &str) -> std::io::Result<()> {
+    if path == "-" {
+        print!("{doc}");
+    } else {
+        std::fs::write(path, doc)?;
+        println!("{what} written to {path}");
+    }
+    Ok(())
+}
+
 fn check(args: &Args) -> ExitCode {
     if let Some(code) = args.explain {
         println!("{code}: {}", code.summary());
@@ -197,7 +208,7 @@ fn check(args: &Args) -> ExitCode {
             }
         }
     }
-    if args.json.is_some() {
+    if let Some(path) = &args.json {
         let mut out = String::new();
         Writer::new(&mut out).arr(|w| {
             for (kind, device, report) in &json_entries {
@@ -208,7 +219,11 @@ fn check(args: &Args) -> ExitCode {
                 });
             }
         });
-        println!("{out}");
+        out.push('\n');
+        if let Err(e) = write_json(path, &out, "JSON report") {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
     } else if failed {
         println!(
             "FAILED{}",
@@ -395,7 +410,7 @@ fn verify(args: &Args) -> ExitCode {
             }
         }
     }
-    if args.json.is_some() {
+    if let Some(path) = &args.json {
         let mut out = String::new();
         Writer::new(&mut out).obj(|w| {
             w.field("tool", "qz-verify").key("configs").arr(|w| {
@@ -418,7 +433,11 @@ fn verify(args: &Args) -> ExitCode {
                 }
             });
         });
-        println!("{out}");
+        out.push('\n');
+        if let Err(e) = write_json(path, &out, "JSON report") {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
     } else if failed {
         println!(
             "FAILED{}",
@@ -448,7 +467,7 @@ fn lint_src(args: &Args) -> ExitCode {
         }
     };
     let findings = qz_absint::scan_workspace(root, &allow);
-    if args.json.is_some() {
+    if let Some(path) = &args.json {
         let mut out = String::new();
         Writer::new(&mut out).obj(|w| {
             w.field("tool", "qz-lint-src")
@@ -465,7 +484,11 @@ fn lint_src(args: &Args) -> ExitCode {
                     }
                 });
         });
-        println!("{out}");
+        out.push('\n');
+        if let Err(e) = write_json(path, &out, "JSON report") {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
     } else {
         for f in &findings {
             println!("{}:{}: `{}` — {}", f.path, f.line, f.pattern, f.rationale);
@@ -534,14 +557,9 @@ fn fault(args: &Args) -> ExitCode {
     };
     println!("{}", report.render_text());
     if let Some(path) = &args.json {
-        let doc = report.to_json();
-        if path == "-" {
-            print!("{doc}");
-        } else if let Err(e) = std::fs::write(path, &doc) {
+        if let Err(e) = write_json(path, &report.to_json(), "JSON report") {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
-        } else {
-            println!("JSON report written to {path}");
         }
     }
     if let Some(dir) = &args.postmortem {
@@ -716,12 +734,7 @@ fn profile(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                 .field("horizon", ranking)
                 .field("kernel", run.kernel);
         });
-        if path == "-" {
-            print!("{doc}");
-        } else {
-            std::fs::write(path, &doc)?;
-            println!("profile JSON written to {path}");
-        }
+        write_json(path, &doc, "profile JSON")?;
     }
     if let Some(path) = &args.flame {
         std::fs::write(path, run.report.render_folded())?;
@@ -879,13 +892,7 @@ fn fleet(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         println!("{}", report.registry().render());
     }
     if let Some(path) = &args.json {
-        let doc = report.to_json();
-        if path == "-" {
-            print!("{doc}");
-        } else {
-            std::fs::write(path, &doc)?;
-            println!("JSON report written to {path}");
-        }
+        write_json(path, &report.to_json(), "JSON report")?;
     }
     if let Some(path) = &args.csv {
         let doc = report.to_csv();

@@ -21,10 +21,11 @@ fn tmp(name: &str) -> std::path::PathBuf {
 #[test]
 fn check_json_is_valid_for_sweep_and_overrides() {
     for args in [
-        vec!["check", "--json"],
+        vec!["check", "--json", "-"],
         vec![
             "check",
             "--json",
+            "-",
             "--system",
             "QZ",
             "--device",
@@ -34,12 +35,42 @@ fn check_json_is_valid_for_sweep_and_overrides() {
             "--buffer",
             "4",
         ],
-        vec!["check", "--json", "--deny-warnings", "--allow", "QZ011"],
+        vec![
+            "check",
+            "--json",
+            "-",
+            "--deny-warnings",
+            "--allow",
+            "QZ011",
+        ],
     ] {
         let out = qz(&args);
         let stdout = String::from_utf8_lossy(&out.stdout);
         Json::parse(stdout.trim())
             .unwrap_or_else(|e| panic!("`qz {}` emitted invalid JSON: {e}", args.join(" ")));
+    }
+}
+
+/// `--json` takes a path on every subcommand that has it: the file
+/// holds exactly the document `--json -` streams to stdout.
+#[test]
+fn json_file_holds_the_stdout_document() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    for args in [
+        vec!["check", "--system", "QZ", "--device", "apollo4"],
+        vec![
+            "verify", "--system", "QZ", "--device", "apollo4", "--env", "quiet", "--events", "6",
+        ],
+        vec!["lint-src", "--root", root],
+    ] {
+        let streamed = qz(&[&args[..], &["--json", "-"]].concat());
+        assert!(streamed.status.success(), "{streamed:?}");
+        let path = tmp(&format!("{}.json", args[0]));
+        let out = qz(&[&args[..], &["--json", path.to_str().unwrap()]].concat());
+        assert!(out.status.success(), "{out:?}");
+        let written = std::fs::read(&path).expect("json written");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(written, streamed.stdout, "qz {}", args[0]);
     }
 }
 
@@ -299,8 +330,43 @@ fn trace_csv_bytes_are_pinned() {
     assert!(out.status.success(), "{out:?}");
     let bytes = std::fs::read(&path).expect("csv written");
     let _ = std::fs::remove_file(&path);
+    assert_eq!(pin(&bytes), (2_616_407, 0x902e_9667_255e_9577));
+}
+
+/// Length and FNV-1a-64 hash of `bytes`.
+fn pin(bytes: &[u8]) -> (usize, u64) {
     let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     });
-    assert_eq!((bytes.len(), fnv), (2_616_407, 0x902e_9667_255e_9577));
+    (bytes.len(), fnv)
+}
+
+/// `qz run --telemetry` CSV bytes and the `--plot` panel for a fixed
+/// seed, pinned by length and FNV-1a-64 hash: both render the periodic
+/// device-state sample, so a change to how the sample is delivered must
+/// leave them unchanged.
+#[test]
+fn telemetry_csv_and_plot_bytes_are_pinned() {
+    let run = ["run", "--env", "more", "--events", "12", "--seed", "7"];
+    let path = tmp("telemetry.csv");
+    let path_str = path.to_str().expect("utf-8 temp path");
+    let out = qz(&[&run[..], &["--telemetry", path_str]].concat());
+    assert!(out.status.success(), "{out:?}");
+    let bytes = std::fs::read(&path).expect("csv written");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        pin(&bytes),
+        (168_934, 0x847b_a7d0_47d8_b1cd),
+        "telemetry CSV"
+    );
+
+    let out = qz(&[&run[..], &["--plot"]].concat());
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let panel = &stdout[stdout.find("irradiance   |").expect("plot panel")..];
+    assert_eq!(
+        pin(panel.as_bytes()),
+        (912, 0xfe0b_24c5_344d_902c),
+        "plot panel"
+    );
 }

@@ -36,7 +36,7 @@
 //!   fault-free prefix once per campaign.
 //! - [`postmortem`] — `qz-flight/v1` crash-dump evidence for violated
 //!   campaigns (deterministic re-run → event ring + state digests +
-//!   an embedded `qz-snap/v1` resume snapshot).
+//!   an embedded `qz-snap/v2` resume snapshot).
 //! - [`bisect`] — automatic failure bisection: binary-search a
 //!   `qz-snap` snapshot ring for the exact first tick at which a
 //!   faulted run's state diverges from its fault-free twin.

@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 /// Builds the postmortem dump for one campaign row by re-running that
 /// campaign deterministically and feeding its event stream through a
 /// [`FlightRecorder`]. The dump embeds a `resume` snapshot — the
-/// `qz-snap/v1` engine state right before the last state digest's tick
+/// `qz-snap/v2` engine state right before the last state digest's tick
 /// — so the final stretch of the crashed run can be replayed directly
 /// instead of from tick zero.
 ///
@@ -132,7 +132,7 @@ mod tests {
         assert!(a.contains("qz fault --system"), "repro line embedded");
         assert!(a.contains("\"ring\""));
         assert!(
-            a.contains("\"resume\":{\"schema\":\"qz-snap/v1\""),
+            a.contains("\"resume\":{\"schema\":\"qz-snap/v2\""),
             "a resume snapshot at the last state digest is embedded"
         );
     }

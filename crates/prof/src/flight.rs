@@ -151,7 +151,7 @@ impl FlightRecorder {
     /// crash annotation, an optional embedded `resume` field, the digest
     /// log, and the event ring (each event in `qz-obs`'s JSONL object
     /// form). `resume` must be a pre-serialized JSON value (e.g. a
-    /// `qz-snap/v1` snapshot); it is spliced in verbatim so time-travel
+    /// `qz-snap/v2` snapshot); it is spliced in verbatim so time-travel
     /// tooling can resume the run straight from the dump.
     pub fn to_json_with(&self, panic_note: Option<&str>, resume: Option<&str>) -> String {
         let mut out = String::new();
@@ -392,8 +392,8 @@ mod tests {
     fn resume_snapshot_is_embedded_verbatim() {
         let events = vec![snapshot_event(1000, 2)];
         let rec = FlightRecorder::from_events(FlightMeta::default(), &events, 4);
-        let dump = rec.to_json_with(None, Some("{\"schema\":\"qz-snap/v1\",\"t_ms\":1000}"));
-        assert!(dump.contains(",\"resume\":{\"schema\":\"qz-snap/v1\",\"t_ms\":1000},"));
+        let dump = rec.to_json_with(None, Some("{\"schema\":\"qz-snap/v2\",\"t_ms\":1000}"));
+        assert!(dump.contains(",\"resume\":{\"schema\":\"qz-snap/v2\",\"t_ms\":1000},"));
         // Without a resume value the field is absent entirely.
         assert!(!rec.to_json().contains("\"resume\""));
         // Panic note and resume compose.

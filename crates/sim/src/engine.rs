@@ -10,14 +10,13 @@ use crate::fault::{
 use crate::intermittent::{CheckpointPolicy, ProgressKeeper, ProgressKeeperState};
 use crate::metrics::Metrics;
 use crate::pipeline::{PipelineError, PipelineSpec, Route, TaskBehavior};
-use crate::telemetry::{Telemetry, TelemetrySample};
 use crate::uplink::{TxDecision, TxRecord, UplinkPort, UplinkState};
 use core::fmt;
 use quetzal::model::{JobId, TaskCost, TaskId, TaskKey};
 use quetzal::runtime::{BufferView, RuntimeState};
 use quetzal::Quetzal;
 use qz_energy::{PowerSystem, PowerSystemState, StopCondition};
-use qz_obs::{EventKind, Observer};
+use qz_obs::{EventKind, Observer, Snapshot};
 use qz_prof::{HorizonCause, HorizonStats, Phase, PhaseProfiler};
 use qz_traces::{SensingEnvironment, SolarCursor};
 use qz_types::{Joules, Seconds, SimDuration, SimTime, SplitMix64, Watts};
@@ -52,8 +51,8 @@ impl From<PipelineError> for SimError {
     }
 }
 
-/// Cadence of the periodic device-state sample: one sample feeds both
-/// the telemetry log and the observer's `Snapshot` events.
+/// Cadence of the periodic device-state sample, emitted to an installed
+/// observer as a `Snapshot` event (telemetry is one such observer).
 const SAMPLE_PERIOD: SimDuration = SimDuration(1000);
 
 /// On/off state of the intermittently powered device.
@@ -119,9 +118,6 @@ pub struct Simulation<'a> {
     horizon: SimTime,
     metrics: Metrics,
     rng: SplitMix64,
-    /// Periodic state samples, when [`Simulation::record_telemetry`]
-    /// installed the log.
-    telemetry: Option<Telemetry>,
     /// Gate onto a shared uplink channel; `None` (the default) leaves
     /// radio tasks completely ungated.
     uplink: Option<UplinkPort>,
@@ -185,16 +181,17 @@ pub struct ActiveJobState {
 
 /// A bit-exact snapshot of everything a [`Simulation`] evolves while
 /// stepping: capacitor and energy totals, the runtime's learned state,
-/// buffer contents, the active job, RNG streams, metrics, telemetry,
-/// uplink and fault-injector streams, and the engine cursor.
+/// buffer contents, the active job, RNG streams, metrics, uplink and
+/// fault-injector streams, and the engine cursor.
 ///
 /// Configuration (device costs, environment, engine kind, spec) is
 /// deliberately *not* captured: [`Simulation::restore_state`] targets a
 /// simulation freshly built from the same configuration, and
 /// `save → restore → resume` is then byte-identical to stepping
-/// straight through — on both engines. Wall-clock observability
-/// (profiler, horizon stats) is excluded: it is not part of the
-/// deterministic contract.
+/// straight through — on both engines. Observers (event logs,
+/// telemetry) and wall-clock observability (profiler, horizon stats)
+/// are excluded: they watch the run, they are not part of its state, so
+/// a restored run's observer sees the events from the cut onwards.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimState {
     /// Engine cursor: current simulation time.
@@ -213,8 +210,6 @@ pub struct SimState {
     pub rng: u64,
     /// Metrics accumulated so far.
     pub metrics: Metrics,
-    /// Recorded telemetry samples (`None` when recording is disabled).
-    pub telemetry: Option<Vec<TelemetrySample>>,
     /// Uplink-gate state (`None` without an installed port).
     pub uplink: Option<UplinkState>,
     /// Fault-injector state (`None` without an installed injector).
@@ -241,7 +236,6 @@ impl SimState {
             && self.job == other.job
             && self.rng == other.rng
             && self.metrics == other.metrics
-            && self.telemetry == other.telemetry
             && self.uplink == other.uplink
             && self.off_since == other.off_since
             && self.last_checkpoint_at == other.last_checkpoint_at
@@ -289,7 +283,6 @@ impl<'a> Simulation<'a> {
             horizon,
             metrics: Metrics::default(),
             rng,
-            telemetry: None,
             uplink: None,
             off_since: None,
             fault: None,
@@ -478,19 +471,6 @@ impl<'a> Simulation<'a> {
         None
     }
 
-    /// Enables telemetry recording: the periodic state sample (one per
-    /// simulated second) is kept in a log as well as emitted to an
-    /// installed observer.
-    pub fn record_telemetry(&mut self) {
-        let mut telemetry = Telemetry::default();
-        // Size the sample log up front (horizon / period, plus the t=0
-        // sample) so steady-state recording never reallocates.
-        let expected = self.horizon.as_millis() / SAMPLE_PERIOD.as_millis();
-        #[allow(clippy::cast_possible_truncation)]
-        telemetry.reserve((expected.saturating_add(1)).min(1 << 24) as usize);
-        self.telemetry = Some(telemetry);
-    }
-
     /// Installs a decision-tracing observer on the runtime; the
     /// simulator routes its own transition events (power failures,
     /// restores, checkpoints, buffer admits/discards, job starts,
@@ -504,12 +484,6 @@ impl<'a> Simulation<'a> {
     /// place), returning it so sinks can be drained.
     pub fn take_observer(&mut self) -> Box<dyn Observer> {
         self.runtime.take_observer()
-    }
-
-    /// The recorded telemetry so far (empty unless
-    /// [`Simulation::record_telemetry`] was called).
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_ref()
     }
 
     /// Turns on wall-clock phase profiling (see [`qz_prof`]). Profiling
@@ -576,7 +550,6 @@ impl<'a> Simulation<'a> {
             job,
             rng: self.rng.state(),
             metrics: self.metrics.clone(),
-            telemetry: self.telemetry.as_ref().map(|t| t.samples().to_vec()),
             uplink: self.uplink.as_ref().map(UplinkPort::save_state),
             injector,
             off_since: self.off_since,
@@ -590,15 +563,17 @@ impl<'a> Simulation<'a> {
     /// Restores a snapshot captured by [`Simulation::save_state`] into
     /// a simulation freshly built from the same configuration (same
     /// spec, device costs, environment, engines, seeds, and the same
-    /// telemetry/uplink/fault installations). After a successful
+    /// uplink/fault installations). After a successful
     /// restore, stepping resumes byte-identically to the run the
     /// snapshot was taken from.
     ///
     /// # Errors
     ///
     /// Rejects snapshots whose shape does not match the live
-    /// simulation: wrong queue/window/task counts, out-of-range job or
-    /// task indices, or a telemetry/uplink/fault installation mismatch.
+    /// simulation: wrong queue/window/task counts, out-of-range job,
+    /// task or degradation-option indices, an in-flight buffer count
+    /// that disagrees with the active job, or an uplink/fault
+    /// installation mismatch.
     /// The simulation state is unspecified after an error — rebuild it
     /// before further use.
     pub fn restore_state(&mut self, state: &SimState) -> Result<(), String> {
@@ -606,6 +581,15 @@ impl<'a> Simulation<'a> {
         // Fallible shape-checked pieces first.
         self.buffer.restore_state(&state.buffer)?;
         self.runtime.restore_state(&state.runtime)?;
+        // Only a started job holds an input in flight (`take` when it is
+        // scheduled, `release`/`forward` when it completes).
+        if state.buffer.in_flight != usize::from(state.job.is_some()) {
+            return Err(format!(
+                "buffer in-flight count {} does not match {} active job(s)",
+                state.buffer.in_flight,
+                usize::from(state.job.is_some())
+            ));
+        }
         self.job = match &state.job {
             None => None,
             Some(js) => {
@@ -614,7 +598,18 @@ impl<'a> Simulation<'a> {
                     .spec()
                     .job_id(js.job)
                     .ok_or_else(|| format!("active-job index {} out of range", js.job))?;
-                let tasks = &self.runtime.spec().job(job).tasks;
+                let spec = self.runtime.spec();
+                let options = spec
+                    .job(job)
+                    .degradable_task()
+                    .map_or(1, |task| spec.task(task).option_count());
+                if js.option >= options {
+                    return Err(format!(
+                        "active-job option {} out of range ({options} option(s))",
+                        js.option
+                    ));
+                }
+                let tasks = &spec.job(job).tasks;
                 if js.executed.len() != tasks.len() {
                     return Err(format!(
                         "active-job executed-flag count mismatch: snapshot {} vs spec {}",
@@ -651,22 +646,6 @@ impl<'a> Simulation<'a> {
                 })
             }
         };
-        match (self.telemetry.as_mut(), &state.telemetry) {
-            (Some(log), Some(samples)) => {
-                *log = Telemetry::from_samples(samples.clone());
-            }
-            (None, None) => {}
-            (Some(_), None) => {
-                return Err(String::from(
-                    "telemetry recording is enabled but the snapshot carries no samples",
-                ))
-            }
-            (None, Some(_)) => {
-                return Err(String::from(
-                    "snapshot carries telemetry but recording is not enabled",
-                ))
-            }
-        }
         match (self.uplink.as_mut(), &state.uplink) {
             (Some(port), Some(s)) => port.restore_state(s),
             (None, None) => {}
@@ -715,13 +694,6 @@ impl<'a> Simulation<'a> {
         while self.step() {}
         let observer = self.runtime.take_observer();
         (self.metrics, observer)
-    }
-
-    /// Runs to completion and returns the metrics together with the
-    /// recorded telemetry.
-    pub fn run_with_telemetry(mut self) -> (Metrics, Telemetry) {
-        while self.step() {}
-        (self.metrics, self.telemetry.take().unwrap_or_default())
     }
 
     /// Advances the simulation. Under [`EngineKind::Tick`] this is
@@ -778,12 +750,6 @@ impl<'a> Simulation<'a> {
         alive
     }
 
-    /// Whether the periodic state sample has a consumer: the telemetry
-    /// log or an installed observer.
-    fn sampling(&self) -> bool {
-        self.telemetry.is_some() || self.runtime.observing()
-    }
-
     /// How many ticks from `now` are provably *quiescent*: no capture
     /// boundary, state sample, scheduler invocation, job
     /// countdown expiry, due periodic checkpoint, fault, or termination
@@ -836,7 +802,7 @@ impl<'a> Simulation<'a> {
                 );
             }
         }
-        if self.sampling() {
+        if self.runtime.observing() {
             pull(
                 &mut next_event,
                 &mut cause,
@@ -1067,28 +1033,19 @@ impl<'a> Simulation<'a> {
         }
         self.metrics.occupancy_ms += self.buffer.occupancy() as u64;
 
-        // One sample serves both telemetry consumers: the telemetry log
-        // and the observer's Snapshot events.
-        if (t % SAMPLE_PERIOD).is_zero() && self.sampling() {
+        // The periodic state sample, for an installed observer.
+        if (t % SAMPLE_PERIOD).is_zero() && self.runtime.observing() {
             let t_obs = self.prof.begin();
-            let sample = TelemetrySample {
-                t,
+            self.runtime.emit_event(EventKind::Snapshot(Snapshot {
                 irradiance: irr,
-                stored: self.power.capacitor().energy(),
+                stored_j: self.power.capacitor().energy().value(),
                 on: self.state == DeviceState::On,
                 occupancy: self.buffer.occupancy(),
                 lambda: self.runtime.lambda(),
-                correction: self.runtime.correction().value(),
+                correction_s: self.runtime.correction().value(),
                 active_option: self.job.as_ref().map(|j| j.option),
                 ibo_discards: self.metrics.ibo_discards,
-            };
-            if self.runtime.observing() {
-                self.runtime
-                    .emit_event(EventKind::Snapshot(sample.to_snapshot()));
-            }
-            if let Some(log) = self.telemetry.as_mut() {
-                log.push(sample);
-            }
+            }));
             self.prof.end(Phase::ObsEmit, t_obs);
         }
 
@@ -1690,6 +1647,7 @@ impl<'a> Simulation<'a> {
 mod tests {
     use super::*;
     use crate::pipeline::{ClassRates, ReportQuality};
+    use crate::Telemetry;
     use quetzal::model::AppSpecBuilder;
     use quetzal::runtime::QuetzalConfig;
     use qz_traces::EnvironmentKind;
@@ -1697,6 +1655,14 @@ mod tests {
 
     fn cheap(t: f64, p: f64) -> TaskCost {
         TaskCost::new(Seconds(t), Watts(p))
+    }
+
+    /// Finishes `sim`, returning its metrics and the telemetry its
+    /// installed [`Telemetry`] observer collected.
+    fn finish_with_telemetry(sim: Simulation<'_>) -> (Metrics, Telemetry) {
+        let (metrics, mut observer) = sim.run_traced();
+        let telemetry = Telemetry::take_from(observer.as_mut()).expect("telemetry observer");
+        (metrics, telemetry)
     }
 
     /// A small person-detection app: ML (2 options) → forward → radio
@@ -1960,14 +1926,20 @@ mod tests {
     fn telemetry_records_at_interval() {
         let env = SensingEnvironment::generate(EnvironmentKind::LessCrowded, 5, 8);
         let mut s = sim(&env, 0.05);
-        s.record_telemetry();
+        s.set_observer(Box::new(Telemetry::default()));
         for _ in 0..5_000 {
             if !s.step() {
                 break;
             }
         }
-        let t = s.telemetry().expect("recording enabled");
-        assert!(t.len() >= 4, "roughly one sample per second: {}", t.len());
+        let end = s.time();
+        let t = Telemetry::take_from(s.take_observer().as_mut()).expect("telemetry observer");
+        assert_eq!(
+            t.len() as u64,
+            end.as_millis() / SAMPLE_PERIOD.as_millis() + 1,
+            "one sample per second, t = 0 included"
+        );
+        assert!(t.samples().iter().all(|x| (x.t % SAMPLE_PERIOD).is_zero()));
         let mut csv = Vec::new();
         t.write_csv(&mut csv).unwrap();
         assert!(csv.len() > 50);
@@ -2069,10 +2041,10 @@ mod tests {
             let env = SensingEnvironment::generate(kind, events, seed);
             let mut fast = sim_with_engine(&env, EngineKind::FastForward);
             let mut tick = sim_with_engine(&env, EngineKind::Tick);
-            fast.record_telemetry();
-            tick.record_telemetry();
-            let (mf, tf) = fast.run_with_telemetry();
-            let (mt, tt) = tick.run_with_telemetry();
+            fast.set_observer(Box::new(Telemetry::default()));
+            tick.set_observer(Box::new(Telemetry::default()));
+            let (mf, tf) = finish_with_telemetry(fast);
+            let (mt, tt) = finish_with_telemetry(tick);
             assert_eq!(mf, mt, "{kind:?} metrics diverge");
             assert_eq!(tf, tt, "{kind:?} telemetry diverges");
         }
@@ -2159,28 +2131,36 @@ mod tests {
     fn save_restore_resume_is_bit_exact_on_both_engines() {
         let env = SensingEnvironment::generate(EnvironmentKind::Crowded, 20, 3);
         for engine in [EngineKind::Tick, EngineKind::FastForward] {
+            let cut = SimTime::from_millis(31_337);
             // Straight-through reference run.
             let mut straight = sim_with_engine(&env, engine);
-            straight.record_telemetry();
-            let (m_ref, t_ref) = straight.run_with_telemetry();
+            straight.set_observer(Box::new(Telemetry::default()));
+            let (m_ref, t_ref) = finish_with_telemetry(straight);
 
             // Run to an arbitrary mid point, snapshot, resume in place.
             let mut a = sim_with_engine(&env, engine);
-            a.record_telemetry();
-            a.step_until(SimTime::from_millis(31_337));
+            a.set_observer(Box::new(Telemetry::default()));
+            a.step_until(cut);
             let snap = a.save_state().unwrap();
-            let (m_a, t_a) = a.run_with_telemetry();
+            let (m_a, t_a) = finish_with_telemetry(a);
             assert_eq!(m_a, m_ref, "{engine:?}: suffix-after-save diverged");
             assert_eq!(t_a, t_ref);
 
-            // Restore into a freshly built twin and run the suffix.
+            // Restore into a freshly built twin and run the suffix: its
+            // observer sees the samples from the cut onwards.
             let mut b = sim_with_engine(&env, engine);
-            b.record_telemetry();
+            b.set_observer(Box::new(Telemetry::default()));
             b.restore_state(&snap).unwrap();
-            assert_eq!(b.time(), SimTime::from_millis(31_337));
-            let (m_b, t_b) = b.run_with_telemetry();
+            assert_eq!(b.time(), cut);
+            let (m_b, t_b) = finish_with_telemetry(b);
             assert_eq!(m_b, m_ref, "{engine:?}: restored run diverged");
-            assert_eq!(t_b, t_ref, "{engine:?}: restored telemetry diverged");
+            let ref_suffix: Vec<_> = t_ref.samples().iter().filter(|x| x.t >= cut).collect();
+            assert!(!ref_suffix.is_empty());
+            assert_eq!(
+                t_b.samples().iter().collect::<Vec<_>>(),
+                ref_suffix,
+                "{engine:?}: restored telemetry diverged"
+            );
         }
     }
 
@@ -2255,20 +2235,37 @@ mod tests {
         let mut bad = snap.clone();
         bad.job = Some(ActiveJobState {
             executed: vec![false; 7],
-            ..js
+            ..js.clone()
         });
         assert!(sim(&env, 0.05)
             .restore_state(&bad)
             .unwrap_err()
             .contains("executed-flag"));
 
-        // Telemetry present in the snapshot but recording disabled live.
+        // Degradation option beyond the job's option count (the running
+        // job's task cost would index past the option list).
         let mut bad = snap.clone();
-        bad.telemetry = Some(Vec::new());
+        bad.job = Some(ActiveJobState { option: 9, ..js });
         assert!(sim(&env, 0.05)
             .restore_state(&bad)
             .unwrap_err()
-            .contains("telemetry"));
+            .contains("option"));
+
+        // No input in flight for the active job (its completion would
+        // release a slot nothing took), and an input in flight with no
+        // job to finish it.
+        let mut bad = snap.clone();
+        bad.buffer.in_flight = 0;
+        assert!(sim(&env, 0.05)
+            .restore_state(&bad)
+            .unwrap_err()
+            .contains("in-flight"));
+        let mut bad = snap.clone();
+        bad.job = None;
+        assert!(sim(&env, 0.05)
+            .restore_state(&bad)
+            .unwrap_err()
+            .contains("in-flight"));
 
         // Uplink installed live but absent from the snapshot.
         let mut live = sim(&env, 0.05);

@@ -4,18 +4,19 @@
 //! energy, buffer occupancy, power state, the runtime's λ estimate and
 //! PID correction — is how the Fig. 1/Fig. 2-style timelines are
 //! produced and how scheduling pathologies are diagnosed (the tuning
-//! notes in `DESIGN.md` all came from these traces). Enable with
-//! [`Simulation::record_telemetry`](crate::Simulation::record_telemetry)
-//! (one sample per simulated second) and export with
-//! [`Telemetry::write_csv`].
+//! notes in `DESIGN.md` all came from these traces).
 //!
-//! Telemetry rides the same observer hook as decision tracing: each
-//! sample doubles as a [`qz_obs::Snapshot`] event, and a [`Telemetry`]
-//! can be reconstructed from a recorded event log with
-//! [`Telemetry::from_events`].
+//! The engine emits one periodic state sample per simulated second as a
+//! [`qz_obs::Snapshot`] event, and that event is the only channel:
+//! [`Telemetry`] is an ordinary [`Observer`] that keeps the `Snapshot`
+//! events and skips the rest. Install it with
+//! [`Simulation::set_observer`](crate::Simulation::set_observer), take it
+//! back after the run with [`Telemetry::take_from`], and export it with
+//! [`Telemetry::write_csv`]. [`Telemetry::from_events`] rebuilds the
+//! same log from a recorded event stream.
 
 use core::fmt;
-use qz_obs::{Event, EventKind, Snapshot};
+use qz_obs::{Event, EventKind, Observer, Snapshot};
 use qz_types::{Joules, SimTime};
 use std::io::Write;
 
@@ -43,25 +44,6 @@ pub struct TelemetrySample {
 }
 
 impl TelemetrySample {
-    /// `true` if a job was executing at the sample instant.
-    pub fn is_busy(&self) -> bool {
-        self.active_option.is_some()
-    }
-
-    /// The sample as an observer [`Snapshot`] payload.
-    pub fn to_snapshot(self) -> Snapshot {
-        Snapshot {
-            irradiance: self.irradiance,
-            stored_j: self.stored.value(),
-            on: self.on,
-            occupancy: self.occupancy,
-            lambda: self.lambda,
-            correction_s: self.correction,
-            active_option: self.active_option,
-            ibo_discards: self.ibo_discards,
-        }
-    }
-
     /// Rebuilds a sample from a [`Snapshot`] event payload.
     pub fn from_snapshot(t: SimTime, snap: &Snapshot) -> TelemetrySample {
         TelemetrySample {
@@ -88,28 +70,26 @@ impl Telemetry {
     /// Rebuilds telemetry from the `Snapshot` events in a recorded
     /// event log (other event kinds are skipped).
     pub fn from_events(events: &[Event]) -> Telemetry {
-        let samples = events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EventKind::Snapshot(snap) => Some(TelemetrySample::from_snapshot(
-                    SimTime::from_millis(e.t_ms),
-                    snap,
-                )),
-                _ => None,
-            })
-            .collect();
-        Telemetry { samples }
+        let mut telemetry = Telemetry::default();
+        for event in events {
+            telemetry.on_event(event);
+        }
+        telemetry
+    }
+
+    /// Takes the samples out of `observer` if it is a [`Telemetry`]
+    /// (the observer is left empty), the way
+    /// [`qz_obs::take_recorded`] drains a recording sink.
+    pub fn take_from(observer: &mut dyn Observer) -> Option<Telemetry> {
+        observer
+            .as_any_mut()?
+            .downcast_mut::<Telemetry>()
+            .map(core::mem::take)
     }
 
     /// All samples, in time order.
     pub fn samples(&self) -> &[TelemetrySample] {
         &self.samples
-    }
-
-    /// Builds a telemetry log from already-recorded samples (snapshot
-    /// restore).
-    pub fn from_samples(samples: Vec<TelemetrySample>) -> Telemetry {
-        Telemetry { samples }
     }
 
     /// Number of samples recorded.
@@ -120,18 +100,6 @@ impl Telemetry {
     /// `true` when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// Appends a sample (called by the engine).
-    pub(crate) fn push(&mut self, sample: TelemetrySample) {
-        self.samples.push(sample);
-    }
-
-    /// Pre-reserves room for `n` further samples so the steady-state
-    /// recording path never reallocates mid-run (the engine sizes this
-    /// from horizon / sample period when the log is installed).
-    pub(crate) fn reserve(&mut self, n: usize) {
-        self.samples.reserve(n);
     }
 
     /// Fraction of samples with the device powered on.
@@ -186,6 +154,21 @@ impl Telemetry {
     }
 }
 
+impl Observer for Telemetry {
+    fn on_event(&mut self, event: &Event) {
+        if let EventKind::Snapshot(snap) = &event.kind {
+            self.samples.push(TelemetrySample::from_snapshot(
+                SimTime::from_millis(event.t_ms),
+                snap,
+            ));
+        }
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn core::any::Any> {
+        Some(self)
+    }
+}
+
 impl fmt::Display for Telemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -202,42 +185,45 @@ impl fmt::Display for Telemetry {
 mod tests {
     use super::*;
 
-    fn sample(t_s: u64, on: bool, occ: usize, option: Option<usize>) -> TelemetrySample {
-        TelemetrySample {
-            t: SimTime::from_secs(t_s),
-            irradiance: 0.5,
-            stored: Joules(0.1),
-            on,
-            occupancy: occ,
-            lambda: 0.4,
-            correction: 0.1,
-            active_option: option,
-            ibo_discards: 2,
+    fn sample(t_s: u64, on: bool, occ: usize, option: Option<usize>) -> Event {
+        Event {
+            t_ms: t_s * 1000,
+            kind: EventKind::Snapshot(Snapshot {
+                irradiance: 0.5,
+                stored_j: 0.1,
+                on,
+                occupancy: occ,
+                lambda: 0.4,
+                correction_s: 0.1,
+                active_option: option,
+                ibo_discards: 2,
+            }),
         }
     }
 
     #[test]
-    // One of two samples busy gives on_fraction exactly 1/2, a dyadic
-    // value with no rounding, so strict float comparison is the point.
+    // One of two samples powered on gives on_fraction exactly 1/2, a
+    // dyadic value with no rounding, so strict float comparison is the
+    // point.
     #[allow(clippy::float_cmp)]
     fn accumulates_and_summarizes() {
         let mut t = Telemetry::default();
         assert!(t.is_empty());
-        t.push(sample(0, true, 3, Some(0)));
-        t.push(sample(1, false, 7, None));
-        assert_eq!(t.len(), 2);
+        t.on_event(&sample(0, true, 3, Some(0)));
+        t.on_event(&Event {
+            t_ms: 500,
+            kind: EventKind::Checkpoint,
+        });
+        t.on_event(&sample(1, false, 7, None));
+        assert_eq!(t.len(), 2, "only Snapshot events are kept");
         assert_eq!(t.on_fraction(), 0.5);
         assert_eq!(t.peak_occupancy(), 7);
-        assert!(t.samples()[0].is_busy());
-        assert!(!t.samples()[1].is_busy());
         assert!(t.to_string().contains("2 samples"));
     }
 
     #[test]
     fn csv_roundtrip_shape() {
-        let mut t = Telemetry::default();
-        t.push(sample(0, true, 3, Some(1)));
-        t.push(sample(1, false, 0, None));
+        let t = Telemetry::from_events(&[sample(0, true, 3, Some(1)), sample(1, false, 0, None)]);
         let mut buf = Vec::new();
         t.write_csv(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -250,19 +236,30 @@ mod tests {
 
     #[test]
     fn snapshot_round_trip_preserves_sample() {
-        let s = sample(7, true, 5, Some(1));
-        let event = Event {
-            t_ms: s.t.as_millis(),
-            kind: EventKind::Snapshot(s.to_snapshot()),
-        };
-        let rebuilt = Telemetry::from_events(&[
-            event,
-            Event {
-                t_ms: 8_000,
-                kind: EventKind::Checkpoint,
-            },
-        ]);
-        assert_eq!(rebuilt.len(), 1);
-        assert_eq!(rebuilt.samples()[0], s);
+        let rebuilt = Telemetry::from_events(&[sample(7, true, 5, Some(1))]);
+        assert_eq!(
+            rebuilt.samples(),
+            [TelemetrySample {
+                t: SimTime::from_secs(7),
+                irradiance: 0.5,
+                stored: Joules(0.1),
+                on: true,
+                occupancy: 5,
+                lambda: 0.4,
+                correction: 0.1,
+                active_option: Some(1),
+                ibo_discards: 2,
+            }]
+        );
+    }
+
+    #[test]
+    fn take_from_drains_an_installed_telemetry_observer() {
+        let mut observer: Box<dyn Observer> = Box::new(Telemetry::default());
+        observer.on_event(&sample(0, true, 1, None));
+        let taken = Telemetry::take_from(observer.as_mut()).expect("a telemetry observer");
+        assert_eq!(taken.len(), 1);
+        assert!(Telemetry::take_from(observer.as_mut()).unwrap().is_empty());
+        assert!(Telemetry::take_from(&mut qz_obs::NoopObserver).is_none());
     }
 }

@@ -1,4 +1,4 @@
-//! The versioned `qz-snap/v1` wire format.
+//! The versioned `qz-snap/v2` wire format.
 //!
 //! A [`SimState`] serializes to a single JSON object so snapshots can be
 //! written next to postmortems, embedded in flight-recorder dumps, and
@@ -25,15 +25,16 @@ use qz_sim::buffer::BufferEntry;
 use qz_sim::uplink::TxRecord;
 use qz_sim::{
     ActiveJobState, InjectorState, InputBufferState, Metrics, ProgressKeeperState, SimState,
-    TelemetrySample, UplinkState,
+    UplinkState,
 };
 // Every `u64` goes out as a decimal string, bit-exact through the
 // f64-based reader.
 use qz_types::json::{DecimalU64 as U, Json, Writer};
 use qz_types::{Joules, Seconds, SimDuration, SimTime, Watts};
 
-/// Schema tag every `qz-snap/v1` document opens with.
-pub const SCHEMA: &str = "qz-snap/v1";
+/// Schema tag every `qz-snap/v2` document opens with. A snapshot holds
+/// engine state only; observers such as telemetry are not part of it.
+pub const SCHEMA: &str = "qz-snap/v2";
 
 // ---------------------------------------------------------------------
 // Encoding
@@ -238,20 +239,6 @@ fn metrics(w: &mut Writer<'_>, m: &Metrics) {
     });
 }
 
-fn sample(w: &mut Writer<'_>, s: &TelemetrySample) {
-    w.obj(|w| {
-        w.field("t", U(s.t.as_millis()))
-            .field("irradiance", f(s.irradiance))
-            .field("stored", f(s.stored.value()))
-            .field("on", s.on)
-            .field("occupancy", s.occupancy)
-            .field("lambda", f(s.lambda))
-            .field("correction", f(s.correction))
-            .field("active_option", s.active_option)
-            .field("ibo_discards", U(s.ibo_discards));
-    });
-}
-
 fn uplink(w: &mut Writer<'_>, s: &UplinkState) {
     w.obj(|w| {
         w.field("rng", U(s.rng))
@@ -278,7 +265,7 @@ fn opt<T>(w: &mut Writer<'_>, v: Option<&T>, enc: impl FnOnce(&mut Writer<'_>, &
     }
 }
 
-/// Serializes a [`SimState`] as a single-line `qz-snap/v1` JSON object.
+/// Serializes a [`SimState`] as a single-line `qz-snap/v2` JSON object.
 pub fn to_json(state: &SimState) -> String {
     let mut out = String::with_capacity(4096);
     Writer::new(&mut out).obj(|w| {
@@ -310,17 +297,6 @@ pub fn to_json(state: &SimState) -> String {
         opt(w.key("job"), state.job.as_ref(), job);
         w.field("rng", U(state.rng));
         metrics(w.key("metrics"), &state.metrics);
-        opt(
-            w.key("telemetry"),
-            state.telemetry.as_ref(),
-            |w, samples| {
-                w.arr(|w| {
-                    for s in samples {
-                        sample(w, s);
-                    }
-                });
-            },
-        );
         opt(w.key("uplink"), state.uplink.as_ref(), uplink);
         opt(w.key("injector"), state.injector.as_ref(), |w, inj| {
             w.obj(|w| {
@@ -634,20 +610,6 @@ fn d_metrics(j: &Json) -> Result<Metrics, String> {
     Ok(m)
 }
 
-fn d_sample(j: &Json) -> Result<TelemetrySample, String> {
-    Ok(TelemetrySample {
-        t: d_time(j, "t")?,
-        irradiance: d_f64(j, "irradiance")?,
-        stored: Joules(d_f64(j, "stored")?),
-        on: d_bool(j, "on")?,
-        occupancy: d_usize(j, "occupancy")?,
-        lambda: d_f64(j, "lambda")?,
-        correction: d_f64(j, "correction")?,
-        active_option: d_opt(j, "active_option", |v| d_usize_item(v, "active_option"))?,
-        ibo_discards: d_u64(j, "ibo_discards")?,
-    })
-}
-
 fn d_uplink(j: &Json) -> Result<UplinkState, String> {
     let attempts = d_usize(j, "attempts")?;
     Ok(UplinkState {
@@ -673,7 +635,7 @@ fn d_uplink(j: &Json) -> Result<UplinkState, String> {
     })
 }
 
-/// Parses a `qz-snap/v1` document back into a [`SimState`].
+/// Parses a `qz-snap/v2` document back into a [`SimState`].
 ///
 /// `spec` must be the application spec of the simulation the snapshot
 /// will be restored into; estimator task indices are validated against
@@ -702,13 +664,6 @@ pub fn from_json(text: &str, spec: &AppSpec) -> Result<SimState, String> {
         job: d_opt(&j, "job", d_job)?,
         rng: d_u64(&j, "rng")?,
         metrics: d_metrics(field(&j, "metrics")?)?,
-        telemetry: d_opt(&j, "telemetry", |v| {
-            v.as_arr()
-                .ok_or_else(|| String::from("`telemetry` must be an array"))?
-                .iter()
-                .map(d_sample)
-                .collect::<Result<Vec<_>, String>>()
-        })?,
         uplink: d_opt(&j, "uplink", d_uplink)?,
         injector: d_opt(&j, "injector", |v| {
             Ok(InjectorState {

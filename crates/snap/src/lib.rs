@@ -5,9 +5,12 @@
 //! is byte-identical to straight-through execution on both stepping
 //! engines. This crate builds the workflows on top of that contract:
 //!
-//! - [`format`] — the versioned `qz-snap/v1` JSON wire format.
+//! - [`format`] — the versioned `qz-snap/v2` JSON wire format.
 //!   Bit-exact: every `f64` travels as its IEEE-754 bit pattern, every
-//!   `u64` as a decimal string (JSON numbers round through `f64`).
+//!   `u64` as a decimal string (JSON numbers round through `f64`). A
+//!   snapshot holds engine state only: observers (event logs,
+//!   telemetry) watch a run and are not part of it, so a restored run's
+//!   observer starts at the cut.
 //! - [`History`] — a bounded ring of periodic snapshots with
 //!   [`History::rollback_to`]: restore the nearest snapshot at or
 //!   before a tick, then replay forward deterministically.
@@ -37,7 +40,7 @@ mod tests {
     use super::*;
     use qz_app::{apollo4, SimTweaks};
     use qz_baselines::BaselineKind;
-    use qz_sim::Simulation;
+    use qz_sim::{Metrics, Simulation, Telemetry};
     use qz_traces::{EnvironmentKind, SensingEnvironment};
     use qz_types::SimTime;
 
@@ -56,29 +59,43 @@ mod tests {
         qz_app::build_simulation(BaselineKind::Quetzal, &apollo4(), env, tw)
     }
 
+    /// [`build`] with a [`Telemetry`] observer installed.
+    fn build_observed<'a>(env: &'a SensingEnvironment, tw: &SimTweaks) -> Simulation<'a> {
+        let mut sim = build(env, tw);
+        sim.set_observer(Box::new(Telemetry::default()));
+        sim
+    }
+
+    fn finish(sim: Simulation<'_>) -> (Metrics, Telemetry) {
+        let (metrics, mut observer) = sim.run_traced();
+        (metrics, Telemetry::take_from(observer.as_mut()).unwrap())
+    }
+
     #[test]
     fn json_roundtrip_is_bit_exact() {
         let env = env();
         for engine in [qz_sim::EngineKind::Tick, qz_sim::EngineKind::FastForward] {
             let tw = tweaks(engine);
-            let mut sim = build(&env, &tw);
-            sim.record_telemetry();
-            sim.step_until(SimTime::from_millis(123_457));
+            let cut = SimTime::from_millis(123_457);
+            let mut sim = build_observed(&env, &tw);
+            sim.step_until(cut);
             let state = sim.save_state().unwrap();
             let text = to_json(&state);
-            assert!(text.starts_with("{\"schema\":\"qz-snap/v1\""));
+            assert!(text.starts_with("{\"schema\":\"qz-snap/v2\""));
             let parsed = from_json(&text, sim.runtime().spec()).unwrap();
             assert_eq!(parsed, state, "{engine:?}: JSON roundtrip lost state");
 
             // And the parsed state actually resumes: restore into a
-            // twin and finish both runs.
-            let mut twin = build(&env, &tw);
-            twin.record_telemetry();
+            // twin and finish both runs; the twin's telemetry is the
+            // original's from the cut onwards.
+            let mut twin = build_observed(&env, &tw);
             twin.restore_state(&parsed).unwrap();
-            let (m_twin, t_twin) = twin.run_with_telemetry();
-            let (m_orig, t_orig) = sim.run_with_telemetry();
+            let (m_twin, t_twin) = finish(twin);
+            let (m_orig, t_orig) = finish(sim);
             assert_eq!(m_twin, m_orig);
-            assert_eq!(t_twin, t_orig);
+            let suffix: Vec<_> = t_orig.samples().iter().filter(|s| s.t >= cut).collect();
+            assert!(!suffix.is_empty());
+            assert_eq!(t_twin.samples().iter().collect::<Vec<_>>(), suffix);
         }
     }
 
@@ -91,12 +108,14 @@ mod tests {
         let state = sim.save_state().unwrap();
         let spec = sim.runtime().spec();
         assert!(from_json("{", spec).is_err(), "malformed JSON");
-        assert!(
-            from_json("{\"schema\":\"qz-snap/v0\"}", spec)
-                .unwrap_err()
-                .contains("unsupported snapshot schema"),
-            "wrong schema tag"
-        );
+        for stale in ["qz-snap/v0", "qz-snap/v1"] {
+            assert!(
+                from_json(&format!("{{\"schema\":\"{stale}\"}}"), spec)
+                    .unwrap_err()
+                    .contains("unsupported snapshot schema"),
+                "wrong schema tag {stale}"
+            );
+        }
         let text = to_json(&state);
         let truncated = text.replace("\"rng\"", "\"rng_gone\"");
         assert!(
@@ -121,7 +140,6 @@ mod tests {
             let env = env();
             let tw = tweaks(qz_sim::EngineKind::FastForward);
             let mut sim = build(&env, &tw);
-            sim.record_telemetry();
             sim.step_until(SimTime::from_millis(60_000));
             let mut bytes = to_json(&sim.save_state().unwrap()).into_bytes();
             let spec = sim.runtime().spec();

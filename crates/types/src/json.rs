@@ -19,7 +19,7 @@
 //!   are rejected.
 //!
 //! Numbers are read as `f64`, so integers above 2^53 round. Formats
-//! that need exact 64-bit integers (`qz-snap/v1`, and the seeds of the
+//! that need exact 64-bit integers (`qz-snap/v2`, and the seeds of the
 //! fleet and fault reports) carry them as strings ([`DecimalU64`]).
 
 use core::fmt::Write as _;

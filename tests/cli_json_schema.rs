@@ -10,7 +10,7 @@
 //! reading the diff) or an incompatible schema change (update the
 //! consumers too). Regenerate with the commands in each golden's
 //! companion constant below, e.g.
-//! `cargo run -p qz-cli -- check --system AvgSe2e --device msp430 --json`.
+//! `cargo run -p qz-cli -- check --system AvgSe2e --device msp430 --json -`.
 
 use std::process::Command;
 
@@ -27,14 +27,15 @@ fn run_qz(args: &[&str]) -> (String, bool) {
 }
 
 const CHECK_ARGS: &[&str] = &[
-    "check", "--system", "AvgSe2e", "--device", "msp430", "--json",
+    "check", "--system", "AvgSe2e", "--device", "msp430", "--json", "-",
 ];
 const VERIFY_PROVEN_ARGS: &[&str] = &[
-    "verify", "--system", "QZ", "--device", "apollo4", "--env", "quiet", "--events", "10", "--json",
+    "verify", "--system", "QZ", "--device", "apollo4", "--env", "quiet", "--events", "10",
+    "--json", "-",
 ];
 const VERIFY_REFUTED_ARGS: &[&str] = &[
     "verify", "--system", "lcfs", "--device", "msp430", "--env", "crowded", "--events", "40",
-    "--json",
+    "--json", "-",
 ];
 
 #[test]
@@ -182,6 +183,7 @@ fn verify_seed_reads_back_exactly() {
         "--seed",
         "0xFFFFFFFFFFFFFFF1",
         "--json",
+        "-",
     ]);
     let doc = Json::parse(&out).expect("verify JSON parses");
     let seed = doc
@@ -242,7 +244,7 @@ fn every_json_output_parses() {
     for args in [
         CHECK_ARGS,
         VERIFY_REFUTED_ARGS,
-        &["lint-src", "--root", root, "--json"],
+        &["lint-src", "--root", root, "--json", "-"],
     ] {
         parses(args[0], &run_qz(args).0);
     }

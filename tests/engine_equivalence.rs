@@ -542,7 +542,7 @@ fn gated_run(
 /// the tick after it, and at 0/±1 ticks from a capture boundary —
 /// under every fault preset. Metrics, event bytes, injector stats and
 /// snapshots shortly after the gate and at the end (the ten injector
-/// words included, compared as `qz-snap/v1` bytes) must match the tick
+/// words included, compared as `qz-snap/v2` bytes) must match the tick
 /// engine exactly.
 #[test]
 fn gated_adversary_torture_is_byte_identical() {

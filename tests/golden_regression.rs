@@ -167,9 +167,9 @@ fn fleet_small_json_snapshot_event_horizon() {
     );
 }
 
-/// The `qz-snap/v1` wire format, byte for byte: fixed-seed Crowded runs
-/// with every optional section live (telemetry, uplink, an armed fault
-/// injector, the EWMA power predictor), saved at a fixed tick. The
+/// The `qz-snap/v2` wire format, byte for byte: fixed-seed Crowded runs
+/// with every optional section live (uplink, an armed fault injector,
+/// the EWMA power predictor), saved at a fixed tick. The
 /// golden is an array holding one snapshot per line, one per estimator
 /// with state: Quetzal's variable-cost quantiles and the AvgSe2e running
 /// averages. The round-trip tests in qz-snap compare parsed states, so
@@ -186,7 +186,6 @@ fn snap_small_json_snapshot() {
     let mut snapshots = Vec::new();
     for kind in [BaselineKind::QuetzalVar(0.9), BaselineKind::AvgSe2e] {
         let mut sim = qz_app::build_simulation(kind, &apollo4(), &env, &tweaks);
-        sim.record_telemetry();
         sim.set_uplink(qz_sim::uplink::UplinkPort::new(
             qz_sim::uplink::UplinkConfig::default(),
             SEED,
@@ -213,7 +212,7 @@ fn snap_small_json_snapshot() {
     let want = include_str!("golden/snap_small.json");
     assert_eq!(
         got, want,
-        "qz-snap/v1 bytes drifted — the format is frozen; bump SCHEMA for a new shape:\n{got}"
+        "qz-snap/v2 bytes drifted — the format is frozen; bump SCHEMA for a new shape:\n{got}"
     );
 }
 

@@ -1,7 +1,7 @@
 //! Profiling must be provably invisible: arming the `qz-prof` phase
 //! profiler (and with it the energy kernel's work counters), the
-//! horizon-cause accounting, or a flight-recorder ring must not change
-//! a single simulated bit. Each test runs the same seeded configuration
+//! horizon-cause accounting, a flight-recorder ring or a telemetry
+//! recorder must not change a single simulated bit. Each test runs the same seeded configuration
 //! with observability on and off and demands byte-for-byte identical
 //! outputs — metrics and the event stream on the single-device engines,
 //! the full JSON report on the fleet coordinator.
@@ -12,7 +12,8 @@
 //! a re-baseline.
 
 use qz_app::{
-    apollo4, build_simulation, msp430fr5994, profile_run, simulate, simulate_traced, SimTweaks,
+    apollo4, build_simulation, msp430fr5994, profile_run, simulate, simulate_traced,
+    simulate_with_telemetry, SimTweaks,
 };
 use qz_baselines::BaselineKind;
 use qz_fleet::{run_fleet, run_fleet_profiled, Executor, FleetConfig};
@@ -133,6 +134,28 @@ fn flight_recorder_does_not_change_metrics() {
                 .starts_with("{\"schema\":\"qz-flight/v1\""),
             "flight dump lost its schema header"
         );
+    }
+}
+
+/// A telemetry recorder is an ordinary observer of the periodic state
+/// sample: on both engines it must leave metrics alone and collect one
+/// sample per simulated second, t = 0 included.
+#[test]
+fn telemetry_recorder_does_not_change_metrics() {
+    let profile = apollo4();
+    let env = SensingEnvironment::generate(EnvironmentKind::LessCrowded, 30, SEED);
+    for engine in [EngineKind::Tick, EngineKind::FastForward] {
+        let plain = simulate(BaselineKind::Quetzal, &profile, &env, &tweaks(engine));
+        let (recorded, telemetry) =
+            simulate_with_telemetry(BaselineKind::Quetzal, &profile, &env, &tweaks(engine));
+        assert_eq!(
+            plain,
+            recorded,
+            "telemetry changed metrics under the {} engine",
+            engine.label()
+        );
+        let seconds = plain.sim_time.as_millis().div_ceil(1000);
+        assert_eq!(telemetry.len() as u64, seconds, "{}", engine.label());
     }
 }
 

@@ -4,26 +4,32 @@
 //! instants landing anywhere — including mid-quiescent-span, where the
 //! fast-forward engine has to split a skip to honour the cut.
 //!
-//! Three properties:
+//! Four properties:
 //!
 //! 1. The resumed suffix reproduces the straight-through run exactly:
 //!    metrics, the recorded observer event stream, and the JSONL/CSV
-//!    renderings of that stream, after a `qz-snap/v1` JSON roundtrip of
+//!    renderings of that stream, after a `qz-snap/v2` JSON roundtrip of
 //!    the state itself.
-//! 2. Telemetry sampling is restore-invariant: a run resumed from a
-//!    snapshot emits the same telemetry tail as the uninterrupted run.
+//! 2. Telemetry sampling is restore-invariant: a telemetry observer on a
+//!    run resumed from a snapshot collects exactly the uninterrupted
+//!    run's samples from the cut onwards.
 //! 3. `History::rollback_to` then replay is idempotent: rolling back to
 //!    an arbitrary tick and stepping forward again lands on the exact
 //!    end-of-horizon state, twice in a row.
+//! 4. A snapshot that restores resumes: a snapshot document with one
+//!    digit edited is rejected by `from_json` or `restore_state`, or it
+//!    runs to the end without a panic.
 
 use proptest::prelude::*;
 use qz_baselines::BaselineKind;
 use qz_obs::export::{write_csv, write_jsonl};
 use qz_obs::Event;
-use qz_sim::EngineKind;
+use qz_sim::uplink::{UplinkConfig, UplinkPort};
+use qz_sim::{EngineKind, Simulation, Telemetry};
 use qz_snap::{from_json, to_json, History};
 use qz_traces::{EnvironmentKind, SensingEnvironment};
 use qz_types::{SimDuration, SimTime};
+use std::sync::OnceLock;
 
 fn any_engine() -> impl Strategy<Value = EngineKind> {
     prop_oneof![Just(EngineKind::Tick), Just(EngineKind::FastForward)]
@@ -55,6 +61,14 @@ fn tweaks(seed: u64, engine: EngineKind) -> qz_app::SimTweaks {
         engine,
         ..qz_app::SimTweaks::default()
     }
+}
+
+/// Finishes `sim`, returning its metrics and what its installed
+/// [`Telemetry`] observer collected.
+fn finish_with_telemetry(sim: Simulation<'_>) -> (qz_sim::Metrics, Telemetry) {
+    let (metrics, mut observer) = sim.run_traced();
+    let telemetry = Telemetry::take_from(observer.as_mut()).expect("telemetry observer installed");
+    (metrics, telemetry)
 }
 
 fn render_jsonl(events: &[Event]) -> Vec<u8> {
@@ -96,14 +110,14 @@ proptest! {
 
         // Prefix leg: step to the cut (wherever the run actually lands
         // — a short run may finish earlier), snapshot, and roundtrip
-        // the state through the qz-snap/v1 wire format.
+        // the state through the qz-snap/v2 wire format.
         let mut prefix = qz_app::build_simulation(kind, &profile, &env, &tw);
         prefix.step_until(SimTime::from_millis(cut_ms));
         let cut = prefix.time();
         let state = prefix.save_state().map_err(TestCaseError::fail)?;
         let parsed = from_json(&to_json(&state), prefix.runtime().spec())
             .map_err(TestCaseError::fail)?;
-        prop_assert_eq!(&parsed, &state, "qz-snap/v1 roundtrip lost state");
+        prop_assert_eq!(&parsed, &state, "qz-snap/v2 roundtrip lost state");
 
         // Resumed leg: fresh simulation, restore the parsed state,
         // observe the suffix, and finish.
@@ -153,19 +167,26 @@ proptest! {
 
         let mut reference =
             qz_app::build_simulation(BaselineKind::Quetzal, &profile, &env, &tw);
-        reference.record_telemetry();
+        reference.set_observer(Box::new(Telemetry::default()));
         reference.step_until(SimTime::from_millis(cut_ms));
+        let cut = reference.time();
         let state = reference.save_state().map_err(TestCaseError::fail)?;
-        let (ref_metrics, ref_telemetry) = reference.run_with_telemetry();
+        let (ref_metrics, ref_telemetry) = finish_with_telemetry(reference);
 
         let mut resumed =
             qz_app::build_simulation(BaselineKind::Quetzal, &profile, &env, &tw);
-        resumed.record_telemetry();
+        resumed.set_observer(Box::new(Telemetry::default()));
         resumed.restore_state(&state).map_err(TestCaseError::fail)?;
-        let (res_metrics, res_telemetry) = resumed.run_with_telemetry();
+        let (res_metrics, res_telemetry) = finish_with_telemetry(resumed);
 
+        let ref_suffix: Vec<_> =
+            ref_telemetry.samples().iter().filter(|s| s.t >= cut).copied().collect();
         prop_assert_eq!(res_metrics, ref_metrics, "metrics diverged after restore");
-        prop_assert_eq!(res_telemetry, ref_telemetry, "telemetry diverged after restore");
+        prop_assert_eq!(
+            res_telemetry.samples(),
+            &ref_suffix[..],
+            "telemetry diverged after restore"
+        );
     }
 }
 
@@ -216,6 +237,76 @@ proptest! {
                 "replay round {} did not reproduce the end-of-horizon state",
                 round
             );
+        }
+    }
+}
+
+/// The snapshots behind property 4: Crowded, 40 events, seed 7, the
+/// EWMA power predictor and an installed uplink, cut by three systems
+/// with estimator state at three instants (Quetzal twice).
+const EDIT_CORPUS: [(BaselineKind, u64); 4] = [
+    (BaselineKind::QuetzalVar(0.9), 123_457),
+    (BaselineKind::AvgSe2e, 60_000),
+    (BaselineKind::Quetzal, 200_000),
+    (BaselineKind::Quetzal, 60_000),
+];
+
+fn edit_corpus_sim(kind: BaselineKind) -> Simulation<'static> {
+    static ENV: OnceLock<SensingEnvironment> = OnceLock::new();
+    let env = ENV.get_or_init(|| SensingEnvironment::generate(EnvironmentKind::Crowded, 40, 7));
+    let tw = qz_app::SimTweaks {
+        seed: 7,
+        power_ewma_alpha: Some(0.3),
+        ..qz_app::SimTweaks::default()
+    };
+    let mut sim = qz_app::build_simulation(kind, &qz_app::apollo4(), env, &tw);
+    sim.set_uplink(UplinkPort::new(UplinkConfig::default(), 7));
+    sim
+}
+
+/// Each corpus snapshot as a `qz-snap/v2` document, with the byte
+/// offsets of its decimal digits.
+fn edit_corpus() -> &'static [(String, Vec<usize>)] {
+    static DOCS: OnceLock<Vec<(String, Vec<usize>)>> = OnceLock::new();
+    DOCS.get_or_init(|| {
+        EDIT_CORPUS
+            .iter()
+            .map(|&(kind, cut_ms)| {
+                let mut sim = edit_corpus_sim(kind);
+                sim.step_until(SimTime::from_millis(cut_ms));
+                let doc = to_json(&sim.save_state().expect("snapshot saves"));
+                let digits = doc
+                    .bytes()
+                    .enumerate()
+                    .filter_map(|(i, b)| b.is_ascii_digit().then_some(i))
+                    .collect();
+                (doc, digits)
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    // Each accepted edit runs the rest of a 40-event Crowded run; the
+    // count keeps the debug build of this test to a few seconds.
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    #[test]
+    fn an_edited_snapshot_is_rejected_or_resumes_to_the_end(
+        doc in 0usize..EDIT_CORPUS.len(),
+        digit in 0usize..1_000_000,
+        replacement in prop_oneof![Just("9"), Just("99999"), Just("0")],
+    ) {
+        let (text, digits) = &edit_corpus()[doc];
+        let at = digits[digit % digits.len()];
+        let edited = format!("{}{replacement}{}", &text[..at], &text[at + 1..]);
+        let mut sim = edit_corpus_sim(EDIT_CORPUS[doc].0);
+        let Ok(state) = from_json(&edited, sim.runtime().spec()) else {
+            return Ok(());
+        };
+        if sim.restore_state(&state).is_ok() {
+            // A panic anywhere in the resumed run fails the property.
+            sim.run();
         }
     }
 }
