@@ -7,11 +7,47 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
-echo "== cargo clippy (deny warnings + pedantic cast/float lints) =="
-cargo clippy --workspace --all-targets -- -D warnings \
-    -D clippy::cast_possible_truncation \
-    -D clippy::cast_sign_loss \
-    -D clippy::float_cmp
+# Scratch space for the legs below; removed on exit.
+work_dir=$(mktemp -d)
+trap 'rm -rf "${work_dir}"' EXIT
+
+echo "== cargo clippy (deny warnings) =="
+# The pedantic cast/float lints are [workspace.lints.clippy] in
+# Cargo.toml; the determinism lint is clippy.toml's disallowed lists.
+cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== clippy.toml negative control: the determinism lint fires =="
+# A throwaway crate (its own workspace, no dependencies) holding one
+# HashMap and one Instant::now must fail clippy under clippy.toml and
+# name both, so a config clippy no longer reads fails here instead of
+# going quiet.
+probe="${work_dir}/lint_probe"
+mkdir -p "${probe}/src"
+cat > "${probe}/Cargo.toml" <<'EOF'
+[package]
+name = "lint-probe"
+version = "0.0.0"
+edition = "2021"
+
+[workspace]
+EOF
+cat > "${probe}/src/lib.rs" <<'EOF'
+pub fn probe() -> usize {
+    let mut m = std::collections::HashMap::new();
+    m.insert(0u8, std::time::Instant::now());
+    m.len()
+}
+EOF
+if probe_out=$(CLIPPY_CONF_DIR="$PWD" cargo clippy --offline \
+    --manifest-path "${probe}/Cargo.toml" -- -D warnings 2>&1); then
+    echo "clippy.toml did not flag the probe crate" >&2
+    exit 1
+fi
+grep -q 'disallowed type `std::collections::HashMap`' <<< "${probe_out}"
+grep -q 'disallowed method `std::time::Instant::now`' <<< "${probe_out}"
+
+echo "== cargo doc (deny rustdoc warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== cargo test =="
 cargo test -q
@@ -39,19 +75,13 @@ echo "== test-count guard =="
 # The suite must never silently shrink (a deleted [[test]] stanza or a
 # dropped module compiles fine and loses coverage without failing CI).
 # Raise the floor when tests are added; never lower it casually.
-test_floor=992
+test_floor=982
 test_count=$(cargo test -q --workspace -- --list 2>/dev/null | grep -c ': test$')
 echo "   ${test_count} tests (floor ${test_floor})"
 if [ "${test_count}" -lt "${test_floor}" ]; then
     echo "test suite shrank: ${test_count} < floor ${test_floor}" >&2
     exit 1
 fi
-
-echo "== qz lint-src: workspace determinism lint =="
-# No nondeterminism hazards (hash iteration, wall-clock reads, thread
-# identity, parallel reductions) outside the reviewed lint-allow.txt
-# entries anywhere under crates/*/src.
-cargo run -q --bin qz -- lint-src
 
 echo "== qz check: preset sweep (deny warnings) =="
 # Every shipped preset on both devices must be error- and warning-free,
@@ -98,13 +128,11 @@ cargo run -q --bin qz -- "${repro_args[@]}" > /dev/null
 echo "== qz fleet: smoke run + thread-count determinism =="
 # A small fleet must complete, and the JSON report must be byte-identical
 # at 1 and 2 worker threads (the qz-fleet determinism contract).
-fleet_dir=$(mktemp -d)
-trap 'rm -rf "${fleet_dir}"' EXIT
 cargo run -q --bin qz -- fleet --devices 6 --events 10 --threads 1 \
-    --json "${fleet_dir}/t1.json" > /dev/null
+    --json "${work_dir}/t1.json" > /dev/null
 cargo run -q --bin qz -- fleet --devices 6 --events 10 --threads 2 \
-    --json "${fleet_dir}/t2.json" > /dev/null
-cmp "${fleet_dir}/t1.json" "${fleet_dir}/t2.json"
+    --json "${work_dir}/t2.json" > /dev/null
+cmp "${work_dir}/t1.json" "${work_dir}/t2.json"
 
 echo "== qz fleet: 10k-device event-horizon smoke + determinism =="
 # A large sharded fleet must complete under the event-horizon scheduler
@@ -114,11 +142,11 @@ echo "== qz fleet: 10k-device event-horizon smoke + determinism =="
 # clean) and its JSON must stay byte-identical across worker counts.
 cargo run -q --bin qz -- fleet --devices 10000 --gateways 64 \
     --capture-period 30 --events 3 \
-    --threads 1 --json "${fleet_dir}/big1.json" > /dev/null
+    --threads 1 --json "${work_dir}/big1.json" > /dev/null
 cargo run -q --bin qz -- fleet --devices 10000 --gateways 64 \
     --capture-period 30 --events 3 \
-    --threads 2 --json "${fleet_dir}/big2.json" > /dev/null
-cmp "${fleet_dir}/big1.json" "${fleet_dir}/big2.json"
+    --threads 2 --json "${work_dir}/big2.json" > /dev/null
+cmp "${work_dir}/big1.json" "${work_dir}/big2.json"
 
 echo "== throughput benches + qz bench --check baseline gate =="
 # Each bench appends one record to its results/BENCH_*.json trajectory
@@ -157,41 +185,41 @@ echo "== qz profile: smoke on Quiet and Crowded =="
 # a nonzero "median_span" the JSON report.
 for env in quiet crowded; do
     cargo run -q --bin qz -- profile --env "${env}" --events 40 --json - \
-        > "${fleet_dir}/profile_${env}.txt"
-    grep -q "^rank cause" "${fleet_dir}/profile_${env}.txt"
-    grep -q "^phase " "${fleet_dir}/profile_${env}.txt"
-    grep -q "^wall clock:" "${fleet_dir}/profile_${env}.txt"
+        > "${work_dir}/profile_${env}.txt"
+    grep -q "^rank cause" "${work_dir}/profile_${env}.txt"
+    grep -q "^phase " "${work_dir}/profile_${env}.txt"
+    grep -q "^wall clock:" "${work_dir}/profile_${env}.txt"
     awk '/^rank cause/ { ranking = 1; next } ranking && NF == 0 { exit }
          ranking && $NF ~ /^[0-9]+$/ { found = 1 } END { exit !found }' \
-        "${fleet_dir}/profile_${env}.txt"
-    grep -qE '"median_span":[1-9]' "${fleet_dir}/profile_${env}.txt"
+        "${work_dir}/profile_${env}.txt"
+    grep -qE '"median_span":[1-9]' "${work_dir}/profile_${env}.txt"
 done
 
 echo "== qz trace: full timeline with snapshots =="
 # The unabridged diagnostic view: every decision, every 1 Hz state
 # snapshot, then the event-derived metrics registry.
 cargo run -q --bin qz -- trace --env crowded --events 30 --snapshots \
-    --limit 0 > "${fleet_dir}/trace.txt"
-grep -qE '^\[ +1\.000s\] .* irr=[0-9.]+ stored=[0-9.]+J buf=' "${fleet_dir}/trace.txt"
-grep -q "^counters:$" "${fleet_dir}/trace.txt"
+    --limit 0 > "${work_dir}/trace.txt"
+grep -qE '^\[ +1\.000s\] .* irr=[0-9.]+ stored=[0-9.]+J buf=' "${work_dir}/trace.txt"
+grep -q "^counters:$" "${work_dir}/trace.txt"
 
 echo "== qz profile: flight-recorder dump smoke =="
 # A profiled run with the flight ring armed must write a postmortem
 # JSON that self-describes (schema + repro command).
 cargo run -q --bin qz -- profile --env crowded --events 20 \
-    --flight "${fleet_dir}/flight.json" > /dev/null
-grep -q '"schema":"qz-flight/v1"' "${fleet_dir}/flight.json"
-grep -q '"repro":"qz profile' "${fleet_dir}/flight.json"
+    --flight "${work_dir}/flight.json" > /dev/null
+grep -q '"schema":"qz-flight/v1"' "${work_dir}/flight.json"
+grep -q '"repro":"qz profile' "${work_dir}/flight.json"
 
 echo "== qz fault: smoke campaign + thread-count determinism =="
 # A fixed-seed smoke campaign must hold all four differential-oracle
 # invariants (exit 0) and its JSON report must be byte-identical at 1
 # and 2 worker threads (the qz-fault determinism contract).
 cargo run -q --bin qz -- fault --preset smoke --events 4 --campaigns 4 \
-    --seed 0xC1C1 --threads 1 --json "${fleet_dir}/f1.json" > /dev/null
+    --seed 0xC1C1 --threads 1 --json "${work_dir}/f1.json" > /dev/null
 cargo run -q --bin qz -- fault --preset smoke --events 4 --campaigns 4 \
-    --seed 0xC1C1 --threads 2 --json "${fleet_dir}/f2.json" > /dev/null
-cmp "${fleet_dir}/f1.json" "${fleet_dir}/f2.json"
+    --seed 0xC1C1 --threads 2 --json "${work_dir}/f2.json" > /dev/null
+cmp "${work_dir}/f1.json" "${work_dir}/f2.json"
 
 echo "== qz branch: identity-fork self-check =="
 # With no fork flags, `qz branch` forks a run from a mid-run snapshot
@@ -207,14 +235,14 @@ echo "== qz run: telemetry is invisible and deterministic =="
 # Telemetry is an observer of the periodic state sample: installing it
 # must not perturb the simulation (same metrics as a plain run of the
 # same seeds) and its CSV must be byte-identical across reruns.
-cargo run -q --bin qz -- run --events 10 > "${fleet_dir}/plain.txt"
-cargo run -q --bin qz -- run --events 10 --telemetry "${fleet_dir}/tel1.csv" \
-    > "${fleet_dir}/tel1.txt"
-cargo run -q --bin qz -- run --events 10 --telemetry "${fleet_dir}/tel2.csv" \
+cargo run -q --bin qz -- run --events 10 > "${work_dir}/plain.txt"
+cargo run -q --bin qz -- run --events 10 --telemetry "${work_dir}/tel1.csv" \
+    > "${work_dir}/tel1.txt"
+cargo run -q --bin qz -- run --events 10 --telemetry "${work_dir}/tel2.csv" \
     > /dev/null
-cmp "${fleet_dir}/tel1.csv" "${fleet_dir}/tel2.csv"
-diff <(grep -E "interesting:|reports:|device:" "${fleet_dir}/plain.txt") \
-     <(grep -E "interesting:|reports:|device:" "${fleet_dir}/tel1.txt")
+cmp "${work_dir}/tel1.csv" "${work_dir}/tel2.csv"
+diff <(grep -E "interesting:|reports:|device:" "${work_dir}/plain.txt") \
+     <(grep -E "interesting:|reports:|device:" "${work_dir}/tel1.txt")
 
 echo "== qz bisect: exact first-divergence + runnable repro =="
 # Binary-searching a heavy campaign against its fault-free twin must

@@ -1,5 +1,5 @@
 //! Sound abstract interpretation of the energy/buffer transition
-//! system, plus the workspace determinism source lint.
+//! system.
 //!
 //! # What this crate proves
 //!
@@ -27,15 +27,10 @@
 //! realized trace; only a confirmed violation yields
 //! [`Verdict::Refuted`], otherwise the result is [`Verdict::Unknown`]
 //! with the blocking interval.
-//!
-//! The [`lint`] module is unrelated machinery that rides along for
-//! `qz lint-src`: a comment/string-stripping scan of workspace sources
-//! for nondeterminism hazards, with an allowlist file.
 
 pub mod envelope;
 pub mod interp;
 pub mod interval;
-pub mod lint;
 pub mod model;
 
 pub use envelope::HarvestEnvelope;
@@ -44,5 +39,4 @@ pub use interp::{
     Verdict, WindowFlags, WindowRecord,
 };
 pub use interval::{EnergyInterval, OccInterval};
-pub use lint::{scan_workspace, Allowlist, Finding};
 pub use model::AbsModel;

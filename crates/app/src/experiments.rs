@@ -194,6 +194,10 @@ pub fn profile_run(
         sim.set_observer(Box::new(observer));
         handle
     });
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host-side wall time of the profiled run, reported beside it; never simulation state"
+    )]
     let t0 = std::time::Instant::now();
     while sim.step() {}
     let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);

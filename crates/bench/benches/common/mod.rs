@@ -15,6 +15,10 @@ pub fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
     let mut output = None;
     for _ in 0..reps {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the bench timer measures host wall time; never simulation state"
+        )]
         let start = Instant::now();
         let out = f();
         best = best.min(start.elapsed().as_secs_f64());

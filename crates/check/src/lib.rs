@@ -58,7 +58,7 @@ mod lattice;
 mod queueing;
 mod ranges;
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 use quetzal::model::{AppSpec, TaskCost, TaskKind, TaskSpec};
@@ -163,12 +163,11 @@ fn fmt_mw(watts: f64) -> String {
 /// Errors are not printed here — entry points refuse to run on errors
 /// and render the full report in that path instead.
 pub fn report_to_stderr_once(label: &str, report: &Report) {
-    static SEEN: Mutex<Option<HashSet<String>>> = Mutex::new(None);
-    let mut guard = match SEEN.lock() {
+    static SEEN: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
+    let mut seen = match SEEN.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     };
-    let seen = guard.get_or_insert_with(HashSet::new);
     for d in report.diagnostics() {
         if d.severity == Severity::Error {
             continue;

@@ -36,8 +36,6 @@ pub enum Command {
     /// `qz verify …` — sound abstract-interpretation verification of the
     /// no-stall / no-overflow properties under a harvest envelope.
     Verify(Args),
-    /// `qz lint-src …` — workspace determinism source lint.
-    LintSrc(Args),
     /// `qz fleet …` — parallel multi-device fleet simulation over a
     /// shared uplink channel.
     Fleet(Args),
@@ -135,10 +133,6 @@ pub struct Args {
     pub segment: u64,
     /// Exit nonzero on UNKNOWN verdicts too (`verify`).
     pub deny_unproven: bool,
-    /// Workspace root holding the `crates/` tree (`lint-src`).
-    pub root: String,
-    /// Allowlist file path, relative to the root (`lint-src`).
-    pub allow_file: String,
     /// Number of devices (`fleet`).
     pub devices: usize,
     /// Shared-channel duty-cycle override (`fleet`).
@@ -221,8 +215,6 @@ impl Args {
             explain: None,
             segment: 60,
             deny_unproven: false,
-            root: ".".into(),
-            allow_file: "lint-allow.txt".into(),
             devices: 16,
             duty_cycle: None,
             slot_ms: None,
@@ -547,14 +539,6 @@ const VERIFY: &[Flag] = &[
     }),
 ];
 
-const LINT_SRC: &[Flag] = &[
-    flag("--root", ".", |a, v| set(&mut a.root, Ok(v.into()))),
-    flag("--allow-file", "lint-allow.txt", |a, v| {
-        set(&mut a.allow_file, Ok(v.into()))
-    }),
-    JSON,
-];
-
 const FLEET: &[Flag] = &[
     flag("--devices", "16", |a, v| set(&mut a.devices, positive(v))),
     EVENTS,
@@ -708,7 +692,6 @@ const SUBCOMMANDS: &[Subcommand] = &[
     sub("trace", TRACE, 200, RUN_SEED, Command::Trace),
     sweep(sub("check", CHECK, 200, RUN_SEED, Command::Check)),
     sweep(sub("verify", VERIFY, 40, RUN_SEED, Command::Verify)),
-    sub("lint-src", LINT_SRC, 200, RUN_SEED, Command::LintSrc),
     sub("fleet", FLEET, 40, 0xF1EE7, Command::Fleet),
     sub("fault", FAULT, 12, FAULT_SEED, Command::Fault),
     sub("branch", BRANCH, 40, RUN_SEED, Command::Branch),
@@ -877,13 +860,6 @@ properties exit nonzero; --deny-unproven also fails UNKNOWN. The static
 `qz check` preflight runs first and merges into the same report (each
 finding lists its sources once, deduplicated).
 
-`qz lint-src` walks every crates/*/src tree (comments and string
-literals stripped) for nondeterminism hazards — HashMap/HashSet
-iteration, wall-clock reads, thread identity, parallel reductions —
-and exits nonzero on findings not covered by the allowlist file
-(`path-substring:pattern` lines; empty pattern allows every pattern
-under the path).
-
 `qz fleet` simulates N independently-seeded devices sharing duty-cycled
 uplink channels, in parallel (--threads 0 = all cores; default 1).
 Reports are byte-identical at any thread count. The event-horizon
@@ -955,7 +931,6 @@ pub(crate) mod tests {
             | Command::Trace(a)
             | Command::Check(a)
             | Command::Verify(a)
-            | Command::LintSrc(a)
             | Command::Fleet(a)
             | Command::Fault(a)
             | Command::Branch(a)
@@ -1163,24 +1138,12 @@ pub(crate) mod tests {
 
     #[test]
     fn json_takes_a_path_on_every_subcommand() {
-        for sub in ["check", "verify", "lint-src", "fleet", "fault", "profile"] {
+        for sub in ["check", "verify", "fleet", "fault", "profile"] {
             let a = ok(&format!("{sub} --json out.json"));
             assert_eq!(a.json.as_deref(), Some("out.json"), "{sub}");
             assert_eq!(ok(&format!("{sub} --json -")).json.as_deref(), Some("-"));
             assert!(rejected(&format!("{sub} --json")), "{sub}: bare --json");
         }
-    }
-
-    #[test]
-    fn lint_src_defaults_and_flags() {
-        let l = ok("lint-src");
-        assert_eq!((l.root.as_str(), l.json.as_deref()), (".", None));
-        assert_eq!(l.allow_file, "lint-allow.txt");
-        let l = ok("lint-src --root /tmp/ws --allow-file allow.txt --json -");
-        assert_eq!(l.root, "/tmp/ws");
-        assert_eq!(l.allow_file, "allow.txt");
-        assert_eq!(l.json.as_deref(), Some("-"));
-        assert!(rejected("lint-src --system QZ"), "foreign flag");
     }
 
     #[test]

@@ -52,7 +52,6 @@ fn main() -> ExitCode {
         Command::Trace(r) => trace(&r),
         Command::Check(c) => return check(&c),
         Command::Verify(v) => return verify(&v),
-        Command::LintSrc(l) => return lint_src(&l),
         Command::Fleet(f) => fleet(&f),
         Command::Fault(f) => return fault(&f),
         Command::Branch(b) => branch(&b),
@@ -454,63 +453,6 @@ fn verify(args: &Args) -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-fn lint_src(args: &Args) -> ExitCode {
-    let root = std::path::Path::new(&args.root);
-    let allow = match qz_absint::Allowlist::load(&root.join(&args.allow_file)) {
-        Ok(allow) => allow,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let findings = qz_absint::scan_workspace(root, &allow);
-    if let Some(path) = &args.json {
-        let mut out = String::new();
-        Writer::new(&mut out).obj(|w| {
-            w.field("tool", "qz-lint-src")
-                .field("allowlist_entries", allow.len())
-                .key("findings")
-                .arr(|w| {
-                    for f in &findings {
-                        w.obj(|w| {
-                            w.field("path", &f.path)
-                                .field("line", f.line)
-                                .field("pattern", f.pattern)
-                                .field("rationale", f.rationale);
-                        });
-                    }
-                });
-        });
-        out.push('\n');
-        if let Err(e) = write_json(path, &out, "JSON report") {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    } else {
-        for f in &findings {
-            println!("{}:{}: `{}` — {}", f.path, f.line, f.pattern, f.rationale);
-        }
-        if findings.is_empty() {
-            println!(
-                "OK: no nondeterminism hazards outside the allowlist ({} entr{})",
-                allow.len(),
-                if allow.len() == 1 { "y" } else { "ies" }
-            );
-        } else {
-            println!(
-                "FAILED: {} hazard(s); document deliberate uses in {}",
-                findings.len(),
-                args.allow_file
-            );
-        }
-    }
-    if findings.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }
 

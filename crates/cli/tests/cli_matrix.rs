@@ -55,13 +55,11 @@ fn check_json_is_valid_for_sweep_and_overrides() {
 /// holds exactly the document `--json -` streams to stdout.
 #[test]
 fn json_file_holds_the_stdout_document() {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     for args in [
         vec!["check", "--system", "QZ", "--device", "apollo4"],
         vec![
             "verify", "--system", "QZ", "--device", "apollo4", "--env", "quiet", "--events", "6",
         ],
-        vec!["lint-src", "--root", root],
     ] {
         let streamed = qz(&[&args[..], &["--json", "-"]].concat());
         assert!(streamed.status.success(), "{streamed:?}");
@@ -175,7 +173,6 @@ fn foreign_flags_are_rejected_per_subcommand() {
         "trace",
         "check",
         "verify",
-        "lint-src",
         "fleet",
         "fault",
         "branch",
@@ -231,40 +228,6 @@ fn help_lists_every_subcommand_and_unknowns_fail() {
     let out = qz(&["frobnicate"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
-}
-
-#[test]
-fn lint_src_rejects_an_allowlist_entry_with_an_empty_path() {
-    let allow = tmp("lint-allow.txt");
-    std::fs::write(&allow, "# stray colon\n:HashSet\n").unwrap();
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let out = qz(&[
-        "lint-src",
-        "--root",
-        root,
-        "--allow-file",
-        allow.to_str().unwrap(),
-    ]);
-    std::fs::remove_file(&allow).unwrap();
-    assert!(!out.status.success(), "an empty-path entry was accepted");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("line 2:") && stderr.contains(":HashSet"),
-        "{stderr}"
-    );
-}
-
-#[test]
-fn lint_src_rejects_a_missing_allowlist_file() {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let out = qz(&["lint-src", "--root", root, "--allow-file", "lint-alow.txt"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(out.stdout.is_empty(), "a missing allowlist ran the scan");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.starts_with("error: ") && stderr.contains("lint-alow.txt"),
-        "{stderr}"
-    );
 }
 
 #[test]

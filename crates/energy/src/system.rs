@@ -145,7 +145,7 @@ impl PowerSystem {
     /// hand, at a cost of O(binades crossed) instead of O(ticks): runs
     /// of ticks on which the energy bits stay put, or move by a constant
     /// number of ulps inside one binade, are jumped whole, and every
-    /// ledger sums its constant increment with [`repeat_add`]. DESIGN.md
+    /// ledger sums its constant increment with `repeat_add`. DESIGN.md
     /// ("Closed-form energy integration") gives the exactness argument.
     #[allow(clippy::too_many_arguments)] // mirrors step() plus the span ledgers
     pub fn advance(

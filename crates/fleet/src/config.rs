@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn derived_seeds_are_distinct_per_device_and_role() {
         let cfg = FleetConfig::default();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for d in 0..64 {
             assert!(seen.insert(cfg.env_seed(d)));
             assert!(seen.insert(cfg.sim_seed(d)));

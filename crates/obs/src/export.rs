@@ -158,7 +158,7 @@ impl WriteJson for Event {
 
 /// Writes the event log as JSON Lines: one object per event. Lines are
 /// formatted into a reusable arena and flushed to `w` every
-/// [`EMIT_BLOCK_EVENTS`] events — byte-identical to writing each line
+/// `EMIT_BLOCK_EVENTS` events — byte-identical to writing each line
 /// individually.
 pub fn write_jsonl<W: Write>(mut w: W, events: &[Event]) -> io::Result<()> {
     let mut arena = String::new();
@@ -346,7 +346,7 @@ impl<'e> CsvRow<'e> {
 
 /// Writes the event log as flat CSV; columns an event kind does not
 /// define are left empty. Rows are formatted straight into a reusable
-/// arena, which flushes every [`EMIT_BLOCK_EVENTS`] events,
+/// arena, which flushes every `EMIT_BLOCK_EVENTS` events,
 /// byte-identical to row-at-a-time writes.
 pub fn write_csv<W: Write>(mut w: W, events: &[Event]) -> io::Result<()> {
     let mut arena = String::new();

@@ -17,7 +17,7 @@
 //!   components: holds the boxed observer, caches its enabled flag, and
 //!   stamps events with the current device time.
 //! - [`metrics`] — counters, gauges, and fixed-bucket log2 histograms,
-//!   plus [`MetricsObserver`](metrics::MetricsObserver), which derives a
+//!   plus [`MetricsObserver`], which derives a
 //!   registry (prediction-error, occupancy, and recharge-time
 //!   distributions) from the event stream.
 //! - Sinks: [`RecordingObserver`] (unbounded log),

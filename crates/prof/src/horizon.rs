@@ -524,7 +524,7 @@ mod tests {
 
     #[test]
     fn labels_are_unique() {
-        let labels: std::collections::HashSet<_> =
+        let labels: std::collections::BTreeSet<_> =
             HorizonCause::ALL.iter().map(|c| c.label()).collect();
         assert_eq!(labels.len(), HorizonCause::COUNT);
     }

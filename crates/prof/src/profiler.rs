@@ -251,6 +251,10 @@ impl PhaseProfiler {
     /// Opens a span: reads the clock only when enabled. Pass the
     /// returned token to [`PhaseProfiler::end`].
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the profiler measures host time around the simulation; never simulation state"
+    )]
     pub fn begin(&self) -> Option<Instant> {
         if self.stats.is_some() {
             Some(Instant::now())
@@ -464,7 +468,7 @@ mod tests {
                 assert!(seen <= Phase::COUNT, "cycle at {:?}", phase);
             }
         }
-        let labels: std::collections::HashSet<_> = Phase::ALL.iter().map(|p| p.label()).collect();
+        let labels: std::collections::BTreeSet<_> = Phase::ALL.iter().map(|p| p.label()).collect();
         assert_eq!(labels.len(), Phase::COUNT);
     }
 
@@ -479,7 +483,7 @@ mod tests {
             (Phase::FleetWake, "fleet_wake"),
             (Phase::FleetShardReduce, "fleet_shard_reduce"),
         ];
-        let mut indices = std::collections::HashSet::new();
+        let mut indices = std::collections::BTreeSet::new();
         for (phase, label) in phases {
             assert_eq!(phase.label(), label);
             assert_eq!(phase.parent(), None, "{label} is a top-level span");

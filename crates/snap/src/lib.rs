@@ -5,7 +5,7 @@
 //! is byte-identical to straight-through execution on both stepping
 //! engines. This crate builds the workflows on top of that contract:
 //!
-//! - [`format`] — the versioned `qz-snap/v2` JSON wire format.
+//! - [`format`](mod@format) — the versioned `qz-snap/v2` JSON wire format.
 //!   Bit-exact: every `f64` travels as its IEEE-754 bit pattern, every
 //!   `u64` as a decimal string (JSON numbers round through `f64`). A
 //!   snapshot holds engine state only: observers (event logs,
@@ -14,7 +14,7 @@
 //! - [`History`] — a bounded ring of periodic snapshots with
 //!   [`History::rollback_to`]: restore the nearest snapshot at or
 //!   before a tick, then replay forward deterministically.
-//! - [`branch`] — what-if forks: resume a snapshot under modified
+//! - [`branch`](mod@branch) — what-if forks: resume a snapshot under modified
 //!   [`qz_app::SimTweaks`] and diff the two decision streams into a
 //!   first-divergence report.
 //!

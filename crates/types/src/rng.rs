@@ -305,7 +305,7 @@ mod tests {
             SplitMix64::derive_stream(42, 3),
             SplitMix64::derive_stream(42, 3)
         );
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for device in 0..1000u64 {
             seen.insert(SplitMix64::derive_stream(42, device));
         }

@@ -46,6 +46,10 @@ fn long_strings_parse_in_linear_time() {
     let unit = "abcdé\\n\\\"xyz😀 ";
     let body = unit.repeat((4 << 20) / unit.len());
     let doc = format!("{{\"s\":\"{body}\"}}");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test bounds the parser's host wall time"
+    )]
     let started = Instant::now();
     let parsed = Json::parse(&doc).expect("long string parses");
     let elapsed = started.elapsed();

@@ -229,8 +229,8 @@ fn profile_json_omits_the_median_of_causes_without_spans() {
     assert!(busy_seen, "no busy-scheduler row: {out}");
 }
 
-/// Every JSON document the CLI writes is well formed: the check, verify
-/// and lint reports on stdout, and the fleet, fault, profile, flight
+/// Every JSON document the CLI writes is well formed: the check and
+/// verify reports on stdout, and the fleet, fault, profile, flight
 /// and event-log files.
 #[test]
 fn every_json_output_parses() {
@@ -240,12 +240,7 @@ fn every_json_output_parses() {
             panic!("{what} is not JSON ({e}):\n{text}");
         }
     };
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    for args in [
-        CHECK_ARGS,
-        VERIFY_REFUTED_ARGS,
-        &["lint-src", "--root", root, "--json", "-"],
-    ] {
+    for args in [CHECK_ARGS, VERIFY_REFUTED_ARGS] {
         parses(args[0], &run_qz(args).0);
     }
     let dir = std::env::temp_dir().join(format!("qz_cli_json_{}", std::process::id()));

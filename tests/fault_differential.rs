@@ -5,14 +5,22 @@
 //! single-line `--seed` repro command for the offending campaign.
 //!
 //! Also pins the determinism contract: for a fixed seed, a campaign
-//! family's JSON report is byte-identical across thread counts.
+//! family's JSON report is byte-identical across thread counts; and
+//! that a snapshot of an armed run which restores also resumes: one
+//! edited digit, in the engine state or in the injector's words, is
+//! rejected or runs to the end without a panic.
 
+use proptest::prelude::*;
 use qz_app::{apollo4, msp430fr5994, DeviceProfile, SimTweaks};
 use qz_baselines::BaselineKind;
-use qz_fault::{run_campaigns, CampaignConfig, FaultPlan};
+use qz_fault::{run_campaigns, AdversarialInjector, CampaignConfig, FaultPlan};
 use qz_fleet::Executor;
+use qz_sim::Simulation;
 use qz_traces::EnvironmentKind;
 use qz_types::SimDuration;
+use std::sync::OnceLock;
+
+mod snapshot_edits;
 
 /// Short horizons keep 200+ campaigns affordable; every fault class
 /// still fires hundreds of times across a family.
@@ -145,4 +153,75 @@ fn faulted_runs_differ_from_clean_but_reproduce_exactly() {
     assert!(a.total_faults() > 0);
     // Distinct campaign seeds draw distinct fault schedules.
     assert_ne!(a.rows[0].fault_seed, a.rows[1].fault_seed);
+}
+
+/// The snapshots behind the armed edit property: corpus runs with the
+/// `smoke` plan's adversary armed from the first tick, cut by three
+/// systems at three instants. Each snapshot carries the injector's ten
+/// state words (six stream states, four statistics).
+const ARMED_EDIT_CORPUS: [(BaselineKind, u64); 3] = [
+    (BaselineKind::Quetzal, 60_000),
+    (BaselineKind::QuetzalVar(0.9), 123_457),
+    (BaselineKind::AvgSe2e, 200_000),
+];
+
+fn armed_edit_sim(kind: BaselineKind) -> Simulation<'static> {
+    let mut sim = snapshot_edits::corpus_sim(kind);
+    sim.set_fault_injector(Box::new(AdversarialInjector::new(FaultPlan::smoke(), 7)));
+    sim
+}
+
+/// One armed corpus snapshot as a `qz-snap/v2` document, with the byte
+/// offsets of all its decimal digits and of those in the injector's
+/// words.
+struct ArmedDoc {
+    text: String,
+    digits: Vec<usize>,
+    injector_digits: Vec<usize>,
+}
+
+fn armed_edit_corpus() -> &'static [ArmedDoc] {
+    static DOCS: OnceLock<Vec<ArmedDoc>> = OnceLock::new();
+    DOCS.get_or_init(|| {
+        ARMED_EDIT_CORPUS
+            .iter()
+            .map(|&(kind, cut_ms)| {
+                let (text, digits) = snapshot_edits::snapshot_doc(armed_edit_sim(kind), cut_ms);
+                let words = text.find("\"injector\":").expect("injector section");
+                let words = words..words + text[words..].find(']').expect("words close");
+                let injector_digits = digits
+                    .iter()
+                    .copied()
+                    .filter(|i| words.contains(i))
+                    .collect();
+                ArmedDoc {
+                    text,
+                    digits,
+                    injector_digits,
+                }
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    // Each accepted edit runs the rest of a 40-event Crowded run under
+    // the adversary; the count keeps the debug build of this test to a
+    // few seconds. Half the edits land in the injector's words, which
+    // are a small share of a snapshot's digits.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn an_edited_armed_snapshot_is_rejected_or_resumes_to_the_end(
+        doc in 0usize..ARMED_EDIT_CORPUS.len(),
+        in_injector in any::<bool>(),
+        digit in 0usize..1_000_000,
+        replacement in prop_oneof![Just("9"), Just("99999"), Just("0")],
+    ) {
+        let armed = &armed_edit_corpus()[doc];
+        let digits = if in_injector { &armed.injector_digits } else { &armed.digits };
+        let at = digits[digit % digits.len()];
+        let sim = armed_edit_sim(ARMED_EDIT_CORPUS[doc].0);
+        snapshot_edits::rejects_or_resumes(sim, &armed.text, at, replacement);
+    }
 }

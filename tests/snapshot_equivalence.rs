@@ -24,12 +24,13 @@ use proptest::prelude::*;
 use qz_baselines::BaselineKind;
 use qz_obs::export::{write_csv, write_jsonl};
 use qz_obs::Event;
-use qz_sim::uplink::{UplinkConfig, UplinkPort};
 use qz_sim::{EngineKind, Simulation, Telemetry};
 use qz_snap::{from_json, to_json, History};
 use qz_traces::{EnvironmentKind, SensingEnvironment};
 use qz_types::{SimDuration, SimTime};
 use std::sync::OnceLock;
+
+mod snapshot_edits;
 
 fn any_engine() -> impl Strategy<Value = EngineKind> {
     prop_oneof![Just(EngineKind::Tick), Just(EngineKind::FastForward)]
@@ -251,19 +252,6 @@ const EDIT_CORPUS: [(BaselineKind, u64); 4] = [
     (BaselineKind::Quetzal, 60_000),
 ];
 
-fn edit_corpus_sim(kind: BaselineKind) -> Simulation<'static> {
-    static ENV: OnceLock<SensingEnvironment> = OnceLock::new();
-    let env = ENV.get_or_init(|| SensingEnvironment::generate(EnvironmentKind::Crowded, 40, 7));
-    let tw = qz_app::SimTweaks {
-        seed: 7,
-        power_ewma_alpha: Some(0.3),
-        ..qz_app::SimTweaks::default()
-    };
-    let mut sim = qz_app::build_simulation(kind, &qz_app::apollo4(), env, &tw);
-    sim.set_uplink(UplinkPort::new(UplinkConfig::default(), 7));
-    sim
-}
-
 /// Each corpus snapshot as a `qz-snap/v2` document, with the byte
 /// offsets of its decimal digits.
 fn edit_corpus() -> &'static [(String, Vec<usize>)] {
@@ -272,15 +260,7 @@ fn edit_corpus() -> &'static [(String, Vec<usize>)] {
         EDIT_CORPUS
             .iter()
             .map(|&(kind, cut_ms)| {
-                let mut sim = edit_corpus_sim(kind);
-                sim.step_until(SimTime::from_millis(cut_ms));
-                let doc = to_json(&sim.save_state().expect("snapshot saves"));
-                let digits = doc
-                    .bytes()
-                    .enumerate()
-                    .filter_map(|(i, b)| b.is_ascii_digit().then_some(i))
-                    .collect();
-                (doc, digits)
+                snapshot_edits::snapshot_doc(snapshot_edits::corpus_sim(kind), cut_ms)
             })
             .collect()
     })
@@ -299,14 +279,7 @@ proptest! {
     ) {
         let (text, digits) = &edit_corpus()[doc];
         let at = digits[digit % digits.len()];
-        let edited = format!("{}{replacement}{}", &text[..at], &text[at + 1..]);
-        let mut sim = edit_corpus_sim(EDIT_CORPUS[doc].0);
-        let Ok(state) = from_json(&edited, sim.runtime().spec()) else {
-            return Ok(());
-        };
-        if sim.restore_state(&state).is_ok() {
-            // A panic anywhere in the resumed run fails the property.
-            sim.run();
-        }
+        let sim = snapshot_edits::corpus_sim(EDIT_CORPUS[doc].0);
+        snapshot_edits::rejects_or_resumes(sim, text, at, replacement);
     }
 }
