@@ -142,7 +142,7 @@ mod tests {
     use super::*;
     use qz_types::Seconds;
 
-    fn ctx<'a>(occupancy: usize, p_in: f64, options: &'a [Seconds]) -> DegradationContext<'a> {
+    fn ctx<'a>(occupancy: u32, p_in: f64, options: &'a [Seconds]) -> DegradationContext<'a> {
         DegradationContext {
             lambda: 1.0,
             occupancy,

@@ -221,7 +221,7 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn decide(kind: BaselineKind, occupancy: usize, p_in: Watts) -> (usize, bool) {
+    fn decide(kind: BaselineKind, occupancy: u32, p_in: Watts) -> (u8, bool) {
         let mut qz = build_runtime(kind, spec(), QuetzalConfig::default()).unwrap();
         for _ in 0..16 {
             qz.on_capture(true);

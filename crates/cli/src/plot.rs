@@ -42,7 +42,7 @@ pub fn telemetry_panel(telemetry: &Telemetry, width: usize) -> String {
     }
     let irr: Vec<f64> = samples.iter().map(|s| s.irradiance).collect();
     let stored: Vec<f64> = samples.iter().map(|s| s.stored.value()).collect();
-    let occ: Vec<f64> = samples.iter().map(|s| s.occupancy as f64).collect();
+    let occ: Vec<f64> = samples.iter().map(|s| f64::from(s.occupancy)).collect();
     let ibo: Vec<f64> = samples.iter().map(|s| s.ibo_discards as f64).collect();
 
     let max_stored = stored.iter().copied().fold(0.0f64, f64::max).max(1e-9);

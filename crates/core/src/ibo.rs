@@ -22,9 +22,9 @@ pub struct DegradationContext<'a> {
     /// Estimated input-arrival rate, inputs/second.
     pub lambda: f64,
     /// Inputs currently stored in the buffer.
-    pub occupancy: usize,
+    pub occupancy: u32,
     /// Buffer capacity in inputs.
-    pub capacity: usize,
+    pub capacity: u32,
     /// The scheduled job's `E[S]` at its highest quality, including any
     /// PID correction.
     pub expected_service: Seconds,
@@ -42,7 +42,7 @@ pub struct DegradationContext<'a> {
 impl DegradationContext<'_> {
     /// Remaining buffer space, in inputs (zero when already full).
     pub fn slack(&self) -> f64 {
-        self.capacity.saturating_sub(self.occupancy) as f64
+        f64::from(self.capacity.saturating_sub(self.occupancy))
     }
 
     /// Current buffer fill fraction in `[0, 1]`.
@@ -50,7 +50,7 @@ impl DegradationContext<'_> {
         if self.capacity == 0 {
             1.0
         } else {
-            (self.occupancy as f64 / self.capacity as f64).min(1.0)
+            (f64::from(self.occupancy) / f64::from(self.capacity)).min(1.0)
         }
     }
 
@@ -160,8 +160,8 @@ mod tests {
 
     fn ctx<'a>(
         lambda: f64,
-        occupancy: usize,
-        capacity: usize,
+        occupancy: u32,
+        capacity: u32,
         non_deg: f64,
         options: &'a [Seconds],
     ) -> DegradationContext<'a> {
@@ -262,11 +262,11 @@ mod tests {
         #[test]
         fn chosen_option_is_first_that_fits_or_cheapest(
             lambda in 0.0f64..3.0,
-            occupancy in 0usize..12,
+            occupancy in 0u32..12,
             opts in proptest::collection::vec(0.01f64..20.0, 1..4),
             non_deg in 0.0f64..5.0,
         ) {
-            let capacity = 10usize;
+            let capacity = 10u32;
             let options: Vec<Seconds> = opts.iter().map(|&s| Seconds(s)).collect();
             let c = ctx(lambda, occupancy, capacity, non_deg, &options);
             let d = IboEngine::new().select_option(&c);

@@ -9,7 +9,8 @@
 //! which is responsible for avoiding IBOs for the whole job.
 //!
 //! Capacity limits mirror the paper's runtime library: at most
-//! [`MAX_TASKS`] tasks and [`MAX_OPTIONS`] degradation options per task.
+//! [`MAX_TASKS`] tasks, [`MAX_JOBS`] jobs and [`MAX_OPTIONS`]
+//! degradation options per task.
 
 use alloc::borrow::ToOwned;
 use alloc::string::String;
@@ -19,6 +20,10 @@ use qz_types::{Seconds, Watts};
 
 /// Maximum number of tasks the runtime supports (paper §5.1).
 pub const MAX_TASKS: usize = 32;
+/// Maximum number of jobs the runtime supports. A job is a sequence of
+/// tasks, so the task bound is the job bound too; it keeps every job
+/// index inside [`JobId`]'s `u8`.
+pub const MAX_JOBS: usize = MAX_TASKS;
 /// Maximum degradation options per task (paper §5.1).
 pub const MAX_OPTIONS: usize = 4;
 
@@ -57,6 +62,14 @@ impl JobId {
 impl fmt::Display for JobId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "job#{}", self.0)
+    }
+}
+
+/// The job's spec index in the width `qz-obs` events carry it.
+impl From<JobId> for u32 {
+    #[inline]
+    fn from(id: JobId) -> u32 {
+        u32::from(id.0)
     }
 }
 
@@ -235,7 +248,7 @@ impl AppSpec {
     }
 
     /// The `JobId` at a given index, if in range.
-    // Bounded by MAX_TASKS (32), so the u8 cast is exact.
+    // Bounded by MAX_JOBS (32), so the u8 cast is exact.
     #[allow(clippy::cast_possible_truncation)]
     pub fn job_id(&self, index: usize) -> Option<JobId> {
         (index < self.jobs.len()).then_some(JobId(index as u8))
@@ -274,6 +287,8 @@ impl AppSpec {
 pub enum SpecError {
     /// More than [`MAX_TASKS`] tasks.
     TooManyTasks,
+    /// More than [`MAX_JOBS`] jobs.
+    TooManyJobs,
     /// A degradable task with zero or more than [`MAX_OPTIONS`] options.
     BadOptionCount {
         /// The offending task's name.
@@ -328,6 +343,7 @@ impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SpecError::TooManyTasks => write!(f, "at most {MAX_TASKS} tasks are supported"),
+            SpecError::TooManyJobs => write!(f, "at most {MAX_JOBS} jobs are supported"),
             SpecError::BadOptionCount { task } => {
                 write!(
                     f,
@@ -398,9 +414,13 @@ impl AppSpecBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError`] if the job is empty, references unknown
-    /// tasks, has more than one degradable task, or duplicates a name.
+    /// Returns [`SpecError`] if the job limit is exceeded, the job is
+    /// empty, references unknown tasks, has more than one degradable
+    /// task, or duplicates a name.
     pub fn job(&mut self, name: &str, tasks: Vec<TaskId>) -> Result<JobId, SpecError> {
+        if self.jobs.len() >= MAX_JOBS {
+            return Err(SpecError::TooManyJobs);
+        }
         if tasks.is_empty() {
             return Err(SpecError::EmptyJob {
                 job: name.to_owned(),
@@ -428,7 +448,7 @@ impl AppSpecBuilder {
                 degradable = Some(i);
             }
         }
-        // Bounded by the MAX_TASKS check above, so the cast is exact.
+        // Bounded by the MAX_JOBS check above, so the cast is exact.
         #[allow(clippy::cast_possible_truncation)]
         let id = JobId(self.jobs.len() as u8);
         self.jobs.push(JobSpec {
@@ -718,6 +738,20 @@ mod tests {
     }
 
     #[test]
+    fn rejects_too_many_jobs() {
+        let mut b = AppSpecBuilder::new();
+        let t = b.fixed_task("t", cost(1.0, 0.01)).unwrap();
+        for i in 0..MAX_JOBS {
+            b.job(&format!("j{i}"), vec![t]).unwrap();
+        }
+        assert_eq!(b.job("one-more", vec![t]), Err(SpecError::TooManyJobs));
+        // Every accepted job index fits the events' `u32` losslessly.
+        let spec = b.build().unwrap();
+        let last = spec.job_id(MAX_JOBS - 1).unwrap();
+        assert_eq!(u32::from(last), 31);
+    }
+
+    #[test]
     fn rejects_jobless_spec() {
         assert_eq!(AppSpecBuilder::new().build(), Err(SpecError::NoJobs));
     }
@@ -744,5 +778,6 @@ mod tests {
         assert_eq!(JobId(1).to_string(), "job#1");
         assert!(SpecError::NoJobs.to_string().contains("no jobs"));
         assert!(SpecError::TooManyTasks.to_string().contains("32"));
+        assert!(SpecError::TooManyJobs.to_string().contains("32 jobs"));
     }
 }

@@ -1,9 +1,17 @@
 //! The typed event taxonomy: every decision the paper's algorithms make,
 //! plus the device transitions that frame them.
 
-use alloc::vec::Vec;
+use alloc::boxed::Box;
 
 /// One observable occurrence, stamped with device time.
+///
+/// Sized for the recording sinks, which hold hundreds of thousands of
+/// these per fault campaign: 64 bytes, with index-like fields in the
+/// narrowest type their source bounds (job indices `u32`, option
+/// indices `u8` below quetzal's four options per task, occupancy and
+/// capacity `u32` since the simulator's buffer refuses a larger
+/// capacity) and variable-length payloads in exactly-sized boxed
+/// slices.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Device time in milliseconds (simulated time under `qz-sim`; a
@@ -17,7 +25,7 @@ pub struct Event {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidateEval {
     /// Job index in the application spec.
-    pub job: usize,
+    pub job: u32,
     /// The candidate's expected service time `E[S]` at its current
     /// configuration, seconds (no PID correction).
     pub expected_service_s: f64,
@@ -32,7 +40,7 @@ pub struct CandidateEval {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptionEval {
     /// Option index (0 = highest quality).
-    pub option: usize,
+    pub option: u8,
     /// The job's `E[S]` with the degradable task at this option,
     /// seconds (PID-corrected, like the engine's own test).
     pub expected_service_s: f64,
@@ -52,13 +60,13 @@ pub struct Snapshot {
     /// Whether the device is powered on.
     pub on: bool,
     /// Buffer occupancy (queued + in flight).
-    pub occupancy: usize,
+    pub occupancy: u32,
     /// The runtime's arrival-rate estimate λ, inputs/second.
     pub lambda: f64,
     /// The runtime's PID correction, seconds.
     pub correction_s: f64,
     /// Degradation option of the executing job (`None` when idle).
-    pub active_option: Option<usize>,
+    pub active_option: Option<u8>,
     /// Cumulative IBO discards so far.
     pub ibo_discards: u64,
 }
@@ -72,7 +80,7 @@ pub enum EventKind {
     /// breakdown it ranked.
     SchedulerPick {
         /// The winning job's index.
-        job: usize,
+        job: u32,
         /// The winner's `E[S]` at its highest quality, seconds
         /// (PID-corrected — what the IBO engine will test).
         expected_service_s: f64,
@@ -81,19 +89,19 @@ pub enum EventKind {
         /// Predicted input power used for the `S_e2e` scaling, watts.
         p_in_w: f64,
         /// Every candidate evaluated, in candidate order.
-        candidates: Vec<CandidateEval>,
+        candidates: Box<[CandidateEval]>,
     },
     /// Algorithm 2 ran for the scheduled job: the Little's-Law
     /// prediction and the option walk.
     IboDecision {
         /// The scheduled job's index.
-        job: usize,
+        job: u32,
         /// Arrival-rate estimate λ, inputs/second.
         lambda: f64,
         /// Buffer occupancy when the decision was made.
-        occupancy: usize,
+        occupancy: u32,
         /// Buffer capacity.
-        capacity: usize,
+        capacity: u32,
         /// The job's `E[S]` at highest quality, seconds (corrected).
         expected_service_s: f64,
         /// Predicted arrivals while the job runs: `λ · E[S]`.
@@ -104,15 +112,15 @@ pub enum EventKind {
         /// the minimum-`S_e2e` option).
         unavoidable: bool,
         /// The option the engine chose (0 = highest quality).
-        chosen_option: usize,
+        chosen_option: u8,
         /// The full quality-ordered walk, including rejected options.
         /// Empty when the job has no degradable task.
-        options: Vec<OptionEval>,
+        options: Box<[OptionEval]>,
     },
     /// The PID error loop updated after a job completed (§4.3).
     PidUpdate {
         /// The completed job's index.
-        job: usize,
+        job: u32,
         /// The model's raw `E[S]` prediction, seconds.
         predicted_s: f64,
         /// The observed end-to-end service time, seconds.
@@ -125,7 +133,7 @@ pub enum EventKind {
     /// A job finished and its observation was fed back to the trackers.
     JobComplete {
         /// The job's index.
-        job: usize,
+        job: u32,
         /// Observed end-to-end service time, seconds.
         observed_s: f64,
     },
@@ -134,18 +142,18 @@ pub enum EventKind {
     /// A dispatched job began executing.
     JobStart {
         /// The job's index.
-        job: usize,
+        job: u32,
         /// The degradation option it runs at.
-        option: usize,
+        option: u8,
         /// Buffer occupancy at dispatch (including this input).
-        occupancy: usize,
+        occupancy: u32,
     },
     /// An input passed pre-filtering and was stored in the buffer.
     BufferAdmit {
         /// The entry job it was queued for.
-        job: usize,
+        job: u32,
         /// Occupancy after the store.
-        occupancy: usize,
+        occupancy: u32,
         /// Ground truth: was the frame interesting?
         interesting: bool,
     },
@@ -153,14 +161,14 @@ pub enum EventKind {
     /// headline failure).
     IboDiscard {
         /// Occupancy at the discard (== capacity).
-        occupancy: usize,
+        occupancy: u32,
         /// Ground truth: was the lost frame interesting?
         interesting: bool,
         /// Whether the device was powered off at the time.
         device_on: bool,
         /// Degradation option of the job executing at the time
         /// (`None` when idle or off).
-        active_option: Option<usize>,
+        active_option: Option<u8>,
     },
     /// Stored energy fell to the checkpoint reserve and the device
     /// powered down.
@@ -224,6 +232,7 @@ impl EventKind {
 mod tests {
     use super::*;
     use alloc::vec;
+    use alloc::vec::Vec;
 
     #[test]
     fn names_are_stable_and_distinct() {
@@ -233,7 +242,7 @@ mod tests {
                 expected_service_s: 1.0,
                 correction_s: 0.0,
                 p_in_w: 0.01,
-                candidates: vec![],
+                candidates: Box::default(),
             },
             EventKind::IboDecision {
                 job: 0,
@@ -245,7 +254,7 @@ mod tests {
                 ibo_predicted: false,
                 unavoidable: false,
                 chosen_option: 0,
-                options: vec![],
+                options: Box::default(),
             },
             EventKind::PidUpdate {
                 job: 0,

@@ -280,14 +280,14 @@ impl MetricsObserver {
     pub fn from_events(events: &[Event]) -> MetricsRegistry {
         let mut obs = MetricsObserver::new();
         for event in events {
-            obs.on_event(event);
+            obs.record(event);
         }
         obs.into_registry()
     }
-}
 
-impl Observer for MetricsObserver {
-    fn on_event(&mut self, event: &Event) {
+    /// Folds one event into the registry: the single path behind both
+    /// [`Observer::on_event`] and [`MetricsObserver::from_events`].
+    pub fn record(&mut self, event: &Event) {
         let r = &mut self.registry;
         match &event.kind {
             EventKind::SchedulerPick { correction_s, .. } => {
@@ -348,11 +348,17 @@ impl Observer for MetricsObserver {
                 r.histogram_record("tx_backoff_wait_ms", *wait_ms);
             }
             EventKind::Snapshot(s) => {
-                r.histogram_record("occupancy", s.occupancy as u64);
+                r.histogram_record("occupancy", u64::from(s.occupancy));
                 r.gauge_set("stored_j", s.stored_j);
             }
             EventKind::FaultInjected { .. } => r.counter_add("faults_injected", 1),
         }
+    }
+}
+
+impl Observer for MetricsObserver {
+    fn on_event(&mut self, event: Event) {
+        self.record(&event);
     }
 
     fn as_any_mut(&mut self) -> Option<&mut dyn core::any::Any> {

@@ -26,8 +26,11 @@ pub trait Observer: core::fmt::Debug + Send {
         true
     }
 
-    /// Called for every event while enabled.
-    fn on_event(&mut self, event: &Event);
+    /// Called for every event while enabled. The event is handed over
+    /// by value, so a sink that keeps it stores the emitter's
+    /// allocation (the candidate and option payloads included) instead
+    /// of cloning it; a sink that only reads it drops it on return.
+    fn on_event(&mut self, event: Event);
 
     /// Downcast support for retrieving a concrete sink after a run.
     fn as_any_mut(&mut self) -> Option<&mut dyn core::any::Any> {
@@ -45,7 +48,7 @@ impl Observer for NoopObserver {
         false
     }
 
-    fn on_event(&mut self, _event: &Event) {}
+    fn on_event(&mut self, _event: Event) {}
 }
 
 /// Owns the installed observer and stamps events with device time.
@@ -113,11 +116,10 @@ impl ObserverHandle {
     /// unguarded call is safe but has already paid for the event.
     pub fn emit(&mut self, kind: EventKind) {
         if self.enabled {
-            let event = Event {
+            self.observer.on_event(Event {
                 t_ms: self.now_ms,
                 kind,
-            };
-            self.observer.on_event(&event);
+            });
         }
     }
 

@@ -30,8 +30,8 @@ impl RecordingObserver {
 }
 
 impl Observer for RecordingObserver {
-    fn on_event(&mut self, event: &Event) {
-        self.events.push(event.clone());
+    fn on_event(&mut self, event: Event) {
+        self.events.push(event);
     }
 
     fn as_any_mut(&mut self) -> Option<&mut dyn core::any::Any> {
@@ -84,11 +84,11 @@ impl RingBufferObserver {
 }
 
 impl Observer for RingBufferObserver {
-    fn on_event(&mut self, event: &Event) {
+    fn on_event(&mut self, event: Event) {
         if self.buf.len() < self.capacity {
-            self.buf.push(event.clone());
+            self.buf.push(event);
         } else {
-            self.buf[self.head] = event.clone();
+            self.buf[self.head] = event;
             self.head = (self.head + 1) % self.capacity;
             self.dropped += 1;
         }
@@ -114,8 +114,8 @@ mod tests {
     #[test]
     fn recorder_accumulates_and_takes() {
         let mut rec = RecordingObserver::new();
-        rec.on_event(&ev(1));
-        rec.on_event(&ev(2));
+        rec.on_event(ev(1));
+        rec.on_event(ev(2));
         assert_eq!(rec.events().len(), 2);
         let taken = rec.take_events();
         assert_eq!(taken.len(), 2);
@@ -126,7 +126,7 @@ mod tests {
     fn ring_overwrites_oldest_in_order() {
         let mut ring = RingBufferObserver::new(3);
         for t in 1..=5 {
-            ring.on_event(&ev(t));
+            ring.on_event(ev(t));
         }
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.dropped(), 2);
@@ -137,8 +137,8 @@ mod tests {
     #[test]
     fn ring_below_capacity_keeps_all() {
         let mut ring = RingBufferObserver::new(8);
-        ring.on_event(&ev(1));
-        ring.on_event(&ev(2));
+        ring.on_event(ev(1));
+        ring.on_event(ev(2));
         assert!(!ring.is_empty());
         assert_eq!(ring.dropped(), 0);
         let kept: Vec<u64> = ring.iter().map(|e| e.t_ms).collect();

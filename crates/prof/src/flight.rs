@@ -51,7 +51,7 @@ pub struct StateDigest {
     /// Powered on?
     pub on: bool,
     /// Buffer occupancy (queued + in flight).
-    pub occupancy: usize,
+    pub occupancy: u32,
     /// FNV-1a hash over the policy-visible state (λ bits, correction
     /// bits, active option) — a cheap equality witness for "the policy
     /// was in the same state" across runs.
@@ -104,14 +104,14 @@ impl FlightRecorder {
     pub fn from_events(meta: FlightMeta, events: &[Event], capacity: usize) -> FlightRecorder {
         let mut rec = FlightRecorder::new(meta, capacity);
         for e in events {
-            rec.record(e);
+            rec.record(e.clone());
         }
         rec
     }
 
-    /// Records one event; `Snapshot`s also produce a state digest.
-    pub fn record(&mut self, event: &Event) {
-        self.ring.on_event(event);
+    /// Records one event, moving it into the ring; `Snapshot`s also
+    /// produce a state digest.
+    pub fn record(&mut self, event: Event) {
         if let EventKind::Snapshot(s) = &event.kind {
             if self.digests.len() == DIGEST_CAPACITY {
                 self.digests.pop_front();
@@ -122,9 +122,14 @@ impl FlightRecorder {
                 stored_j: s.stored_j,
                 on: s.on,
                 occupancy: s.occupancy,
-                policy_hash: policy_hash(s.lambda, s.correction_s, s.active_option),
+                policy_hash: policy_hash(
+                    s.lambda,
+                    s.correction_s,
+                    s.active_option.map(usize::from),
+                ),
             });
         }
+        self.ring.on_event(event);
     }
 
     /// Events currently in the ring, oldest first.
@@ -220,7 +225,7 @@ impl FlightObserver {
 }
 
 impl Observer for FlightObserver {
-    fn on_event(&mut self, event: &Event) {
+    fn on_event(&mut self, event: Event) {
         if let Ok(mut rec) = self.inner.lock() {
             rec.record(event);
         }
@@ -311,7 +316,7 @@ mod tests {
     use super::*;
     use qz_obs::Snapshot;
 
-    fn snapshot_event(t_ms: u64, occupancy: usize) -> Event {
+    fn snapshot_event(t_ms: u64, occupancy: u32) -> Event {
         Event {
             t_ms,
             kind: EventKind::Snapshot(Snapshot {
@@ -338,7 +343,7 @@ mod tests {
     fn ring_is_bounded_and_counts_drops() {
         let mut rec = FlightRecorder::new(FlightMeta::default(), 3);
         for t in 0..10 {
-            rec.record(&restore_event(t));
+            rec.record(restore_event(t));
         }
         assert_eq!(rec.events().count(), 3);
         assert_eq!(rec.dropped(), 7);
@@ -349,9 +354,9 @@ mod tests {
     #[test]
     fn snapshots_become_digests_with_policy_hash() {
         let mut rec = FlightRecorder::new(FlightMeta::default(), 8);
-        rec.record(&snapshot_event(1000, 3));
-        rec.record(&restore_event(1500));
-        rec.record(&snapshot_event(2000, 5));
+        rec.record(snapshot_event(1000, 3));
+        rec.record(restore_event(1500));
+        rec.record(snapshot_event(2000, 5));
         assert_eq!(rec.digests().len(), 2);
         let d = &rec.digests()[1];
         assert_eq!(d.t_ms, 2000);
@@ -405,8 +410,8 @@ mod tests {
     #[test]
     fn observer_feeds_the_shared_ring() {
         let (mut obs, handle) = FlightObserver::new(FlightMeta::default(), 4);
-        obs.on_event(&snapshot_event(100, 1));
-        obs.on_event(&restore_event(200));
+        obs.on_event(snapshot_event(100, 1));
+        obs.on_event(restore_event(200));
         let json = handle.dump_json(None);
         assert!(json.contains("\"t_ms\":200"));
         assert!(json.contains("\"digests\":[{\"t_ms\":100"));
@@ -426,7 +431,7 @@ mod tests {
             },
             4,
         );
-        obs.on_event(&restore_event(7));
+        obs.on_event(restore_event(7));
         arm_panic_dump(
             path.clone(),
             FlightMeta {

@@ -67,9 +67,9 @@ pub struct FaultContext {
     /// The checkpoint reserve the engine protects.
     pub reserve: Joules,
     /// Buffer occupancy (queued + in flight).
-    pub occupancy: usize,
+    pub occupancy: u32,
     /// Buffer capacity.
-    pub capacity: usize,
+    pub capacity: u32,
     /// `true` while a transmit task is active or parked in backoff —
     /// the mid-radio-grant window.
     pub transmitting: bool,

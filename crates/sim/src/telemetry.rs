@@ -32,13 +32,13 @@ pub struct TelemetrySample {
     /// Whether the device was powered on.
     pub on: bool,
     /// Buffer occupancy (queued + in flight).
-    pub occupancy: usize,
+    pub occupancy: u32,
     /// The runtime's arrival-rate estimate λ.
     pub lambda: f64,
     /// The runtime's PID correction, seconds.
     pub correction: f64,
     /// Degradation option of the executing job (`None` when idle).
-    pub active_option: Option<usize>,
+    pub active_option: Option<u8>,
     /// Cumulative IBO discards so far.
     pub ibo_discards: u64,
 }
@@ -72,9 +72,21 @@ impl Telemetry {
     pub fn from_events(events: &[Event]) -> Telemetry {
         let mut telemetry = Telemetry::default();
         for event in events {
-            telemetry.on_event(event);
+            telemetry.record(event);
         }
         telemetry
+    }
+
+    /// Keeps `event`'s sample if it is a `Snapshot`: the single path
+    /// behind both [`Observer::on_event`] and
+    /// [`Telemetry::from_events`].
+    pub fn record(&mut self, event: &Event) {
+        if let EventKind::Snapshot(snap) = &event.kind {
+            self.samples.push(TelemetrySample::from_snapshot(
+                SimTime::from_millis(event.t_ms),
+                snap,
+            ));
+        }
     }
 
     /// Takes the samples out of `observer` if it is a [`Telemetry`]
@@ -111,7 +123,7 @@ impl Telemetry {
     }
 
     /// Maximum buffer occupancy observed at any sample.
-    pub fn peak_occupancy(&self) -> usize {
+    pub fn peak_occupancy(&self) -> u32 {
         self.samples.iter().map(|s| s.occupancy).max().unwrap_or(0)
     }
 
@@ -141,7 +153,7 @@ impl Telemetry {
                 s.occupancy,
                 s.lambda,
                 s.correction,
-                s.active_option.map_or(-1, |o| o as i64),
+                s.active_option.map_or(-1, i64::from),
                 s.ibo_discards,
             );
             if (i + 1) % BLOCK_ROWS == 0 {
@@ -155,13 +167,8 @@ impl Telemetry {
 }
 
 impl Observer for Telemetry {
-    fn on_event(&mut self, event: &Event) {
-        if let EventKind::Snapshot(snap) = &event.kind {
-            self.samples.push(TelemetrySample::from_snapshot(
-                SimTime::from_millis(event.t_ms),
-                snap,
-            ));
-        }
+    fn on_event(&mut self, event: Event) {
+        self.record(&event);
     }
 
     fn as_any_mut(&mut self) -> Option<&mut dyn core::any::Any> {
@@ -185,7 +192,7 @@ impl fmt::Display for Telemetry {
 mod tests {
     use super::*;
 
-    fn sample(t_s: u64, on: bool, occ: usize, option: Option<usize>) -> Event {
+    fn sample(t_s: u64, on: bool, occ: u32, option: Option<u8>) -> Event {
         Event {
             t_ms: t_s * 1000,
             kind: EventKind::Snapshot(Snapshot {
@@ -209,12 +216,12 @@ mod tests {
     fn accumulates_and_summarizes() {
         let mut t = Telemetry::default();
         assert!(t.is_empty());
-        t.on_event(&sample(0, true, 3, Some(0)));
-        t.on_event(&Event {
+        t.on_event(sample(0, true, 3, Some(0)));
+        t.on_event(Event {
             t_ms: 500,
             kind: EventKind::Checkpoint,
         });
-        t.on_event(&sample(1, false, 7, None));
+        t.on_event(sample(1, false, 7, None));
         assert_eq!(t.len(), 2, "only Snapshot events are kept");
         assert_eq!(t.on_fraction(), 0.5);
         assert_eq!(t.peak_occupancy(), 7);
@@ -256,7 +263,7 @@ mod tests {
     #[test]
     fn take_from_drains_an_installed_telemetry_observer() {
         let mut observer: Box<dyn Observer> = Box::new(Telemetry::default());
-        observer.on_event(&sample(0, true, 1, None));
+        observer.on_event(sample(0, true, 1, None));
         let taken = Telemetry::take_from(observer.as_mut()).expect("a telemetry observer");
         assert_eq!(taken.len(), 1);
         assert!(Telemetry::take_from(observer.as_mut()).unwrap().is_empty());
