@@ -56,6 +56,8 @@ pub enum Command {
     Bench(Args),
     /// `qz help` / `--help`.
     Help,
+    /// `qz SUBCOMMAND --help` (or `-h`): that subcommand's usage text.
+    Usage(String),
 }
 
 /// A `--device` selection.
@@ -725,6 +727,12 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             names.join(", ")
         )));
     };
+    if argv[1..]
+        .iter()
+        .any(|a| matches!(a.as_str(), "--help" | "-h"))
+    {
+        return Ok(Command::Usage(usage(sub)));
+    }
     let mut args = Args::new(sub);
     let mut rest = argv[1..].iter();
     while let Some(given) = rest.next() {
@@ -773,38 +781,47 @@ fn figure_names() -> Vec<&'static str> {
     qz_bench::FIGURES.iter().map(|f| f.name).collect()
 }
 
+/// Help text width, in columns.
+const WIDTH: usize = 80;
+/// Column where a usage line's flags start.
+const INDENT: usize = 20;
+
+/// `line` then `items`, space-separated, breaking before any item that
+/// would pass [`WIDTH`] onto a new line indented `indent` columns.
+fn wrap(mut line: String, items: impl Iterator<Item = String>, indent: usize) -> String {
+    let mut out = String::new();
+    for (i, item) in items.enumerate() {
+        if i > 0 && line.len() + 1 + item.len() > WIDTH {
+            out.push_str(&line);
+            out.push('\n');
+            line = " ".repeat(indent);
+        } else if i > 0 {
+            line.push(' ');
+        }
+        line.push_str(&item);
+    }
+    out + &line
+}
+
+/// One subcommand's usage line(s): its name and every flag it takes.
+fn usage_line(sub: &Subcommand) -> String {
+    let flags = sub.flags.iter().map(|flag| {
+        if flag.sample.is_empty() {
+            format!("[{}]", flag.name)
+        } else {
+            format!("[{} {}]", flag.name, flag.sample)
+        }
+    });
+    let name = format!("  qz {:<1$}", sub.name, INDENT - 5);
+    wrap(name, flags, INDENT)
+}
+
 /// Renders the help text: the usage block from [`SUBCOMMANDS`], then
 /// the vocabulary and one paragraph per subcommand.
 pub fn help() -> String {
-    const WIDTH: usize = 80;
-    const INDENT: usize = 20;
-    /// `line` then `items`, space-separated, breaking before any item
-    /// that would pass `WIDTH` onto a new line indented `indent` columns.
-    fn wrap(mut line: String, items: impl Iterator<Item = String>, indent: usize) -> String {
-        let mut out = String::new();
-        for (i, item) in items.enumerate() {
-            if i > 0 && line.len() + 1 + item.len() > WIDTH {
-                out.push_str(&line);
-                out.push('\n');
-                line = " ".repeat(indent);
-            } else if i > 0 {
-                line.push(' ');
-            }
-            line.push_str(&item);
-        }
-        out + &line
-    }
     let mut usage = String::new();
     for sub in SUBCOMMANDS {
-        let flags = sub.flags.iter().map(|flag| {
-            if flag.sample.is_empty() {
-                format!("[{}]", flag.name)
-            } else {
-                format!("[{} {}]", flag.name, flag.sample)
-            }
-        });
-        let name = format!("  qz {:<1$}", sub.name, INDENT - 5);
-        usage.push_str(&wrap(name, flags, INDENT));
+        usage.push_str(&usage_line(sub));
         usage.push('\n');
     }
     let envs: Vec<&str> = EnvironmentKind::ALL.iter().map(|k| k.token()).collect();
@@ -823,6 +840,22 @@ pub fn help() -> String {
          {PROSE}",
         envs.join(", ")
     )
+}
+
+/// One subcommand's help (`qz NAME --help`): its usage line and, when
+/// the help prose has one, its paragraph.
+fn usage(sub: &Subcommand) -> String {
+    let mut out = format!("USAGE:\n{}\n", usage_line(sub));
+    let opening = format!("`qz {}", sub.name);
+    if let Some(paragraph) = PROSE
+        .split("\n\n")
+        .find(|p| p.trim_start().starts_with(&opening))
+    {
+        out.push('\n');
+        out.push_str(paragraph.trim());
+        out.push('\n');
+    }
+    out
 }
 
 /// The help text's prose, one paragraph per subcommand.
@@ -937,7 +970,7 @@ pub(crate) mod tests {
             | Command::Bisect(a)
             | Command::Profile(a)
             | Command::Bench(a) => a,
-            Command::Help => panic!("help carries no options"),
+            Command::Help | Command::Usage(_) => panic!("help carries no options"),
         }
     }
 
@@ -962,6 +995,24 @@ pub(crate) mod tests {
         assert_eq!(parse(&[]).unwrap(), Command::Help);
         assert_eq!(parse(&argv("help")).unwrap(), Command::Help);
         assert_eq!(parse(&argv("--help")).unwrap(), Command::Help);
+    }
+
+    #[test]
+    fn help_after_any_subcommand_is_its_usage() {
+        for sub in SUBCOMMANDS {
+            for line in [
+                format!("{} --help", sub.name),
+                format!("{} -h", sub.name),
+                format!("{} --events 3 --help", sub.name),
+            ] {
+                assert_eq!(parse(&argv(&line)).unwrap(), Command::Usage(usage(sub)));
+            }
+            let text = usage(sub);
+            assert!(text.contains(&format!("  qz {} ", sub.name)), "{text}");
+            for flag in sub.flags {
+                assert!(text.contains(&format!("[{}", flag.name)), "{}", flag.name);
+            }
+        }
     }
 
     #[test]

@@ -40,6 +40,10 @@ fn main() -> ExitCode {
             print!("{}", args::help());
             Ok(())
         }
+        Command::Usage(text) => {
+            print!("{text}");
+            Ok(())
+        }
         Command::Run(r) => run_one(&r),
         Command::Compare(r) => compare(&r),
         Command::Figure(f) => {

@@ -29,11 +29,12 @@
 //! `no_std`-capable (`default-features = false`, requires `alloc`);
 //! only the I/O exporters need `std`.
 //!
-//! Events refer to jobs, tasks, and options by their spec indices
-//! (`usize`), not by the runtime's typed IDs — this keeps the crate at
-//! the bottom of the dependency graph so both the runtime and the
-//! simulator can emit through it. Consumers that want names resolve
-//! them against their `AppSpec` (see [`timeline::TimelineNames`]).
+//! Events refer to jobs and options by their spec indices (`u32` and
+//! `u8`, see [`Event`]), not by the runtime's typed IDs — this keeps
+//! the crate at the bottom of the dependency graph so both the runtime
+//! and the simulator can emit through it. Consumers that want names
+//! resolve them against their `AppSpec` (see
+//! [`timeline::TimelineNames`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -414,6 +414,7 @@ impl Baseline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const LEGACY: &str = r#"{"bench":"sim_throughput","system":"QZ","cases":[
       {"env":"Quiet","events":120,"sim_ticks":2555399941,"speedup":18.265},
@@ -614,5 +615,84 @@ mod tests {
         // but never empty and never a panic.
         let rev = git_rev(&dir);
         assert!(!rev.is_empty());
+    }
+
+    /// The committed trajectories and the baseline, read once.
+    fn committed_documents() -> &'static [(String, bool)] {
+        static DOCS: std::sync::OnceLock<Vec<(String, bool)>> = std::sync::OnceLock::new();
+        DOCS.get_or_init(|| {
+            let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+            let mut paths: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| {
+                    let name = p.file_name().unwrap().to_string_lossy();
+                    name.starts_with("BENCH_") && name.ends_with(".json")
+                })
+                .collect();
+            paths.sort();
+            paths
+                .into_iter()
+                .map(|p| {
+                    let is_baseline = p.ends_with("BENCH_baseline.json");
+                    (std::fs::read_to_string(&p).unwrap(), is_baseline)
+                })
+                .collect()
+        })
+    }
+
+    /// Feeds a corrupted copy to its decoder, and anything that decodes
+    /// on to the code that reads a decoded file (`to_json`, `check`).
+    fn decode(bytes: &[u8], is_baseline: bool) {
+        let text = String::from_utf8_lossy(bytes);
+        if is_baseline {
+            if let Ok(b) = Baseline::parse(&text) {
+                let _ = b.check(|bench| {
+                    committed_documents()
+                        .iter()
+                        .filter(|(_, is_baseline)| !is_baseline)
+                        .filter_map(|(t, _)| Trajectory::parse(t).ok())
+                        .find(|t| t.bench == bench)
+                });
+            }
+        } else if let Ok(t) = Trajectory::parse(&text) {
+            let _ = t.to_json();
+            let _ = t.newest().map(|r| r.case("Quiet"));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+        /// `Trajectory::parse` and `Baseline::parse` return a value or
+        /// an error, never a panic, on corrupted copies of the
+        /// committed files: truncated, with a run of digits spliced in
+        /// (huge, long or malformed numbers), or with one byte deleted
+        /// or duplicated.
+        #[test]
+        fn decoders_are_total_on_corrupted_committed_files(
+            doc in 0usize..16,
+            at in 0usize..100_000,
+            digits in proptest::collection::vec(0u8..12, 1..40),
+            cut in 0usize..100_000,
+        ) {
+            let docs = committed_documents();
+            let (text, is_baseline) = &docs[doc % docs.len()];
+            let bytes = text.as_bytes();
+            let at = at % bytes.len();
+            // Digits, with '.', '-', 'e' standing in for 10 and 11 so
+            // the splice can also form exponents and signs.
+            let splice: Vec<u8> = digits
+                .iter()
+                .map(|&d| match d {
+                    10 => b'e',
+                    11 => [b'.', b'-'][at % 2],
+                    d => b'0' + d,
+                })
+                .collect();
+            decode(&bytes[..cut % bytes.len()], *is_baseline);
+            decode(&[&bytes[..at], &splice[..], &bytes[at..]].concat(), *is_baseline);
+            decode(&[&bytes[..at], &bytes[at + 1..]].concat(), *is_baseline);
+            decode(&[&bytes[..=at], &bytes[at..]].concat(), *is_baseline);
+        }
     }
 }
